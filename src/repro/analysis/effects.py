@@ -381,6 +381,119 @@ def _iterates_fresh_set(
     return saw_set_source
 
 
+# --- in-place mutation of a parameter -----------------------------------------
+
+#: Methods that mutate a list/dict/set receiver in place.
+MUTATING_METHODS = frozenset(
+    {"append", "pop", "extend", "remove", "clear", "update", "insert"}
+)
+
+_LOAD_VALUE_OPS = {"LOAD_FAST", "LOAD_FAST_CHECK", "LOAD_DEREF"}
+_PART_OPS = {"LOAD_ATTR", "LOAD_METHOD", "BINARY_SUBSCR"}
+#: Stack rotations of older interpreters: op -> items rotated.
+_ROTATIONS = {"ROT_TWO": 2, "ROT_THREE": 3, "ROT_FOUR": 4}
+#: Ops that only consume stack items (or touch none): nothing they
+#: leave on the stack is a fresh value.
+_CONSUMING_PREFIXES = (
+    "POP_", "STORE_", "DELETE_", "JUMP", "RETURN", "RAISE", "RERAISE",
+    "SETUP_", "END_", "NOP", "RESUME", "PRECALL", "KW_NAMES", "CACHE",
+    "EXTENDED_ARG", "COPY_FREE_VARS", "MAKE_CELL",
+)
+
+
+def param_mutations(fn: Callable) -> Tuple[Tuple[str, int], ...]:
+    """In-place mutations of ``fn``'s first parameter: ``(what, line)``.
+
+    Flags a call of a :data:`MUTATING_METHODS` method, an item or
+    attribute assignment, and an item or attribute ``del`` whose target
+    is the parameter or a part of it (an attribute or item reached from
+    it, such as ``state.ready.append(x)``).  Nested functions and
+    comprehensions that close over the parameter are searched too.
+
+    The walk tracks, per stack slot, whether the value is the parameter
+    or a part of it; like the rest of this module it does not follow
+    jumps, and it does not follow aliases (``s = state``) or the
+    augmented operators (``state += [x]``), whose effect depends on the
+    runtime type.
+    """
+    code = getattr(fn, "__code__", None)
+    if code is None or code.co_argcount < 1:
+        return ()
+    return tuple(_param_mutations(code, code.co_varnames[0]))
+
+
+def _param_mutations(code: types.CodeType, param: str) -> List[Tuple[str, int]]:
+    out: List[Tuple[str, int]] = []
+    stack: List[bool] = []  # per slot: the parameter or a part of it?
+
+    def part(depth: int) -> bool:
+        return len(stack) >= depth and stack[-depth]
+
+    line = code.co_firstlineno
+    for ins in dis.get_instructions(code):
+        if ins.starts_line is not None:
+            line = ins.starts_line
+        op = ins.opname
+        if op in _LOAD_VALUE_OPS:
+            stack.append(ins.argval == param)
+            continue
+        if op in ("COPY", "DUP_TOP"):
+            stack.append(part(ins.arg if op == "COPY" else 1))
+            continue
+        if op == "DUP_TOP_TWO":
+            stack.extend([part(2), part(1)])
+            continue
+        if op == "SWAP":
+            if len(stack) >= ins.arg:
+                stack[-1], stack[-ins.arg] = stack[-ins.arg], stack[-1]
+            continue
+        if op in _ROTATIONS:
+            if len(stack) >= _ROTATIONS[op]:
+                stack.insert(len(stack) - _ROTATIONS[op] + 1, stack.pop())
+            continue
+
+        what = None
+        if op in ("LOAD_ATTR", "LOAD_METHOD") and part(1):
+            if ins.argval in MUTATING_METHODS:
+                what = f"calls .{ins.argval}()"
+        elif op in ("STORE_SUBSCR", "DELETE_SUBSCR") and part(2):
+            what = "item assignment" if op == "STORE_SUBSCR" else "item del"
+        elif op == "STORE_SLICE" and part(3):
+            what = "slice assignment"
+        elif op in ("STORE_ATTR", "DELETE_ATTR") and part(1):
+            verb = "assignment" if op == "STORE_ATTR" else "del"
+            what = f"attribute {verb} .{ins.argval}"
+        if what is not None:
+            out.append((what, line))
+
+        try:
+            effect = dis.stack_effect(
+                ins.opcode, ins.arg if ins.opcode >= dis.HAVE_ARGUMENT else None,
+                jump=False,
+            )
+        except ValueError:
+            effect = 0
+        depth = max(len(stack) + effect, 0)
+        if op in _PART_OPS:
+            # An attribute or item of the parameter is part of it.
+            pops = 2 if op == "BINARY_SUBSCR" else 1
+            derived = part(pops)
+            del stack[max(len(stack) - pops, 0):]
+            stack.extend([derived] * (depth - len(stack)))
+        elif op.startswith(_CONSUMING_PREFIXES):
+            del stack[depth:]
+            stack.extend([False] * (depth - len(stack)))
+        else:
+            # Everything else leaves one fresh value on top.
+            del stack[max(depth - 1, 0):]
+            stack.extend([False] * (depth - len(stack)))
+
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType) and param in const.co_freevars:
+            out.extend(_param_mutations(const, param))
+    return out
+
+
 # --- mini-C / mini-asm AST analysis ----------------------------------------
 
 

@@ -5,7 +5,10 @@ A replay function reconstructs abstract state as a fold over the log
 when the fold's ``init``/``step`` are *pure in the log*: closed over
 the log argument and immutable constants, free of nondeterminism
 sources, and free of mutable default arguments that would leak state
-between replays.
+between replays.  The incremental memo of ``ReplayFn`` adds one more
+premise: ``step`` returns a new state and never mutates the one it was
+given, because that object is the checkpoint later queries resume from
+(``REPRO-R404``).
 
 These checks run over the ``ReplayFn`` wrapper from
 :mod:`repro.core.replay` by duck-typing on its ``name``/``_init``/
@@ -17,7 +20,7 @@ from __future__ import annotations
 import types
 from typing import Any, List
 
-from .effects import analyze_function
+from .effects import analyze_function, param_mutations
 from .findings import LintFinding, finding, suppressed_rules
 
 _IMMUTABLE_SCALARS = (
@@ -55,7 +58,7 @@ def _is_immutable(value: Any, _depth: int = 0) -> bool:
 
 
 def lint_replay_fn(replay_fn: Any) -> List[LintFinding]:
-    """R401/R402/R403 over one ``ReplayFn``'s init and step."""
+    """R401–R404 over one ``ReplayFn``'s init and step."""
     out: List[LintFinding] = []
     name = getattr(replay_fn, "name", repr(replay_fn))
     for role in ("init", "step"):
@@ -102,5 +105,16 @@ def lint_replay_fn(replay_fn: Any) -> List[LintFinding]:
                     f"state between replays",
                     file=file, line=line, obj=obj,
                     suppressed="REPRO-R403" in supp,
+                ))
+
+        if role == "step":
+            for what, mline in param_mutations(fn):
+                out.append(finding(
+                    "REPRO-R404",
+                    f"step mutates its state argument in place ({what}); "
+                    f"the memoized checkpoint and every result already "
+                    f"returned would change with it",
+                    file=file, line=mline or line, obj=obj,
+                    suppressed="REPRO-R404" in supp,
                 ))
     return out

@@ -13,7 +13,8 @@ explanation.  Rule ids are grouped by family:
 * ``REPRO-N3xx`` — determinism: sources of nondeterminism that break
   log replay (wall clocks, RNGs, ``id()``, unordered set iteration).
 * ``REPRO-R4xx`` — replay purity: replay functions must be closed over
-  the log argument and immutable constants only.
+  the log argument and immutable constants only, and their steps must
+  not mutate the state they are given.
 
 ``RULESET_VERSION`` names the semantics of this catalog and is folded
 into the certificate-cache engine version
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: Version of the lint rule set, folded into the cache engine version.
-RULESET_VERSION = "repro-lint/2"
+RULESET_VERSION = "repro-lint/3"
 
 ERROR = "error"
 WARNING = "warning"
@@ -163,6 +164,15 @@ RULES: Dict[str, LintRule] = _catalog(
         "REPRO-R403", WARNING, "replay function has mutable default argument",
         "A replay init/step declares a list/dict/set default argument; "
         "mutation across calls would leak state between replays.",
+    ),
+    LintRule(
+        "REPRO-R404", ERROR, "replay step mutates its state argument",
+        "A replay step mutates the state it was given (a mutating method "
+        "call such as append/pop/update, item or attribute assignment, "
+        "or del) instead of returning a new state.  Replay folds are "
+        "memoized incrementally: the given state is the checkpoint "
+        "later queries resume from and a result earlier callers hold, "
+        "so mutating it would change verdicts.",
     ),
 )
 

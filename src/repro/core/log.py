@@ -14,23 +14,47 @@ Two representations are provided:
   execution; cheap ``snapshot()`` produces a :class:`Log` with structural
   sharing (the buffer keeps a tuple cache that only reallocates when new
   events arrive).
+
+Replay folds (:class:`~repro.core.replay.ReplayFn`) checkpoint their
+state in a :class:`MemoTable`.  A buffer owns one table shared by all
+of its snapshots: every snapshot of an append-only buffer is a prefix
+of its later ones, so a checkpoint taken on one snapshot is valid for
+every snapshot at least as long.  Any other log owns its own table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from .events import Event, format_log, intern_event
+
+
+class MemoTable(dict):
+    """Replay checkpoints of one event sequence: ``key -> (k, state)``.
+
+    ``state`` is the fold of the sequence's first ``k`` events under
+    ``key`` (a replay function and its parameters).  Tables compare and
+    hash by identity and are weakly referenceable, so replay functions
+    can count the live tables holding their checkpoints.
+    """
+
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 class Log:
     """An immutable snapshot of the global event log (oldest first)."""
 
-    __slots__ = ("_events", "_hash")
+    __slots__ = ("_events", "_hash", "_memo")
 
     def __init__(self, events: Iterable[Event] = ()):
         object.__setattr__(self, "_events", tuple(events))
         object.__setattr__(self, "_hash", None)
+        # ``_memo`` (replay checkpoints) stays unset until a buffer stamps
+        # its table on a snapshot or the first replay query creates this
+        # log's own table: most logs are never replayed.
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("Log is immutable")
@@ -70,7 +94,8 @@ class Log:
     def __reduce__(self):
         # Log is a __slots__ class whose __setattr__ raises (immutability),
         # which breaks default pickling; rebuild from the event tuple and
-        # recompute the hash lazily in the receiving process.
+        # recompute the hash lazily in the receiving process.  Replay
+        # checkpoints are not sent: the copy starts with its own table.
         return (Log, (self._events,))
 
     def __hash__(self):
@@ -82,6 +107,27 @@ class Log:
 
     def __repr__(self):
         return f"Log[{format_log(self._events)}]"
+
+    def replay_checkpoint(self, key: Hashable) -> Tuple[MemoTable, Optional[Tuple[int, Any]]]:
+        """The memo table that serves ``key`` on this log, and its entry.
+
+        A snapshot shares its buffer's table while the table's
+        checkpoints are prefixes of it.  A snapshot older than a
+        checkpoint it is asked about switches to a table of its own, as
+        does any log not taken from a buffer.  The returned entry
+        ``(k, state)`` always has ``k <= len(self)``.
+        """
+        try:
+            table = self._memo
+        except AttributeError:  # neither stamped by a buffer nor queried yet
+            pass
+        else:
+            entry = table.get(key)
+            if entry is None or entry[0] <= len(self._events):
+                return table, entry
+        table = MemoTable()
+        object.__setattr__(self, "_memo", table)
+        return table, None
 
     # -- queries used by replay functions and invariants -------------------
 
@@ -135,11 +181,12 @@ class LogBuffer:
     """The mutable global log threaded through a running machine.
 
     Append-only.  ``snapshot()`` is O(n) only when events were appended
-    since the previous snapshot, so replay functions that repeatedly
-    inspect the log stay cheap.
+    since the previous snapshot.  Every snapshot shares the buffer's
+    replay memo table, so a replay function folds each appended event
+    once per key rather than re-folding the whole log on every query.
     """
 
-    __slots__ = ("_events", "_snapshot")
+    __slots__ = ("_events", "_snapshot", "_memo")
 
     def __init__(self, initial: Iterable[Event] = ()):
         # Events are interned on entry: sibling runs of a bounded
@@ -147,6 +194,7 @@ class LogBuffer:
         # make the resulting log tuples compare and hash by identity.
         self._events: List[Event] = [intern_event(e) for e in initial]
         self._snapshot: Optional[Log] = None
+        self._memo = MemoTable()
 
     def append(self, event: Event) -> None:
         self._events.append(intern_event(event))
@@ -162,7 +210,9 @@ class LogBuffer:
 
     def snapshot(self) -> Log:
         if self._snapshot is None:
-            self._snapshot = Log(self._events)
+            snapshot = Log(self._events)
+            object.__setattr__(snapshot, "_memo", self._memo)
+            self._snapshot = snapshot
         return self._snapshot
 
     def __len__(self) -> int:

@@ -10,7 +10,7 @@ model detects data races (Fig. 8: the ``None`` branches).
 
 This module provides the fold framework (:class:`ReplayFn`) and the
 paper's ``Rshared`` (Fig. 8).  Object-specific replay functions
-(``Rticket``, ``Rsched``, ``Rqueue``) live with their objects in
+(``Rticket``, ``Rsched``, ``Rqueue``, ...) live with their objects in
 :mod:`repro.objects`.
 """
 
@@ -19,8 +19,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, Dict, Generic, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, Optional, TypeVar
 
 from ..obs import obs_enabled
 from ..obs.metrics import inc
@@ -38,60 +37,114 @@ _REPLAY_REGISTRY: "weakref.WeakSet[ReplayFn]" = weakref.WeakSet()
 class ReplayFn(Generic[S]):
     """A replay function as a fold ``(init, step)`` over the log.
 
-    ``step(state, event) -> state`` may raise :class:`Stuck` to signal an
-    ill-formed log.  Calling the instance on a :class:`Log` runs the fold;
-    results are memoized per (log, params) because logs are immutable.
+    ``init(*params)`` is the state of the empty log and
+    ``step(state, event[, *params]) -> state`` folds one more event; it
+    may raise :class:`Stuck` to signal an ill-formed log.  Calling the
+    instance as ``fn(log, *params)`` returns the fold of the whole log.
+
+    The fold is incremental.  Checkpoints ``(k, state)`` — ``state`` is
+    the fold of the first ``k`` events — live in the log's memo table
+    (:meth:`Log.replay_checkpoint`), keyed exactly by ``(fn, params)``:
+    no hash of the log stands in for the log, so no collision can hand
+    one log's state to another.  All snapshots of one
+    :class:`~repro.core.log.LogBuffer` share its table, so a query on a
+    snapshot of length ``n`` folds only ``events[k:n]`` and moves the
+    checkpoint to ``n``; ``k == n`` means no fold work.  When ``step``
+    raises :class:`Stuck`, the checkpoint stays at the last good prefix
+    and the same query raises again.
+
+    The memo is sound only under this contract: ``params`` are hashable
+    and never mutated, and ``step`` is pure — it returns a new state and
+    never mutates the one it was given, since that object is the
+    checkpoint every later query resumes from and the result earlier
+    callers hold (lint rules ``REPRO-R401``–``R404`` check it).
     """
 
     def __init__(
         self,
         name: str,
         init: Callable[..., S],
-        step: Callable[[S, Event], S],
-        cache_size: int = 4096,
+        step: Callable[..., S],
     ):
         self.name = name
         self._init = init
         self._step = step
-        # Hit/miss accounting is derived from the *return path*: the
-        # cached fold body flips a thread-local flag whenever it actually
-        # executes, so a lookup that raced with another thread's insert
-        # is still classified by what happened on this call, not by a
-        # before/after read of the shared lru_cache counters.
-        self._tls = threading.local()
-
-        @lru_cache(maxsize=cache_size)
-        def _run(log: Log, params: Tuple[Any, ...]) -> S:
-            self._tls.computed = True
-            state = init(*params)
-            for event in log:
-                state = step(state, event, *params) if _step_takes_params else step(state, event)
-            return state
-
-        # Detect whether `step` wants the parameters forwarded.
-        _step_takes_params = _arity_at_least(step, 3)
-        self._run = _run
+        self._step_takes_params = _arity_at_least(step, 3)
+        # Call accounting: [hits, misses, events folded], and the live
+        # memo tables holding a checkpoint of this function.  Both are
+        # run-dependent and kept out of content fingerprints.
+        self._stats = [0, 0, 0]
+        self._tables: "weakref.WeakSet" = weakref.WeakSet()
+        self._stats_lock = threading.Lock()
         _REPLAY_REGISTRY.add(self)
 
     def __call__(self, log, *params) -> S:
         if not isinstance(log, Log):
             log = Log(log)
-        if obs_enabled():
-            self._tls.computed = False
-            result = self._run(log, params)
-            if self._tls.computed:
-                inc("replay.cache_misses")
+        key = (self, params)
+        table, entry = log.replay_checkpoint(key)
+        events = log.events
+        n = len(events)
+        if entry is None:
+            k, state = 0, self._init(*params)
+        else:
+            k, state = entry
+        if k == n:
+            self._account(0)
+            return state
+        # A table's first checkpoint of this function makes it one more
+        # table holding a checkpoint (``currsize``).
+        new_table = table if entry is None else None
+        step = self._step
+        i = k
+        try:
+            if not self._step_takes_params:
+                for i in range(k, n):
+                    state = step(state, events[i])
+            elif len(params) == 1:
+                # The common shape (one cell, lock or queue), spelled
+                # out: a plain call is about twice as fast as ``*params``.
+                (param,) = params
+                for i in range(k, n):
+                    state = step(state, events[i], param)
             else:
-                inc("replay.cache_hits")
-            return result
-        return self._run(log, params)
+                for i in range(k, n):
+                    state = step(state, events[i], *params)
+        except Stuck:
+            # ``state`` is still the fold of ``events[:i]``.
+            table[key] = (i, state)
+            self._account(i - k + 1, new_table)
+            raise
+        table[key] = (n, state)
+        self._account(n - k, new_table)
+        return state
 
-    def cache_info(self):
-        """The underlying ``functools.lru_cache`` statistics."""
-        return self._run.cache_info()
+    def _account(self, folded: int, new_table=None) -> None:
+        """Count one call that ran ``step`` ``folded`` times."""
+        miss = folded > 0
+        with self._stats_lock:
+            self._stats[1 if miss else 0] += 1
+            self._stats[2] += folded
+            if new_table is not None:
+                self._tables.add(new_table)
+        if obs_enabled():
+            inc("replay.cache_misses" if miss else "replay.cache_hits")
 
-    def cache_clear(self) -> None:
-        self._run.cache_clear()
+    def cache_info(self) -> Dict[str, int]:
+        """Call accounting of this function over the process lifetime.
+
+        ``hits`` are calls answered with no event folded, ``misses``
+        calls that folded at least one event, ``events_folded`` the
+        ``step`` invocations, and ``currsize`` the live memo tables
+        (log buffers and standalone logs) holding a checkpoint.
+        """
+        hits, misses, folded = self._stats
+        return {
+            "hits": hits,
+            "misses": misses,
+            "currsize": len(self._tables),
+            "events_folded": folded,
+        }
 
     def __repr__(self):
         return f"ReplayFn({self.name})"
@@ -110,13 +163,12 @@ def replay_cache_info() -> Dict[str, Dict[str, int]]:
     """
     out: Dict[str, Dict[str, int]] = {}
     for fn in sorted(_REPLAY_REGISTRY, key=lambda f: f.name):
-        info = fn.cache_info()
         entry = out.setdefault(
-            fn.name, {"hits": 0, "misses": 0, "currsize": 0}
+            fn.name,
+            {"hits": 0, "misses": 0, "currsize": 0, "events_folded": 0},
         )
-        entry["hits"] += info.hits
-        entry["misses"] += info.misses
-        entry["currsize"] += info.currsize
+        for field, value in fn.cache_info().items():
+            entry[field] += value
     return out
 
 

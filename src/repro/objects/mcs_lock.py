@@ -36,7 +36,7 @@ from ..core.log import Log
 from ..core.machint import IntWidth
 from ..core.relation import EventMapRel
 from ..core.rely_guarantee import Guarantee, LogInvariant, Rely
-from ..core.replay import replay_shared
+from ..core.replay import ReplayFn, replay_shared
 from ..machine.atomics import ALOAD, ASTORE, CAS, SWAP, replay_atomic
 from ..machine.sharedmem import local_copy
 from .ticket_lock import (
@@ -74,6 +74,39 @@ def node_tid(nid: int) -> int:
 # --- replay: the MCS queue from the log --------------------------------------
 
 
+def _mcs_init(lock) -> Tuple[int, ...]:
+    return ()
+
+
+def _mcs_step(queue, event: Event, lock):
+    if event.name == SWAP and event.args and event.args[0] == tail_cell(lock):
+        return queue + (event.tid,)
+    if event.name == CAS and event.args and event.args[0] == tail_cell(lock):
+        _, old, new = event.args
+        if new == NIL and queue == (event.tid,) and old == node_id(event.tid):
+            return ()
+        return queue
+    if (
+        event.name == ASTORE
+        and event.args
+        and isinstance(event.args[0], tuple)
+        and event.args[0][:1] == ("mcs_busy",)
+        and event.args[0][1] == lock
+        and len(event.args) > 1
+        and event.args[1] == 0
+        and queue
+        and queue[0] == event.tid
+    ):
+        # The holder hands off to its successor.
+        return queue[1:]
+    return queue
+
+
+replay_mcs = ReplayFn("Rmcs", _mcs_init, _mcs_step)
+"""``Rmcs``: the MCS queue (head first) from ``swap``/``cas``/hand-off
+events."""
+
+
 def replay_mcs_queue(log: Log, lock: Any) -> List[int]:
     """The FIFO queue of participants waiting on / holding ``lock``.
 
@@ -82,28 +115,7 @@ def replay_mcs_queue(log: Log, lock: Any) -> List[int]:
     nil or the predecessor clearing our ``busy`` flag.  The head of the
     returned list is the current MCS owner.
     """
-    queue: List[int] = []
-    tc = tail_cell(lock)
-    for event in log:
-        if event.name == SWAP and event.args and event.args[0] == tc:
-            queue.append(event.tid)
-        elif event.name == CAS and event.args and event.args[0] == tc:
-            _, old, new = event.args
-            if new == NIL and queue == [event.tid] and old == node_id(event.tid):
-                queue.pop()
-        elif (
-            event.name == ASTORE
-            and event.args
-            and isinstance(event.args[0], tuple)
-            and event.args[0][:1] == ("mcs_busy",)
-            and event.args[0][1] == lock
-            and len(event.args) > 1
-            and event.args[1] == 0
-        ):
-            # The holder hands off to its successor.
-            if queue and queue[0] == event.tid:
-                queue.pop(0)
-    return queue
+    return list(replay_mcs(log, lock))
 
 
 # --- M_mcs: the implementation (players over Lx86) -----------------------------

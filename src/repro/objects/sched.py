@@ -60,6 +60,7 @@ NIL_THREAD = 0
 from ..core.interface import LayerInterface, Prim, private_prim
 from ..core.log import Log
 from ..core.machine import GameScheduler
+from ..core.replay import ReplayFn
 from .local_queue import NIL
 
 # --- queue naming -------------------------------------------------------------
@@ -111,6 +112,63 @@ class SchedState:
     pending: List[int] = field(default_factory=list)
 
 
+def _without(queue: Tuple[int, ...], item: int) -> Tuple[int, ...]:
+    """``queue`` minus the first occurrence of ``item`` (if any)."""
+    if item not in queue:
+        return queue
+    i = queue.index(item)
+    return queue[:i] + queue[i + 1:]
+
+
+def _sched_init(cpus: CpuMap, init_current):
+    current = dict(init_current)
+    # Initially every spawned thread except the running one is ready.
+    return tuple(
+        (
+            current[cpu],
+            tuple(t for t in cpus.threads_on(cpu) if t != current[cpu]),
+            (),
+        )
+        for cpu in cpus.cpus
+    )
+
+
+def _sched_step(states, event: Event, cpus: CpuMap, init_current):
+    if event.name == WAKEUP and event.args:
+        woken = event.args[1]
+        if woken == NIL:
+            return states
+        home = cpus.cpu_of(woken)
+        slot = cpus.cpus.index(home)
+        current, ready, pending = states[slot]
+        if home == cpus.cpu_of(event.tid):
+            entry = (current, ready + (woken,), pending)
+        else:
+            entry = (current, ready, pending + (woken,))
+        return states[:slot] + (entry,) + states[slot + 1:]
+    if event.name in (YIELD, SLEEP, TEXIT) and event.args:
+        slot = cpus.cpus.index(cpus.cpu_of(event.tid))
+        _current, ready, pending = states[slot]
+        # Drain pending into ready, exactly as the implementation does.
+        ready = ready + pending
+        target = event.args[1] if event.name == SLEEP else event.args[0]
+        if event.name == YIELD and target != event.tid:
+            # Self requeued at the tail; target removed from ready.
+            ready = _without(ready, target) + (event.tid,)
+        else:
+            # A no-op yield (nobody ready), an idle pickup (the hardware
+            # idle loop handing the CPU to the next runnable thread), a
+            # sleep, or an exit (target NIL_THREAD when the CPU idles).
+            ready = _without(ready, target)
+        return states[:slot] + ((target, ready, ()),) + states[slot + 1:]
+    return states
+
+
+replay_sched_states = ReplayFn("Rsched", _sched_init, _sched_step)
+"""``Rsched``'s fold: one ``(current, ready, pending)`` triple per CPU of
+``cpus.cpus``, in order.  ``init_current`` is passed as sorted items."""
+
+
 def replay_sched(
     log: Log, cpus: CpuMap, init_current: Dict[int, int]
 ) -> Dict[int, SchedState]:
@@ -123,63 +181,11 @@ def replay_sched(
     alone determine the state — that determinism is what makes the
     overlay a legitimate abstraction.
     """
-    # Initially every spawned thread except the running one is ready.
-    states = {
-        cpu: SchedState(
-            current=init_current[cpu],
-            ready=[t for t in cpus.threads_on(cpu) if t != init_current[cpu]],
-        )
-        for cpu in cpus.cpus
+    states = replay_sched_states(log, cpus, tuple(sorted(init_current.items())))
+    return {
+        cpu: SchedState(current, list(ready), list(pending))
+        for cpu, (current, ready, pending) in zip(cpus.cpus, states)
     }
-    for event in log:
-        if event.name == YIELD and event.args:
-            cpu = cpus.cpu_of(event.tid)
-            state = states[cpu]
-            target = event.args[0]
-            # Drain pending into ready, exactly as the implementation does.
-            state.ready.extend(state.pending)
-            state.pending.clear()
-            if target == event.tid:
-                # Either a no-op yield (nobody ready) or an idle pickup
-                # (the hardware idle loop handing the CPU to the next
-                # runnable thread).
-                state.current = event.tid
-                if event.tid in state.ready:
-                    state.ready.remove(event.tid)
-            else:
-                # Self requeued at the tail; target removed from ready.
-                if target in state.ready:
-                    state.ready.remove(target)
-                state.ready.append(event.tid)
-                state.current = target
-        elif event.name == SLEEP and event.args:
-            cpu = cpus.cpu_of(event.tid)
-            state = states[cpu]
-            target = event.args[1]
-            state.ready.extend(state.pending)
-            state.pending.clear()
-            if target in state.ready:
-                state.ready.remove(target)
-            state.current = target
-        elif event.name == TEXIT and event.args:
-            cpu = cpus.cpu_of(event.tid)
-            state = states[cpu]
-            target = event.args[0]
-            state.ready.extend(state.pending)
-            state.pending.clear()
-            if target in state.ready:
-                state.ready.remove(target)
-            state.current = target  # NIL_THREAD when the CPU goes idle
-        elif event.name == WAKEUP and event.args:
-            woken = event.args[1]
-            if woken != NIL:
-                home = cpus.cpu_of(woken)
-                here = cpus.cpu_of(event.tid)
-                if home == here:
-                    states[home].ready.append(woken)
-                else:
-                    states[home].pending.append(woken)
-    return states
 
 
 def replay_current(
@@ -194,17 +200,28 @@ def idle_next(state: SchedState) -> int:
     return queue[0] if queue else NIL_THREAD
 
 
+def _slpq_init(chan) -> Tuple[int, ...]:
+    return ()
+
+
+def _slpq_step(sleepers, event: Event, chan):
+    if event.name == SLEEP and event.args and event.args[0] == chan:
+        return sleepers + (event.tid,)
+    if event.name == WAKEUP and event.args and event.args[0] == chan:
+        woken = event.args[1]
+        if woken != NIL:
+            return _without(sleepers, woken)
+    return sleepers
+
+
+replay_sleepers = ReplayFn("Rslpq", _slpq_init, _slpq_step)
+"""The sleeping queue of one channel (oldest first) from atomic
+scheduling events."""
+
+
 def replay_slpq(log: Log, chan: Any) -> List[int]:
     """The sleeping queue contents from atomic scheduling events."""
-    sleepers: List[int] = []
-    for event in log:
-        if event.name == SLEEP and event.args and event.args[0] == chan:
-            sleepers.append(event.tid)
-        elif event.name == WAKEUP and event.args and event.args[0] == chan:
-            woken = event.args[1]
-            if woken != NIL and woken in sleepers:
-                sleepers.remove(woken)
-    return sleepers
+    return list(replay_sleepers(log, chan))
 
 
 # --- the implementation over the atomic queue (+ lock) layer -----------------------

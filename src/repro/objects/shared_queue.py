@@ -41,6 +41,7 @@ from ..core.events import ACQ, DEQ, ENQ, Event, PULL, PUSH, REL, freeze, thaw
 from ..core.interface import LayerInterface, Prim, private_prim
 from ..core.log import Log
 from ..core.relation import SimRel
+from ..core.replay import ReplayFn
 from ..core.rely_guarantee import Guarantee, LogInvariant, Rely
 from ..machine.sharedmem import local_copy
 from .local_queue import NIL, linked_deq, linked_enq, linked_to_list, new_queue
@@ -52,22 +53,32 @@ DEFAULT_CAPACITY = 8
 # --- replay of the atomic queue interface ---------------------------------------
 
 
+def _queue_init(queue) -> Tuple[int, ...]:
+    return ()
+
+
+def _queue_step(contents, event: Event, queue):
+    if event.name == ENQ and event.args and event.args[0] == queue:
+        return contents + (event.args[1],)
+    if event.name == DEQ and event.args and event.args[0] == queue:
+        if contents:
+            if event.ret is not None and event.ret != contents[0]:
+                raise Stuck(f"forged log: {event} but head was {contents[0]}")
+            return contents[1:]
+        if event.ret not in (None, NIL):
+            raise Stuck(f"forged log: {event} on empty queue")
+    return contents
+
+
+replay_queue = ReplayFn("Rqueue", _queue_init, _queue_step)
+"""``Rqueue``: the queue contents (oldest first) from ``enQ``/``deQ``
+events; raises :class:`Stuck` on a ``deQ`` whose return value is not the
+head."""
+
+
 def replay_shared_queue(log: Log, queue: Any) -> List[int]:
     """The queue contents from ``enQ``/``deQ`` events (the high layer)."""
-    contents: List[int] = []
-    for event in log:
-        if event.name == ENQ and event.args and event.args[0] == queue:
-            contents.append(event.args[1])
-        elif event.name == DEQ and event.args and event.args[0] == queue:
-            if contents:
-                expected = contents.pop(0)
-                if event.ret is not None and event.ret != expected:
-                    raise Stuck(
-                        f"forged log: {event} but head was {expected}"
-                    )
-            elif event.ret not in (None, NIL):
-                raise Stuck(f"forged log: {event} on empty queue")
-    return contents
+    return list(replay_queue(log, queue))
 
 
 # --- the implementation over L_lock ------------------------------------------------

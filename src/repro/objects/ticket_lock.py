@@ -89,17 +89,28 @@ class TicketState:
         return self.now_serving == self.next_ticket
 
 
+def _ticket_init(lock) -> Tuple[int, int]:
+    return (0, 0)
+
+
+def _ticket_step(state, event: Event, lock):
+    if event.name == FAI and event.args:
+        next_ticket, now_serving = state
+        if event.args[0] == t_cell(lock):
+            return (next_ticket + 1, now_serving)
+        if event.args[0] == n_cell(lock):
+            return (next_ticket, now_serving + 1)
+    return state
+
+
+replay_ticket_counters = ReplayFn("Rticket", _ticket_init, _ticket_step)
+"""``Rticket``'s fold: ``(next_ticket, now_serving)`` from ``FAI`` events
+on the lock's two cells."""
+
+
 def replay_ticket(log: Log, lock: Any, width_bits: int = 32) -> TicketState:
     """``Rticket`` (§4.1): count ``FAI`` events on the two lock cells."""
-    next_ticket = 0
-    now_serving = 0
-    tc, nc = t_cell(lock), n_cell(lock)
-    for event in log:
-        if event.name == FAI and event.args:
-            if event.args[0] == tc:
-                next_ticket += 1
-            elif event.args[0] == nc:
-                now_serving += 1
+    next_ticket, now_serving = replay_ticket_counters(log, lock)
     width = IntWidth(width_bits)
     return TicketState(
         now_serving=now_serving,

@@ -43,11 +43,11 @@ from typing import Any, Dict
 #: Per-instance caches and run-dependent attributes that must never
 #: influence a content address.
 _EXCLUDED_ATTRS = {
-    "_memo",       # LogInvariant memo tables
+    "_memo",       # LogInvariant / LogBuffer memo tables
     "_hash",       # cached Event/Log hashes (per-process salted)
     "_snapshot",   # LogBuffer snapshot cache
-    "_tls",        # ReplayFn thread-local accounting
-    "_run",        # ReplayFn lru_cache wrapper (covered by _init/_step)
+    "_stats",      # ReplayFn call accounting
+    "_tables",     # ReplayFn live memo tables
     "_lint_memo",  # per-interface lint scratch cache (repro.analysis)
     "provenance",  # Certificate provenance: wall times, metrics, workers
 }

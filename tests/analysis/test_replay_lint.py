@@ -1,4 +1,4 @@
-"""Replay-purity lint (R401/R402/R403): golden positives and negatives."""
+"""Replay-purity lint (R401–R404): golden positives and negatives."""
 
 from __future__ import annotations
 
@@ -77,10 +77,81 @@ class TestR403MutableDefault:
         assert "REPRO-R403" not in _rules(lint_replay_fn(rf))
 
 
+class TestR404StepMutatesState:
+    @staticmethod
+    def _init():
+        return []
+
+    def test_positive_mutating_method(self):
+        def step(state, event):
+            state.append(event)
+            return state
+
+        rf = ReplayFn("Rappend", self._init, step)
+        assert "REPRO-R404" in _rules(lint_replay_fn(rf))
+
+    def test_positive_each_mutation_form(self):
+        def step(state, event, loc):
+            state[loc] = event
+            state[loc] += 1
+            del state[0]
+            state.owner = event.tid
+            del state.owner
+            state.queue.pop(0)
+            return state
+
+        findings = [
+            f for f in lint_replay_fn(ReplayFn("Rforms", self._init, step))
+            if f.rule_id == "REPRO-R404"
+        ]
+        assert len(findings) == 6
+        assert all(f.severity == "error" and not f.suppressed for f in findings)
+        first = step.__code__.co_firstlineno
+        assert [f.line - first for f in findings] == [1, 2, 3, 4, 5, 6]
+
+    def test_positive_in_comprehension(self):
+        def step(state, event):
+            return [state.pop() for _ in range(event.tid)]
+
+        rf = ReplayFn("Rdrain", self._init, step)
+        assert "REPRO-R404" in _rules(lint_replay_fn(rf))
+
+    def test_negative_returns_new_state(self):
+        def step(state, event, loc):
+            copy = list(state)
+            copy.append(event)
+            rebuilt = dict(owners={}, **{"n": len(state)})
+            rebuilt.update(n=0)
+            head, *rest = state
+            return tuple(copy) + state[1:] + (head, len(rest))
+
+        rf = ReplayFn("Rcopy", self._init, step)
+        assert "REPRO-R404" not in _rules(lint_replay_fn(rf))
+
+    def test_init_is_not_checked(self):
+        def init():
+            state = []
+            state.append(0)
+            return tuple(state)
+
+        rf = ReplayFn("Rbuild", init, lambda state, event: state)
+        assert "REPRO-R404" not in _rules(lint_replay_fn(rf))
+
+    def test_suppressed_by_allow_comment(self):
+        def step(state, event):  # repro: allow(REPRO-R404)
+            state.append(event)
+            return state
+
+        findings = lint_replay_fn(ReplayFn("Rallowed", self._init, step))
+        assert [f.suppressed for f in findings if f.rule_id == "REPRO-R404"] == [True]
+
+
 class TestShippedReplayFns:
     def test_all_registered_replay_fns_clean(self):
         # Import the shipped objects so their replay functions register.
         import repro.machine.atomics  # noqa: F401
+        import repro.objects.mcs_lock  # noqa: F401
+        import repro.objects.sched  # noqa: F401
         import repro.objects.shared_queue  # noqa: F401
         import repro.objects.ticket_lock  # noqa: F401
 
