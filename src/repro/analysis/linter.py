@@ -47,7 +47,13 @@ def resolve_mode(override: Optional[str] = None) -> str:
             )
         return mode
     env = os.environ.get("REPRO_LINT", "").strip().lower()
-    return env if env in MODES else "record"
+    if not env:
+        return "record"
+    if env not in MODES:
+        raise ValueError(
+            f"unknown REPRO_LINT mode {env!r}; expected one of {MODES}"
+        )
+    return env
 
 
 def lint_rule_inputs(

@@ -592,10 +592,10 @@ def check_compat_interfaces(
                     cert.add("G ⊇ R implication", False, failure)
             else:
                 cert.add("G ⊇ R implications on universe", True)
-        extra = dict(universe_size=len(universe), tids_a=tids_a, tids_b=tids_b)
-        compat_reduction = red_stats.as_dict()
-        if compat_reduction:
-            extra["reduction"] = compat_reduction
+        extra = dict(
+            universe_size=len(universe), tids_a=tids_a, tids_b=tids_b,
+            reduction=red_stats.as_dict(),
+        )
         if obs_enabled():
             # The Compat rule's enumeration axis is the log universe itself:
             # the rely/guarantee cross-implication is only checked on logs

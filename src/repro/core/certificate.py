@@ -19,10 +19,10 @@ certificates for layer judgments are the rule functions in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import obs_enabled
-from ..obs.coverage import merge_coverage_maps
+from ..obs.blocks import compose_blocks
 from ..obs.metrics import MetricsWindow, inc
 from ..obs.store import note_certificate
 from .errors import VerificationError
@@ -282,6 +282,7 @@ def stamp_provenance(
     cert: Certificate,
     wall_time_s: float,
     window: Optional[MetricsWindow] = None,
+    outputs: Sequence[Dict[str, Any]] = (),
     **extra: Any,
 ) -> Certificate:
     """Attach an observability provenance record to ``cert``.
@@ -290,7 +291,14 @@ def stamp_provenance(
     checkers can call it unconditionally.  ``window`` supplies the
     counter deltas accumulated while the judgment was being checked;
     ``extra`` carries checker-specific fields (environment-context
-    counts, generator coverage, scheduler families, ...).
+    counts, scheduler families, ...).  ``outputs`` are the checker's
+    per-obligation outputs: each carries provenance blocks under their
+    registered names (:mod:`repro.obs.blocks`), and every block is the
+    fold of the outputs, else the certificate's prior block (a rule
+    wrapper re-stamping a checker's certificate), else the inherited
+    merge of the children's blocks — composition rules, which enumerate
+    nothing themselves, thereby state what their premises were checked
+    against.
 
     When a run ledger is armed (:mod:`repro.obs.store`) the certificate
     is additionally noted for the run record — *before* the obs gate
@@ -318,61 +326,12 @@ def stamp_provenance(
         if delta:
             provenance["metrics"] = delta
     provenance.update(extra)
-    if "coverage" not in provenance:
-        # A rule wrapper re-stamping a checker's certificate (e.g. Fun
-        # over check_sim) must not drop the coverage the checker already
-        # computed; composition rules, which enumerate nothing
-        # themselves, inherit the union of their premises' coverage so
-        # every certificate in a derivation states what it was checked
-        # against.
-        prior = (cert.provenance or {}).get("coverage")
-        inherited = prior or merge_coverage_maps(
-            (child.provenance or {}).get("coverage")
-            for child in cert.children
-        )
-        if inherited:
-            provenance["coverage"] = inherited
-    if "profile" not in provenance:
-        # Same inheritance for the profiling annotation: a re-stamping
-        # wrapper keeps the checker's profile; composition rules inherit
-        # the aggregate redundancy of their premises, so the root of a
-        # derivation states the total measured redundancy backing it.
-        from ..obs.profile import merge_profile_maps
-
-        prior_profile = (cert.provenance or {}).get("profile")
-        inherited_profile = prior_profile or merge_profile_maps(
-            (child.provenance or {}).get("profile")
-            for child in cert.children
-        )
-        if inherited_profile:
-            provenance["profile"] = inherited_profile
-    if "reduction" not in provenance:
-        # And for the state-space-reduction accounting: wrappers keep the
-        # checker's tally of pruned classes / law applications;
-        # composition rules inherit the merged tallies of their premises.
-        from ..reduce.stats import merge_reduction_maps
-
-        prior_reduction = (cert.provenance or {}).get("reduction")
-        inherited_reduction = prior_reduction or merge_reduction_maps(
-            (child.provenance or {}).get("reduction")
-            for child in cert.children
-        )
-        if inherited_reduction:
-            provenance["reduction"] = inherited_reduction
-    if "incremental" not in provenance:
-        # And for the obligation-cache accounting: a parent whose
-        # children were assembled from warm per-obligation entries
-        # reports the aggregate ``{reused, rechecked, slice_misses}`` so
-        # derivation roots state how incremental the rerun was.
-        from ..parallel.cache import merge_incremental_records
-
-        prior_incremental = (cert.provenance or {}).get("incremental")
-        inherited_incremental = prior_incremental or merge_incremental_records(
-            (child.provenance or {}).get("incremental")
-            for child in cert.children
-        )
-        if inherited_incremental:
-            provenance["incremental"] = inherited_incremental
+    compose_blocks(
+        provenance,
+        cert.provenance or {},
+        [child.provenance or {} for child in cert.children],
+        outputs,
+    )
     cert.provenance = provenance
     return cert
 
@@ -394,13 +353,10 @@ def stamp_incremental(
         note_certificate(cert)
     if not obs_enabled():
         return cert
-    provenance = dict(cert.provenance or {"rule": cert.rule, "judgment": cert.judgment})
     record: Dict[str, Any] = {"status": status, "exact": exact}
     if key is not None:
         record["key"] = key[:16]
-    provenance["incremental"] = record
-    cert.provenance = provenance
-    return cert
+    return _annotate(cert, incremental=record)
 
 
 def stamp_cache_status(
@@ -423,14 +379,12 @@ def stamp_cache_status(
     note_certificate(cert)
     if not obs_enabled():
         return cert
-    provenance = dict(cert.provenance or {"rule": cert.rule, "judgment": cert.judgment})
-    provenance["cache"] = status
+    fields: Dict[str, Any] = {"cache": status}
     if key is not None:
-        provenance["cache_key"] = key[:16]
+        fields["cache_key"] = key[:16]
     if workers is not None:
-        provenance["workers"] = workers
-    cert.provenance = provenance
-    return cert
+        fields["workers"] = workers
+    return _annotate(cert, **fields)
 
 
 def stamp_lint(cert: Certificate, report: Any) -> Certificate:
@@ -443,8 +397,13 @@ def stamp_lint(cert: Certificate, report: Any) -> Certificate:
     """
     if report is None or not obs_enabled():
         return cert
+    return _annotate(cert, lint=report.to_provenance())
+
+
+def _annotate(cert: Certificate, **fields: Any) -> Certificate:
+    """Add ``fields`` to a copy of ``cert``'s provenance (or a minimal one)."""
     provenance = dict(cert.provenance or {"rule": cert.rule, "judgment": cert.judgment})
-    provenance["lint"] = report.to_provenance()
+    provenance.update(fields)
     cert.provenance = provenance
     return cert
 

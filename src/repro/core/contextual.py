@@ -18,13 +18,13 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import obs_enabled, span
-from ..obs.coverage import CoverageBuilder, merge_coverage_maps
+from ..obs.blocks import fold_blocks
+from ..obs.coverage import CoverageBuilder
 from ..obs.forensics import MAX_COUNTEREXAMPLES, build_counterexample
 from ..obs.metrics import MetricsWindow, inc
 from ..obs.profile import (
     RedundancyBuilder,
     merge_redundancy,
-    obligation_entry,
     profile_enabled,
     profile_span,
 )
@@ -32,7 +32,6 @@ from ..parallel.cache import (
     cache_enabled,
     cached_certificate,
     cached_obligation_payload,
-    merge_incremental_records,
 )
 from ..parallel.pool import get_jobs, parallel_map
 from ..reduce import (
@@ -43,7 +42,7 @@ from ..reduce import (
     resolve_reduce,
 )
 from ..reduce.laws import MERGE_COMPATIBLE
-from ..reduce.stats import merge_reduction_maps, tally_law
+from ..reduce.stats import tally_law
 from .certificate import Certificate, CertifiedLayer, stamp_provenance
 from .errors import ComposeError
 from .interface import LayerInterface
@@ -359,7 +358,6 @@ def _check_soundness_uncached(
         children=[layer.certificate],
     )
     behaviors = {"low": 0, "high": 0}
-    coverage_maps: List[Dict[str, Any]] = []
     # With several clients the fan-out is per client; with one client the
     # workers are spent inside the scheduler-tree exploration instead.
     inner_jobs = n_jobs if len(clients) == 1 else 1
@@ -402,10 +400,6 @@ def _check_soundness_uncached(
                 fuel=fuel, max_rounds=max_rounds, max_runs=max_runs,
                 coverage=cov_high, jobs=inner_jobs, redundancy=red_high,
             )
-            maps: List[Dict[str, Any]] = []
-            if track_cov:
-                maps.append({"machine.schedules": cov_low.record()})
-                maps.append({"machine.schedules": cov_high.record()})
             # Obligations land in a shadow certificate with the same
             # judgment (counterexamples embed it); the parent splices
             # them into the real certificate in client order.
@@ -423,9 +417,13 @@ def _check_soundness_uncached(
             "low": len(low),
             "high": len(high),
             "logs": tuple(r.log for r in low) + tuple(r.log for r in high),
-            "coverage": maps,
-            "reduction": red_stats.as_dict() or None,
+            "reduction": red_stats.as_dict(),
         }
+        if track_cov:
+            output.update(fold_blocks([
+                {"coverage": {"machine.schedules": cov_low.record()}},
+                {"coverage": {"machine.schedules": cov_high.record()}},
+            ]))
         if prof:
             output["profile"] = {
                 "obligation": f"P{index}",
@@ -450,43 +448,16 @@ def _check_soundness_uncached(
             checked_client, list(enumerate(clients)),
             jobs=n_jobs if len(clients) > 1 else 1,
         )
-        profile_entries: List[Dict[str, Any]] = []
-        redundancy_records: List[Dict[str, Any]] = []
-        reduction_records: List[Optional[Dict[str, Any]]] = []
-        incremental_notes: List[Any] = []
         for output in outputs:
-            reduction_records.append(output.get("reduction"))
-            incremental_notes.append(output.get("incremental"))
             cert.obligations.extend(output["obligations"])
             behaviors["low"] += output["low"]
             behaviors["high"] += output["high"]
             cert.log_universe = cert.log_universe + output["logs"]
-            coverage_maps.extend(output.get("coverage") or [])
-            client_profile = output.get("profile")
-            if client_profile is not None:
-                redundancy_records.append(client_profile["redundancy"])
-                profile_entries.append(client_profile)
-    extra_prov: Dict[str, Any] = dict(
+    stamp_provenance(
+        cert, time.perf_counter() - started, window, outputs,
         clients=len(clients),
         low_behaviors=behaviors["low"],
         high_behaviors=behaviors["high"],
         workers=n_jobs,
-    )
-    coverage = merge_coverage_maps(coverage_maps)
-    if coverage:
-        extra_prov["coverage"] = coverage
-    reduction = merge_reduction_maps(reduction_records)
-    if reduction:
-        extra_prov["reduction"] = reduction
-    incremental = merge_incremental_records(incremental_notes)
-    if incremental:
-        extra_prov["incremental"] = incremental
-    if profile_entries:
-        extra_prov["profile"] = {
-            "redundancy": merge_redundancy(redundancy_records),
-            "obligations": [obligation_entry(e) for e in profile_entries],
-        }
-    stamp_provenance(
-        cert, time.perf_counter() - started, window, **extra_prov,
     )
     return cert

@@ -628,27 +628,26 @@ def enumerate_game_logs(
                             if profile_enabled() else None
                         )
                         if reducing:
+                            # Subtree tallies go straight to the ambient
+                            # collectors (a pool sink in workers).
                             sub_stats = ReductionStats(axes)
                             sub_plan, sub_runs, sub_pruned = _explore_reduced(
                                 run_one, axes, max_rounds, max_runs, [prefix],
                                 sub_stats, redundancy=sub_red,
                                 invisible=invisible,
                             )
+                            contribute(sub_stats)
                         else:
-                            sub_stats = None
                             sub_plan, sub_runs, sub_pruned = _explore_prefixes(
                                 run_one, max_rounds, max_runs, [prefix],
                                 redundancy=sub_red,
                             )
-                        out.append(
-                            (
-                                [r for r, _ in sub_plan],
-                                sub_runs,
-                                sub_pruned,
-                                sub_red.as_dict() if sub_red else None,
-                                sub_stats.as_dict() if sub_stats else None,
-                            )
-                        )
+                        out.append((
+                            [r for r, _ in sub_plan],
+                            sub_runs,
+                            sub_pruned,
+                            sub_red.as_dict() if sub_red else None,
+                        ))
                     return out
 
                 chunks = chunk_evenly(frontier, n_jobs * CHUNKS_PER_WORKER)
@@ -665,15 +664,13 @@ def enumerate_game_logs(
                         results.append(result)
                     else:
                         (sub_results, sub_runs, sub_pruned,
-                         sub_red_record, sub_stats_record) = subtree_outputs[cursor]
+                         sub_red_record) = subtree_outputs[cursor]
                         cursor += 1
                         results.extend(r for r in sub_results if r is not None)
                         runs += sub_runs
                         pruned += sub_pruned
                         if redundancy is not None and sub_red_record:
                             redundancy.absorb(sub_red_record)
-                        if stats is not None and sub_stats_record:
-                            stats.absorb(sub_stats_record)
                 if runs > max_runs:
                     raise OutOfFuel(
                         f"behaviour enumeration exceeded {max_runs} runs "
@@ -710,7 +707,7 @@ def enumerate_game_logs(
             )
         if own_redundancy:
             redundancy.record()
-    if stats is not None and stats.any:
+    if stats is not None:
         # Surface the tallies to whichever checker opened a collector
         # (check_sim / check_soundness attach them to certificate
         # provenance as the ``reduction`` block).

@@ -33,28 +33,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import obs_enabled, span
-from ..obs.coverage import CoverageBuilder, merge_coverage_maps
+from ..obs.coverage import CoverageBuilder
 from ..obs.forensics import MAX_COUNTEREXAMPLES, build_counterexample
 from ..obs.heartbeat import heartbeat
 from ..obs.metrics import MetricsWindow, inc, observe
 from ..obs.profile import (
     RedundancyBuilder,
-    merge_redundancy,
-    obligation_entry,
     profile_enabled,
     profile_span,
     state_fingerprint,
 )
-from ..parallel.cache import (
-    cached_obligation,
-    cached_obligation_payload,
-    merge_incremental_records,
-)
+from ..parallel.cache import cached_obligation, cached_obligation_payload
 from ..parallel.partition import CHUNKS_PER_WORKER, chunk_evenly
 from ..parallel.pool import get_jobs, parallel_map
 from ..reduce import RG_SIMPLIFY, current_axes, reduction_collector
 from ..reduce.laws import WEAKEN_RELY
-from ..reduce.stats import merge_reduction_maps, tally_law
+from ..reduce.stats import tally_law
 from .certificate import Certificate, stamp_provenance
 from .environment import Batch, ChoiceEnv, RecordingEnv, ScriptedEnv
 from .errors import OutOfFuel
@@ -559,11 +553,9 @@ def check_sim(
     cert = Certificate(judgment=judgment, rule=rule, bounds=config.describe())
     logs: List[Log] = []
     env_contexts = 0
-    track_cov = obs_enabled()
-    coverage_maps: List[Dict[str, Dict[str, Any]]] = []
     args_cov = (
         CoverageBuilder("args_vectors", budget=len(config.args_list))
-        if track_cov else None
+        if obs_enabled() else None
     )
 
     def make_forensics() -> _SimForensics:
@@ -604,15 +596,13 @@ def check_sim(
                 def discharge_chunk(chunk: List[RunRecord]) -> Dict[str, Any]:
                     chunk_cert = Certificate(judgment=judgment, rule=rule)
                     chunk_logs: List[Log] = []
-                    with reduction_collector(current_axes()) as chunk_red:
-                        _discharge_sim_records(
-                            chunk, args, low_iface, low_player, relation, tid,
-                            config, chunk_cert, chunk_logs, make_forensics(),
-                        )
+                    _discharge_sim_records(
+                        chunk, args, low_iface, low_player, relation, tid,
+                        config, chunk_cert, chunk_logs, make_forensics(),
+                    )
                     return {
                         "obligations": chunk_cert.obligations,
                         "logs": chunk_logs,
-                        "reduction": chunk_red.as_dict() or None,
                     }
 
                 chunks = chunk_evenly(records, n_jobs * CHUNKS_PER_WORKER)
@@ -621,7 +611,6 @@ def check_sim(
                 ):
                     scratch.obligations.extend(chunk_output["obligations"])
                     task_logs.extend(chunk_output["logs"])
-                    red_stats.absorb(chunk_output["reduction"])
             else:
                 _discharge_sim_records(
                     records, args, low_iface, low_player, relation, tid,
@@ -631,8 +620,11 @@ def check_sim(
             "obligations": scratch.obligations,
             "logs": task_logs,
             "env_contexts": len(records),
-            "coverage": env_cov.record() if env_cov is not None else None,
-            "reduction": red_stats.as_dict() or None,
+            "coverage": (
+                {"env_contexts": env_cov.record()}
+                if env_cov is not None else None
+            ),
+            "reduction": red_stats.as_dict(),
         }
         if prof:
             # The discharge loop appends one log per spec run plus one per
@@ -665,24 +657,10 @@ def check_sim(
             checked_args_vector, args_vectors,
             jobs=n_jobs if len(args_vectors) > 1 else 1,
         )
-        profile_entries: List[Dict[str, Any]] = []
-        redundancy_records: List[Dict[str, Any]] = []
-        reduction_records: List[Optional[Dict[str, Any]]] = []
-        incremental_notes: List[Any] = []
         for output in outputs:
-            if args_cov is not None:
-                args_cov.visit()
-            if output.get("coverage") is not None:
-                coverage_maps.append({"env_contexts": output["coverage"]})
-            reduction_records.append(output.get("reduction"))
-            incremental_notes.append(output.get("incremental"))
             env_contexts += output["env_contexts"]
             cert.obligations.extend(output["obligations"])
             logs.extend(output["logs"])
-            task_profile = output.get("profile")
-            if task_profile is not None:
-                redundancy_records.append(task_profile["redundancy"])
-                profile_entries.append(task_profile)
         _trim_counterexamples(cert.obligations)
     cert.log_universe = tuple(logs)
     elapsed = time.perf_counter() - started
@@ -696,22 +674,9 @@ def check_sim(
     if obs_enabled():
         extra["replay_cache"] = replay_cache_info()
     if args_cov is not None:
-        coverage_maps.append({"args_vectors": args_cov.record()})
-    coverage = merge_coverage_maps(coverage_maps)
-    if coverage:
-        extra["coverage"] = coverage
-    reduction = merge_reduction_maps(reduction_records)
-    if reduction:
-        extra["reduction"] = reduction
-    incremental = merge_incremental_records(incremental_notes)
-    if incremental:
-        extra["incremental"] = incremental
-    if profile_entries:
-        extra["profile"] = {
-            "redundancy": merge_redundancy(redundancy_records),
-            "obligations": [obligation_entry(e) for e in profile_entries],
-        }
-    stamp_provenance(cert, elapsed, window, **extra)
+        args_cov.visit(n=len(outputs))
+        outputs.append({"coverage": {"args_vectors": args_cov.record()}})
+    stamp_provenance(cert, elapsed, window, outputs, **extra)
     return cert
 
 
@@ -913,15 +878,13 @@ def check_scenario_sim(
             def discharge_chunk(chunk) -> Dict[str, Any]:
                 chunk_cert = Certificate(judgment=judgment, rule=rule)
                 chunk_logs: List[Log] = []
-                with reduction_collector(current_axes()) as chunk_red:
-                    _check_scenario_records(
-                        chunk, scenario, low_iface, impl_player, relation,
-                        tid, config, chunk_cert, chunk_logs, make_forensics(),
-                    )
+                _check_scenario_records(
+                    chunk, scenario, low_iface, impl_player, relation,
+                    tid, config, chunk_cert, chunk_logs, make_forensics(),
+                )
                 return {
                     "obligations": chunk_cert.obligations,
                     "logs": chunk_logs,
-                    "reduction": chunk_red.as_dict() or None,
                 }
 
             chunks = chunk_evenly(records, n_jobs * CHUNKS_PER_WORKER)
@@ -930,7 +893,6 @@ def check_scenario_sim(
             ):
                 cert.obligations.extend(chunk_output["obligations"])
                 logs.extend(chunk_output["logs"])
-                red_stats.absorb(chunk_output["reduction"])
             _trim_counterexamples(cert.obligations)
         else:
             _check_scenario_records(
@@ -947,32 +909,17 @@ def check_scenario_sim(
         calls=len(scenario.calls),
         workers=n_jobs,
     )
+    output: Dict[str, Any] = {"reduction": red_stats.as_dict()}
     if env_cov is not None:
-        extra["coverage"] = merge_coverage_maps(
-            [{"env_contexts": env_cov.record()}]
-        )
-    scenario_reduction = red_stats.as_dict()
-    if scenario_reduction:
-        extra["reduction"] = scenario_reduction
+        output["coverage"] = {"env_contexts": env_cov.record()}
     if env_red is not None:
-        redundancy = env_red.record()
-        low_runs = len(logs) - len(records)
-        extra["profile"] = {
-            "redundancy": merge_redundancy([redundancy]),
-            "obligations": [
-                obligation_entry(
-                    {
-                        "obligation": scenario.label,
-                        "wall_us": int(
-                            (time.perf_counter() - t_obligation) * 1e6
-                        ),
-                        "states": env_red.explored + low_runs,
-                        "redundancy": redundancy,
-                    }
-                )
-            ],
+        output["profile"] = {
+            "obligation": scenario.label,
+            "wall_us": int((time.perf_counter() - t_obligation) * 1e6),
+            "states": env_red.explored + len(logs) - len(records),
+            "redundancy": env_red.record(),
         }
-    stamp_provenance(cert, elapsed, window, **extra)
+    stamp_provenance(cert, elapsed, window, [output], **extra)
     return cert
 
 

@@ -30,7 +30,7 @@ from ..core.machine import (
 )
 from ..core.relation import ID_REL, SimRel
 from ..obs import obs_enabled, span
-from ..obs.coverage import CoverageBuilder, merge_coverage_maps
+from ..obs.coverage import CoverageBuilder
 from ..obs.metrics import MetricsWindow, inc
 from .mx86 import mx86_behaviors
 
@@ -59,7 +59,7 @@ def check_multicore_linking(
     )
     behaviors = {"hw": 0, "layer": 0}
     track_cov = obs_enabled()
-    coverage_maps = []
+    outputs = []
     with span(
         "check_multicore_linking",
         interface=interface.name,
@@ -92,9 +92,11 @@ def check_multicore_linking(
                     max_runs=max_runs, coverage=cov_layer,
                 )
                 if track_cov:
-                    coverage_maps.append({"mx86.schedules": cov_hw.record()})
-                    coverage_maps.append(
-                        {"machine.schedules": cov_layer.record()}
+                    outputs.append(
+                        {"coverage": {"mx86.schedules": cov_hw.record()}}
+                    )
+                    outputs.append(
+                        {"coverage": {"machine.schedules": cov_layer.record()}}
                     )
 
                 def rerun_hw(schedule, _players=players):
@@ -117,13 +119,10 @@ def check_multicore_linking(
             cert.log_universe = cert.log_universe + tuple(
                 r.log for r in hw if r.ok
             )
-    extra = dict(
+    stamp_provenance(
+        cert, time.perf_counter() - started, window, outputs,
         clients=len(clients),
         hw_behaviors=behaviors["hw"],
         layer_behaviors=behaviors["layer"],
     )
-    coverage = merge_coverage_maps(coverage_maps)
-    if coverage:
-        extra["coverage"] = coverage
-    stamp_provenance(cert, time.perf_counter() - started, window, **extra)
     return cert

@@ -31,9 +31,12 @@ stack.  Three pieces:
   and a certificate differ on top;
 - :mod:`repro.obs.dashboard` — a self-contained HTML dashboard
   rendered from the ledger;
+- :mod:`repro.obs.blocks` — the provenance-block registry (one
+  associative merge per block, folded over the derivation tree) and the
+  ambient sinks fork-pool workers ship back per task;
 - :mod:`repro.obs.cli` — ``python -m repro.obs`` with ``report`` /
-  ``explain`` / ``compare`` / ``watch`` / ``history`` / ``trends`` /
-  ``regress`` / ``diff`` / ``record`` / ``dashboard`` subcommands.
+  ``explain`` / ``watch`` / ``history`` / ``trends`` / ``regress`` /
+  ``diff`` / ``record`` / ``dashboard`` subcommands.
 
 Off by default: instrumented hot paths pay only a flag test until
 :func:`enable` (or the :func:`observing` context manager) turns
@@ -112,7 +115,6 @@ from .profile import (
     RedundancyBuilder,
     disable_profiling,
     enable_profiling,
-    merge_profile_maps,
     merge_redundancy,
     obligation_entry,
     profile_enabled,
@@ -208,7 +210,6 @@ __all__ = [
     "RedundancyBuilder",
     "disable_profiling",
     "enable_profiling",
-    "merge_profile_maps",
     "merge_redundancy",
     "obligation_entry",
     "profile_enabled",

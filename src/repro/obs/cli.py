@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — render, explain, compare, and track run artifacts.
+"""``python -m repro.obs`` — render, explain, diff, and track run artifacts.
 
 Single-run subcommands over the files the toolkit already writes:
 
@@ -10,11 +10,6 @@ Single-run subcommands over the files the toolkit already writes:
   bounds, provenance (including per-axis coverage), and every captured
   counterexample rendered as its interleaving diagram (``--json`` for
   a structured summary).
-* ``compare BENCH_a.json BENCH_b.json`` — diff two benchmark result
-  files (``repro.bench/v1``, written by ``benchmarks/conftest.py``);
-  warns past ``--threshold`` and exits non-zero past
-  ``--fail-threshold`` (the one-off ratio gate; ``regress`` is the
-  statistical, history-backed one).
 * ``watch <heartbeat.jsonl>`` — follow a live heartbeat stream
   (:mod:`repro.obs.heartbeat`) and render progress lines with explored
   counts, rates and ETA; exits when the run writes its ``end`` record.
@@ -30,7 +25,8 @@ schema ``repro.obs/run/v1``):
 * ``trends --ledger DIR`` — per-metric time series with median/MAD.
 * ``regress --ledger DIR`` — statistical regression gate over the last
   N runs (robust z-score on 1.4826·MAD), with the committed bench
-  baselines as the cold-start fallback.
+  baselines (``--fallback-baseline``, repeatable) as the cold-start
+  ratio gate.
 * ``record BENCH.json --ledger DIR`` — ingest bench results as runs.
 * ``compact --ledger DIR`` — apply the retention policy offline.
 * ``dashboard --ledger DIR -o out.html`` — render the self-contained
@@ -551,13 +547,16 @@ def _load_bench(path: str) -> Dict[str, Dict[str, Any]]:
     """Load one ``repro.bench/v1`` file as a nodeid → record map.
 
     Raises ``ValueError`` with a one-line, path-prefixed diagnostic for
-    every malformation (wrong top-level type, wrong schema, non-list
-    ``tests``, non-dict entries, entries without a ``nodeid``), so
-    ``compare`` can turn any bad input into a clean usage error instead
-    of a traceback.
+    every malformation (invalid JSON, wrong top-level type, wrong
+    schema, non-list ``tests``, non-dict entries, entries without a
+    ``nodeid``), so ``regress`` can turn any bad baseline into a clean
+    usage error instead of a traceback.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path!r} is not valid JSON: {err}") from None
     if not isinstance(payload, dict):
         raise ValueError(
             f"{path!r} is not a repro.bench/v1 result file "
@@ -582,124 +581,6 @@ def _load_bench(path: str) -> Dict[str, Dict[str, Any]]:
             )
         out[entry["nodeid"]] = entry
     return out
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    """Diff two benchmark result files; gate on slowdown ratios.
-
-    Ratio is ``candidate / baseline`` per test (matched by nodeid);
-    speedup is the inverse (``baseline / candidate`` — >1 means the
-    candidate got faster).  Tests faster than ``--min-seconds`` in the
-    baseline are reported but never gate — their timings are
-    noise-dominated.  With ``--json`` the comparison is emitted as one
-    machine-readable document instead of the table.
-    """
-    loaded: List[Dict[str, Dict[str, Any]]] = []
-    for path in (args.baseline, args.candidate):
-        try:
-            loaded.append(_load_bench(path))
-        except OSError as err:
-            print(f"error: cannot read benchmark file {path!r}: {err}",
-                  file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as err:
-            print(f"error: {path!r} is not valid JSON: {err}", file=sys.stderr)
-            return 2
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    baseline, candidate = loaded
-
-    records: List[Dict[str, Any]] = []
-    warnings: List[str] = []
-    failures: List[str] = []
-    for nodeid in sorted(set(baseline) | set(candidate)):
-        base = baseline.get(nodeid)
-        cand = candidate.get(nodeid)
-        record: Dict[str, Any] = {
-            "nodeid": nodeid,
-            "baseline_s": (base or {}).get("duration_s"),
-            "candidate_s": (cand or {}).get("duration_s"),
-            "ratio": None,
-            "speedup": None,
-        }
-        records.append(record)
-        if base is None or cand is None:
-            record["verdict"] = "baseline-only" if cand is None else "new"
-            continue
-        if cand.get("outcome") != "passed":
-            failures.append(f"{nodeid}: candidate outcome {cand.get('outcome')!r}")
-            record["verdict"] = "not passed"
-            continue
-        base_s = base.get("duration_s") or 0.0
-        cand_s = cand.get("duration_s") or 0.0
-        if base_s < args.min_seconds:
-            record["verdict"] = "below min-seconds"
-            continue
-        ratio = cand_s / base_s if base_s else float("inf")
-        record["ratio"] = round(ratio, 3)
-        record["speedup"] = round(base_s / cand_s, 3) if cand_s else float("inf")
-        verdict = "ok"
-        if ratio >= args.fail_threshold:
-            verdict = f"FAIL (≥{args.fail_threshold}x)"
-            failures.append(f"{nodeid}: {ratio:.2f}x slowdown")
-        elif ratio >= args.threshold:
-            verdict = f"warn (≥{args.threshold}x)"
-            warnings.append(f"{nodeid}: {ratio:.2f}x slowdown")
-        record["verdict"] = verdict
-
-    if args.json:
-        print(json.dumps(
-            {
-                "schema": "repro.compare/v1",
-                "baseline": args.baseline,
-                "candidate": args.candidate,
-                "thresholds": {
-                    "warn": args.threshold,
-                    "fail": args.fail_threshold,
-                    "min_seconds": args.min_seconds,
-                },
-                "tests": records,
-                "warnings": warnings,
-                "failures": failures,
-            },
-            indent=2,
-            ensure_ascii=False,
-        ))
-        return 1 if failures else 0
-
-    headers = ["test", "baseline", "candidate", "ratio", "speedup", "verdict"]
-    rows = [
-        [
-            record["nodeid"],
-            _fmt_seconds(record["baseline_s"]),
-            _fmt_seconds(record["candidate_s"]),
-            f"{record['ratio']:.2f}x" if record["ratio"] is not None else "-",
-            f"{record['speedup']:.2f}x" if record["speedup"] is not None else "-",
-            record["verdict"],
-        ]
-        for record in records
-    ]
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-
-    for warning in warnings:
-        print(f"warning: {warning}")
-    for failure in failures:
-        print(f"FAILURE: {failure}")
-    if failures:
-        return 1
-    print(
-        f"compare: {len(rows)} test(s), {len(warnings)} warning(s), "
-        f"no regression ≥ {args.fail_threshold}x"
-    )
-    return 0
 
 
 def _fmt_seconds(duration: Optional[float]) -> str:
@@ -857,60 +738,71 @@ def cmd_trends(args: argparse.Namespace) -> int:
 
 def _fallback_compare(
     record: Dict[str, Any],
-    baseline_path: str,
+    baseline: Dict[str, Dict[str, Any]],
     warn: float,
     fail: float,
     min_seconds: float,
 ) -> Dict[str, Any]:
-    """Cold-start gate: the newest run against a committed bench baseline.
+    """Cold-start gate: the newest run against the committed baselines.
 
     The statistical gate needs history; on a fresh ledger (first CI run,
     evicted cache) the candidate's per-test times are ratio-compared
-    against the committed ``repro.bench/v1`` baseline with the classic
-    ``compare`` thresholds instead.
+    against the committed ``repro.bench/v1`` baselines (merged by
+    nodeid) instead, and a test the candidate did not pass fails.
     """
-    baseline = _load_bench(baseline_path)
     metrics = run_metrics(record)
+    outcomes = (record.get("bench") or {}).get("tests") or {}
     findings = []
-    status = "ok"
     for nodeid in sorted(baseline):
         base_s = baseline[nodeid].get("duration_s") or 0.0
         candidate = metrics.get(nodeid)
-        if candidate is None or base_s < min_seconds:
+        if candidate is None:
+            continue
+        outcome = (outcomes.get(nodeid) or {}).get("outcome", "passed")
+        if outcome != "passed":
+            findings.append({"metric": nodeid, "outcome": outcome,
+                             "verdict": "fail"})
+            continue
+        if base_s < min_seconds:
             continue
         ratio = candidate / base_s if base_s else float("inf")
-        finding = {
+        verdict = "fail" if ratio >= fail else "warn" if ratio >= warn else "ok"
+        findings.append({
             "metric": nodeid,
             "candidate": round(candidate, 6),
             "median": round(base_s, 6),
             "ratio": round(ratio, 3),
-        }
-        if ratio >= fail:
-            finding["verdict"] = "fail"
-            status = "fail"
-        elif ratio >= warn:
-            finding["verdict"] = "warn"
-            if status == "ok":
-                status = "warn"
-        else:
-            finding["verdict"] = "ok"
-        findings.append(finding)
-    return {"status": status, "mode": "fallback-baseline",
-            "baseline": baseline_path, "findings": findings}
+            "verdict": verdict,
+        })
+    verdicts = {finding["verdict"] for finding in findings}
+    status = "fail" if "fail" in verdicts else "warn" if "warn" in verdicts else "ok"
+    return {"status": status, "mode": "fallback-baseline", "findings": findings}
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
     """Statistical regression gate over the last N ledger runs.
 
-    Supersedes the single-baseline 1.5×/2× ``compare`` heuristic: the
-    candidate (newest run per object) is judged against the median and
-    MAD of its own history, so the gate adapts to each metric's real
-    noise floor.  ``--fallback-baseline`` keeps the committed-baseline
-    ratio gate for cold-start ledgers with too little history.
+    The candidate (newest run per object) is judged against the median
+    and MAD of its own history, so the gate adapts to each metric's real
+    noise floor.  ``--fallback-baseline`` (repeatable) keeps a 1.5×/2×
+    committed-baseline ratio gate for cold-start ledgers with too little
+    history; the baselines are read up front, so a bad one is a usage
+    error (exit 2) even when the ledger never needs it.
     """
     ledger = _open_ledger(args)
     if ledger is None:
         return 2
+    baseline: Dict[str, Dict[str, Any]] = {}
+    for path in args.fallback_baseline:
+        try:
+            baseline.update(_load_bench(path))
+        except OSError as err:
+            print(f"error: cannot read fallback baseline {path!r}: {err}",
+                  file=sys.stderr)
+            return 2
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     objects = [args.object] if args.object else ledger.objects()
     if not objects:
         print(f"error: no runs on ledger {args.ledger!r}", file=sys.stderr)
@@ -933,20 +825,12 @@ def cmd_regress(args: argparse.Namespace) -> int:
             min_history=args.min_history,
             min_seconds=args.min_seconds,
         )
-        if (
-            result["status"] == "insufficient-history"
-            and args.fallback_baseline
-        ):
-            try:
-                result = _fallback_compare(
-                    runs[-1], args.fallback_baseline,
-                    warn=args.fallback_warn, fail=args.fallback_fail,
-                    min_seconds=args.min_seconds,
-                )
-            except (OSError, json.JSONDecodeError, ValueError) as err:
-                print(f"error: cannot read fallback baseline: {err}",
-                      file=sys.stderr)
-                return 2
+        if result["status"] == "insufficient-history" and baseline:
+            result = _fallback_compare(
+                runs[-1], baseline,
+                warn=args.fallback_warn, fail=args.fallback_fail,
+                min_seconds=args.min_seconds,
+            )
         results[name] = result
         if result["status"] == "fail":
             overall = "fail"
@@ -977,11 +861,13 @@ def cmd_regress(args: argparse.Namespace) -> int:
             z_txt = f" z={z:+.1f}" if z is not None else ""
             ratio = finding.get("ratio")
             ratio_txt = f" {ratio:.2f}x" if ratio is not None else ""
-            print(
-                f"  {verdict.upper():5s} {finding['metric']}: "
+            outcome = finding.get("outcome")
+            detail = (
+                f"candidate outcome {outcome!r}" if outcome else
                 f"candidate {finding.get('candidate', '-')} vs median "
                 f"{finding.get('median', '-')}{ratio_txt}{z_txt}"
             )
+            print(f"  {verdict.upper():5s} {finding['metric']}: {detail}")
     if overall == "fail":
         print("regress: FAIL — candidate is significantly slower than "
               "its ledger history")
@@ -1112,29 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.set_defaults(func=cmd_explain)
 
-    p_compare = sub.add_parser(
-        "compare", help="diff two repro.bench/v1 result files"
-    )
-    p_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    p_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    p_compare.add_argument(
-        "--threshold", type=float, default=1.5,
-        help="warn at this slowdown ratio (default 1.5)",
-    )
-    p_compare.add_argument(
-        "--fail-threshold", type=float, default=2.0,
-        help="exit non-zero at this slowdown ratio (default 2.0)",
-    )
-    p_compare.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="ignore baseline timings below this (noise floor, default 0.05)",
-    )
-    p_compare.add_argument(
-        "--json", action="store_true",
-        help="emit the comparison as machine-readable JSON instead of a table",
-    )
-    p_compare.set_defaults(func=cmd_compare)
-
     p_watch = sub.add_parser(
         "watch", help="follow a live heartbeat stream (file or serve URL)"
     )
@@ -1247,17 +1110,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="never gate metrics with a median below this (default 0.05)",
     )
     p_regress.add_argument(
-        "--fallback-baseline",
+        "--fallback-baseline", action="append", default=[],
         help="repro.bench/v1 file to ratio-compare against when the ledger "
-             "has too little history (cold start)",
+             "has too little history (cold start); repeatable, merged by "
+             "test nodeid",
     )
     p_regress.add_argument(
         "--fallback-warn", type=float, default=1.5,
-        help="fallback-mode warn ratio (default 1.5, as compare)",
+        help="fallback-mode warn ratio (default 1.5)",
     )
     p_regress.add_argument(
         "--fallback-fail", type=float, default=2.0,
-        help="fallback-mode fail ratio (default 2.0, as compare)",
+        help="fallback-mode fail ratio (default 2.0)",
     )
     p_regress.add_argument(
         "--verbose", action="store_true", help="also print passing metrics"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Optional
 
+from .blocks import register_block, register_sink
 from .trace import _STATE, obs_enabled
 
 EXHAUSTIVE = "exhaustive"
@@ -215,3 +216,19 @@ def merge_coverage_maps(
         )
         merged[axis] = entry
     return merged
+
+
+def _absorb_records(records: List[Dict[str, Any]]) -> None:
+    for record in records:
+        COVERAGE.record(record)
+
+
+register_block(
+    "coverage", merge_coverage_maps, ledger=lambda merged: {"coverage": merged},
+)
+register_sink(
+    "coverage",
+    mark=lambda: len(COVERAGE) if _STATE.enabled else None,
+    since=lambda mark: COVERAGE.records[mark:],
+    absorb=_absorb_records,
+)

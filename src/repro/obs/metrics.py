@@ -15,6 +15,7 @@ import random
 import threading
 from typing import Any, Dict, List, Optional
 
+from .blocks import register_sink
 from .trace import _STATE
 
 
@@ -228,3 +229,16 @@ class MetricsWindow:
             for name, value in sorted(current.items())
             if value - self._start.get(name, 0)
         }
+
+
+def _absorb_deltas(deltas: Dict[str, int]) -> None:
+    for name, delta in deltas.items():
+        inc(name, delta)
+
+
+register_sink(
+    "metrics",
+    mark=lambda: MetricsWindow() if _STATE.enabled else None,
+    since=MetricsWindow.delta,
+    absorb=_absorb_deltas,
+)

@@ -45,6 +45,7 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .blocks import register_block, register_sink
 from .trace import NOOP_SPAN, span
 
 _TRUTHY = {"1", "true", "yes", "on"}
@@ -414,21 +415,60 @@ def obligation_entry(task_profile: Dict[str, Any]) -> Dict[str, Any]:
     return entry
 
 
-def merge_profile_maps(
-    maps: Iterable[Optional[Dict[str, Any]]],
-) -> Dict[str, Any]:
-    """Merge child certificates' ``profile`` provenance annotations.
+def merge_profile(
+    values: Iterable[Optional[Dict[str, Any]]],
+) -> Optional[Dict[str, Any]]:
+    """Merge ``profile`` blocks and per-obligation profile entries.
 
-    Composition rules inherit the aggregate redundancy of their
-    premises (mirroring coverage inheritance), so the root of a
-    derivation states the total measured redundancy backing it.
-    Per-obligation attribution stays on the certificate that measured
-    it — only the redundancy rollup propagates.
+    A per-obligation entry (``obligation``/``wall_us``/``states``/
+    ``redundancy``, built by a checker for one obligation) contributes
+    its redundancy record and one attribution line; a merged block
+    contributes its rollup and its lines.
     """
-    redundancy = merge_redundancy(
-        (profile or {}).get("redundancy") for profile in maps
-    )
+    records: List[Optional[Dict[str, Any]]] = []
+    lines: List[Dict[str, Any]] = []
+    for value in values:
+        if not value:
+            continue
+        records.append(value.get("redundancy"))
+        if "obligation" in value:
+            lines.append(obligation_entry(value))
+        else:
+            lines.extend(value.get("obligations") or ())
+    merged: Dict[str, Any] = {}
+    redundancy = merge_redundancy(records)
+    if redundancy:
+        merged["redundancy"] = redundancy
+    if lines:
+        merged["obligations"] = lines
+    return merged or None
+
+
+def inherited_profile(merged: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """What a composition rule (and the run ledger) keeps of a merge.
+
+    Only the redundancy rollup propagates, so the root of a derivation
+    states the total measured redundancy backing it; per-obligation
+    attribution stays on the certificate that measured it.
+    """
+    redundancy = (merged or {}).get("redundancy")
     return {"redundancy": redundancy} if redundancy else {}
+
+
+def _absorb_redundancy(records: List[Dict[str, Any]]) -> None:
+    for record in records:
+        PROFILER.record_redundancy(record)
+
+
+register_block(
+    "profile", merge_profile, inherit=inherited_profile, ledger=inherited_profile,
+)
+register_sink(
+    "redundancy",
+    mark=lambda: PROFILER.redundancy_count() if _PROF.enabled else None,
+    since=PROFILER.redundancy_since,
+    absorb=_absorb_redundancy,
+)
 
 
 if os.environ.get(PROFILE_ENV, "").strip().lower() in _TRUTHY:

@@ -61,10 +61,10 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from .coverage import merge_coverage_maps
+from .blocks import ledger_fields, register_sink
 from .heartbeat import stream_path as _heartbeat_stream_path
 from .metrics import snapshot as _metrics_snapshot
-from .profile import PROFILER, merge_profile_maps, profile_enabled
+from .profile import PROFILER, profile_enabled
 from .trace import obs_enabled
 
 #: Schema tag of one run record (one JSON line in a ledger segment).
@@ -121,17 +121,28 @@ def certificate_digest(cert: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: What run records state about the checker: its versions, whether its
+#: cache is on, and its canonical fingerprint function.  The engine
+#: module that owns these facts registers them at import
+#: (:mod:`repro.parallel.cache`, loaded by ``import repro``), so the
+#: ledger imports nothing above :mod:`repro.obs`.
+_ENGINE: Dict[str, Any] = {}
+
+
+def register_engine(**facts: Any) -> None:
+    """Declare engine facts (``versions``, ``cache_enabled``, ``fingerprint``)."""
+    _ENGINE.update(facts)
+
+
 def certificate_fingerprint(cert: Any) -> str:
     """The canonical fingerprint of a certificate's provenance-free export.
 
-    Built on :func:`repro.parallel.canonical.canonical_fingerprint`
-    (imported lazily — the read-side CLI never needs it), so two runs
+    Built on the engine's canonical fingerprint
+    (:func:`repro.parallel.canonical.canonical_fingerprint`), so two runs
     that proved the same judgment with the same obligations share a
     fingerprint regardless of observability state.
     """
-    from ..parallel.canonical import canonical_fingerprint
-
-    return canonical_fingerprint(_strip_provenance_json(_cert_json(cert)))
+    return _ENGINE["fingerprint"](_strip_provenance_json(_cert_json(cert)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +476,7 @@ class LedgerRun:
         certificates = []
         rules: Dict[str, Dict[str, Any]] = {}
         obligations_total = obligations_failed = 0
-        coverage_maps: List[Optional[Dict[str, Any]]] = []
-        profile_maps: List[Optional[Dict[str, Any]]] = []
-        reduction_maps: List[Optional[Dict[str, Any]]] = []
+        root_provenances: List[Dict[str, Any]] = []
         obligation_profile: List[Dict[str, Any]] = []
         for cert, wall in roots:
             exported = _cert_json(cert)
@@ -496,10 +505,7 @@ class LedgerRun:
                 for line in profile.get("obligations") or []:
                     if len(obligation_profile) < 200:
                         obligation_profile.append(dict(line))
-            provenance = exported.get("provenance") or {}
-            coverage_maps.append(provenance.get("coverage"))
-            profile_maps.append(provenance.get("profile"))
-            reduction_maps.append(provenance.get("reduction"))
+            root_provenances.append(exported.get("provenance") or {})
 
         record: Dict[str, Any] = {
             "schema": RUN_SCHEMA,
@@ -530,17 +536,7 @@ class LedgerRun:
         }
         if any(incremental.values()):
             record["incremental"] = incremental
-        coverage = merge_coverage_maps(coverage_maps)
-        if coverage:
-            record["coverage"] = coverage
-        redundancy = (merge_profile_maps(profile_maps) or {}).get("redundancy")
-        if redundancy:
-            record["redundancy"] = redundancy
-        from ..reduce.stats import merge_reduction_maps
-
-        reduction = merge_reduction_maps(reduction_maps)
-        if reduction:
-            record["reduction"] = reduction
+        record.update(ledger_fields(root_provenances))
         if obligation_profile:
             record["obligation_profile"] = obligation_profile
         if profile_enabled():
@@ -591,14 +587,7 @@ def _count_obligations(cert_json: Dict[str, Any]) -> Dict[str, int]:
 
 def _versions() -> Dict[str, Any]:
     out: Dict[str, Any] = {"python": platform.python_version()}
-    try:  # engine/ruleset versions need the checker stack; best-effort
-        from ..analysis.rules import RULESET_VERSION
-        from ..parallel.cache import ENGINE_VERSION
-
-        out["engine"] = ENGINE_VERSION
-        out["ruleset"] = RULESET_VERSION
-    except Exception:  # pragma: no cover - read-side environments
-        pass
+    out.update(_ENGINE["versions"])
     return out
 
 
@@ -612,21 +601,13 @@ def _host_info() -> Dict[str, Any]:
 
 
 def _env_info() -> Dict[str, Any]:
-    from .profile import profile_enabled as _prof
-
-    out: Dict[str, Any] = {
+    return {
         "jobs": os.environ.get("REPRO_JOBS", "").strip() or None,
         "obs": obs_enabled(),
-        "profile": _prof(),
+        "profile": profile_enabled(),
         "lint": os.environ.get("REPRO_LINT", "").strip() or None,
+        "cache": _ENGINE["cache_enabled"](),
     }
-    try:
-        from ..parallel.cache import cache_enabled
-
-        out["cache"] = cache_enabled()
-    except Exception:  # pragma: no cover - read-side environments
-        out["cache"] = None
-    return out
 
 
 def _cache_latency_histograms() -> Dict[str, Any]:
@@ -741,6 +722,11 @@ def absorb_worker_notes(delta: Optional[Dict[str, float]]) -> None:
     """Merge a worker's shipped counter delta (parent side, plan order)."""
     if _RUN is not None and delta:
         _RUN.absorb_cache_notes(delta)
+
+
+register_sink(
+    "ledger", worker_notes_mark, worker_notes_since, absorb_worker_notes,
+)
 
 
 # ---------------------------------------------------------------------------

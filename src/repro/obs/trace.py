@@ -25,6 +25,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
+from .blocks import register_sink
+
 
 class _ObsState:
     """The module-wide enable flag (a class so tests can monkeypatch)."""
@@ -206,6 +208,25 @@ _COLLECTOR = TraceCollector()
 def collector() -> TraceCollector:
     """The process-wide collector spans report to."""
     return _COLLECTOR
+
+
+def _adopt_worker_spans(records: List[SpanRecord]) -> None:
+    """Re-attach worker spans under the span open at the fan-out point,
+    so parallel traces keep serial nesting."""
+    open_span = _COLLECTOR.current_span()
+    _COLLECTOR.adopt(
+        records,
+        parent_sid=open_span.sid if open_span is not None else None,
+        parent_depth=open_span.depth if open_span is not None else -1,
+    )
+
+
+register_sink(
+    "spans",
+    mark=lambda: len(_COLLECTOR) if _STATE.enabled else None,
+    since=lambda mark: _COLLECTOR.spans[mark:],
+    absorb=_adopt_worker_spans,
+)
 
 
 class Span:

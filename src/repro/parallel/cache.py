@@ -33,8 +33,15 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.rules import RULESET_VERSION
+from ..obs.blocks import register_block, register_stack_sink
 from ..obs.metrics import inc, observe
 from ..obs.profile import profile_enabled
+from ..obs.store import (
+    ledger_armed,
+    note_cache_event,
+    note_obligation_event,
+    register_engine,
+)
 from .canonical import canonical_fingerprint
 from .pool import get_jobs
 
@@ -56,6 +63,13 @@ def cache_enabled() -> bool:
     if os.environ.get("REPRO_CACHE_DIR", "").strip():
         return True
     return os.environ.get("REPRO_CACHE", "").strip().lower() in _TRUTHY
+
+
+register_engine(
+    versions={"engine": ENGINE_VERSION, "ruleset": RULESET_VERSION},
+    cache_enabled=cache_enabled,
+    fingerprint=canonical_fingerprint,
+)
 
 
 def cache_dir() -> str:
@@ -165,7 +179,6 @@ def cached_certificate(
     ``cache`` field (``"hit"`` or ``"miss"``) and the (truncated) key.
     """
     from ..core.certificate import stamp_cache_status
-    from ..obs.store import ledger_armed, note_cache_event
 
     if not cache_enabled():
         return compute()
@@ -216,7 +229,8 @@ def cached_certificate(
 #: Ambient counters for one verification request (``repro.serve`` wraps
 #: each job in a collector so /metrics can report incremental reuse even
 #: with observability forced off).  A stack, like the reduction-stats
-#: collectors, so nested requests tally independently.
+#: collectors, so nested requests tally independently; and a pool sink
+#: like them, so counts made in fork-pool workers reach the parent.
 _INC_COLLECTORS: List[Dict[str, int]] = []
 
 _INC_FIELDS = ("reused", "rechecked", "slice_misses")
@@ -235,8 +249,6 @@ def incremental_collector() -> Iterator[Dict[str, int]]:
 
 def note_incremental(field: str) -> None:
     """Tally one obligation-cache event into every active collector."""
-    from ..obs.store import note_obligation_event
-
     for counts in _INC_COLLECTORS:
         counts[field] = counts.get(field, 0) + 1
     inc("cache.obligation_" + field)
@@ -268,6 +280,20 @@ def merge_incremental_records(records: Iterable[Any]) -> Optional[Dict[str, int]
                 saw = True
                 totals[field] += value
     return totals if saw else None
+
+
+def _add_counts(counts: Dict[str, int], delta: Dict[str, int]) -> None:
+    for field, value in delta.items():
+        counts[field] = counts.get(field, 0) + value
+
+
+register_block("incremental", merge_incremental_records)
+register_stack_sink(
+    "incremental", _INC_COLLECTORS,
+    fresh=lambda: dict.fromkeys(_INC_FIELDS, 0),
+    record=lambda counts: {f: n for f, n in counts.items() if n},
+    absorb=_add_counts,
+)
 
 
 def cached_obligation(

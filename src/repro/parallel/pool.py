@@ -18,11 +18,12 @@ Two implementation constraints drive the design:
   shared work-stealing cursor handing out index chunks (the PR 9
   replacement for the executor-per-batch model, whose per-item IPC and
   spin-up made ``REPRO_JOBS`` lose against serial).
-* Observability must aggregate across processes.  When tracing is
-  enabled, each worker wraps its task in a metrics window and ships the
-  counter deltas, span records and coverage records produced by the task
-  back with the result; the parent replays them into its own registry
-  and trace collector, in task order.
+* Observability must aggregate across processes.  Every ambient sink
+  (:mod:`repro.obs.blocks`: metrics, spans, coverage, redundancy, the
+  run ledger, reduction and incremental collectors) is marked before a
+  task runs; the worker ships the deltas since those marks back with
+  the result as one record list, and the parent replays the lists in
+  task order.
 
 Worker processes run with ``in_worker()`` true, which forces
 :func:`get_jobs` to 1 — nested fan-out points inside a task degrade to
@@ -43,12 +44,8 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import obs_enabled
-from ..obs import store as obs_store
-from ..obs.coverage import COVERAGE
-from ..obs.metrics import MetricsWindow, inc
+from ..obs.blocks import absorb_records, sink_marks, sink_records
 from ..obs.profile import PROFILER, profile_enabled
-from ..obs.trace import collector
 from .workers import fork_batch_map
 
 #: Set in worker processes by the pool initializer (inherited state plus
@@ -102,7 +99,10 @@ def get_jobs(jobs: Optional[int] = None) -> int:
     try:
         requested = int(raw)
     except ValueError:
-        return 1
+        raise ValueError(
+            f"REPRO_JOBS={raw!r} is not an integer; expected a worker "
+            "count N (0 means one worker per CPU)"
+        ) from None
     if requested <= 0:
         return cpu_budget()
     forced = os.environ.get("REPRO_JOBS_FORCE", "").strip().lower() in _TRUTHY
@@ -116,80 +116,21 @@ def _worker_init() -> None:
     _IN_WORKER = True
 
 
-def _run_task(index: int) -> Tuple[Any, Optional[dict]]:
-    """Run one task in a worker and bundle its observability output.
+def _run_task(index: int) -> Tuple[Any, list, Optional[Tuple[int, float, float]]]:
+    """Run one task in a worker: its result, the sink records it
+    produced, and (while profiling) its ``(pid, start_s, end_s)``.
 
-    When a run ledger is armed (independent of obs), the worker also
-    ships its ledger counter deltas — cache hits/misses seen while
-    running the task — so the parent's run record accounts for work
-    done in workers.  Deltas merge in serial plan order via
-    :func:`_absorb` (the PR 3 contract).
+    ``perf_counter`` is CLOCK_MONOTONIC, shared with the parent across
+    the fork, so the timestamps compare directly with the parent's
+    submit/receive times.
     """
     fn, items = _TASK  # type: ignore[misc]
-    item = items[index]
-    if not obs_enabled():
-        ledger_mark = obs_store.worker_notes_mark()
-        result = fn(item)
-        notes = obs_store.worker_notes_since(ledger_mark)
-        return result, ({"ledger": notes} if notes else None)
-    ledger_mark = obs_store.worker_notes_mark()
-    window = MetricsWindow()
-    col = collector()
-    span_mark = len(col)
-    cov_mark = len(COVERAGE.records)
-    prof = profile_enabled()
-    red_mark = PROFILER.redundancy_count() if prof else 0
+    marks = sink_marks()
     start_s = time.perf_counter()
-    result = fn(item)
+    result = fn(items[index])
     end_s = time.perf_counter()
-    payload = {
-        "metrics": window.delta(),
-        "spans": col.spans[span_mark:],
-        "coverage": COVERAGE.records[cov_mark:],
-    }
-    notes = obs_store.worker_notes_since(ledger_mark)
-    if notes:
-        payload["ledger"] = notes
-    if prof:
-        # perf_counter is CLOCK_MONOTONIC, shared with the parent across
-        # the fork, so these timestamps compare directly with the
-        # parent's submit/receive times.
-        payload["profile"] = {
-            "pid": os.getpid(),
-            "start_s": start_s,
-            "end_s": end_s,
-            "redundancy": PROFILER.redundancy_since(red_mark),
-        }
-    return result, payload
-
-
-def _absorb(payload: Optional[dict]) -> None:
-    """Replay a worker's observability output into the parent.
-
-    Worker spans are re-attached under the span open at the fan-out
-    point so parallel traces keep serial nesting.
-    """
-    if not payload:
-        return
-    obs_store.absorb_worker_notes(payload.get("ledger"))
-    for name, delta in payload.get("metrics", {}).items():
-        if delta:
-            inc(name, delta)
-    spans = payload.get("spans")
-    if spans:
-        col = collector()
-        open_span = col.current_span()
-        col.adopt(
-            spans,
-            parent_sid=open_span.sid if open_span is not None else None,
-            parent_depth=open_span.depth if open_span is not None else -1,
-        )
-    for record in payload.get("coverage", ()):
-        COVERAGE.record(record)
-    profile = payload.get("profile")
-    if profile:
-        for record in profile.get("redundancy", ()):
-            PROFILER.record_redundancy(record)
+    timing = (os.getpid(), start_s, end_s) if profile_enabled() else None
+    return result, sink_records(marks), timing
 
 
 def parallel_map(
@@ -250,21 +191,21 @@ def parallel_map(
             raise value
         if kind == "err-opaque":
             raise RuntimeError(f"worker task {index} failed: {value}")
-        result, payload = value
-        _absorb(payload)
-        if prof and payload and "profile" in payload:
-            task = payload["profile"]
+        result, records, timing = value
+        absorb_records(records)
+        if prof and timing is not None:
+            pid, start_s, end_s = timing
             PROFILER.record_pool_task(
                 {
                     "task": index,
-                    "pid": task["pid"],
+                    "pid": pid,
                     "submit_s": submit_s,
-                    "start_s": task["start_s"],
-                    "end_s": task["end_s"],
+                    "start_s": start_s,
+                    "end_s": end_s,
                     "received_s": received_s,
-                    "queue_s": max(0.0, task["start_s"] - submit_s),
-                    "exec_s": max(0.0, task["end_s"] - task["start_s"]),
-                    "ship_s": max(0.0, received_s - task["end_s"]),
+                    "queue_s": max(0.0, start_s - submit_s),
+                    "exec_s": max(0.0, end_s - start_s),
+                    "ship_s": max(0.0, received_s - end_s),
                 }
             )
         results.append(result)

@@ -20,16 +20,19 @@ provenance fields.
 
 Checkers open a :func:`reduction_collector` around one obligation's
 work; the enumeration core and the law sites report through
-:func:`tally_prune` / :func:`tally_law` / :func:`contribute`.  Worker
-processes return their collector's ``as_dict()`` record with their
-results and the parent absorbs it in plan order, exactly like coverage
-and redundancy records.
+:func:`tally_prune` / :func:`tally_law` / :func:`contribute`.  The
+collector stack is a pool sink (:mod:`repro.obs.blocks`): a worker task
+tallies into a fresh collector whose record the parent absorbs into
+every collector it has open, in plan order, exactly like coverage and
+redundancy records.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
+
+from ..obs.blocks import register_block, register_stack_sink
 
 
 class ReductionStats:
@@ -78,15 +81,6 @@ class ReductionStats:
         table = record.get("table") or {}
         self.table_hits += table.get("hits", 0)
         self.table_misses += table.get("misses", 0)
-
-    def absorb_stats(self, other: "ReductionStats") -> None:
-        self.axes = self.axes | other.axes
-        for axis, count in other.pruned.items():
-            self.prune(axis, count)
-        for name, count in other.laws.items():
-            self.law(name, count)
-        self.table_hits += other.table_hits
-        self.table_misses += other.table_misses
 
     def as_dict(self) -> Dict[str, Any]:
         """The provenance/ledger record (empty dict when nothing fired)."""
@@ -146,5 +140,16 @@ def tally_prune(axis: str, count: int = 1) -> None:
 
 def contribute(stats: ReductionStats) -> None:
     """Fold a locally built stats object into the ambient collectors."""
+    record = stats.as_dict()
     for collector in _COLLECTORS:
-        collector.absorb_stats(stats)
+        collector.absorb(record)
+
+
+register_block(
+    "reduction", merge_reduction_maps,
+    ledger=lambda merged: {"reduction": merged},
+)
+register_stack_sink(
+    "reduction", _COLLECTORS, ReductionStats, ReductionStats.as_dict,
+    ReductionStats.absorb,
+)

@@ -28,7 +28,7 @@ from ..core.interface import LayerInterface
 from ..core.log import Log
 from ..core.machine import GameResult, run_game
 from ..obs import obs_enabled, span
-from ..obs.coverage import CoverageBuilder, merge_coverage_maps
+from ..obs.coverage import CoverageBuilder
 from ..obs.forensics import MAX_COUNTEREXAMPLES, build_counterexample
 from ..obs.metrics import MetricsWindow, inc
 from ..objects.sched import CpuMap, TEXIT, ThreadGameScheduler
@@ -264,7 +264,7 @@ def check_multithreaded_linking(
     )
     games = {"low": 0, "high": 0}
     track_cov = obs_enabled()
-    coverage_maps: List[Dict[str, Any]] = []
+    outputs: List[Dict[str, Any]] = []
     captured = 0
 
     def thread_rerun(iface, players):
@@ -330,8 +330,8 @@ def check_multithreaded_linking(
                 coverage=cov_high,
             )
             if track_cov:
-                coverage_maps.append({"thread_games": cov_low.record()})
-                coverage_maps.append({"thread_games": cov_high.record()})
+                outputs.append({"coverage": {"thread_games": cov_low.record()}})
+                outputs.append({"coverage": {"thread_games": cov_high.record()}})
         games["low"] += len(low)
         games["high"] += len(high)
         rerun_low = thread_rerun(lbtd, players)
@@ -418,15 +418,10 @@ def check_multithreaded_linking(
         cert.log_universe = cert.log_universe + tuple(
             r.log for r in low if r.stuck is None
         ) + tuple(r.log for r in high if r.stuck is None)
-    extra: Dict[str, Any] = dict(
+    stamp_provenance(
+        cert, time.perf_counter() - started, window, outputs,
         clients=len(client_families),
         implementation_games=games["low"],
         atomic_games=games["high"],
-    )
-    coverage = merge_coverage_maps(coverage_maps)
-    if coverage:
-        extra["coverage"] = coverage
-    stamp_provenance(
-        cert, time.perf_counter() - started, window, **extra,
     )
     return cert

@@ -190,3 +190,10 @@ class TestRecordMode:
                 counter_base, FuncImpl("bump2", atomic_bump2_impl),
                 counter_overlay, ret_only_rel, 1, config, lint="pedantic",
             )
+
+    def test_env_typo_rejected(self, monkeypatch):
+        from repro.analysis.linter import resolve_mode
+
+        monkeypatch.setenv("REPRO_LINT", "strcit")
+        with pytest.raises(ValueError, match="REPRO_LINT.*'strcit'.*strict"):
+            resolve_mode()

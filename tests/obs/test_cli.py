@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro import obs
 from repro.core.certificate import Certificate
-from repro.obs import build_counterexample, cli
+from repro.obs import build_counterexample, cli, store
 
 
 def bench_payload(durations, outcome="passed"):
@@ -33,87 +34,98 @@ def write_bench(path, durations, **kwargs):
     return str(path)
 
 
+def regress(baseline, candidate, *flags):
+    """Gate ``candidate`` (recorded on a fresh, one-run ledger) against
+    ``baseline`` through ``regress --fallback-baseline``."""
+    ledger = os.path.join(os.path.dirname(candidate), "ledger")
+    store.ingest_bench(ledger, candidate)
+    return cli.main([
+        "regress", "--ledger", ledger, "--fallback-baseline", baseline,
+        *flags,
+    ])
+
+
 class TestCompare:
+    """Cold-start comparison against a committed baseline file."""
+
     def test_identical_passes(self, tmp_path, capsys):
         base = write_bench(tmp_path / "a.json", {"test_x": 0.4})
-        assert cli.main(["compare", base, base]) == 0
-        out = capsys.readouterr().out
-        assert "no regression" in out
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
+        assert regress(base, cand) == 0
+        assert "regress: ok" in capsys.readouterr().out
 
     def test_injected_2x_slowdown_fails(self, tmp_path, capsys):
         base = write_bench(tmp_path / "a.json", {"test_x": 0.4})
         cand = write_bench(tmp_path / "b.json", {"test_x": 0.9})
-        assert cli.main(["compare", base, cand]) == 1
+        assert regress(base, cand) == 1
         out = capsys.readouterr().out
-        assert "FAILURE" in out
+        assert "FAIL" in out
         assert "2.2" in out  # 0.9/0.4 = 2.25x
 
     def test_warn_band_passes_with_warning(self, tmp_path, capsys):
         base = write_bench(tmp_path / "a.json", {"test_x": 0.4})
         cand = write_bench(tmp_path / "b.json", {"test_x": 0.65})
-        assert cli.main(["compare", base, cand]) == 0
-        assert "warning" in capsys.readouterr().out
+        assert regress(base, cand) == 0
+        assert "WARN" in capsys.readouterr().out
 
     def test_min_seconds_skips_noise(self, tmp_path, capsys):
         base = write_bench(tmp_path / "a.json", {"tiny": 0.001})
         cand = write_bench(tmp_path / "b.json", {"tiny": 0.04})
-        assert cli.main(["compare", base, cand]) == 0
-        assert "below min-seconds" in capsys.readouterr().out
+        assert regress(base, cand, "--json") == 0
+        (result,) = json.loads(capsys.readouterr().out)["objects"].values()
+        assert result["findings"] == []
 
     def test_thresholds_configurable(self, tmp_path):
         base = write_bench(tmp_path / "a.json", {"test_x": 0.4})
         cand = write_bench(tmp_path / "b.json", {"test_x": 0.65})
-        assert cli.main([
-            "compare", base, cand, "--fail-threshold", "1.5"
-        ]) == 1
+        assert regress(base, cand, "--fallback-fail", "1.5") == 1
 
-    def test_failed_candidate_outcome_fails(self, tmp_path):
+    def test_failed_candidate_outcome_fails(self, tmp_path, capsys):
         base = write_bench(tmp_path / "a.json", {"test_x": 0.4})
         cand = write_bench(tmp_path / "b.json", {"test_x": 0.4},
                            outcome="failed")
-        assert cli.main(["compare", base, cand]) == 1
+        assert regress(base, cand) == 1
+        assert "candidate outcome 'failed'" in capsys.readouterr().out
 
     def test_bad_schema_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "other/v9", "tests": []}))
-        good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
-        assert cli.main(["compare", str(bad), good]) == 2
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
+        assert regress(str(bad), cand) == 2
         assert "repro.bench/v1" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, tmp_path):
-        good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
-        assert cli.main(["compare", str(tmp_path / "nope.json"), good]) == 2
-
-    def test_speedup_column(self, tmp_path, capsys):
-        base = write_bench(tmp_path / "a.json", {"test_x": 0.8})
         cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
-        assert cli.main(["compare", base, cand]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "2.00x" in out  # 0.8/0.4 — the candidate got 2x faster
+        assert regress(str(tmp_path / "nope.json"), cand) == 2
 
     def test_json_output(self, tmp_path, capsys):
         base = write_bench(tmp_path / "a.json", {"test_x": 0.8})
         cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
-        assert cli.main(["compare", base, cand, "--json"]) == 0
+        assert regress(base, cand, "--json") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.compare/v1"
-        (record,) = payload["tests"]
-        assert record["speedup"] == 2.0
-        assert record["ratio"] == 0.5
-        assert record["verdict"] == "ok"
-        assert payload["failures"] == []
+        assert payload["schema"] == "repro.obs/regress/v1"
+        (result,) = payload["objects"].values()
+        assert result["mode"] == "fallback-baseline"
+        (finding,) = result["findings"]
+        assert finding["ratio"] == 0.5
+        assert finding["verdict"] == "ok"
 
     def test_json_output_regression_exit_code(self, tmp_path, capsys):
         base = write_bench(tmp_path / "a.json", {"test_x": 0.4})
         cand = write_bench(tmp_path / "b.json", {"test_x": 0.9})
-        assert cli.main(["compare", base, cand, "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["failures"]
+        assert regress(base, cand, "--json") == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+    def test_baselines_merge_by_nodeid(self, tmp_path, capsys):
+        base_x = write_bench(tmp_path / "x.json", {"test_x": 0.4})
+        base_y = write_bench(tmp_path / "y.json", {"test_y": 0.4})
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4, "test_y": 0.9})
+        assert regress(base_x, cand, "--fallback-baseline", base_y) == 1
+        assert "test_y" in capsys.readouterr().out
 
 
 class TestCompareRobustness:
-    """Malformed inputs exit 2 (usage) with a one-line diagnostic —
+    """Malformed baselines exit 2 (usage) with a one-line diagnostic —
     never a traceback, and never the regression exit code 1."""
 
     def _diagnostic(self, capsys):
@@ -123,31 +135,31 @@ class TestCompareRobustness:
         return err
 
     def test_missing_baseline_names_the_file(self, tmp_path, capsys):
-        good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
         missing = str(tmp_path / "nope.json")
-        assert cli.main(["compare", missing, good]) == 2
+        assert regress(missing, cand) == 2
         assert "nope.json" in self._diagnostic(capsys)
 
     def test_invalid_json_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{truncated")
-        good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
-        assert cli.main(["compare", str(bad), good]) == 2
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
+        assert regress(str(bad), cand) == 2
         err = self._diagnostic(capsys)
         assert "bad.json" in err and "not valid JSON" in err
 
     def test_non_object_payload(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2, 3]")
-        good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
-        assert cli.main(["compare", str(bad), good]) == 2
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
+        assert regress(str(bad), cand) == 2
         assert "expected object" in self._diagnostic(capsys)
 
     def test_non_list_tests(self, tmp_path, capsys):
         bad = tmp_path / "tests.json"
         bad.write_text(json.dumps({"schema": "repro.bench/v1", "tests": {}}))
-        good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
-        assert cli.main(["compare", str(bad), good]) == 2
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
+        assert regress(str(bad), cand) == 2
         assert "'tests'" in self._diagnostic(capsys)
 
     def test_entry_without_nodeid_is_located(self, tmp_path, capsys):
@@ -156,15 +168,17 @@ class TestCompareRobustness:
             "schema": "repro.bench/v1",
             "tests": [{"nodeid": "ok", "duration_s": 1}, {"duration_s": 2}],
         }))
-        good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
-        assert cli.main(["compare", str(bad), good]) == 2
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
+        assert regress(str(bad), cand) == 2
         assert "tests[1]" in self._diagnostic(capsys)
 
     def test_malformed_candidate_also_exits_2(self, tmp_path, capsys):
+        # A bad second baseline fails as loudly as a bad first one.
         good = write_bench(tmp_path / "a.json", {"test_x": 0.4})
         bad = tmp_path / "bad.json"
         bad.write_text("null")
-        assert cli.main(["compare", good, str(bad)]) == 2
+        cand = write_bench(tmp_path / "b.json", {"test_x": 0.4})
+        assert regress(good, cand, "--fallback-baseline", str(bad)) == 2
         assert "bad.json" in self._diagnostic(capsys)
 
 

@@ -212,12 +212,17 @@ class TestProfileProvenance:
         }
 
     def test_merge_profile_maps_rolls_up_redundancy_only(self):
-        merged = obs.merge_profile_maps([
+        # A composition rule inherits the profile block's merge through
+        # its projection: the rollup propagates, attribution lines stay.
+        block = obs.blocks.BLOCKS["profile"]
+        maps = [
             {"redundancy": {"axis": "a", "explored": 2, "distinct": 1},
              "obligations": [{"obligation": "x"}]},
             {"redundancy": {"axis": "a", "explored": 2, "distinct": 2}},
             None,
-        ])
+        ]
+        assert block.merge(maps)["obligations"] == [{"obligation": "x"}]
+        merged = block.inherit(block.merge(maps))
         assert merged["redundancy"]["explored"] == 4
         assert "obligations" not in merged
 

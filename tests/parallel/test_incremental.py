@@ -102,6 +102,63 @@ print(json.dumps({"exact": exact, "key": cache_key("obligation:x", parts)}))
 """
 
 
+class TestWorkerCountsReachTheParent:
+    CLIENTS = [
+        {0: [("acq", ("L",)), ("rel", ("L",))], 1: [("acq", ("L",))]},
+        {0: [("acq", ("L",))], 1: [("acq", ("L",)), ("rel", ("L",))]},
+    ]
+
+    def _counts(self, tmp_path, monkeypatch, jobs):
+        from repro.core import check_soundness
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"jobs{jobs}"))
+        layer = tl.certify_ticket_lock([0, 1], use_c_source=False).composed
+        with incremental_collector() as counts:
+            check_soundness(
+                layer, clients=self.CLIENTS, max_rounds=12,
+                require_progress=False, jobs=jobs,
+            )
+        return counts
+
+    def test_parallel_counts_equal_serial(self, cache, tmp_path, monkeypatch):
+        serial = self._counts(tmp_path, monkeypatch, jobs=1)
+        assert serial == {"reused": 0, "rechecked": 2, "slice_misses": 0}
+        assert self._counts(tmp_path, monkeypatch, jobs=2) == serial
+
+    def test_reduction_tallies_equal_serial(self):
+        from repro.core import (
+            ID_REL, Event, LayerInterface, SimConfig, check_sim, prim_player,
+            shared_prim,
+        )
+        from repro.reduce import reduction_collector
+
+        def bump_spec(ctx):
+            yield from ctx.query()
+            ctx.emit("bump", ret=ctx.log.count("bump") + 1)
+            return None
+
+        iface = LayerInterface(
+            "Cnt", (1, 2), {"bump": shared_prim("bump", bump_spec)}
+        )
+
+        def tallies(jobs):
+            # One argument vector: the environment contexts are chunked
+            # across workers, whose law tallies must reach this collector.
+            with reduction_collector(["rg-simplify"]) as outer:
+                check_sim(
+                    iface, prim_player("bump"), iface, prim_player("bump"),
+                    ID_REL, 1,
+                    SimConfig(env_alphabet=[(), (Event(2, "bump"),)],
+                              env_depth=2),
+                    judgment="bump ≤ bump", jobs=jobs,
+                )
+            return outer.as_dict()
+
+        serial = tallies(1)
+        assert serial.get("laws")
+        assert tallies(2) == serial
+
+
 class TestCrossProcessStability:
     def test_slice_fingerprints_survive_hash_seeds(self, tmp_path):
         outputs = []

@@ -51,8 +51,11 @@ class TestPool:
         assert get_jobs(jobs=2) == 2  # explicit beats env, unclamped
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert get_jobs() == cpu_budget()
-        monkeypatch.setenv("REPRO_JOBS", "nonsense")
-        assert get_jobs() == 1
+
+    def test_jobs_env_typo_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ValueError, match="REPRO_JOBS='abc'.*worker count"):
+            get_jobs()
 
     def test_no_nested_pools_in_workers(self):
         # A task asking for workers must be told 1 inside a worker.
