@@ -19,11 +19,20 @@ State mapping:
 Integer arithmetic wraps at the unit's width.  Every statement consumes
 fuel and charges one simulated cycle (the cost model behind the §6
 performance evaluation).
+
+Each function body is translated once, on its first call, into nested
+Python closures.  Operators, width masks, names and place shapes are
+resolved by the translation; only statements containing a ``Call`` (the
+only ones that can reach a query point) become generator functions, so
+silent steps cost plain function calls.  Translation itself never gets
+stuck: an ill-formed node translates into code that raises its
+:class:`Stuck` when, and only if, it runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+import operator
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from ..core.context import ExecutionContext
 from ..core.errors import Stuck
@@ -55,13 +64,45 @@ from .ast import (
     While,
 )
 
-# Control-flow outcomes threaded through statement execution.
-_NORMAL = "normal"
-_BREAK = "break"
-_CONTINUE = "continue"
+# Control-flow outcomes of a translated statement: ``None`` when it
+# completes normally, else a ``(kind, value)`` signal unwinding to the
+# enclosing loop or function.
+_BREAK = ("break", None)
+_CONTINUE = ("continue", None)
 _RETURN = "return"
 
+#: Binary operators whose result wraps at the unit's width.
+_WRAPPING = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+}
+#: Comparisons (result 1 or 0).
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+#: Shifts: the distance is taken modulo the width; the result wraps.
+_SHIFTS = {"<<": operator.lshift, ">>": operator.rshift}
+#: Division and modulo: a zero divisor gets stuck; the result wraps.
+_DIVISIONS = {
+    "/": (operator.floordiv, "division by zero"),
+    "%": (operator.mod, "modulo by zero"),
+}
+#: Unary operators whose result wraps at the unit's width.
+_WRAPPING_UNARY = {"-": operator.neg, "~": operator.invert}
+
 GLOBALS_KEY = "globals"
+
+#: A translated expression, place or statement takes ``(ctx, env)``.
+Code = Callable[..., Any]
 
 
 def unit_globals(ctx: ExecutionContext, unit: TranslationUnit) -> Dict[str, Any]:
@@ -79,199 +120,11 @@ class Interp:
     def __init__(self, unit: TranslationUnit):
         self.unit = unit
         self.width = IntWidth(unit.width_bits)
-
-    # -- expressions (pure) ---------------------------------------------------
-
-    def eval(self, ctx: ExecutionContext, env: Dict[str, Any], expr: Expr) -> Any:
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, Var):
-            if expr.name not in env:
-                raise Stuck(f"undefined local {expr.name!r}")
-            return env[expr.name]
-        if isinstance(expr, Glob):
-            store = unit_globals(ctx, self.unit)
-            if expr.name not in store:
-                raise Stuck(f"undefined global {expr.name!r}")
-            return store[expr.name]
-        if isinstance(expr, Shared):
-            loc = self.eval(ctx, env, expr.loc)
-            copies = local_copy(ctx)
-            if loc not in copies:
-                raise Stuck(
-                    f"access to shared block {loc!r} without ownership "
-                    f"(missing pull)"
-                )
-            return copies[loc]
-        if isinstance(expr, Tup):
-            return tuple(self.eval(ctx, env, item) for item in expr.items)
-        if isinstance(expr, Arr):
-            base = self.eval(ctx, env, expr.base)
-            index = self.eval(ctx, env, expr.index)
-            try:
-                return base[index]
-            except (TypeError, IndexError, KeyError) as err:
-                raise Stuck(f"bad array access {expr}: {err}") from None
-        if isinstance(expr, Fld):
-            base = self.eval(ctx, env, expr.base)
-            try:
-                return base[expr.fieldname]
-            except (TypeError, KeyError) as err:
-                raise Stuck(f"bad field access {expr}: {err}") from None
-        if isinstance(expr, Unop):
-            return self._unop(expr.op, self.eval(ctx, env, expr.arg))
-        if isinstance(expr, Binop):
-            if expr.op == "&&":
-                return 1 if (self._truthy(self.eval(ctx, env, expr.left))
-                             and self._truthy(self.eval(ctx, env, expr.right))) else 0
-            if expr.op == "||":
-                return 1 if (self._truthy(self.eval(ctx, env, expr.left))
-                             or self._truthy(self.eval(ctx, env, expr.right))) else 0
-            return self._binop(
-                expr.op,
-                self.eval(ctx, env, expr.left),
-                self.eval(ctx, env, expr.right),
-            )
-        raise Stuck(f"cannot evaluate expression {expr!r}")
-
-    def _truthy(self, value: Any) -> bool:
-        return bool(value)
-
-    def _unop(self, op: str, value: Any) -> Any:
-        if op == "-":
-            return self.width.wrap(-value)
-        if op == "!":
-            return 0 if value else 1
-        if op == "~":
-            return self.width.wrap(~value)
-        raise Stuck(f"unknown unary operator {op!r}")
-
-    def _binop(self, op: str, left: Any, right: Any) -> Any:
-        wrap = self.width.wrap
-        if op == "+":
-            return wrap(left + right)
-        if op == "-":
-            return wrap(left - right)
-        if op == "*":
-            return wrap(left * right)
-        if op == "/":
-            if right == 0:
-                raise Stuck("division by zero")
-            return wrap(left // right)
-        if op == "%":
-            if right == 0:
-                raise Stuck("modulo by zero")
-            return wrap(left % right)
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "<":
-            return 1 if left < right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "&":
-            return wrap(left & right)
-        if op == "|":
-            return wrap(left | right)
-        if op == "^":
-            return wrap(left ^ right)
-        if op == "<<":
-            return wrap(left << (right % max(self.width.bits, 1)))
-        if op == ">>":
-            return wrap(left >> (right % max(self.width.bits, 1)))
-        raise Stuck(f"unknown binary operator {op!r}")
-
-    # -- places (lvalues) -------------------------------------------------------
-
-    def store(self, ctx: ExecutionContext, env: Dict[str, Any], place: Expr, value: Any) -> None:
-        container, key = self._resolve_place(ctx, env, place)
-        container[key] = value
-
-    def _resolve_place(
-        self, ctx: ExecutionContext, env: Dict[str, Any], place: Expr
-    ) -> Tuple[Any, Any]:
-        if isinstance(place, Var):
-            return env, place.name
-        if isinstance(place, Glob):
-            return unit_globals(ctx, self.unit), place.name
-        if isinstance(place, Shared):
-            loc = self.eval(ctx, env, place.loc)
-            copies = local_copy(ctx)
-            if loc not in copies:
-                raise Stuck(
-                    f"write to shared block {loc!r} without ownership "
-                    f"(missing pull)"
-                )
-            return copies, loc
-        if isinstance(place, Arr):
-            base = self.eval(ctx, env, place.base)
-            index = self.eval(ctx, env, place.index)
-            return base, index
-        if isinstance(place, Fld):
-            base = self.eval(ctx, env, place.base)
-            return base, place.fieldname
-        raise Stuck(f"not an lvalue: {place!r}")
-
-    # -- statements (players) -----------------------------------------------------
-
-    def exec_stmt(self, ctx: ExecutionContext, env: Dict[str, Any], stmt: Stmt):
-        """Execute one statement; a generator returning a control signal."""
-        ctx.consume_fuel()
-        ctx.charge_cycles(1)
-        if isinstance(stmt, Skip):
-            return (_NORMAL, None)
-        if isinstance(stmt, Assign):
-            self.store(ctx, env, stmt.place, self.eval(ctx, env, stmt.value))
-            return (_NORMAL, None)
-        if isinstance(stmt, Seq):
-            for sub in stmt.stmts:
-                signal = yield from self.exec_stmt(ctx, env, sub)
-                if signal[0] != _NORMAL:
-                    return signal
-            return (_NORMAL, None)
-        if isinstance(stmt, If):
-            branch = stmt.then if self._truthy(self.eval(ctx, env, stmt.cond)) else stmt.els
-            signal = yield from self.exec_stmt(ctx, env, branch)
-            return signal
-        if isinstance(stmt, While):
-            while self._truthy(self.eval(ctx, env, stmt.cond)):
-                ctx.consume_fuel()
-                signal = yield from self.exec_stmt(ctx, env, stmt.body)
-                if signal[0] == _BREAK:
-                    break
-                if signal[0] == _RETURN:
-                    return signal
-            return (_NORMAL, None)
-        if isinstance(stmt, Break):
-            return (_BREAK, None)
-        if isinstance(stmt, Continue):
-            return (_CONTINUE, None)
-        if isinstance(stmt, Return):
-            value = (
-                self.eval(ctx, env, stmt.value) if stmt.value is not None else None
-            )
-            return (_RETURN, value)
-        if isinstance(stmt, Call):
-            args = [self.eval(ctx, env, a) for a in stmt.args]
-            if stmt.fn in self.unit.functions:
-                ret = yield from self.run_function(ctx, stmt.fn, args)
-            else:
-                # An underlay primitive: the callee's specification decides
-                # whether this is a query point.
-                ret = yield from ctx.call(stmt.fn, *args)
-            if stmt.dst is not None:
-                self.store(ctx, env, stmt.dst, ret)
-            return (_NORMAL, None)
-        if isinstance(stmt, Assert):
-            if not self._truthy(self.eval(ctx, env, stmt.cond)):
-                raise Stuck(f"{stmt.message}: {stmt.cond}")
-            return (_NORMAL, None)
-        raise Stuck(f"cannot execute statement {stmt!r}")
+        #: ``name -> (CFunction, body, body is a generator function)``,
+        #: filled by :meth:`run_function`.  Content fingerprints
+        #: (:mod:`repro.parallel.canonical`) skip it, so an impl digests
+        #: the same before and after its first run.
+        self._compiled: Dict[str, Tuple[CFunction, Code, bool]] = {}
 
     def run_function(self, ctx: ExecutionContext, name: str, args):
         fn = self.unit.functions.get(name)
@@ -281,13 +134,370 @@ class Interp:
             raise Stuck(
                 f"{name} expects {len(fn.params)} args, got {len(args)}"
             )
+        entry = self._compiled.get(name)
+        if entry is None or entry[0] is not fn:
+            entry = self._compiled[name] = (fn, *self._stmt(fn.body))
+        _fn, body, generator = entry
         env = dict(zip(fn.params, args))
-        signal = yield from self.exec_stmt(ctx, env, fn.body)
+        signal = (yield from body(ctx, env)) if generator else body(ctx, env)
+        if signal is None:
+            return None
         if signal[0] == _RETURN:
             return signal[1]
-        if signal[0] == _NORMAL:
-            return None
         raise Stuck(f"{name}: {signal[0]} outside a loop")
+
+    # -- expressions (pure): ``code(ctx, env) -> value`` -------------------------
+
+    def _expr(self, expr: Expr) -> Code:
+        if isinstance(expr, Const):
+            value = expr.value
+
+            def const(ctx, env):
+                return value
+
+            return const
+        if isinstance(expr, Var):
+            name = expr.name
+
+            def local(ctx, env):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise Stuck(f"undefined local {name!r}") from None
+
+            return local
+        if isinstance(expr, Glob):
+            name, unit = expr.name, self.unit
+
+            def glob(ctx, env):
+                store = unit_globals(ctx, unit)
+                if name not in store:
+                    raise Stuck(f"undefined global {name!r}")
+                return store[name]
+
+            return glob
+        if isinstance(expr, Shared):
+            loc = self._expr(expr.loc)
+
+            def shared(ctx, env):
+                key = loc(ctx, env)
+                copies = local_copy(ctx)
+                if key not in copies:
+                    raise Stuck(
+                        f"access to shared block {key!r} without ownership "
+                        f"(missing pull)"
+                    )
+                return copies[key]
+
+            return shared
+        if isinstance(expr, Tup):
+            return self._items(expr.items)
+        if isinstance(expr, Arr):
+            base, index = self._expr(expr.base), self._expr(expr.index)
+
+            def element(ctx, env):
+                container = base(ctx, env)
+                key = index(ctx, env)
+                try:
+                    return container[key]
+                except (TypeError, IndexError, KeyError) as err:
+                    raise Stuck(f"bad array access {expr}: {err}") from None
+
+            return element
+        if isinstance(expr, Fld):
+            base, fieldname = self._expr(expr.base), expr.fieldname
+
+            def field(ctx, env):
+                container = base(ctx, env)
+                try:
+                    return container[fieldname]
+                except (TypeError, KeyError) as err:
+                    raise Stuck(f"bad field access {expr}: {err}") from None
+
+            return field
+        if isinstance(expr, Unop):
+            return self._unop(expr.op, self._expr(expr.arg))
+        if isinstance(expr, Binop):
+            return self._binop(
+                expr.op, self._expr(expr.left), self._expr(expr.right)
+            )
+
+        def unknown(ctx, env):
+            raise Stuck(f"cannot evaluate expression {expr!r}")
+
+        return unknown
+
+    def _items(self, exprs: Sequence[Expr]) -> Code:
+        """A tuple of expressions, evaluated left to right."""
+        codes = [self._expr(item) for item in exprs]
+        if not codes:
+            def items(ctx, env):
+                return ()
+        elif len(codes) == 1:
+            (first,) = codes
+
+            def items(ctx, env):
+                return (first(ctx, env),)
+        elif len(codes) == 2:
+            first, second = codes
+
+            def items(ctx, env):
+                return (first(ctx, env), second(ctx, env))
+        elif len(codes) == 3:
+            first, second, third = codes
+
+            def items(ctx, env):
+                return (first(ctx, env), second(ctx, env), third(ctx, env))
+        else:
+            def items(ctx, env):
+                return tuple([code(ctx, env) for code in codes])
+        return items
+
+    def _unop(self, op: str, arg: Code) -> Code:
+        mask = self.width.modulus - 1
+        if op == "!":
+            def unop(ctx, env):
+                return 0 if arg(ctx, env) else 1
+        elif op in _WRAPPING_UNARY:
+            apply = _WRAPPING_UNARY[op]
+
+            def unop(ctx, env):
+                return apply(arg(ctx, env)) & mask
+        else:
+            def unop(ctx, env):
+                arg(ctx, env)
+                raise Stuck(f"unknown unary operator {op!r}")
+        return unop
+
+    def _binop(self, op: str, left: Code, right: Code) -> Code:
+        mask = self.width.modulus - 1
+        if op == "&&":
+            def binop(ctx, env):
+                return 1 if (left(ctx, env) and right(ctx, env)) else 0
+        elif op == "||":
+            def binop(ctx, env):
+                return 1 if (left(ctx, env) or right(ctx, env)) else 0
+        elif op in _COMPARISONS:
+            compare = _COMPARISONS[op]
+
+            def binop(ctx, env):
+                return 1 if compare(left(ctx, env), right(ctx, env)) else 0
+        elif op in _WRAPPING:
+            apply = _WRAPPING[op]
+
+            def binop(ctx, env):
+                return apply(left(ctx, env), right(ctx, env)) & mask
+        elif op in _DIVISIONS:
+            apply, message = _DIVISIONS[op]
+
+            def binop(ctx, env):
+                dividend, divisor = left(ctx, env), right(ctx, env)
+                if divisor == 0:
+                    raise Stuck(message)
+                return apply(dividend, divisor) & mask
+        elif op in _SHIFTS:
+            apply, bits = _SHIFTS[op], max(self.width.bits, 1)
+
+            def binop(ctx, env):
+                value, distance = left(ctx, env), right(ctx, env)
+                return apply(value, distance % bits) & mask
+        else:
+            def binop(ctx, env):
+                left(ctx, env)
+                right(ctx, env)
+                raise Stuck(f"unknown binary operator {op!r}")
+        return binop
+
+    # -- places (lvalues): ``store(ctx, env, value)`` ------------------------------
+
+    def _place(self, place: Expr) -> Code:
+        if isinstance(place, Var):
+            name = place.name
+
+            def store(ctx, env, value):
+                env[name] = value
+        elif isinstance(place, Glob):
+            name, unit = place.name, self.unit
+
+            def store(ctx, env, value):
+                unit_globals(ctx, unit)[name] = value
+        elif isinstance(place, Shared):
+            loc = self._expr(place.loc)
+
+            def store(ctx, env, value):
+                key = loc(ctx, env)
+                copies = local_copy(ctx)
+                if key not in copies:
+                    raise Stuck(
+                        f"write to shared block {key!r} without ownership "
+                        f"(missing pull)"
+                    )
+                copies[key] = value
+        elif isinstance(place, Arr):
+            base, index = self._expr(place.base), self._expr(place.index)
+
+            def store(ctx, env, value):
+                container = base(ctx, env)
+                container[index(ctx, env)] = value
+        elif isinstance(place, Fld):
+            base, fieldname = self._expr(place.base), place.fieldname
+
+            def store(ctx, env, value):
+                base(ctx, env)[fieldname] = value
+        else:
+            def store(ctx, env, value):
+                raise Stuck(f"not an lvalue: {place!r}")
+        return store
+
+    # -- statements: ``(code, is a generator function)`` -----------------------------
+    #
+    # ``code(ctx, env)`` first charges the statement's unit of fuel and
+    # its cycle, then runs it and returns ``None`` or a control signal
+    # (the generator kinds return it through ``StopIteration``).
+
+    def _stmt(self, stmt: Stmt) -> Tuple[Code, bool]:
+        if isinstance(stmt, Skip):
+            def skip(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+
+            return skip, False
+        if isinstance(stmt, Assign):
+            store, value = self._place(stmt.place), self._expr(stmt.value)
+
+            def assign(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                store(ctx, env, value(ctx, env))
+
+            return assign, False
+        if isinstance(stmt, Seq):
+            subs = [self._stmt(sub) for sub in stmt.stmts]
+            if any(generator for _code, generator in subs):
+                def seq(ctx, env):
+                    ctx.consume_fuel()
+                    ctx.cycles += 1
+                    for code, generator in subs:
+                        if generator:
+                            signal = yield from code(ctx, env)
+                        else:
+                            signal = code(ctx, env)
+                        if signal is not None:
+                            return signal
+
+                return seq, True
+            codes = tuple(code for code, _generator in subs)
+
+            def seq(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                for code in codes:
+                    signal = code(ctx, env)
+                    if signal is not None:
+                        return signal
+
+            return seq, False
+        if isinstance(stmt, If):
+            cond = self._expr(stmt.cond)
+            then, els = self._stmt(stmt.then), self._stmt(stmt.els)
+            if then[1] or els[1]:
+                def branch(ctx, env):
+                    ctx.consume_fuel()
+                    ctx.cycles += 1
+                    code, generator = then if cond(ctx, env) else els
+                    if generator:
+                        return (yield from code(ctx, env))
+                    return code(ctx, env)
+
+                return branch, True
+            then, els = then[0], els[0]
+
+            def branch(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                return then(ctx, env) if cond(ctx, env) else els(ctx, env)
+
+            return branch, False
+        if isinstance(stmt, While):
+            # Each iteration charges one more unit of fuel on top of its
+            # body's own charges.
+            cond = self._expr(stmt.cond)
+            body, body_gen = self._stmt(stmt.body)
+            if body_gen:
+                def loop(ctx, env):
+                    ctx.consume_fuel()
+                    ctx.cycles += 1
+                    while cond(ctx, env):
+                        ctx.consume_fuel()
+                        signal = yield from body(ctx, env)
+                        if signal is not None and signal is not _CONTINUE:
+                            return None if signal is _BREAK else signal
+
+                return loop, True
+
+            def loop(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                while cond(ctx, env):
+                    ctx.consume_fuel()
+                    signal = body(ctx, env)
+                    if signal is not None and signal is not _CONTINUE:
+                        return None if signal is _BREAK else signal
+
+            return loop, False
+        if isinstance(stmt, (Break, Continue)):
+            signal = _BREAK if isinstance(stmt, Break) else _CONTINUE
+
+            def jump(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                return signal
+
+            return jump, False
+        if isinstance(stmt, Return):
+            value = self._expr(Const(None) if stmt.value is None else stmt.value)
+
+            def ret(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                return (_RETURN, value(ctx, env))
+
+            return ret, False
+        if isinstance(stmt, Call):
+            name, unit, args = stmt.fn, self.unit, self._items(stmt.args)
+            store = self._place(stmt.dst) if stmt.dst is not None else None
+
+            def call(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                values = args(ctx, env)
+                if name in unit.functions:
+                    ret = yield from self.run_function(ctx, name, values)
+                else:
+                    # An underlay primitive: the callee's specification
+                    # decides whether this is a query point.
+                    ret = yield from ctx.call(name, *values)
+                if store is not None:
+                    store(ctx, env, ret)
+
+            return call, True
+        if isinstance(stmt, Assert):
+            cond = self._expr(stmt.cond)
+
+            def check(ctx, env):
+                ctx.consume_fuel()
+                ctx.cycles += 1
+                if not cond(ctx, env):
+                    raise Stuck(f"{stmt.message}: {stmt.cond}")
+
+            return check, False
+
+        def unknown(ctx, env):
+            ctx.consume_fuel()
+            ctx.cycles += 1
+            raise Stuck(f"cannot execute statement {stmt!r}")
+
+        return unknown, False
 
 
 def c_player(unit: TranslationUnit, name: str) -> Callable:

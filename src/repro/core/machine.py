@@ -280,6 +280,10 @@ class ScriptScheduler(GameScheduler):
         self.cursor = 0
 
     def pick(self, log: Log, ready: FrozenSet[int]) -> int:
+        if obs_enabled():
+            inc("machine.schedule_rounds")
+            if self.cursor < len(self.script):
+                inc("machine.schedule_rounds_replayed")
         if self.cursor < len(self.script):
             tid = self.script[self.cursor]
             self.cursor += 1

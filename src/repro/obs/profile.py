@@ -40,15 +40,13 @@ environment.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..envflags import env_flag
 from .blocks import register_block, register_sink
 from .trace import NOOP_SPAN, span
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 #: Environment switch: a truthy value enables profiling at import time.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -471,5 +469,5 @@ register_sink(
 )
 
 
-if os.environ.get(PROFILE_ENV, "").strip().lower() in _TRUTHY:
+if env_flag(PROFILE_ENV):
     enable_profiling()

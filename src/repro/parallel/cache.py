@@ -33,6 +33,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.rules import RULESET_VERSION
+from ..envflags import env_flag
 from ..obs.blocks import register_block, register_stack_sink
 from ..obs.metrics import inc, observe
 from ..obs.profile import profile_enabled
@@ -55,14 +56,11 @@ ENGINE_VERSION = "repro-engine/2+" + RULESET_VERSION
 
 _SCHEMA = "repro.cache/v1"
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
 
 def cache_enabled() -> bool:
     """Whether the on-disk certificate cache is active."""
-    if os.environ.get("REPRO_CACHE_DIR", "").strip():
-        return True
-    return os.environ.get("REPRO_CACHE", "").strip().lower() in _TRUTHY
+    enabled = env_flag("REPRO_CACHE")  # parsed first: a typo raises either way
+    return enabled or bool(os.environ.get("REPRO_CACHE_DIR", "").strip())
 
 
 register_engine(

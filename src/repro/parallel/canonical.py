@@ -49,6 +49,7 @@ _EXCLUDED_ATTRS = {
     "_stats",      # ReplayFn call accounting
     "_tables",     # ReplayFn live memo tables
     "_lint_memo",  # per-interface lint scratch cache (repro.analysis)
+    "_compiled",   # mini-C closures, built on a function's first run
     "provenance",  # Certificate provenance: wall times, metrics, workers
 }
 

@@ -44,6 +44,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..envflags import env_flag
 from ..obs.blocks import absorb_records, sink_marks, sink_records
 from ..obs.profile import PROFILER, profile_enabled
 from .workers import fork_batch_map
@@ -61,9 +62,6 @@ _TASK: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
 def in_worker() -> bool:
     """True inside a pool worker process."""
     return _IN_WORKER
-
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 
 def cpu_budget() -> int:
@@ -105,8 +103,7 @@ def get_jobs(jobs: Optional[int] = None) -> int:
         ) from None
     if requested <= 0:
         return cpu_budget()
-    forced = os.environ.get("REPRO_JOBS_FORCE", "").strip().lower() in _TRUTHY
-    if forced:
+    if env_flag("REPRO_JOBS_FORCE"):
         return requested
     return max(1, min(requested, cpu_budget()))
 

@@ -85,6 +85,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..obs.metrics import inc
+from ..obs.trace import obs_enabled
 from .fingerprint import extend_chain, state_fingerprint
 from .stats import ReductionStats
 
@@ -178,6 +180,12 @@ class ReducingScheduler:
         self._chain = 0
 
     def pick(self, log, ready: FrozenSet[int]) -> int:
+        if obs_enabled():
+            # Step-level redundancy: rounds spent re-executing the
+            # recorded prefix, which a sibling run already executed.
+            inc("machine.schedule_rounds")
+            if self.cursor < len(self.script):
+                inc("machine.schedule_rounds_replayed")
         events = log.events
         chain = self._chain
         for event in events[self._scanned:]:

@@ -150,3 +150,26 @@ class TestMetricsWindow:
         window = obs.MetricsWindow()
         obs.inc("anything")
         assert window.delta() == {}
+
+
+class TestScheduleRounds:
+    """Step-level redundancy: picks that re-execute a recorded prefix."""
+
+    @pytest.mark.parametrize("reduce", ["on", "off"])
+    def test_two_client_ticket_game(self, reduce):
+        from repro.core import check_soundness
+        from repro.objects.ticket_lock import certify_ticket_lock
+
+        layer = certify_ticket_lock([1, 2], lock="q0").composed
+        client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
+        obs.enable()
+        check_soundness(
+            layer, clients=[client], max_rounds=14,
+            require_progress=False, reduce=reduce,
+        )
+        counters = obs.snapshot()["counters"]
+        rounds = counters["machine.schedule_rounds"]
+        assert 0 < counters["machine.schedule_rounds_replayed"] < rounds
+        # Counted at pick: runs cut short by NeedChoice or PruneRun,
+        # which machine.game_rounds skips, count too.
+        assert rounds > counters["machine.game_rounds"]

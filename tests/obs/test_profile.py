@@ -10,9 +10,13 @@ cache-warm alike.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import obs
 from repro.core import (
     Event,
@@ -61,6 +65,27 @@ def cert_bytes(cert) -> bytes:
 class TestGating:
     def test_off_by_default(self):
         assert not obs.profile_enabled()
+
+    @pytest.mark.parametrize("value, outcome", [
+        ("Yes", "True"), ("off", "False"), ("ture", "ValueError"),
+    ])
+    def test_env_switch_is_a_strict_boolean(self, value, outcome):
+        # Read once, when repro.obs is first imported: a fresh process.
+        probe = (
+            "from repro import obs\n"
+            "print(obs.profile_enabled())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, REPRO_PROFILE=value)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        if outcome == "ValueError":
+            assert done.returncode != 0
+            assert "ValueError: REPRO_PROFILE='ture'" in done.stderr
+        else:
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == outcome
 
     def test_enable_implies_obs(self):
         obs.enable_profiling()

@@ -57,6 +57,18 @@ class TestPool:
         with pytest.raises(ValueError, match="REPRO_JOBS='abc'.*worker count"):
             get_jobs()
 
+    def test_jobs_force_is_a_strict_boolean(self, monkeypatch):
+        from repro.parallel import cpu_budget
+
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.setenv("REPRO_JOBS_FORCE", " On ")
+        assert get_jobs() == 3
+        monkeypatch.setenv("REPRO_JOBS_FORCE", "no")
+        assert get_jobs() == min(3, cpu_budget())
+        monkeypatch.setenv("REPRO_JOBS_FORCE", "ture")
+        with pytest.raises(ValueError, match="REPRO_JOBS_FORCE='ture'.*yes"):
+            get_jobs()
+
     def test_no_nested_pools_in_workers(self):
         # A task asking for workers must be told 1 inside a worker.
         results = parallel_map(lambda _: get_jobs(jobs=8), [0, 1], jobs=2)
@@ -152,6 +164,16 @@ class TestCanonical:
 
 
 class TestCache:
+    def test_cache_switch_is_a_strict_boolean(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_CACHE", "TRUE")
+        assert cache_enabled()
+        monkeypatch.setenv("REPRO_CACHE", " 0 ")
+        assert not cache_enabled()
+        monkeypatch.setenv("REPRO_CACHE", "ture")
+        with pytest.raises(ValueError, match="REPRO_CACHE='ture'.*false"):
+            cache_enabled()
+
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.delenv("REPRO_CACHE", raising=False)
