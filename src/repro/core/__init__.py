@@ -11,6 +11,7 @@ from .errors import (
     GuaranteeViolation,
     OutOfFuel,
     RelyViolation,
+    ReplayDivergence,
     Stuck,
     VerificationError,
 )

@@ -112,9 +112,7 @@ class ExecutionContext:
 
     def emit(self, name: str, *args, ret: Any = None) -> Event:
         """Append the event ``tid.name(args)↓ret`` to the global log."""
-        event = Event(self.tid, name, tuple(args), ret)
-        self.buffer.append(event)
-        return event
+        return self.buffer.emit(self.tid, name, args, ret)
 
     # -- query points ---------------------------------------------------------
 

@@ -14,9 +14,15 @@ exceptions:
 * ``ComposeError`` — a layer-calculus rule was applied to premises that do
   not fit together structurally (mismatched interfaces, overlapping
   modules, non-disjoint focused sets, ...).
+
+``ReplayDivergence`` is none of the three: it reports that a checker's
+premise about its input — deterministic players — is false, so no
+verdict can be given.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 
 class CCALError(Exception):
@@ -69,3 +75,35 @@ class RelyViolation(VerificationError):
 
 class GuaranteeViolation(VerificationError):
     """A focused participant produced a log violating its guarantee."""
+
+
+class ReplayDivergence(CCALError):
+    """A resumed game run did not reproduce the run it resumes.
+
+    A reduced enumeration resumes each sibling run at a recorded branch
+    point: it replays the recorded rounds without re-deciding them and
+    checks, at the branch round, that the log and the ready set equal
+    the recorded ones.  Both steps presume that every player is a
+    deterministic function of the log.  When a replay disagrees with
+    the record this is raised instead of any verdict: ``round`` is the
+    round at which the disagreement was noticed and ``index`` the first
+    log position where the replayed and recorded logs differ (``None``
+    when they agree as far as the replay got).
+    """
+
+    def __init__(self, round: int, index: Optional[int], reason: str):
+        super().__init__(round, index, reason)
+        self.round = round
+        self.index = index
+        self.reason = reason
+
+    def __str__(self) -> str:
+        where = (
+            "the logs agree so far" if self.index is None
+            else f"first differing log index {self.index}"
+        )
+        return (
+            f"resumed game run diverged from its recorded branch point at "
+            f"round {self.round} ({where}): {self.reason}; players must be "
+            f"deterministic functions of the log"
+        )

@@ -11,9 +11,10 @@ Two representations are provided:
   replay functions, rely/guarantee invariants and behaviour sets all work
   over :class:`Log` values.
 * :class:`LogBuffer` — the mutable append-only buffer threaded through an
-  execution; cheap ``snapshot()`` produces a :class:`Log` with structural
-  sharing (the buffer keeps a tuple cache that only reallocates when new
-  events arrive).
+  execution; ``snapshot()`` produces a :class:`Log`.  Snapshots share no
+  structure: the first one after an append copies the whole event list
+  into a new tuple (O(n)), and only snapshots taken with no append in
+  between return the same cached :class:`Log`.
 
 Replay folds (:class:`~repro.core.replay.ReplayFn`) checkpoint their
 state in a :class:`MemoTable`.  A buffer owns one table shared by all
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from .events import Event, format_log, intern_event
+from .events import Event, canonical_event, format_log, intern_event
 
 
 class MemoTable(dict):
@@ -180,10 +181,12 @@ EMPTY_LOG = Log()
 class LogBuffer:
     """The mutable global log threaded through a running machine.
 
-    Append-only.  ``snapshot()`` is O(n) only when events were appended
-    since the previous snapshot.  Every snapshot shares the buffer's
-    replay memo table, so a replay function folds each appended event
-    once per key rather than re-folding the whole log on every query.
+    Append-only.  ``snapshot()`` copies the whole event list into a new
+    tuple, O(n), when events were appended since the previous snapshot,
+    and otherwise returns that snapshot again.  Every snapshot shares
+    the buffer's replay memo table, so a replay function folds each
+    appended event once per key rather than re-folding the whole log on
+    every query.
     """
 
     __slots__ = ("_events", "_snapshot", "_memo")
@@ -199,6 +202,15 @@ class LogBuffer:
     def append(self, event: Event) -> None:
         self._events.append(intern_event(event))
         self._snapshot = None
+
+    def emit(
+        self, tid: int, name: str, args: Tuple[Any, ...] = (), ret: Any = None
+    ) -> Event:
+        """Append the event with these fields, interned before it is built."""
+        event = canonical_event(tid, name, args, ret)
+        self._events.append(event)
+        self._snapshot = None
+        return event
 
     def extend(self, events: Iterable[Event]) -> None:
         appended = False

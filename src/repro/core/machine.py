@@ -41,13 +41,19 @@ from ..reduce import (
     contribute,
     current_axes,
 )
-from ..reduce.dpor import DeferRun, PruneRun, ReducingScheduler, TranspositionTable
+from ..reduce.dpor import (
+    DeferRun,
+    PruneRun,
+    ReducingScheduler,
+    Resume,
+    TranspositionTable,
+)
 from ..reduce.laws import FRAME, STRENGTHEN_GUARANTEE, frame_allows_skip
 from ..reduce.stats import tally_law
 from .context import QUERY, ExecutionContext
 from .environment import EnvContext, NullEnv
 from .errors import OutOfFuel, Stuck
-from .events import hw_sched
+from .events import HW_SCHED
 from .interface import LayerInterface
 from .log import Log, LogBuffer
 
@@ -238,7 +244,15 @@ class NeedChoice(Exception):
 
 
 class GameScheduler:
-    """A scheduler strategy for whole-machine games (the paper's φ0)."""
+    """A scheduler strategy for whole-machine games (the paper's φ0).
+
+    A scheduler that resumes a recorded run (the reducing scheduler of
+    :mod:`repro.reduce.dpor`) also carries ``history``, the tids of the
+    rounds :func:`run_game` replays before its first :meth:`pick`, and
+    ``diverged(log, round, reason)``, which raises
+    :class:`~repro.core.errors.ReplayDivergence` when the replay cannot
+    follow that record.
+    """
 
     def pick(self, log: Log, ready: FrozenSet[int]) -> int:
         raise NotImplementedError
@@ -348,26 +362,39 @@ def run_game(
         ctxs[tid] = ctx
         gens[tid] = player(ctx, *args)
 
-    unfinished: Set[int] = set(players)
+    ready = frozenset(players)
     rets: Dict[int, Any] = {}
     stuck: Optional[str] = None
     schedule: List[int] = []
     current: Optional[int] = None
     rounds = 0
+    # A resumed run replays its recorded rounds without consulting the
+    # scheduler; the scheduler checks the replay at its first pick.
+    history: Tuple[int, ...] = getattr(scheduler, "history", ())
+    replayed = len(history)
 
     try:
-        while unfinished and rounds < max_rounds:
-            tid = scheduler.pick(buffer.snapshot(), frozenset(unfinished))
+        while ready and rounds < max_rounds:
+            if rounds < replayed:
+                tid = history[rounds]
+                if tid not in ready:
+                    scheduler.diverged(
+                        buffer.snapshot(), rounds,
+                        f"recorded participant {tid} is not ready "
+                        f"(ready: {sorted(ready)})",
+                    )
+            else:
+                tid = scheduler.pick(buffer.snapshot(), ready)
             rounds += 1
             schedule.append(tid)
             if record_sched and tid != current:
-                buffer.append(hw_sched(tid))
+                buffer.emit(tid, HW_SCHED)
             current = tid
             try:
                 marker = next(gens[tid])
             except StopIteration as stop:
                 rets[tid] = stop.value
-                unfinished.discard(tid)
+                ready = ready - {tid}
                 continue
             if marker is not QUERY:  # pragma: no cover - protocol violation
                 raise Stuck(f"player {tid} yielded non-query {marker!r}")
@@ -375,6 +402,15 @@ def run_game(
         raise
     except Stuck as err:
         stuck = err.reason
+    if replayed and rounds <= replayed:
+        # The replay got stuck, or ran out of ready players, before it
+        # reached its branch round.
+        if stuck is not None:
+            scheduler.diverged(
+                buffer.snapshot(), rounds - 1,
+                f"the replayed step got stuck: {stuck}",
+            )
+        scheduler.diverged(buffer.snapshot(), rounds, "no participant is ready")
 
     if obs_enabled():
         inc("machine.game_runs")
@@ -384,7 +420,7 @@ def run_game(
     return GameResult(
         log=buffer.snapshot(),
         rets=rets,
-        finished=not unfinished and stuck is None,
+        finished=not ready and stuck is None,
         stuck=stuck,
         cycles={tid: ctx.cycles for tid, ctx in ctxs.items()},
         rounds=rounds,
@@ -460,25 +496,30 @@ def _explore_reduced(
     axes: FrozenSet[str],
     max_rounds: int,
     max_runs: int,
-    stack: List[Tuple[int, ...]],
+    stack: List[Resume],
     stats: ReductionStats,
     frontier_depth: Optional[int] = None,
     redundancy: Optional[RedundancyBuilder] = None,
     invisible: FrozenSet[int] = frozenset(),
-) -> Tuple[List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]], int, int]:
+) -> Tuple[List[Tuple[Optional[GameResult], Resume]], int, int]:
     """The reduced DFS: path extension + sleep-set dominance + transposition.
 
     The :class:`~repro.reduce.dpor.ReducingScheduler` extends each run
-    past its decision script instead of raising :class:`NeedChoice`, so
-    no prefix is ever replayed; the sibling branches it records are
-    pushed shallowest-group-first with each group reverse-sorted, which
-    makes the stack pop the deepest node's smallest sibling next —
+    past its branch round instead of raising :class:`NeedChoice`, and
+    records every multi-candidate round it passes as a
+    :class:`~repro.reduce.dpor.BranchPoint`.  Each stack entry is
+    ``(branch point, sibling)`` (``None`` for the root run): the
+    sibling's run replays the recorded rounds without deciding them
+    and makes its first decision at the branch round, so a prefix is
+    re-executed by the players but never re-decided.  The sibling groups
+    are pushed shallowest-group-first with each group reverse-sorted,
+    which makes the stack pop the deepest node's smallest sibling next —
     depth-first order, every subtree contiguous in ``plan`` (the same
     splice discipline as :func:`_explore_prefixes`).  A run cut by the
     transposition table or by an all-asleep sleep set counts as
     ``pruned`` (its continuation was already explored); a run cut at
-    the frontier defers its current decision path as a ``(None,
-    prefix)`` plan entry for a worker.
+    the frontier defers its last pick, as a ``(None, (point, pick))``
+    plan entry, for a worker to resume exactly as a sibling is resumed.
 
     The transposition table is scoped to this call — one table per
     explored subtree, serial and parallel alike, which is what keeps
@@ -488,12 +529,12 @@ def _explore_reduced(
     completed runs (the headroom reduction has not yet removed), while
     the cuts land in ``stats`` (see DESIGN.md).
     """
-    plan: List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]] = []
+    plan: List[Tuple[Optional[GameResult], Resume]] = []
     runs = 0
     pruned = 0
     table = TranspositionTable(stats) if "transpo" in axes else None
     while stack:
-        prefix = stack.pop()
+        entry = stack.pop()
         runs += 1
         heartbeat("machine.schedules", explored=runs, budget=max_runs)
         if runs > max_runs:
@@ -502,7 +543,7 @@ def _explore_reduced(
                 f"(max_rounds={max_rounds})"
             )
         scheduler = ReducingScheduler(
-            prefix, axes, stats, table=table,
+            entry, axes, stats, table=table,
             frontier_depth=frontier_depth, redundancy=redundancy,
             invisible=invisible,
         )
@@ -513,15 +554,13 @@ def _explore_reduced(
             # (transposition hit or all-asleep sleep-set cut).
             pruned += 1
         except DeferRun:
-            plan.append((None, tuple(scheduler.picks)))
+            plan.append((None, scheduler.last))
         else:
             plan.append((result, None))
         scheduler.finalize()
-        base = tuple(scheduler.picks)
-        for depth, siblings in scheduler.branches:
-            stem = base[:depth]
+        for point, siblings in scheduler.branches:
             for tid in sorted(siblings, reverse=True):
-                stack.append(stem + (tid,))
+                stack.append((point, tid))
     return plan, runs, pruned
 
 
@@ -542,9 +581,11 @@ def enumerate_game_logs(
     DFS over scheduling-decision prefixes: each run replays the system
     under a :class:`ScriptScheduler`; when the script runs out at a real
     decision point the prefix branches over every ready participant.
-    The result is the bounded behaviour set ``[[P]]_{L[D]}`` — "the set of
-    logs generated by playing the game under all possible schedulers"
-    (§2).
+    With a machine reduction axis on, the reduced DFS
+    (:func:`_explore_reduced`) extends each run instead and resumes its
+    siblings at recorded branch points.  The result is the bounded
+    behaviour set ``[[P]]_{L[D]}`` — "the set of logs generated by
+    playing the game under all possible schedulers" (§2).
 
     ``coverage`` (optional) accumulates the explored schedule-prefix
     counts and depth histogram; when omitted and observability is on, a
@@ -612,7 +653,7 @@ def enumerate_game_logs(
         try:
             if reducing:
                 plan, runs, pruned = _explore_reduced(
-                    run_one, axes, max_rounds, max_runs, [()], stats,
+                    run_one, axes, max_rounds, max_runs, [None], stats,
                     frontier_depth=split, redundancy=redundancy,
                     invisible=invisible,
                 )
@@ -622,11 +663,13 @@ def enumerate_game_logs(
                     redundancy=redundancy,
                 )
             if split is not None:
-                frontier = [prefix for result, prefix in plan if result is None]
+                # A deferred subtree: a decision prefix (seed DFS) or a
+                # (branch point, pick) resume entry (reduced DFS).
+                frontier = [entry for result, entry in plan if result is None]
 
-                def explore_subtrees(prefixes):
+                def explore_subtrees(entries):
                     out = []
-                    for prefix in prefixes:
+                    for entry in entries:
                         sub_red = (
                             RedundancyBuilder("machine.schedules")
                             if profile_enabled() else None
@@ -636,14 +679,14 @@ def enumerate_game_logs(
                             # collectors (a pool sink in workers).
                             sub_stats = ReductionStats(axes)
                             sub_plan, sub_runs, sub_pruned = _explore_reduced(
-                                run_one, axes, max_rounds, max_runs, [prefix],
+                                run_one, axes, max_rounds, max_runs, [entry],
                                 sub_stats, redundancy=sub_red,
                                 invisible=invisible,
                             )
                             contribute(sub_stats)
                         else:
                             sub_plan, sub_runs, sub_pruned = _explore_prefixes(
-                                run_one, max_rounds, max_runs, [prefix],
+                                run_one, max_rounds, max_runs, [entry],
                                 redundancy=sub_red,
                             )
                         out.append((
@@ -663,7 +706,7 @@ def enumerate_game_logs(
                     for entry in chunk_out
                 ]
                 cursor = 0
-                for result, _prefix in plan:
+                for result, _entry in plan:
                     if result is not None:
                         results.append(result)
                     else:
@@ -681,7 +724,7 @@ def enumerate_game_logs(
                         f"(max_rounds={max_rounds})"
                     )
             else:
-                results = [result for result, _prefix in plan]
+                results = [result for result, _entry in plan]
         except OutOfFuel:
             if coverage is not None:
                 coverage.exhausted = False

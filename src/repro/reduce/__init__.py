@@ -20,11 +20,12 @@ gated techniques:
     chosen subtree, so the siblings are pruned) and *sleep sets*
     (participants explored earlier at a decision stay asleep in a later
     sibling's subtree for as long as the executed steps are silent, so
-    the transposed duplicates are never scheduled at all).  The same
-    axis replaces prefix *replays* (re-running a whole game to reach
-    one new decision point) with path extension: the run keeps going
-    past the end of its decision script and records the sibling
-    branches it passes.
+    the transposed duplicates are never scheduled at all).  The reduced
+    DFS also replaces prefix *replays* (re-running a whole game to reach
+    one new decision point) with path extension: a run keeps going past
+    its branch round and records the branch points it passes, and each
+    sibling run resumes at its recorded branch point without
+    re-deciding the rounds before it.
 
 ``transpo``
     A hash-consed transposition table (:mod:`repro.reduce.dpor`) keyed

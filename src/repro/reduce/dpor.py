@@ -1,12 +1,29 @@
-"""DPOR path extension, sleep sets and the transposition table.
+"""DPOR path extension, branch-point resumption, sleep sets, transposition.
 
 The exhaustive game enumerator (:func:`repro.core.machine.enumerate_game_logs`)
-explores scheduling-decision prefixes.  The seed engine replays a whole
-game per prefix just to reach one new decision point; this module
+explores scheduling decisions.  The seed engine replays a whole game per
+decision prefix just to reach one new decision point; this module
 supplies a scheduler that instead *extends* the path at each decision
-point (recording the sibling branches for later), keeps sleep sets that
-suppress schedules equivalent to already-explored ones, and cuts runs
-whose state was already explored.
+point (recording the sibling branches for later), resumes each sibling
+at the recorded branch point, keeps sleep sets that suppress schedules
+equivalent to already-explored ones, and cuts runs whose state was
+already explored.
+
+Branch-point resumption
+    At every multi-candidate round the scheduler records a
+    :class:`BranchPoint`: the tid of every earlier round, the log and
+    ready set at this round (held by reference), and its own state
+    after this round's sleep update.  A sibling run is the stack entry
+    ``(branch point, sibling tid)``.  Its game takes the recorded tids
+    for the earlier rounds without consulting the scheduler (player
+    code still re-executes them: generators cannot be copied), then
+    asks the scheduler, which checks that the replayed log and ready
+    set equal the recorded ones, installs the recorded state and picks
+    the sibling.  A mismatch — or a recorded tid that is no longer
+    ready, or a replay that ends or gets stuck before the branch round
+    — raises :class:`~repro.core.errors.ReplayDivergence`: the replay
+    presumes players are deterministic functions of the log, and that
+    premise is checked on the log and ready set, not on private state.
 
 Independence relation (``dpor``)
     A scheduling step is *silent* when it appends no non-sched event.
@@ -39,22 +56,22 @@ Independence relation (``dpor``)
     sleep pruning is exact even at the ``max_rounds`` boundary.
 
 State key (``transpo``)
-    At every post-script scheduling point the scheduler fingerprints
-    ``(non-sched log, per-participant step counts, ready set, sleep
-    set)`` with the profiler's own hash-consing helper.  Deterministic
-    lint-clean players are a function of exactly that state: the log
-    *is* the shared state in the push/pull model, each player's
-    observations are replay-determined by its events' positions in the
-    log, and the step counts pin down program points that silent steps
-    do not surface in the log.  The sleep set is part of the key
-    because a revisit carrying a *smaller* sleep set owes schedules the
-    first visit suppressed — the classic unsound interaction between
-    sleep sets and state caching — so only a state revisited with an
-    identical sleep set is cut.  Keys are only consulted past the
-    decision script (replaying a recorded prefix must not cut itself)
-    and the table is scoped to one explored subtree — the same scope
-    serially and under ``REPRO_JOBS``, which is what keeps reduced
-    enumeration byte-stable across worker counts.
+    At every scheduling point past the branch round the scheduler
+    fingerprints ``(non-sched log, per-participant step counts, ready
+    set, sleep set)`` with the profiler's own hash-consing helper.
+    Deterministic lint-clean players are a function of exactly that
+    state: the log *is* the shared state in the push/pull model, each
+    player's observations are replay-determined by its events'
+    positions in the log, and the step counts pin down program points
+    that silent steps do not surface in the log.  The sleep set is part
+    of the key because a revisit carrying a *smaller* sleep set owes
+    schedules the first visit suppressed — the classic unsound
+    interaction between sleep sets and state caching — so only a state
+    revisited with an identical sleep set is cut.  Replayed rounds and
+    the branch round are never looked up (replaying a recorded prefix
+    must not cut itself), and the table is scoped to one explored
+    subtree — the same scope serially and under ``REPRO_JOBS``, which
+    is what keeps reduced enumeration byte-stable across worker counts.
 
 Static independence seeds (``static-indep``)
     The interprocedural dependency analysis
@@ -83,8 +100,11 @@ Static independence seeds (``static-indep``)
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, List, NamedTuple, NoReturn, Optional, Set, Tuple,
+)
 
+from ..core.errors import ReplayDivergence
 from ..obs.metrics import inc
 from ..obs.trace import obs_enabled
 from .fingerprint import extend_chain, state_fingerprint
@@ -121,31 +141,60 @@ class TranspositionTable:
         return False
 
 
-class ReducingScheduler:
-    """Scripted scheduler with path extension, sleep sets, transposition.
+class BranchPoint(NamedTuple):
+    """A multi-candidate decision round, recorded for its sibling runs.
 
-    Follows ``script`` exactly (the recorded decision prefix), then
-    keeps choosing the smallest awake ready participant instead of
-    raising ``NeedChoice`` — recording sibling branches in ``branches``
-    as ``(depth, siblings)`` pairs, where ``depth`` indexes into
-    ``picks``.  Only multi-candidate rounds consume a script entry or
-    record a pick; rounds forced by a singleton ready set or by sleep
-    are replayed positionally, which is what lets a recorded prefix
-    rebuild the very sleep sets that forced them.
+    ``history`` is the tid of every earlier round; ``events`` and
+    ``ready`` are the log and the ready set at this round, held by
+    reference.  The rest is the scheduler's state after this round's
+    sleep update: the sleep set, the per-participant step counts, the
+    non-sched event chain and the decision depth (picks made at earlier
+    branch points).
+    """
+
+    history: Tuple[int, ...]
+    events: Tuple[Any, ...]
+    ready: FrozenSet[int]
+    sleep: FrozenSet[int]
+    counts: Dict[int, int]
+    chain: int
+    depth: int
+
+
+#: A DFS stack entry: resume at the branch point and pick the sibling
+#: there.  ``None`` is the root run, which starts from the first round.
+Resume = Optional[Tuple[BranchPoint, int]]
+
+
+class ReducingScheduler:
+    """Resuming scheduler with path extension, sleep sets, transposition.
+
+    A run resumed at ``(point, sibling)`` exposes ``history``: the tids
+    of the rounds before the branch round, which
+    :func:`~repro.core.machine.run_game` replays without calling
+    :meth:`pick`.  The first pick checks the replayed log and ready set
+    against the record, installs the recorded state and picks
+    ``sibling``.  From there on (and from the first round of the root
+    run) the scheduler keeps choosing the smallest awake ready
+    participant instead of raising ``NeedChoice``, recording a
+    :class:`BranchPoint` at each multi-candidate round and the sibling
+    groups it leaves in ``branches`` as ``(point, siblings)`` pairs.
+    ``last`` is the latest pick with the point it was made at: a run
+    cut at the frontier defers that subtree as this entry.
 
     Duck-typed against :class:`repro.core.machine.GameScheduler`; it
     lives here so the reduction engine carries no import of the machine.
     """
 
     __slots__ = (
-        "script", "cursor", "dpor", "table", "stats", "frontier_depth",
-        "redundancy", "picks", "counts", "branches", "sleep", "invisible",
-        "_sleep_next", "_pending", "_scanned", "_chain",
+        "history", "dpor", "table", "stats", "frontier_depth", "redundancy",
+        "invisible", "depth", "counts", "branches", "sleep", "last",
+        "_resume", "_rounds", "_sleep_next", "_pending", "_scanned", "_chain",
     )
 
     def __init__(
         self,
-        script: Tuple[int, ...],
+        resume: Resume,
         axes: FrozenSet[str],
         stats: ReductionStats,
         table: Optional[TranspositionTable] = None,
@@ -153,8 +202,9 @@ class ReducingScheduler:
         redundancy=None,
         invisible: FrozenSet[int] = frozenset(),
     ):
-        self.script = tuple(script)
-        self.cursor = 0
+        self._resume = resume
+        #: Tids of the recorded rounds the game replays before a pick.
+        self.history: Tuple[int, ...] = resume[0].history if resume else ()
         self.dpor = DPOR in axes
         self.table = table if TRANSPO in axes else None
         #: Statically invisible participants (``static-indep`` seeds):
@@ -163,29 +213,30 @@ class ReducingScheduler:
         self.stats = stats
         self.frontier_depth = frontier_depth
         self.redundancy = redundancy
-        #: Decision picks made so far (script + extensions).
-        self.picks: List[int] = list(script)
+        #: Decision picks made so far (the resumed pick included).
+        self.depth = 0
         #: Per-participant scheduled-step counts (every round).
         self.counts: Dict[int, int] = {}
-        #: Resolved sibling groups: ``(depth, [sibling tids])``.
-        self.branches: List[Tuple[int, List[int]]] = []
+        #: Resolved sibling groups: ``(branch point, [sibling tids])``.
+        self.branches: List[Tuple[BranchPoint, List[int]]] = []
         #: Participants whose pending step commutes into an explored
         #: subtree; excluded from scheduling until a non-silent step.
         self.sleep: FrozenSet[int] = frozenset()
+        self.last: Resume = resume
+        #: The tid of every round so far.
+        self._rounds: List[int] = list(self.history)
         #: Sleep set to install if the step just taken stays silent.
         self._sleep_next: Optional[FrozenSet[int]] = None
-        #: Unresolved last decision: ``(chosen, siblings, depth, chain)``.
-        self._pending: Optional[Tuple[int, List[int], int, int]] = None
+        #: Unresolved last decision: ``(chosen, siblings, point)``.
+        self._pending: Optional[Tuple[int, List[int], BranchPoint]] = None
         self._scanned = 0
         self._chain = 0
 
     def pick(self, log, ready: FrozenSet[int]) -> int:
+        if self._resume is not None:
+            return self._branch_round(log, ready)
         if obs_enabled():
-            # Step-level redundancy: rounds spent re-executing the
-            # recorded prefix, which a sibling run already executed.
             inc("machine.schedule_rounds")
-            if self.cursor < len(self.script):
-                inc("machine.schedule_rounds_replayed")
         events = log.events
         chain = self._chain
         for event in events[self._scanned:]:
@@ -208,33 +259,6 @@ class ReducingScheduler:
             # explored under an earlier sibling.
             self.stats.prune(DPOR)
             raise PruneRun()
-        if self.cursor < len(self.script):
-            if len(candidates) == 1:
-                # A forced round (singleton ready set, or sleep left one
-                # participant awake) recorded no pick, so it consumes no
-                # script entry on replay either.
-                tid = candidates[0]
-                self._sleep_next = self.sleep
-            else:
-                tid = self.script[self.cursor]
-                self.cursor += 1
-                if tid not in ready:
-                    # Stale decision (participant already finished):
-                    # pick deterministically, as ScriptScheduler does.
-                    tid = candidates[0]
-                else:
-                    # Rebuild the sleep set along the recorded path:
-                    # siblings explored before ``tid`` go (or stay)
-                    # asleep while its step is silent.  Invisible
-                    # participants were never explored as siblings
-                    # (deferral dropped them), so they must stay awake —
-                    # their completion happens inside this subtree.
-                    self._sleep_next = self.sleep | frozenset(
-                        t for t in candidates
-                        if t < tid and t not in self.invisible
-                    )
-            self.counts[tid] = self.counts.get(tid, 0) + 1
-            return tid
         if self.table is not None and self.table.seen(
             state_fingerprint(
                 chain, tuple(sorted(self.counts.items())), ready, self.sleep
@@ -248,7 +272,7 @@ class ReducingScheduler:
         else:
             if (
                 self.frontier_depth is not None
-                and len(self.picks) >= self.frontier_depth
+                and self.depth >= self.frontier_depth
             ):
                 raise DeferRun()
             if self.redundancy is not None:
@@ -264,22 +288,90 @@ class ReducingScheduler:
                 if len(kept) != len(siblings):
                     self.stats.prune(STATIC_INDEP, len(siblings) - len(kept))
                 siblings = kept
+            point = BranchPoint(
+                tuple(self._rounds), events, ready, self.sleep,
+                dict(self.counts), chain, self.depth,
+            )
             if self.dpor:
-                self._pending = (tid, siblings, len(self.picks), chain)
+                self._pending = (tid, siblings, point)
                 self._sleep_next = self.sleep
             elif siblings:
-                self.branches.append((len(self.picks), siblings))
-            self.picks.append(tid)
+                self.branches.append((point, siblings))
+            self.depth += 1
+            self.last = (point, tid)
         self.counts[tid] = self.counts.get(tid, 0) + 1
+        self._rounds.append(tid)
         return tid
+
+    def _branch_round(self, log, ready: FrozenSet[int]) -> int:
+        """Check the replay against the record, then pick the sibling."""
+        point, tid = self._resume
+        if obs_enabled():
+            # Step-level redundancy: the replayed rounds and this one
+            # re-execute a prefix that the parent run already executed.
+            replayed = len(point.history) + 1
+            inc("machine.schedule_rounds", replayed)
+            inc("machine.schedule_rounds_replayed", replayed)
+        events = log.events
+        if events != point.events:
+            self.diverged(
+                log, len(point.history), "the log differs from the recorded one"
+            )
+        if ready != point.ready:
+            self.diverged(
+                log, len(point.history),
+                f"ready set {sorted(ready)} differs from the recorded "
+                f"{sorted(point.ready)}",
+            )
+        self._resume = None
+        self.sleep = point.sleep
+        self.counts = dict(point.counts)
+        self._chain = point.chain
+        self._scanned = len(events)
+        self.depth = point.depth + 1
+        if self.dpor:
+            # Siblings explored before ``tid`` go (or stay) asleep while
+            # its step is silent.  Invisible participants were never
+            # explored as siblings (deferral dropped them), so they must
+            # stay awake — their completion happens inside this subtree.
+            self._sleep_next = point.sleep | frozenset(
+                t for t in ready - point.sleep
+                if t < tid and t not in self.invisible
+            )
+        self.counts[tid] = self.counts.get(tid, 0) + 1
+        self._rounds.append(tid)
+        return tid
+
+    def diverged(self, log, round_index: int, reason: str) -> NoReturn:
+        """Raise :class:`ReplayDivergence` for a replay off its record.
+
+        ``log`` is the replayed log at round ``round_index``; the
+        reported index is the first position where it differs from the
+        log recorded at the branch round.
+        """
+        point = self._resume[0]
+        replayed, recorded = log.events, point.events
+        index = next(
+            (i for i, (a, b) in enumerate(zip(replayed, recorded)) if a != b),
+            None,
+        )
+        # Before the branch round the replayed log may still be a prefix
+        # of the recorded one; it may never outgrow it.
+        at_branch = round_index == len(point.history)
+        if index is None and (
+            len(replayed) > len(recorded)
+            or (at_branch and len(replayed) < len(recorded))
+        ):
+            index = min(len(replayed), len(recorded))
+        raise ReplayDivergence(round_index, index, reason)
 
     def _resolve(self, ready: Optional[FrozenSet[int]]) -> None:
         pending = self._pending
         if pending is None:
             return
         self._pending = None
-        chosen, siblings, depth, chain_before = pending
-        silent = self._chain == chain_before
+        chosen, siblings, point = pending
+        silent = self._chain == point.chain
         still_running = ready is not None and chosen in ready
         if silent and still_running:
             # First-branch dominance: the chosen step touched no shared
@@ -288,16 +380,16 @@ class ReducingScheduler:
             # conservatively kept.)
             self.stats.prune(DPOR, len(siblings))
         elif siblings:
-            self.branches.append((depth, siblings))
+            self.branches.append((point, siblings))
 
     def finalize(self) -> None:
         """Resolve the last decision conservatively when the run ends."""
         pending = self._pending
         if pending is not None:
             self._pending = None
-            _chosen, siblings, depth, _chain = pending
+            _chosen, siblings, point = pending
             if siblings:
-                self.branches.append((depth, siblings))
+                self.branches.append((point, siblings))
 
     def fresh(self) -> "ReducingScheduler":  # pragma: no cover - protocol
         raise TypeError("ReducingScheduler instances are single-use")

@@ -14,6 +14,8 @@ import json
 import os
 import pickle
 
+import pytest
+
 from repro.analysis.rules import RULESET_VERSION
 from repro.core import FuncImpl, SimConfig, fun_rule
 from repro.parallel.cache import ENGINE_VERSION, cache_key
@@ -39,6 +41,7 @@ class TestRulesetVersioning:
     def test_ruleset_version_folded_into_engine_version(self):
         assert RULESET_VERSION in ENGINE_VERSION
 
+    @pytest.mark.usefixtures("obs_off")
     def test_older_ruleset_entry_is_recomputed(
         self, monkeypatch, tmp_path, counter_base, counter_overlay,
         ret_only_rel,
@@ -108,6 +111,7 @@ class TestRulesetVersioning:
 
 
 class TestByteIdentityWithLint:
+    @pytest.mark.usefixtures("obs_off")
     def test_serial_parallel_cached_identical(
         self, monkeypatch, tmp_path, counter_base, counter_overlay,
         ret_only_rel,
@@ -126,6 +130,7 @@ class TestByteIdentityWithLint:
         assert cert_bytes(cold.certificate) == expected
         assert cert_bytes(warm.certificate) == expected
 
+    @pytest.mark.usefixtures("obs_off")
     def test_lint_modes_agree_on_clean_input_bytes(
         self, monkeypatch, counter_base, counter_overlay, ret_only_rel
     ):

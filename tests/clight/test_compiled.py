@@ -15,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_interp
-from repro import obs
 from repro.clight import (
     Arr,
     Assert,
@@ -299,16 +298,6 @@ class TestAgreement:
         ends = [assert_agree(unit, (1, 2), fuel) for fuel in range(80)]
         assert ends[0]["stuck"] == "participant 1 ran out of fuel"
         assert ends[-1]["ret"] == 5
-
-
-@pytest.fixture
-def obs_off():
-    """Certificates are byte-stable only with observability off."""
-    was_on = obs.obs_enabled()
-    obs.disable()
-    yield
-    if was_on:
-        obs.enable(reset=False)
 
 
 def ticket_game():

@@ -51,6 +51,22 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture
+def obs_off():
+    """Run the test with observability off, then resume a session capture.
+
+    The byte-identity contract covers obs-off certificates.  Obs-on ones
+    carry provenance that legitimately differs between the runs a test
+    compares: worker count, wall time, cache hit or miss.
+    """
+    from repro import obs
+
+    obs.disable()
+    yield
+    if os.environ.get(CAPTURE_ENV):
+        obs.enable(reset=False)
+
+
+@pytest.fixture
 def lock_base():
     """``Lx86`` over two CPUs with the ticket-lock rely/guarantee."""
     return lx86_interface(

@@ -46,6 +46,7 @@ def _certify(tmp_path, monkeypatch, jobs):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache-{jobs}"))
     monkeypatch.setenv("REPRO_JOBS", str(jobs))
     monkeypatch.setenv("REPRO_JOBS_FORCE", "1")
+    monkeypatch.setenv("REPRO_REDUCE", "on")
     with obs.profiling():
         stack = certify_ticket_lock([1, 2], use_c_source=False)
         soundness = check_soundness(

@@ -153,7 +153,13 @@ class TestMetricsWindow:
 
 
 class TestScheduleRounds:
-    """Step-level redundancy: picks that re-execute a recorded prefix."""
+    """Step-level redundancy: rounds that re-execute a recorded prefix."""
+
+    #: ``(machine.schedule_rounds, machine.schedule_rounds_replayed)``.
+    #: Resumed runs take their replayed rounds from a branch point
+    #: without calling ``pick``; those rounds still count, so the values
+    #: are the ones the script-following scheduler counted per pick.
+    ROUNDS = {"on": (6_373, 5_373), "off": (38_410, 35_080)}
 
     @pytest.mark.parametrize("reduce", ["on", "off"])
     def test_two_client_ticket_game(self, reduce):
@@ -169,7 +175,10 @@ class TestScheduleRounds:
         )
         counters = obs.snapshot()["counters"]
         rounds = counters["machine.schedule_rounds"]
-        assert 0 < counters["machine.schedule_rounds_replayed"] < rounds
-        # Counted at pick: runs cut short by NeedChoice or PruneRun,
-        # which machine.game_rounds skips, count too.
+        replayed = counters["machine.schedule_rounds_replayed"]
+        assert (rounds, replayed) == self.ROUNDS[reduce]
+        assert 0 < replayed < rounds
+        # Counted per scheduling round: the rounds at which a run is cut
+        # short by NeedChoice or PruneRun, which machine.game_rounds
+        # skips, count too.
         assert rounds > counters["machine.game_rounds"]

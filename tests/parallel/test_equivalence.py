@@ -102,6 +102,7 @@ class TestCheckSimEquivalence:
             judgment="bump ≤ bump", jobs=jobs,
         )
 
+    @pytest.mark.usefixtures("obs_off")
     def test_parallel_matches_serial(self):
         assert cert_bytes(self._run(jobs=2)) == cert_bytes(self._run(jobs=1))
 
@@ -119,6 +120,7 @@ class TestCheckSimEquivalence:
             judgment="lie ≤ bump", jobs=jobs,
         )
 
+    @pytest.mark.usefixtures("obs_off")
     def test_failing_obligations_cross_process(self):
         serial = self._run_failing(jobs=1)
         parallel = self._run_failing(jobs=2)
@@ -160,6 +162,7 @@ class TestScenarioEquivalence:
             jobs=jobs,
         )
 
+    @pytest.mark.usefixtures("obs_off")
     def test_per_scenario_fanout_matches_serial(self):
         assert cert_bytes(self._run(jobs=2)) == cert_bytes(self._run(jobs=1))
 
@@ -175,6 +178,7 @@ class TestSoundnessEquivalence:
             certified_stack(), clients=self.CLIENTS, max_rounds=24, jobs=jobs,
         )
 
+    @pytest.mark.usefixtures("obs_off")
     def test_per_client_fanout_matches_serial(self):
         serial = self._run(jobs=1)
         parallel = self._run(jobs=2)
@@ -218,6 +222,7 @@ class TestGameEnumerationEquivalence:
 
 
 class TestCachedRunEquivalence:
+    @pytest.mark.usefixtures("obs_off")
     def test_rule_cache_cold_warm_byte_identical(self, monkeypatch, tmp_path):
         serial = check_soundness(
             certified_stack(),
@@ -238,6 +243,7 @@ class TestCachedRunEquivalence:
         assert cert_bytes(cold) == cert_bytes(serial)
         assert cert_bytes(warm) == cert_bytes(serial)
 
+    @pytest.mark.usefixtures("obs_off")
     def test_warm_failing_rule_raises_identically(self, monkeypatch, tmp_path):
         from repro.core import VerificationError
 

@@ -69,6 +69,7 @@ class TestEditOnePrimitive:
         # Rule-level hits mean the obligation layer is never consulted.
         assert warm == {"reused": 0, "rechecked": 0, "slice_misses": 0}
 
+    @pytest.mark.usefixtures("obs_off")
     def test_edited_bytes_match_edited_cold_run(
         self, cache, monkeypatch, tmp_path
     ):
@@ -125,7 +126,7 @@ class TestWorkerCountsReachTheParent:
         assert serial == {"reused": 0, "rechecked": 2, "slice_misses": 0}
         assert self._counts(tmp_path, monkeypatch, jobs=2) == serial
 
-    def test_reduction_tallies_equal_serial(self):
+    def test_reduction_tallies_equal_serial(self, monkeypatch):
         from repro.core import (
             ID_REL, Event, LayerInterface, SimConfig, check_sim, prim_player,
             shared_prim,
@@ -140,6 +141,7 @@ class TestWorkerCountsReachTheParent:
         iface = LayerInterface(
             "Cnt", (1, 2), {"bump": shared_prim("bump", bump_spec)}
         )
+        monkeypatch.setenv("REPRO_REDUCE", "on")
 
         def tallies(jobs):
             # One argument vector: the environment contexts are chunked
@@ -180,6 +182,7 @@ class TestCrossProcessStability:
 
 class TestFiveModeByteIdentity:
     @pytest.mark.parametrize("stack", ["ticket", "mcs"])
+    @pytest.mark.usefixtures("obs_off")
     def test_modes_agree(self, stack, tmp_path, monkeypatch):
         from repro.serve.protocol import execute_job, run_stack, result_bytes
 

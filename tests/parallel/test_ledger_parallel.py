@@ -155,6 +155,7 @@ class TestConcurrentAppenders:
 class TestCertificateBytesUnperturbed:
     """Acceptance: ledger armed + obs off leaves cert bytes identical."""
 
+    @pytest.mark.usefixtures("obs_off")
     def test_serial_parallel_cached_identical(self, tmp_path, monkeypatch):
         reference = _soundness(jobs=1)  # no ledger armed at all
         with store.ledger(str(tmp_path / "s"), object="counter_stack"):

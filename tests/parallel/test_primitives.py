@@ -188,6 +188,7 @@ class TestCache:
         cached_certificate("Test", ("a",), compute)
         assert len(calls) == 2  # no caching without opt-in
 
+    @pytest.mark.usefixtures("obs_off")
     def test_cold_then_warm(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert cache_enabled()
@@ -217,6 +218,7 @@ class TestCache:
         cached_certificate("Test", (lambda: 2,), compute)  # changed code
         assert len(calls) == 2
 
+    @pytest.mark.usefixtures("obs_off")
     def test_failing_certificates_cached(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 

@@ -1,0 +1,353 @@
+"""The script-following reducing scheduler, kept as a test oracle.
+
+Before branch-point resumption, a sibling run of the reduced DFS was a
+*decision script*: the picks of every multi-candidate round up to the
+sibling's.  The scheduler was asked at every round, re-decided the
+replayed rounds from the script, and rebuilt the sleep sets along the
+path.  :class:`ReducingScheduler` and :func:`_explore_reduced` below are
+that engine, verbatim.  :func:`drive` runs either reduced DFS the way
+:func:`repro.core.machine.enumerate_game_logs` runs the engine's (frontier
+split at the same depth, subtree tallies contributed to the ambient
+collectors, results spliced in serial order); :func:`reference_enumerate`
+drives this one.  ``tests/reduce/test_resume.py`` checks that the
+resuming engine enumerates exactly what this one does.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+
+from repro.analysis.independence import static_invisible_tids
+from repro.core.errors import OutOfFuel
+from repro.core.machine import _FRONTIER_DEPTH, GameResult, run_game
+from repro.obs.heartbeat import heartbeat
+from repro.obs.metrics import inc
+from repro.obs.profile import RedundancyBuilder
+from repro.obs.trace import obs_enabled
+from repro.parallel.pool import parallel_map
+from repro.reduce import STATIC_INDEP, ReductionStats, contribute
+from repro.reduce.dpor import (
+    DPOR,
+    TRANSPO,
+    DeferRun,
+    PruneRun,
+    TranspositionTable,
+)
+from repro.reduce.fingerprint import extend_chain, state_fingerprint
+
+
+class ReducingScheduler:
+    """Scripted scheduler with path extension, sleep sets, transposition.
+
+    Follows ``script`` exactly (the recorded decision prefix), then
+    keeps choosing the smallest awake ready participant instead of
+    raising ``NeedChoice`` — recording sibling branches in ``branches``
+    as ``(depth, siblings)`` pairs, where ``depth`` indexes into
+    ``picks``.  Only multi-candidate rounds consume a script entry or
+    record a pick; rounds forced by a singleton ready set or by sleep
+    are replayed positionally, which is what lets a recorded prefix
+    rebuild the very sleep sets that forced them.
+
+    Duck-typed against :class:`repro.core.machine.GameScheduler`; it
+    lives here so the reduction engine carries no import of the machine.
+    """
+
+    __slots__ = (
+        "script", "cursor", "dpor", "table", "stats", "frontier_depth",
+        "redundancy", "picks", "counts", "branches", "sleep", "invisible",
+        "_sleep_next", "_pending", "_scanned", "_chain",
+    )
+
+    def __init__(
+        self,
+        script: Tuple[int, ...],
+        axes: FrozenSet[str],
+        stats: ReductionStats,
+        table: Optional[TranspositionTable] = None,
+        frontier_depth: Optional[int] = None,
+        redundancy=None,
+        invisible: FrozenSet[int] = frozenset(),
+    ):
+        self.script = tuple(script)
+        self.cursor = 0
+        self.dpor = DPOR in axes
+        self.table = table if TRANSPO in axes else None
+        #: Statically invisible participants (``static-indep`` seeds):
+        #: never branched on as siblings, still schedulable.
+        self.invisible = invisible if STATIC_INDEP in axes else frozenset()
+        self.stats = stats
+        self.frontier_depth = frontier_depth
+        self.redundancy = redundancy
+        #: Decision picks made so far (script + extensions).
+        self.picks: List[int] = list(script)
+        #: Per-participant scheduled-step counts (every round).
+        self.counts: Dict[int, int] = {}
+        #: Resolved sibling groups: ``(depth, [sibling tids])``.
+        self.branches: List[Tuple[int, List[int]]] = []
+        #: Participants whose pending step commutes into an explored
+        #: subtree; excluded from scheduling until a non-silent step.
+        self.sleep: FrozenSet[int] = frozenset()
+        #: Sleep set to install if the step just taken stays silent.
+        self._sleep_next: Optional[FrozenSet[int]] = None
+        #: Unresolved last decision: ``(chosen, siblings, depth, chain)``.
+        self._pending: Optional[Tuple[int, List[int], int, int]] = None
+        self._scanned = 0
+        self._chain = 0
+
+    def pick(self, log, ready: FrozenSet[int]) -> int:
+        if obs_enabled():
+            # Step-level redundancy: rounds spent re-executing the
+            # recorded prefix, which a sibling run already executed.
+            inc("machine.schedule_rounds")
+            if self.cursor < len(self.script):
+                inc("machine.schedule_rounds_replayed")
+        events = log.events
+        chain = self._chain
+        for event in events[self._scanned:]:
+            if not event.is_sched():
+                chain = extend_chain(chain, event)
+        silent = chain == self._chain and self._scanned
+        self._chain = chain
+        self._scanned = len(events)
+        if self.dpor:
+            if self._sleep_next is not None:
+                self.sleep = self._sleep_next if silent else frozenset()
+                self._sleep_next = None
+            if self.sleep:
+                self.sleep = self.sleep & ready
+        self._resolve(ready)
+        candidates = sorted(ready - self.sleep) if self.sleep else sorted(ready)
+        if not candidates:
+            # Every ready participant is asleep: each continuation
+            # commutes, transposition by transposition, into a subtree
+            # explored under an earlier sibling.
+            self.stats.prune(DPOR)
+            raise PruneRun()
+        if self.cursor < len(self.script):
+            if len(candidates) == 1:
+                # A forced round (singleton ready set, or sleep left one
+                # participant awake) recorded no pick, so it consumes no
+                # script entry on replay either.
+                tid = candidates[0]
+                self._sleep_next = self.sleep
+            else:
+                tid = self.script[self.cursor]
+                self.cursor += 1
+                if tid not in ready:
+                    # Stale decision (participant already finished):
+                    # pick deterministically, as ScriptScheduler does.
+                    tid = candidates[0]
+                else:
+                    # Rebuild the sleep set along the recorded path:
+                    # siblings explored before ``tid`` go (or stay)
+                    # asleep while its step is silent.  Invisible
+                    # participants were never explored as siblings
+                    # (deferral dropped them), so they must stay awake —
+                    # their completion happens inside this subtree.
+                    self._sleep_next = self.sleep | frozenset(
+                        t for t in candidates
+                        if t < tid and t not in self.invisible
+                    )
+            self.counts[tid] = self.counts.get(tid, 0) + 1
+            return tid
+        if self.table is not None and self.table.seen(
+            state_fingerprint(
+                chain, tuple(sorted(self.counts.items())), ready, self.sleep
+            )
+        ):
+            self.stats.prune(TRANSPO)
+            raise PruneRun()
+        if len(candidates) == 1:
+            tid = candidates[0]
+            self._sleep_next = self.sleep
+        else:
+            if (
+                self.frontier_depth is not None
+                and len(self.picks) >= self.frontier_depth
+            ):
+                raise DeferRun()
+            if self.redundancy is not None:
+                self.redundancy.branch(len(candidates))
+            tid = candidates[0]
+            siblings = candidates[1:]
+            if self.invisible:
+                # Static deferral: an invisible sibling's subtree maps,
+                # by delaying its purely local step, onto schedules in
+                # the kept subtrees; the participant itself stays
+                # schedulable at later rounds.
+                kept = [s for s in siblings if s not in self.invisible]
+                if len(kept) != len(siblings):
+                    self.stats.prune(STATIC_INDEP, len(siblings) - len(kept))
+                siblings = kept
+            if self.dpor:
+                self._pending = (tid, siblings, len(self.picks), chain)
+                self._sleep_next = self.sleep
+            elif siblings:
+                self.branches.append((len(self.picks), siblings))
+            self.picks.append(tid)
+        self.counts[tid] = self.counts.get(tid, 0) + 1
+        return tid
+
+    def _resolve(self, ready: Optional[FrozenSet[int]]) -> None:
+        pending = self._pending
+        if pending is None:
+            return
+        self._pending = None
+        chosen, siblings, depth, chain_before = pending
+        silent = self._chain == chain_before
+        still_running = ready is not None and chosen in ready
+        if silent and still_running:
+            # First-branch dominance: the chosen step touched no shared
+            # state, so every sibling schedule commutes into the chosen
+            # subtree.  (A finishing step left the ready set, so it is
+            # conservatively kept.)
+            self.stats.prune(DPOR, len(siblings))
+        elif siblings:
+            self.branches.append((depth, siblings))
+
+    def finalize(self) -> None:
+        """Resolve the last decision conservatively when the run ends."""
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            _chosen, siblings, depth, _chain = pending
+            if siblings:
+                self.branches.append((depth, siblings))
+
+    def fresh(self) -> "ReducingScheduler":  # pragma: no cover - protocol
+        raise TypeError("ReducingScheduler instances are single-use")
+
+
+def _explore_reduced(
+    run_one: Callable[[ReducingScheduler], GameResult],
+    axes: FrozenSet[str],
+    max_rounds: int,
+    max_runs: int,
+    stack: List[Tuple[int, ...]],
+    stats: ReductionStats,
+    frontier_depth: Optional[int] = None,
+    redundancy: Optional[RedundancyBuilder] = None,
+    invisible: FrozenSet[int] = frozenset(),
+) -> Tuple[List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]], int, int]:
+    """The reduced DFS: path extension + sleep-set dominance + transposition.
+
+    The :class:`~repro.reduce.dpor.ReducingScheduler` extends each run
+    past its decision script instead of raising :class:`NeedChoice`, so
+    no prefix is ever replayed; the sibling branches it records are
+    pushed shallowest-group-first with each group reverse-sorted, which
+    makes the stack pop the deepest node's smallest sibling next —
+    depth-first order, every subtree contiguous in ``plan`` (the same
+    splice discipline as :func:`_explore_prefixes`).  A run cut by the
+    transposition table or by an all-asleep sleep set counts as
+    ``pruned`` (its continuation was already explored); a run cut at
+    the frontier defers its current decision path as a ``(None,
+    prefix)`` plan entry for a worker.
+
+    The transposition table is scoped to this call — one table per
+    explored subtree, serial and parallel alike, which is what keeps
+    reduced enumeration independent of the worker count.  Cut runs are
+    *not* reported to ``redundancy`` as replays: the redundancy ratio
+    deliberately keeps measuring the residual duplicates among the
+    completed runs (the headroom reduction has not yet removed), while
+    the cuts land in ``stats`` (see DESIGN.md).
+    """
+    plan: List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]] = []
+    runs = 0
+    pruned = 0
+    table = TranspositionTable(stats) if "transpo" in axes else None
+    while stack:
+        prefix = stack.pop()
+        runs += 1
+        heartbeat("machine.schedules", explored=runs, budget=max_runs)
+        if runs > max_runs:
+            raise OutOfFuel(
+                f"behaviour enumeration exceeded {max_runs} runs "
+                f"(max_rounds={max_rounds})"
+            )
+        scheduler = ReducingScheduler(
+            prefix, axes, stats, table=table,
+            frontier_depth=frontier_depth, redundancy=redundancy,
+            invisible=invisible,
+        )
+        try:
+            result = run_one(scheduler)
+        except PruneRun:
+            # The scheduler already tallied the cut under its axis
+            # (transposition hit or all-asleep sleep-set cut).
+            pruned += 1
+        except DeferRun:
+            plan.append((None, tuple(scheduler.picks)))
+        else:
+            plan.append((result, None))
+        scheduler.finalize()
+        base = tuple(scheduler.picks)
+        for depth, siblings in scheduler.branches:
+            stem = base[:depth]
+            for tid in sorted(siblings, reverse=True):
+                stack.append(stem + (tid,))
+    return plan, runs, pruned
+
+
+def drive(
+    explore: Callable,
+    root,
+    interface,
+    players,
+    axes: FrozenSet[str],
+    max_rounds: int,
+    jobs: int = 1,
+) -> Tuple[List[GameResult], int, int]:
+    """A reduced enumeration on ``explore``, split at the engine's frontier.
+
+    ``explore`` is a reduced DFS with the signature of
+    :func:`_explore_reduced` and ``root`` its root stack entry.  Returns
+    ``(results, runs, pruned)``; the reduction tallies reach the ambient
+    collectors.
+    """
+    axes = frozenset(axes)
+    max_runs = 100_000  # enumerate_game_logs' default
+
+    def run_one(scheduler):
+        return run_game(interface, players, scheduler, max_rounds=max_rounds)
+
+    invisible: FrozenSet[int] = frozenset()
+    if STATIC_INDEP in axes and len(players) > 1:
+        invisible = static_invisible_tids(interface, players)
+    split = (
+        _FRONTIER_DEPTH
+        if len(players) > 1 and max_rounds > _FRONTIER_DEPTH
+        else None
+    )
+    stats = ReductionStats(axes)
+    plan, runs, pruned = explore(
+        run_one, axes, max_rounds, max_runs, [root], stats,
+        frontier_depth=split, invisible=invisible,
+    )
+
+    def explore_subtree(entry):
+        sub_stats = ReductionStats(axes)
+        sub_plan, sub_runs, sub_pruned = explore(
+            run_one, axes, max_rounds, max_runs, [entry], sub_stats,
+            invisible=invisible,
+        )
+        contribute(sub_stats)
+        return [r for r, _ in sub_plan], sub_runs, sub_pruned
+
+    frontier = [entry for result, entry in plan if result is None]
+    subtrees = iter(parallel_map(explore_subtree, frontier, jobs=jobs))
+    results: List[GameResult] = []
+    for result, _entry in plan:
+        if result is not None:
+            results.append(result)
+            continue
+        sub_results, sub_runs, sub_pruned = next(subtrees)
+        results.extend(sub_results)
+        runs += sub_runs
+        pruned += sub_pruned
+    contribute(stats)
+    return results, runs, pruned
+
+
+def reference_enumerate(interface, players, axes, max_rounds):
+    """:func:`drive` on the script-following reference DFS, serially."""
+    return drive(_explore_reduced, (), interface, players, axes, max_rounds)

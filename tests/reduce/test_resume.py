@@ -1,0 +1,308 @@
+"""Branch-point resumption: the same enumeration, checked replays.
+
+Two contracts:
+
+* *Differential oracle.*  The resuming DFS enumerates exactly what the
+  script-following DFS it replaced (``reference_dpor.py``) enumerated:
+  every ``GameResult`` in order, the run and pruned counts and the
+  reduction tallies, on the 2-client ticket and MCS Thm 2.2 games and
+  on a 3-participant toy game, under every subset of the machine axes,
+  serially and with two forced workers.
+* *Divergence fails loudly.*  A sibling run replays recorded rounds
+  without re-deciding them, which presumes deterministic players.  A
+  player that behaves differently on a later run raises
+  ``ReplayDivergence`` naming the round and the first differing log
+  index; it never yields a ``Stuck`` verdict or a silent exploration.
+"""
+
+from __future__ import annotations
+
+import itertools
+import pickle
+
+import pytest
+
+import reference_dpor
+from repro import obs
+from repro.analysis.independence import static_invisible_tids
+from repro.core import (
+    LayerInterface,
+    ReplayDivergence,
+    Stuck,
+    call_player,
+    enumerate_game_logs,
+    run_game,
+    seq_player,
+    shared_prim,
+)
+from repro.core.interface import private_prim
+from repro.core.machine import _explore_reduced
+from repro.core.module import link
+from repro.obs.coverage import CoverageBuilder
+from repro.obs.metrics import MetricsWindow
+from repro.reduce import (
+    DPOR,
+    MACHINE_AXES,
+    STATIC_INDEP,
+    TRANSPO,
+    ReductionStats,
+    reduce_active,
+    reduction_collector,
+)
+from repro.reduce.dpor import ReducingScheduler
+
+SUBSETS = [
+    frozenset(axes)
+    for size in range(len(MACHINE_AXES) + 1)
+    for axes in itertools.combinations(sorted(MACHINE_AXES), size)
+]
+
+CLIENT = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
+
+
+def client_players():
+    return {tid: (seq_player(list(calls)), ()) for tid, calls in CLIENT.items()}
+
+
+# --- the games ---------------------------------------------------------------
+
+
+def bump_spec(ctx):
+    yield from ctx.query()
+    ctx.emit("bump", ret=ctx.log.count("bump") + 1)
+    return None
+
+
+def skip_spec(ctx):
+    # A silent step: no event, so it commutes with every other step.
+    return None
+    yield
+
+
+def local_step(ctx):
+    # Purely private: the dependency analysis classifies it invisible.
+    return len(ctx.priv)
+
+
+def toy_game():
+    interface = LayerInterface(
+        "Toy3",
+        [1, 2, 3],
+        {
+            "bump": shared_prim("bump", bump_spec),
+            "skip": shared_prim("skip", skip_spec),
+            "local": private_prim("local", local_step),
+        },
+    )
+    players = {
+        1: (seq_player([("skip", ()), ("bump", ())]), ()),
+        2: (seq_player([("bump", ()), ("skip", ()), ("bump", ())]), ()),
+        3: (call_player("local"), ()),
+    }
+    return [(interface, players, 12)]
+
+
+def certified_games(certify):
+    layer = certify().composed
+    return [
+        (link(layer.underlay, layer.module), client_players(), 14),
+        (layer.overlay, client_players(), 14),
+    ]
+
+
+def ticket_games():
+    from repro.objects.ticket_lock import certify_ticket_lock
+
+    return certified_games(lambda: certify_ticket_lock([1, 2], lock="q0"))
+
+
+def mcs_games():
+    from repro.objects.mcs_lock import certify_mcs_lock
+
+    return certified_games(lambda: certify_mcs_lock([1, 2, 3], lock="q0"))
+
+
+GAMES = {"toy": toy_game, "ticket": ticket_games, "mcs": mcs_games}
+
+
+@pytest.fixture(scope="module")
+def games():
+    built = {}
+
+    def get(name):
+        if name not in built:
+            built[name] = GAMES[name]()
+        return built[name]
+
+    return get
+
+
+def tallied(axes, run):
+    """``run()`` under ``axes``: (results, runs, pruned, tallies)."""
+    with reduce_active(axes), reduction_collector(axes) as stats:
+        results, runs, pruned = run()
+    return results, runs, pruned, stats.as_dict()
+
+
+def reference(interface, players, max_rounds, axes):
+    return tallied(
+        axes,
+        lambda: reference_dpor.reference_enumerate(
+            interface, players, axes, max_rounds
+        ),
+    )
+
+
+def resumed(interface, players, max_rounds, axes, jobs):
+    if not axes:
+        # With no machine axis the engine runs the seed DFS; drive the
+        # resuming DFS directly, as a reduced enumeration would.
+        return tallied(
+            axes,
+            lambda: reference_dpor.drive(
+                _explore_reduced, None, interface, players, axes,
+                max_rounds, jobs=jobs,
+            ),
+        )
+
+    def run():
+        coverage = CoverageBuilder("machine.schedules")
+        with obs.observing(reset=False):
+            window = MetricsWindow()
+            results = enumerate_game_logs(
+                interface, players, max_rounds=max_rounds,
+                coverage=coverage, jobs=jobs,
+            )
+            runs = window.delta()["machine.schedules_explored"]
+        return results, runs, coverage.pruned
+
+    return tallied(axes, run)
+
+
+class TestDifferentialOracle:
+    @pytest.mark.parametrize(
+        "axes", SUBSETS, ids=["+".join(sorted(a)) or "none" for a in SUBSETS]
+    )
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_same_enumeration(self, name, axes, games):
+        for interface, players, max_rounds in games(name):
+            expected = reference(interface, players, max_rounds, axes)
+            assert expected[1] > 1
+            for jobs in (1, 2):
+                got = resumed(interface, players, max_rounds, axes, jobs)
+                assert got[0] == expected[0], f"jobs={jobs}"
+                assert got[1:] == expected[1:], f"jobs={jobs}"
+
+    def test_toy_game_has_an_invisible_player(self, games):
+        interface, players, _ = games("toy")[0]
+        assert static_invisible_tids(interface, players) == frozenset({3})
+
+
+# --- divergence ----------------------------------------------------------------
+
+
+def emit_interface():
+    return LayerInterface("Emit", [1, 2], {})
+
+
+def emitter(*names):
+    """A player that emits ``names`` in order, one per scheduling step."""
+
+    def player(ctx):
+        for i, name in enumerate(names):
+            if i:
+                yield from ctx.query()
+            ctx.emit(name)
+        return len(names)
+
+    return player
+
+
+def flaky(first, later):
+    """A player that runs ``first`` on its first run, ``later`` after."""
+    runs = [0]
+
+    def player(ctx):
+        runs[0] += 1
+        return (yield from (first if runs[0] == 1 else later)(ctx))
+
+    return player
+
+
+class TestDivergence:
+    def enumerate(self, player1, jobs=None):
+        players = {1: (player1, ()), 2: (emitter("x", "y"), ())}
+        with reduce_active({DPOR, TRANSPO, STATIC_INDEP}):
+            return enumerate_game_logs(
+                emit_interface(), players, max_rounds=12, jobs=jobs
+            )
+
+    def test_different_event_on_a_later_run(self):
+        # The first sibling resumes at round 1 after replaying round 0,
+        # where player 1 now emits ``b`` (log index 1) instead of ``a``.
+        with pytest.raises(ReplayDivergence) as info:
+            self.enumerate(flaky(emitter("a", "c"), emitter("b", "c")))
+        assert (info.value.round, info.value.index) == (1, 1)
+        assert "round 1" in str(info.value)
+        assert "first differing log index 1" in str(info.value)
+
+    def test_deterministic_players_do_not_diverge(self):
+        results = self.enumerate(emitter("a", "c"))
+        assert all(result.ok for result in results)
+
+    def record(self, player1):
+        """The branch points of a root run, deepest last."""
+        players = {1: (player1, ()), 2: (emitter("x"), ())}
+        scheduler = ReducingScheduler(
+            None, frozenset({DPOR}), ReductionStats(frozenset({DPOR}))
+        )
+        run_game(emit_interface(), players, scheduler)
+        scheduler.finalize()
+        return players, [point for point, _siblings in scheduler.branches]
+
+    def resume(self, players, point, sibling=2):
+        scheduler = ReducingScheduler(
+            (point, sibling), frozenset({DPOR}),
+            ReductionStats(frozenset({DPOR})),
+        )
+        return run_game(emit_interface(), players, scheduler)
+
+    def test_replay_schedules_a_finished_participant(self):
+        player1 = flaky(emitter("a", "b", "c"), emitter("z"))
+        players, points = self.record(player1)
+        deepest = points[-1]
+        assert deepest.history == (1, 1)
+        # Player 1 now finishes in round 0, emitting ``z`` at index 1,
+        # so the recorded round 1 cannot schedule it.
+        with pytest.raises(ReplayDivergence) as info:
+            self.resume(players, deepest)
+        assert (info.value.round, info.value.index) == (1, 1)
+        assert "participant 1 is not ready" in str(info.value)
+
+    def test_ready_set_checked_when_logs_agree(self):
+        player1 = flaky(emitter("a", "b"), emitter("a"))
+        players, points = self.record(player1)
+        # Same log at the branch round, but player 1 has finished.
+        with pytest.raises(ReplayDivergence) as info:
+            self.resume(players, points[-1])
+        assert (info.value.round, info.value.index) == (1, None)
+        assert "the logs agree so far" in str(info.value)
+        assert "ready set [2]" in str(info.value)
+
+    def test_stuck_replay_is_not_a_stuck_verdict(self):
+        def stuck(ctx):
+            raise Stuck("only on replay")
+            yield
+
+        player1 = flaky(emitter("a", "b"), stuck)
+        players, points = self.record(player1)
+        with pytest.raises(ReplayDivergence) as info:
+            self.resume(players, points[-1])
+        assert info.value.round == 0
+        assert "only on replay" in str(info.value)
+
+    def test_error_is_not_a_verdict_and_crosses_processes(self):
+        assert not issubclass(ReplayDivergence, Stuck)
+        error = ReplayDivergence(3, 7, "the log differs")
+        copy = pickle.loads(pickle.dumps(error))
+        assert (copy.round, copy.index, str(copy)) == (3, 7, str(error))
