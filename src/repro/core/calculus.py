@@ -25,7 +25,7 @@ from ..obs.coverage import CoverageBuilder
 from ..obs.metrics import MetricsWindow, inc, observe
 from ..parallel.cache import cache_enabled, cached_certificate
 from ..parallel.pool import get_jobs
-from ..reduce import reduce_active, reduction_collector, resolve_reduce
+from ..reduce import current_axes, reduce_active, reduction_collector
 from .certificate import (
     Certificate,
     CertifiedLayer,
@@ -132,7 +132,6 @@ def module_rule(
     scenarios: Sequence[Scenario],
     jobs: Optional[int] = None,
     lint: Optional[str] = None,
-    reduce: Optional[Any] = None,
 ) -> CertifiedLayer:
     """``Fun`` generalized to a whole module via protocol scenarios.
 
@@ -167,7 +166,7 @@ def module_rule(
             underlay=underlay, module=module, overlay=overlay,
             relation=relation, interfaces=(underlay, overlay),
         )
-        axes = resolve_reduce(reduce)
+        axes = current_axes()
         obligation_key = None
         if cache_enabled():
             from ..analysis.slices import scenario_obligation_key
@@ -222,7 +221,6 @@ def interface_sim_rule(
     scenarios: Sequence[Scenario],
     jobs: Optional[int] = None,
     lint: Optional[str] = None,
-    reduce: Optional[Any] = None,
 ) -> InterfaceSim:
     """Establish ``L ≤_R L'`` via protocol scenarios (a ``Wk`` premise).
 
@@ -245,7 +243,7 @@ def interface_sim_rule(
             relation=relation,
             interfaces=(low, high),
         )
-        axes = resolve_reduce(reduce)
+        axes = current_axes()
         obligation_key = None
         if cache_enabled():
             from ..analysis.slices import scenario_obligation_key
@@ -317,7 +315,6 @@ def fun_rule(
     config: SimConfig,
     jobs: Optional[int] = None,
     lint: Optional[str] = None,
-    reduce: Optional[Any] = None,
 ) -> CertifiedLayer:
     """``Fun``: certify one function against its overlay specification.
 
@@ -345,7 +342,7 @@ def fun_rule(
             underlay=underlay, module=Module.single(impl), overlay=overlay,
             relation=relation, interfaces=(underlay, overlay),
         )
-        axes = resolve_reduce(reduce)
+        axes = current_axes()
         obligation_key = None
         if cache_enabled():
             from ..analysis.slices import sim_args_obligation_key
@@ -553,7 +550,6 @@ def check_compat_interfaces(
     tids_a: Iterable[int],
     tids_b: Iterable[int],
     universe: Iterable[Log],
-    reduce: Optional[Any] = None,
 ) -> Certificate:
     """``Compat``: check ``compat(L[A], L[B], L[A∪B])`` over a log universe.
 
@@ -567,7 +563,7 @@ def check_compat_interfaces(
     tids_a = sorted(set(tids_a))
     tids_b = sorted(set(tids_b))
     universe = list(universe)
-    axes = resolve_reduce(reduce)
+    axes = current_axes()
 
     def compute() -> Certificate:
         cert = Certificate(

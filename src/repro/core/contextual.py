@@ -39,7 +39,6 @@ from ..reduce import (
     current_axes,
     reduce_active,
     reduction_collector,
-    resolve_reduce,
 )
 from ..reduce.laws import MERGE_COMPATIBLE
 from ..reduce.stats import tally_law
@@ -265,7 +264,6 @@ def check_soundness(
     max_runs: int = 100_000,
     require_progress: bool = True,
     jobs: Optional[int] = None,
-    reduce: Optional[Any] = None,
 ) -> Certificate:
     """Thm 2.2: contextual refinement for a family of client programs.
 
@@ -281,14 +279,10 @@ def check_soundness(
     whole judgment is memoized in the content-addressed certificate
     cache when enabled — keyed by the layer's interfaces, module,
     relation, premise certificate, the clients, the bounds and the
-    active reduction axes.
-
-    ``reduce`` selects the state-space reduction axes (see
-    :mod:`repro.reduce`): ``None`` defers to ``REPRO_REDUCE`` (default
-    all on), ``"off"`` restores the seed's exhaustive exploration.
+    active reduction axes (``REPRO_REDUCE``, see :mod:`repro.reduce`).
     """
     n_jobs = get_jobs(jobs)
-    axes = resolve_reduce(reduce)
+    axes = current_axes()
     for index, client in enumerate(clients):
         extra = set(client) - set(layer.focused)
         if extra:

@@ -34,7 +34,6 @@ from ..obs.profile import RedundancyBuilder, profile_enabled, state_fingerprint
 from ..parallel.partition import CHUNKS_PER_WORKER, chunk_evenly
 from ..parallel.pool import get_jobs, parallel_map
 from ..reduce import (
-    MACHINE_AXES,
     RG_SIMPLIFY,
     STATIC_INDEP,
     ReductionStats,
@@ -281,12 +280,13 @@ class RoundRobinScheduler(GameScheduler):
 
 
 class ScriptScheduler(GameScheduler):
-    """Follow an explicit decision sequence; branch when it runs out.
+    """Follow an explicit decision sequence, as a forensic rerun does.
 
     When the script is exhausted: if only one participant is ready it is
     chosen silently (no real decision exists), otherwise
-    :class:`NeedChoice` propagates the ready set so the exhaustive
-    enumerator can extend the script.
+    :class:`NeedChoice` reports the ready set: the script is too short
+    to denote a complete run.  Not counted in
+    ``machine.schedule_rounds``: those rounds measure enumeration work.
     """
 
     def __init__(self, script: Sequence[int]):
@@ -294,10 +294,6 @@ class ScriptScheduler(GameScheduler):
         self.cursor = 0
 
     def pick(self, log: Log, ready: FrozenSet[int]) -> int:
-        if obs_enabled():
-            inc("machine.schedule_rounds")
-            if self.cursor < len(self.script):
-                inc("machine.schedule_rounds_replayed")
         if self.cursor < len(self.script):
             tid = self.script[self.cursor]
             self.cursor += 1
@@ -434,63 +430,6 @@ def run_game(
 _FRONTIER_DEPTH = 2
 
 
-def _explore_prefixes(
-    run_one: Callable[[GameScheduler], GameResult],
-    max_rounds: int,
-    max_runs: int,
-    stack: List[Tuple[int, ...]],
-    frontier_depth: Optional[int] = None,
-    redundancy: Optional[RedundancyBuilder] = None,
-) -> Tuple[List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]], int, int]:
-    """The scheduler-prefix DFS shared by serial and parallel enumeration.
-
-    Returns ``(plan, runs, pruned)``.  Each plan entry is either
-    ``(result, None)`` for a completed run or ``(None, prefix)`` for a
-    subtree deferred at ``frontier_depth`` — deferred entries sit exactly
-    where the subtree's results would appear in serial DFS order (the
-    stack discipline explores a branched node's subtree contiguously),
-    so splicing worker results at those positions reproduces the serial
-    result sequence.  Deferred prefixes are neither run nor counted;
-    their runs happen (and are counted) in the worker's sub-DFS.
-
-    ``redundancy`` (profiling) accounts the DFS's replay overhead: every
-    run that ends in ``NeedChoice`` re-executed its prefix just to reach
-    a new decision point, and the branch there is one decision point
-    whose width is the ready-set size.  Completed runs are fingerprinted
-    by the caller, which sees the full (spliced) result list.
-    """
-    plan: List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]] = []
-    runs = 0
-    pruned = 0
-    while stack:
-        prefix = stack.pop()
-        if frontier_depth is not None and len(prefix) >= frontier_depth:
-            plan.append((None, prefix))
-            continue
-        runs += 1
-        heartbeat("machine.schedules", explored=runs, budget=max_runs)
-        if runs > max_runs:
-            raise OutOfFuel(
-                f"behaviour enumeration exceeded {max_runs} runs "
-                f"(max_rounds={max_rounds})"
-            )
-        try:
-            result = run_one(ScriptScheduler(prefix))
-        except NeedChoice as need:
-            if redundancy is not None:
-                redundancy.visit(replay=True)
-            if len(prefix) >= max_rounds:
-                pruned += 1
-                continue
-            if redundancy is not None:
-                redundancy.branch(len(need.ready))
-            for tid in sorted(need.ready, reverse=True):
-                stack.append(prefix + (tid,))
-            continue
-        plan.append((result, None))
-    return plan, runs, pruned
-
-
 def _explore_reduced(
     run_one: Callable[[ReducingScheduler], GameResult],
     axes: FrozenSet[str],
@@ -502,24 +441,26 @@ def _explore_reduced(
     redundancy: Optional[RedundancyBuilder] = None,
     invisible: FrozenSet[int] = frozenset(),
 ) -> Tuple[List[Tuple[Optional[GameResult], Resume]], int, int]:
-    """The reduced DFS: path extension + sleep-set dominance + transposition.
+    """The game DFS: path extension, resumption and the active axes.
 
     The :class:`~repro.reduce.dpor.ReducingScheduler` extends each run
-    past its branch round instead of raising :class:`NeedChoice`, and
-    records every multi-candidate round it passes as a
-    :class:`~repro.reduce.dpor.BranchPoint`.  Each stack entry is
-    ``(branch point, sibling)`` (``None`` for the root run): the
-    sibling's run replays the recorded rounds without deciding them
+    past its branch round and records every multi-candidate round it
+    passes as a :class:`~repro.reduce.dpor.BranchPoint`.  Each stack
+    entry is ``(branch point, sibling)`` (``None`` for the root run):
+    the sibling's run replays the recorded rounds without deciding them
     and makes its first decision at the branch round, so a prefix is
     re-executed by the players but never re-decided.  The sibling groups
     are pushed shallowest-group-first with each group reverse-sorted,
     which makes the stack pop the deepest node's smallest sibling next —
-    depth-first order, every subtree contiguous in ``plan`` (the same
-    splice discipline as :func:`_explore_prefixes`).  A run cut by the
-    transposition table or by an all-asleep sleep set counts as
-    ``pruned`` (its continuation was already explored); a run cut at
-    the frontier defers its last pick, as a ``(None, (point, pick))``
-    plan entry, for a worker to resume exactly as a sibling is resumed.
+    depth-first order, every subtree contiguous in ``plan``, so splicing
+    a deferred subtree's results at its entry reproduces the serial
+    result order.  A run cut by the transposition table or by an
+    all-asleep sleep set counts as ``pruned`` (its continuation was
+    already explored); a run cut at the frontier defers its last pick,
+    as a ``(None, (point, pick))`` plan entry, for a worker to resume
+    exactly as a sibling is resumed.  With no axis active nothing is
+    cut: every ready participant is branched on, and the plan is the
+    exhaustive enumeration.
 
     The transposition table is scoped to this call — one table per
     explored subtree, serial and parallel alike, which is what keeps
@@ -578,14 +519,12 @@ def enumerate_game_logs(
 ) -> List[GameResult]:
     """Exhaustively enumerate game outcomes over all schedulers.
 
-    DFS over scheduling-decision prefixes: each run replays the system
-    under a :class:`ScriptScheduler`; when the script runs out at a real
-    decision point the prefix branches over every ready participant.
-    With a machine reduction axis on, the reduced DFS
-    (:func:`_explore_reduced`) extends each run instead and resumes its
-    siblings at recorded branch points.  The result is the bounded
-    behaviour set ``[[P]]_{L[D]}`` — "the set of logs generated by
-    playing the game under all possible schedulers" (§2).
+    One DFS (:func:`_explore_reduced`) under the active reduction axes:
+    each run extends past its last decision and records its branch
+    points, and each sibling resumes at its recorded branch point.  With
+    no axis active every ready participant is branched on.  The result
+    is the bounded behaviour set ``[[P]]_{L[D]}`` — "the set of logs
+    generated by playing the game under all possible schedulers" (§2).
 
     ``coverage`` (optional) accumulates the explored schedule-prefix
     counts and depth histogram; when omitted and observability is on, a
@@ -593,12 +532,13 @@ def enumerate_game_logs(
     process-wide coverage registry so every behaviour enumeration shows
     up in the run's coverage map.
 
-    With ``jobs > 1`` (or ``REPRO_JOBS`` set) the tree is split at a
-    fixed frontier depth: the parent explores shallow prefixes; subtrees
-    rooted at the frontier are handed to worker processes and their
-    results spliced back at the positions serial DFS would have produced
-    them, so the result list, run count and an eventual
-    :class:`OutOfFuel` are identical to a serial run.
+    With two or more participants the tree is split at a fixed frontier
+    depth: the parent explores shallow decisions; subtrees rooted at the
+    frontier are explored inline or, with ``jobs > 1`` (or
+    ``REPRO_JOBS`` set), in worker processes, and their results spliced
+    back at the positions serial DFS would have produced them.  The
+    split is the same for every worker count, so the result list, run
+    count, reduction tallies and an eventual :class:`OutOfFuel` are too.
     """
     own_coverage = coverage is None and obs_enabled()
     if own_coverage:
@@ -623,24 +563,19 @@ def enumerate_game_logs(
 
     n_jobs = get_jobs(jobs)
     axes = frozenset(current_axes())
-    # dpor/transpo/static-indep switch the exploration to the reducing
-    # scheduler; with all machine axes off the seed DFS runs
-    # bit-for-bit unchanged.
-    reducing = bool(axes & MACHINE_AXES)
-    stats = ReductionStats(axes) if reducing else None
+    stats = ReductionStats(axes)
     invisible: FrozenSet[int] = frozenset()
     if STATIC_INDEP in axes and len(players) > 1:
         from ..analysis.independence import static_invisible_tids
 
         invisible = static_invisible_tids(interface, players)
-    # Reduced enumeration always routes through the frontier-split code
-    # path (a 1-job parallel_map is a plain inline loop), so the
-    # subtree partitioning — and with it the transposition table scope —
-    # is identical serially and under REPRO_JOBS.
+    # Enumeration always routes through the frontier-split code path (a
+    # 1-job parallel_map is a plain inline loop), so the subtree
+    # partitioning — and with it the transposition table scope — is
+    # identical serially and under REPRO_JOBS.
     split = (
         _FRONTIER_DEPTH
-        if (reducing or n_jobs > 1)
-        and len(players) > 1 and max_rounds > _FRONTIER_DEPTH
+        if len(players) > 1 and max_rounds > _FRONTIER_DEPTH
         else None
     )
     results: List[GameResult] = []
@@ -651,20 +586,13 @@ def enumerate_game_logs(
         fine_grained=fine_grained,
     ):
         try:
-            if reducing:
-                plan, runs, pruned = _explore_reduced(
-                    run_one, axes, max_rounds, max_runs, [None], stats,
-                    frontier_depth=split, redundancy=redundancy,
-                    invisible=invisible,
-                )
-            else:
-                plan, runs, pruned = _explore_prefixes(
-                    run_one, max_rounds, max_runs, [()], frontier_depth=split,
-                    redundancy=redundancy,
-                )
+            plan, runs, pruned = _explore_reduced(
+                run_one, axes, max_rounds, max_runs, [None], stats,
+                frontier_depth=split, redundancy=redundancy,
+                invisible=invisible,
+            )
             if split is not None:
-                # A deferred subtree: a decision prefix (seed DFS) or a
-                # (branch point, pick) resume entry (reduced DFS).
+                # A deferred subtree is a (branch point, pick) resume entry.
                 frontier = [entry for result, entry in plan if result is None]
 
                 def explore_subtrees(entries):
@@ -674,21 +602,15 @@ def enumerate_game_logs(
                             RedundancyBuilder("machine.schedules")
                             if profile_enabled() else None
                         )
-                        if reducing:
-                            # Subtree tallies go straight to the ambient
-                            # collectors (a pool sink in workers).
-                            sub_stats = ReductionStats(axes)
-                            sub_plan, sub_runs, sub_pruned = _explore_reduced(
-                                run_one, axes, max_rounds, max_runs, [entry],
-                                sub_stats, redundancy=sub_red,
-                                invisible=invisible,
-                            )
-                            contribute(sub_stats)
-                        else:
-                            sub_plan, sub_runs, sub_pruned = _explore_prefixes(
-                                run_one, max_rounds, max_runs, [entry],
-                                redundancy=sub_red,
-                            )
+                        # Subtree tallies go straight to the ambient
+                        # collectors (a pool sink in workers).
+                        sub_stats = ReductionStats(axes)
+                        sub_plan, sub_runs, sub_pruned = _explore_reduced(
+                            run_one, axes, max_rounds, max_runs, [entry],
+                            sub_stats, redundancy=sub_red,
+                            invisible=invisible,
+                        )
+                        contribute(sub_stats)
                         out.append((
                             [r for r, _ in sub_plan],
                             sub_runs,
@@ -754,11 +676,10 @@ def enumerate_game_logs(
             )
         if own_redundancy:
             redundancy.record()
-    if stats is not None:
-        # Surface the tallies to whichever checker opened a collector
-        # (check_sim / check_soundness attach them to certificate
-        # provenance as the ``reduction`` block).
-        contribute(stats)
+    # Surface the tallies to whichever checker opened a collector
+    # (check_sim / check_soundness attach them to certificate provenance
+    # as the ``reduction`` block; an empty tally contributes nothing).
+    contribute(stats)
     if obs_enabled():
         inc("machine.schedules_explored", runs)
         inc("machine.interleavings", len(results))

@@ -273,8 +273,8 @@ class RedundancyBuilder:
       outcomes whose fingerprint was already seen count as
       ``duplicates`` (replay-equivalent states explored again);
     * :meth:`visit` with ``replay=True`` — a run that terminated early
-      to branch the DFS (``NeedChoice`` / prefix-covered): pure
-      re-execution overhead a transposition table would avoid;
+      without an outcome (an environment-choice prefix already covered
+      by a shorter one): pure re-execution overhead;
     * :meth:`branch` — one decision point's branching factor.
 
     The **redundancy ratio** is ``(explored - distinct) / explored``:

@@ -4,8 +4,7 @@ The enumeration core explores every scheduling of a bounded game and
 every environment context of a bounded simulation.  Most of that work is
 redundant: the PR 5 profiler measured 84.3% replay-equivalent machine
 runs on the Thm 2.2 soundness game.  This package removes the
-redundancy without changing any verdict, through three independently
-gated techniques:
+redundancy without changing any verdict, through four techniques:
 
 ``dpor``
     Dynamic partial-order reduction with sleep sets
@@ -20,12 +19,9 @@ gated techniques:
     chosen subtree, so the siblings are pruned) and *sleep sets*
     (participants explored earlier at a decision stay asleep in a later
     sibling's subtree for as long as the executed steps are silent, so
-    the transposed duplicates are never scheduled at all).  The reduced
-    DFS also replaces prefix *replays* (re-running a whole game to reach
-    one new decision point) with path extension: a run keeps going past
-    its branch round and records the branch points it passes, and each
-    sibling run resumes at its recorded branch point without
-    re-deciding the rounds before it.
+    the transposed duplicates are never scheduled at all).  Path
+    extension and branch-point resumption are not an axis: the one game
+    enumerator uses them with every axis on or off.
 
 ``transpo``
     A hash-consed transposition table (:mod:`repro.reduce.dpor`) keyed
@@ -63,13 +59,12 @@ gated techniques:
     invisible players instead of branching on them and keeps them
     asleep across non-silent steps.  Works with or without ``dpor``.
 
-Gating: the ``REPRO_REDUCE`` environment variable (a comma-separated
-subset of ``dpor,transpo,rg-simplify,static-indep``; ``off`` disables
-everything; unset/``on``/``all`` enables all four) or the ``reduce=``
-keyword on the rule constructors, resolved explicit-arg-first like the
-lint gate.
-With every axis off the checkers take the exact seed code paths and
-produce byte-identical certificates.
+Gating: the ``REPRO_REDUCE`` boolean environment variable.  Unset or
+on enables all four techniques; off disables them all, and the game
+enumerator then explores every schedule unpruned.  The rule
+constructors pin the selected axes for their extent
+(:func:`reduce_active`), which is also the only way to select a
+subset, for ablation tests.
 
 Accounting stays honest: every pruned-as-equivalent class, law
 application and table hit is tallied into a ``reduction`` provenance
@@ -80,10 +75,10 @@ in ledger run records.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import FrozenSet, Iterable, List, Optional, Union
+from typing import FrozenSet, Iterable, List
 
+from ..envflags import env_flag
 from .fingerprint import state_fingerprint
 from .stats import (
     ReductionStats,
@@ -101,63 +96,12 @@ RG_SIMPLIFY = "rg-simplify"
 STATIC_INDEP = "static-indep"
 ALL_AXES: FrozenSet[str] = frozenset({DPOR, TRANSPO, RG_SIMPLIFY, STATIC_INDEP})
 
-#: The machine-level axes (those that change which game runs execute).
-MACHINE_AXES: FrozenSet[str] = frozenset({DPOR, TRANSPO, STATIC_INDEP})
-
 REDUCE_ENV = "REPRO_REDUCE"
-
-_ALL = {"", "on", "all", "1", "true", "yes", "default"}
-_NONE = {"off", "none", "0", "false", "no"}
-
-
-def parse_axes(value: Union[None, str, Iterable[str]]) -> FrozenSet[str]:
-    """Parse a reduction spec into a set of axes.
-
-    ``None``/``"on"``/``"all"`` mean every axis, ``"off"``/``"none"``
-    mean no reduction, otherwise a comma-separated (or iterable) subset
-    of :data:`ALL_AXES`.  Unknown axis names raise ``ValueError`` so a
-    typo can never silently disable a technique.
-    """
-    if value is None:
-        return ALL_AXES
-    if isinstance(value, (frozenset, set, tuple, list)):
-        names = [str(part) for part in value]
-    else:
-        text = str(value).strip().lower()
-        if text in _ALL:
-            return ALL_AXES
-        if text in _NONE:
-            return frozenset()
-        names = text.split(",")
-    axes = frozenset(
-        name.strip().lower().replace("_", "-")
-        for name in names
-        if name.strip()
-    )
-    unknown = axes - ALL_AXES
-    if unknown:
-        raise ValueError(
-            f"unknown reduction axes {sorted(unknown)}; "
-            f"valid axes: {sorted(ALL_AXES)} (or 'on'/'off')"
-        )
-    return axes
 
 
 def axes_from_env() -> FrozenSet[str]:
-    """The axes selected by ``REPRO_REDUCE`` (all three when unset)."""
-    return parse_axes(os.environ.get(REDUCE_ENV))
-
-
-def resolve_reduce(explicit: Union[None, str, Iterable[str]] = None) -> FrozenSet[str]:
-    """Resolve the active axes: explicit argument > env > default (all).
-
-    The same precedence as the lint gate's mode resolution: a rule
-    constructor's ``reduce=`` argument wins over ``REPRO_REDUCE``, which
-    wins over the all-on default.
-    """
-    if explicit is not None:
-        return parse_axes(explicit)
-    return axes_from_env()
+    """The axes selected by ``REPRO_REDUCE``: all four unless it is off."""
+    return ALL_AXES if env_flag(REDUCE_ENV, default=True) else frozenset()
 
 
 _ACTIVE: List[FrozenSet[str]] = []
@@ -176,7 +120,11 @@ def current_axes() -> FrozenSet[str]:
 
 @contextmanager
 def reduce_active(axes: Iterable[str]):
-    """Pin the active axes for the duration of a rule application."""
+    """Pin the active axes for the duration of a rule application.
+
+    Rule constructors pin :func:`current_axes` so inner lookups never
+    re-read the environment; tests pin a subset to ablate one axis.
+    """
     _ACTIVE.append(frozenset(axes))
     try:
         yield
@@ -187,7 +135,6 @@ def reduce_active(axes: Iterable[str]):
 __all__ = [
     "ALL_AXES",
     "DPOR",
-    "MACHINE_AXES",
     "REDUCE_ENV",
     "RG_SIMPLIFY",
     "STATIC_INDEP",
@@ -197,10 +144,8 @@ __all__ = [
     "contribute",
     "current_axes",
     "merge_reduction_maps",
-    "parse_axes",
     "reduce_active",
     "reduction_collector",
-    "resolve_reduce",
     "state_fingerprint",
     "tally_law",
     "tally_prune",

@@ -1,13 +1,13 @@
 """DPOR path extension, branch-point resumption, sleep sets, transposition.
 
 The exhaustive game enumerator (:func:`repro.core.machine.enumerate_game_logs`)
-explores scheduling decisions.  The seed engine replays a whole game per
-decision prefix just to reach one new decision point; this module
-supplies a scheduler that instead *extends* the path at each decision
-point (recording the sibling branches for later), resumes each sibling
-at the recorded branch point, keeps sleep sets that suppress schedules
-equivalent to already-explored ones, and cuts runs whose state was
-already explored.
+explores scheduling decisions with the scheduler of this module.  It
+*extends* the path at each decision point (recording the sibling
+branches for later) and resumes each sibling at the recorded branch
+point.  With the reduction axes on it also keeps sleep sets that
+suppress schedules equivalent to already-explored ones, and cuts runs
+whose state was already explored; with every axis off it branches on
+every ready participant.
 
 Branch-point resumption
     At every multi-candidate round the scheduler records a
@@ -176,9 +176,9 @@ class ReducingScheduler:
     against the record, installs the recorded state and picks
     ``sibling``.  From there on (and from the first round of the root
     run) the scheduler keeps choosing the smallest awake ready
-    participant instead of raising ``NeedChoice``, recording a
-    :class:`BranchPoint` at each multi-candidate round and the sibling
-    groups it leaves in ``branches`` as ``(point, siblings)`` pairs.
+    participant, recording a :class:`BranchPoint` at each
+    multi-candidate round and the sibling groups it leaves in
+    ``branches`` as ``(point, siblings)`` pairs.
     ``last`` is the latest pick with the point it was made at: a run
     cut at the frontier defers that subtree as this entry.
 

@@ -159,19 +159,20 @@ class TestScheduleRounds:
     #: Resumed runs take their replayed rounds from a branch point
     #: without calling ``pick``; those rounds still count, so the values
     #: are the ones the script-following scheduler counted per pick.
-    ROUNDS = {"on": (6_373, 5_373), "off": (38_410, 35_080)}
+    #: With reduction off the same enumerator runs with no axis active.
+    ROUNDS = {"on": (6_373, 5_373), "off": (20_888, 17_552)}
 
     @pytest.mark.parametrize("reduce", ["on", "off"])
-    def test_two_client_ticket_game(self, reduce):
+    def test_two_client_ticket_game(self, reduce, monkeypatch):
         from repro.core import check_soundness
         from repro.objects.ticket_lock import certify_ticket_lock
 
         layer = certify_ticket_lock([1, 2], lock="q0").composed
         client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
+        monkeypatch.setenv("REPRO_REDUCE", reduce)
         obs.enable()
         check_soundness(
-            layer, clients=[client], max_rounds=14,
-            require_progress=False, reduce=reduce,
+            layer, clients=[client], max_rounds=14, require_progress=False,
         )
         counters = obs.snapshot()["counters"]
         rounds = counters["machine.schedule_rounds"]
@@ -179,6 +180,6 @@ class TestScheduleRounds:
         assert (rounds, replayed) == self.ROUNDS[reduce]
         assert 0 < replayed < rounds
         # Counted per scheduling round: the rounds at which a run is cut
-        # short by NeedChoice or PruneRun, which machine.game_rounds
-        # skips, count too.
+        # short by PruneRun or DeferRun, which machine.game_rounds skips,
+        # count too.
         assert rounds > counters["machine.game_rounds"]

@@ -211,9 +211,8 @@ class TestGameEnumerationEquivalence:
         assert [r.rets for r in parallel] == [r.rets for r in serial]
 
     def test_out_of_fuel_message_parity(self):
-        # A budget of 1 is exceeded in every mode: the seed DFS needs
-        # one run per schedule prefix and the reduced enumeration still
-        # needs one run per sibling branch it keeps.
+        # A budget of 1 is exceeded in every mode: the enumeration needs
+        # one run per sibling branch it keeps, with or without reduction.
         with pytest.raises(OutOfFuel) as serial_err:
             self._enumerate(jobs=1, max_runs=1)
         with pytest.raises(OutOfFuel) as parallel_err:

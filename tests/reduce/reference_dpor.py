@@ -1,4 +1,10 @@
-"""The script-following reducing scheduler, kept as a test oracle.
+"""Two retired game enumerators, kept as test oracles.
+
+:func:`_explore_prefixes` is the seed prefix-replay DFS, verbatim:
+each run replays its decision prefix under a
+:class:`~repro.core.machine.ScriptScheduler` and branches over every
+ready participant when the script runs out.  It was the enumerator of
+``REPRO_REDUCE=off``; :func:`seed_enumerate` drives it serially.
 
 Before branch-point resumption, a sibling run of the reduced DFS was a
 *decision script*: the picks of every multi-candidate round up to the
@@ -10,7 +16,8 @@ that engine, verbatim.  :func:`drive` runs either reduced DFS the way
 split at the same depth, subtree tallies contributed to the ambient
 collectors, results spliced in serial order); :func:`reference_enumerate`
 drives this one.  ``tests/reduce/test_resume.py`` checks that the
-resuming engine enumerates exactly what this one does.
+resuming engine enumerates exactly what this one does and, with no axis
+active, exactly what the seed DFS did.
 """
 
 from __future__ import annotations
@@ -19,7 +26,14 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.independence import static_invisible_tids
 from repro.core.errors import OutOfFuel
-from repro.core.machine import _FRONTIER_DEPTH, GameResult, run_game
+from repro.core.machine import (
+    _FRONTIER_DEPTH,
+    GameResult,
+    GameScheduler,
+    NeedChoice,
+    ScriptScheduler,
+    run_game,
+)
 from repro.obs.heartbeat import heartbeat
 from repro.obs.metrics import inc
 from repro.obs.profile import RedundancyBuilder
@@ -34,6 +48,73 @@ from repro.reduce.dpor import (
     TranspositionTable,
 )
 from repro.reduce.fingerprint import extend_chain, state_fingerprint
+
+
+def _explore_prefixes(
+    run_one: Callable[[GameScheduler], GameResult],
+    max_rounds: int,
+    max_runs: int,
+    stack: List[Tuple[int, ...]],
+    frontier_depth: Optional[int] = None,
+    redundancy: Optional[RedundancyBuilder] = None,
+) -> Tuple[List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]], int, int]:
+    """The scheduler-prefix DFS shared by serial and parallel enumeration.
+
+    Returns ``(plan, runs, pruned)``.  Each plan entry is either
+    ``(result, None)`` for a completed run or ``(None, prefix)`` for a
+    subtree deferred at ``frontier_depth`` — deferred entries sit exactly
+    where the subtree's results would appear in serial DFS order (the
+    stack discipline explores a branched node's subtree contiguously),
+    so splicing worker results at those positions reproduces the serial
+    result sequence.  Deferred prefixes are neither run nor counted;
+    their runs happen (and are counted) in the worker's sub-DFS.
+
+    ``redundancy`` (profiling) accounts the DFS's replay overhead: every
+    run that ends in ``NeedChoice`` re-executed its prefix just to reach
+    a new decision point, and the branch there is one decision point
+    whose width is the ready-set size.  Completed runs are fingerprinted
+    by the caller, which sees the full (spliced) result list.
+    """
+    plan: List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]] = []
+    runs = 0
+    pruned = 0
+    while stack:
+        prefix = stack.pop()
+        if frontier_depth is not None and len(prefix) >= frontier_depth:
+            plan.append((None, prefix))
+            continue
+        runs += 1
+        heartbeat("machine.schedules", explored=runs, budget=max_runs)
+        if runs > max_runs:
+            raise OutOfFuel(
+                f"behaviour enumeration exceeded {max_runs} runs "
+                f"(max_rounds={max_rounds})"
+            )
+        try:
+            result = run_one(ScriptScheduler(prefix))
+        except NeedChoice as need:
+            if redundancy is not None:
+                redundancy.visit(replay=True)
+            if len(prefix) >= max_rounds:
+                pruned += 1
+                continue
+            if redundancy is not None:
+                redundancy.branch(len(need.ready))
+            for tid in sorted(need.ready, reverse=True):
+                stack.append(prefix + (tid,))
+            continue
+        plan.append((result, None))
+    return plan, runs, pruned
+
+
+def seed_enumerate(interface, players, max_rounds) -> List[GameResult]:
+    """The seed DFS's ``GameResult`` list, in order (serial, unsplit)."""
+
+    def run_one(scheduler):
+        return run_game(interface, players, scheduler, max_rounds=max_rounds)
+
+    plan, _runs, _pruned = _explore_prefixes(run_one, max_rounds, 100_000, [()])
+    return [result for result, _prefix in plan]
 
 
 class ReducingScheduler:

@@ -1,66 +1,82 @@
-"""Gating: REPRO_REDUCE parsing and axis resolution."""
+"""Gating: REPRO_REDUCE is on/off; subsets come only from the test hook."""
 
 import pytest
 
+import repro.reduce
+from repro.core import check_soundness
 from repro.reduce import (
     ALL_AXES,
     DPOR,
     REDUCE_ENV,
-    RG_SIMPLIFY,
-    TRANSPO,
     axes_from_env,
     current_axes,
-    parse_axes,
     reduce_active,
-    resolve_reduce,
 )
+from test_parity import atomic_bump2_impl, bump2_layer
+
+
+def env_axes(monkeypatch, value):
+    monkeypatch.setenv(REDUCE_ENV, value)
+    return axes_from_env()
+
+
+def assert_rejected(monkeypatch, value):
+    monkeypatch.setenv(REDUCE_ENV, value)
+    with pytest.raises(ValueError) as info:
+        axes_from_env()
+    assert f"REPRO_REDUCE={value!r} is not a boolean" in str(info.value)
+    assert "on" in str(info.value) and "off" in str(info.value)
 
 
 class TestParseAxes:
-    def test_default_is_all(self):
-        assert parse_axes(None) == ALL_AXES
+    def test_default_is_all(self, monkeypatch):
+        monkeypatch.delenv(REDUCE_ENV, raising=False)
+        assert axes_from_env() == ALL_AXES
 
-    @pytest.mark.parametrize("text", ["", "on", "all", "1", "true", "yes"])
-    def test_all_spellings(self, text):
-        assert parse_axes(text) == ALL_AXES
+    @pytest.mark.parametrize("text", ["", "on", "1", "true", "yes"])
+    def test_all_spellings(self, text, monkeypatch):
+        assert env_axes(monkeypatch, text) == ALL_AXES
 
-    @pytest.mark.parametrize("text", ["off", "none", "0", "false", "no"])
-    def test_off_spellings(self, text):
-        assert parse_axes(text) == frozenset()
+    @pytest.mark.parametrize("text", ["off", "0", "false", "no"])
+    def test_off_spellings(self, text, monkeypatch):
+        assert env_axes(monkeypatch, text) == frozenset()
 
-    def test_single_axis(self):
-        assert parse_axes("dpor") == {DPOR}
+    def test_whitespace_and_case(self, monkeypatch):
+        assert env_axes(monkeypatch, " On ") == ALL_AXES
+        assert env_axes(monkeypatch, " OFF ") == frozenset()
 
-    def test_csv_subset(self):
-        assert parse_axes("dpor,transpo") == {DPOR, TRANSPO}
+    def test_single_axis(self, monkeypatch):
+        # An axis name is not a value of the switch: subsets are not
+        # selectable from the environment.
+        assert_rejected(monkeypatch, "dpor")
 
-    def test_whitespace_and_case(self):
-        assert parse_axes(" DPOR , Transpo ") == {DPOR, TRANSPO}
+    def test_csv_subset(self, monkeypatch):
+        assert_rejected(monkeypatch, "dpor,transpo")
 
-    def test_underscore_normalisation(self):
-        assert parse_axes("rg_simplify") == {RG_SIMPLIFY}
+    def test_unknown_axis_raises(self, monkeypatch):
+        assert_rejected(monkeypatch, "dpor,typo")
 
-    def test_iterable_input(self):
-        assert parse_axes(["dpor", "rg-simplify"]) == {DPOR, RG_SIMPLIFY}
-
-    def test_unknown_axis_raises(self):
-        with pytest.raises(ValueError, match="unknown reduction axes"):
-            parse_axes("dpor,typo")
+    @pytest.mark.parametrize("text", ["onn", "all", "none", "default"])
+    def test_typo_or_old_spelling_raises(self, text, monkeypatch):
+        assert_rejected(monkeypatch, text)
 
 
 class TestResolution:
     def test_env_selects_axes(self, monkeypatch):
-        monkeypatch.setenv(REDUCE_ENV, "transpo")
-        assert axes_from_env() == {TRANSPO}
-        assert resolve_reduce(None) == {TRANSPO}
+        monkeypatch.setenv(REDUCE_ENV, "off")
+        assert current_axes() == frozenset()
+        monkeypatch.setenv(REDUCE_ENV, "on")
+        assert current_axes() == ALL_AXES
 
     def test_explicit_beats_env(self, monkeypatch):
+        # The ablation hook pins a subset over whatever the env says.
         monkeypatch.setenv(REDUCE_ENV, "off")
-        assert resolve_reduce("dpor") == {DPOR}
+        with reduce_active({DPOR}):
+            assert current_axes() == {DPOR}
 
     def test_unset_env_means_all(self, monkeypatch):
         monkeypatch.delenv(REDUCE_ENV, raising=False)
-        assert resolve_reduce(None) == ALL_AXES
+        assert current_axes() == ALL_AXES
 
     def test_current_axes_tracks_active_stack(self, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
@@ -71,3 +87,23 @@ class TestResolution:
                 assert current_axes() == ALL_AXES
             assert current_axes() == {DPOR}
         assert current_axes() == frozenset()
+
+    def test_rule_constructors_read_the_env_once(self, monkeypatch):
+        # A rule pins the axes at its entry; every lookup under it is a
+        # stack read, not another parse of the environment.
+        monkeypatch.delenv(REDUCE_ENV, raising=False)
+        layer = bump2_layer(atomic_bump2_impl)
+        reads = []
+        parse = repro.reduce.axes_from_env
+
+        def counted():
+            reads.append(1)
+            return parse()
+
+        monkeypatch.setattr(repro.reduce, "axes_from_env", counted)
+        cert = check_soundness(
+            layer, clients=[{1: [("bump2", ())], 2: [("bump2", ())]}],
+            max_rounds=24,
+        )
+        assert cert.ok
+        assert len(reads) == 1

@@ -2,15 +2,17 @@
 
 Three contracts:
 
-* every ``REPRO_REDUCE`` subset produces the same verdicts and the same
-  failing behaviors (counterexample logs) as reduction off, on both
-  forensics fixtures (the broken ticket lock and the non-atomic bump2);
+* every axis subset (pinned with the ``reduce_active`` ablation hook)
+  produces the same verdicts and the same failing behaviors
+  (counterexample logs) as reduction off, on both forensics fixtures
+  (the broken ticket lock and the non-atomic bump2);
 * with reduction on, serial / ``jobs=2`` / warm-cache certificates are
   byte-identical;
-* with reduction off the checkers take the seed code paths: no
-  ``reduction`` provenance block appears anywhere in the tree.
+* with reduction off no ``reduction`` provenance block appears anywhere
+  in the tree.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -42,9 +44,15 @@ from repro.objects.ticket_lock import (
     lx86_like_interface,
     n_cell,
 )
-from repro.reduce import REDUCE_ENV
+from repro.reduce import DPOR, REDUCE_ENV, RG_SIMPLIFY, TRANSPO, reduce_active
 
-MODES = ["off", "dpor", "transpo", "rg-simplify", "dpor,transpo,rg-simplify"]
+MODES = {
+    "off": frozenset(),
+    "dpor": frozenset({DPOR}),
+    "transpo": frozenset({TRANSPO}),
+    "rg-simplify": frozenset({RG_SIMPLIFY}),
+    "dpor,transpo,rg-simplify": frozenset({DPOR, TRANSPO, RG_SIMPLIFY}),
+}
 
 
 def cert_bytes(cert) -> bytes:
@@ -151,12 +159,12 @@ def soundness_certificate(impl=non_atomic_bump2_impl, jobs=None):
 
 
 class TestForensicsParity:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", list(MODES))
     def test_broken_lock_counterexamples_identical(self, mode, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
         baseline = broken_lock_certificate()
-        monkeypatch.setenv(REDUCE_ENV, mode)
-        cert = broken_lock_certificate()
+        with reduce_active(MODES[mode]):
+            cert = broken_lock_certificate()
         assert cert.ok == baseline.ok is False
         # Env-choice schedules are untouched by machine-level reduction,
         # so the counterexamples match digest-for-digest.
@@ -166,12 +174,12 @@ class TestForensicsParity:
             (cx.schedule, cx.digest()) for cx in baseline.counterexamples()
         )
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", list(MODES))
     def test_soundness_failing_behaviors_identical(self, mode, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
         baseline = soundness_certificate()
-        monkeypatch.setenv(REDUCE_ENV, mode)
-        cert = soundness_certificate()
+        with reduce_active(MODES[mode]):
+            cert = soundness_certificate()
         assert cert.ok == baseline.ok is False
         # Machine reduction may pick a different representative schedule
         # for an equivalence class, but the failing behaviors (the logs)
@@ -179,10 +187,10 @@ class TestForensicsParity:
         assert len(cert.counterexamples()) == len(baseline.counterexamples())
         assert cx_logs(cert) == cx_logs(baseline)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_soundness_passing_verdict_identical(self, mode, monkeypatch):
-        monkeypatch.setenv(REDUCE_ENV, mode)
-        cert = soundness_certificate(impl=atomic_bump2_impl)
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_soundness_passing_verdict_identical(self, mode):
+        with reduce_active(MODES[mode]):
+            cert = soundness_certificate(impl=atomic_bump2_impl)
         assert cert.ok
 
 
@@ -245,3 +253,46 @@ class TestProvenanceGating:
         for block in blocks:
             merged_axes.update(block.get("axes", ()))
         assert {"dpor", "transpo", "rg-simplify"} <= merged_axes
+
+
+#: SHA-256 of each certificate's ``canonical_bytes()`` with
+#: ``REPRO_REDUCE=off``, as the seed prefix-replay DFS
+#: (``reference_dpor._explore_prefixes``) produced them.  The one game
+#: enumerator with no axis active must reproduce them byte for byte.
+OFF_DIGESTS = {
+    "ticket_stack":
+        "2d71899b40b79e4de34fe445cf391a8b3e080695f0f2901b94d6e66dfe947a27",
+    "ticket_soundness":
+        "2c5b92809ecdef63af4713cfb8594f20321ce93c2c73fdf080bf257cf4fd6743",
+    "broken_lock":
+        "3282a9c9fe1772fe364ee41a2a16d297b690d8f2675a275b7045b82c6c4771ae",
+    "bump2_soundness":
+        "0cf86ebc2ac43014c3c738638d1e422888aac92b6f5b2a7aa3ae43607254efb2",
+}
+
+
+@pytest.mark.usefixtures("obs_off")
+class TestReductionOffBytes:
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "jobs2"])
+    def test_certificates_match_the_seed_enumerator(self, jobs, monkeypatch):
+        from repro.objects.ticket_lock import certify_ticket_lock
+
+        monkeypatch.setenv(REDUCE_ENV, "off")
+        monkeypatch.setenv("REPRO_JOBS", str(jobs))
+        monkeypatch.setenv("REPRO_JOBS_FORCE", "1")
+        stack = certify_ticket_lock([1, 2], lock="q0")
+        client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
+        certificates = {
+            "ticket_stack": stack.composed.certificate,
+            "ticket_soundness": check_soundness(
+                stack.composed, clients=[client], max_rounds=14,
+                require_progress=False,
+            ),
+            "broken_lock": broken_lock_certificate(),
+            "bump2_soundness": soundness_certificate(),
+        }
+        digests = {
+            name: hashlib.sha256(cert.canonical_bytes()).hexdigest()
+            for name, cert in certificates.items()
+        }
+        assert digests == OFF_DIGESTS

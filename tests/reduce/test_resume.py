@@ -7,7 +7,10 @@ Two contracts:
   every ``GameResult`` in order, the run and pruned counts and the
   reduction tallies, on the 2-client ticket and MCS Thm 2.2 games and
   on a 3-participant toy game, under every subset of the machine axes,
-  serially and with two forced workers.
+  serially and with two forced workers.  With no axis active it also
+  returns the seed prefix-replay DFS's ``GameResult`` list, in order.
+  (Run counts are not compared with the seed DFS: it counted every
+  prefix re-execution as a run.)
 * *Divergence fails loudly.*  A sibling run replays recorded rounds
   without re-deciding them, which presumes deterministic players.  A
   player that behaves differently on a later run raises
@@ -36,13 +39,11 @@ from repro.core import (
     shared_prim,
 )
 from repro.core.interface import private_prim
-from repro.core.machine import _explore_reduced
 from repro.core.module import link
 from repro.obs.coverage import CoverageBuilder
 from repro.obs.metrics import MetricsWindow
 from repro.reduce import (
     DPOR,
-    MACHINE_AXES,
     STATIC_INDEP,
     TRANSPO,
     ReductionStats,
@@ -50,6 +51,9 @@ from repro.reduce import (
     reduction_collector,
 )
 from repro.reduce.dpor import ReducingScheduler
+
+#: The axes that change which game runs execute.
+MACHINE_AXES = frozenset({DPOR, TRANSPO, STATIC_INDEP})
 
 SUBSETS = [
     frozenset(axes)
@@ -154,17 +158,6 @@ def reference(interface, players, max_rounds, axes):
 
 
 def resumed(interface, players, max_rounds, axes, jobs):
-    if not axes:
-        # With no machine axis the engine runs the seed DFS; drive the
-        # resuming DFS directly, as a reduced enumeration would.
-        return tallied(
-            axes,
-            lambda: reference_dpor.drive(
-                _explore_reduced, None, interface, players, axes,
-                max_rounds, jobs=jobs,
-            ),
-        )
-
     def run():
         coverage = CoverageBuilder("machine.schedules")
         with obs.observing(reset=False):
@@ -188,6 +181,11 @@ class TestDifferentialOracle:
         for interface, players, max_rounds in games(name):
             expected = reference(interface, players, max_rounds, axes)
             assert expected[1] > 1
+            if not axes:
+                seed = reference_dpor.seed_enumerate(
+                    interface, players, max_rounds
+                )
+                assert expected[0] == seed
             for jobs in (1, 2):
                 got = resumed(interface, players, max_rounds, axes, jobs)
                 assert got[0] == expected[0], f"jobs={jobs}"
@@ -230,21 +228,24 @@ def flaky(first, later):
 
 
 class TestDivergence:
-    def enumerate(self, player1, jobs=None):
+    def enumerate(self, player1, axes=MACHINE_AXES):
         players = {1: (player1, ()), 2: (emitter("x", "y"), ())}
-        with reduce_active({DPOR, TRANSPO, STATIC_INDEP}):
-            return enumerate_game_logs(
-                emit_interface(), players, max_rounds=12, jobs=jobs
-            )
+        with reduce_active(axes):
+            return enumerate_game_logs(emit_interface(), players, max_rounds=12)
 
     def test_different_event_on_a_later_run(self):
         # The first sibling resumes at round 1 after replaying round 0,
         # where player 1 now emits ``b`` (log index 1) instead of ``a``.
-        with pytest.raises(ReplayDivergence) as info:
-            self.enumerate(flaky(emitter("a", "c"), emitter("b", "c")))
-        assert (info.value.round, info.value.index) == (1, 1)
-        assert "round 1" in str(info.value)
-        assert "first differing log index 1" in str(info.value)
+        # The check does not depend on the axes: with none active the
+        # unpruned enumeration must fail loudly too.
+        for axes in (MACHINE_AXES, frozenset()):
+            with pytest.raises(ReplayDivergence) as info:
+                self.enumerate(
+                    flaky(emitter("a", "c"), emitter("b", "c")), axes
+                )
+            assert (info.value.round, info.value.index) == (1, 1)
+            assert "round 1" in str(info.value)
+            assert "first differing log index 1" in str(info.value)
 
     def test_deterministic_players_do_not_diverge(self):
         results = self.enumerate(emitter("a", "c"))

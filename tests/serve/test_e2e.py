@@ -29,6 +29,7 @@ def daemon(tmp_path_factory):
 
 
 class TestServedBytes:
+    @pytest.mark.usefixtures("obs_off")
     def test_cold_then_warm_byte_identity_with_cli(self, daemon):
         client, _spool = daemon
         params = {"domain": [1, 2], "lock": "q0"}
