@@ -145,17 +145,16 @@ def sim_args_obligation_key(
     config: Any,
     args: Tuple[Any, ...],
     axes: FrozenSet[str],
-    impl: Any = None,
+    impl: Any,
 ) -> ObligationKey:
-    """Key one argument vector of a ``check_sim`` obligation.
+    """Key one argument vector of a ``Fun`` lift's ``check_sim``
+    obligation.
 
-    ``impl`` is the module function under a ``Fun`` lift (its slice runs
-    over the low interface); without one, the low player is the low
-    interface's own primitive ``name`` (plain interface simulation).
+    ``impl`` is the module function under the lift; its slice runs over
+    the low interface.
     """
     low_prims = getattr(low, "prims", {})
-    low_root: Any = impl if impl is not None else low_prims.get(name)
-    low_closure = dependency_closure([(name, low_root)], resolve=low_prims.get)
+    low_closure = dependency_closure([(name, impl)], resolve=low_prims.get)
     high_prims = getattr(high, "prims", {})
     high_closure = dependency_closure(
         [(name, high_prims.get(name))], resolve=high_prims.get

@@ -84,7 +84,6 @@ from .simulation import (
     RunRecord,
     Scenario,
     SimConfig,
-    check_interface_sim,
     check_scenarios,
     check_sim,
     enumerate_local_runs,

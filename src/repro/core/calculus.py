@@ -18,7 +18,9 @@ fails its check, so an ill-formed judgment can never be produced:
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..obs import obs_enabled, span
 from ..obs.coverage import CoverageBuilder
@@ -123,6 +125,46 @@ def _lint_gate(
     return report
 
 
+def _sim_rule(
+    rule: str,
+    judgment: str,
+    lint: Optional[str],
+    lint_inputs: Dict[str, Any],
+    cache_parts: Tuple[Any, ...],
+    obligation_key: Callable[[FrozenSet[str]], Callable[[Any], Any]],
+    check: Callable[[Optional[Callable[[Any], Any]]], Certificate],
+    jobs: Optional[int],
+    started: float,
+    window: MetricsWindow,
+    **extra: Any,
+) -> Certificate:
+    """The body shared by the rules that discharge Def. 2.1 obligations.
+
+    Runs the lint gate (before the certificate cache, so a refused
+    application is refused cold and warm alike), reads the active
+    reduction axes once and pins them for the check, keys the rule-level
+    cache on ``cache_parts`` plus those axes, and stamps rule and lint
+    provenance.  ``obligation_key(axes)`` builds the per-obligation key
+    function, consulted only while the cache is enabled; ``check(key)``
+    runs the simulation checker.
+    """
+    lint_report = _lint_gate(rule, judgment, lint, **lint_inputs)
+    axes = current_axes()
+    key = obligation_key(axes) if cache_enabled() else None
+
+    def compute() -> Certificate:
+        with reduce_active(axes):
+            cert = check(key)
+        _stamp_rule(cert, rule, started, window, **extra, workers=get_jobs(jobs))
+        return cert
+
+    cert = cached_certificate(
+        rule, cache_parts + (("reduce", tuple(sorted(axes))),), compute, jobs=jobs
+    )
+    stamp_lint(cert, lint_report)
+    return cert
+
+
 def module_rule(
     underlay: LayerInterface,
     module: Module,
@@ -161,54 +203,32 @@ def module_rule(
             f"{underlay.name}[{tid}] ⊢_{relation.name} {module.name} : "
             f"{overlay.name}[{tid}]"
         )
-        lint_report = _lint_gate(
-            "Fun*", judgment, lint,
-            underlay=underlay, module=module, overlay=overlay,
-            relation=relation, interfaces=(underlay, overlay),
-        )
-        axes = current_axes()
-        obligation_key = None
-        if cache_enabled():
+
+        def obligation_key(axes: FrozenSet[str]) -> Callable[[Any], Any]:
             from ..analysis.slices import scenario_obligation_key
 
-            def obligation_key(scenario: Scenario) -> Any:
-                return scenario_obligation_key(
-                    kind="Fun*", rule="Fun*", judgment=judgment,
-                    low=underlay, high=overlay, relation=relation, tid=tid,
-                    scenario=scenario, axes=axes, module=module,
-                )
-
-        def compute() -> Certificate:
-            with reduce_active(axes):
-                cert = check_scenarios(
-                    underlay,
-                    lambda scenario: scenario_impl_player(module, scenario),
-                    overlay,
-                    relation,
-                    tid,
-                    scenarios,
-                    judgment=judgment,
-                    rule="Fun*",
-                    jobs=jobs,
-                    obligation_key=obligation_key,
-                )
-            _stamp_rule(
-                cert, "Fun*", started, window,
-                module=module.name,
-                functions=sorted(module.names()),
-                scenarios=len(scenarios),
-                workers=get_jobs(jobs),
+            return lambda scenario: scenario_obligation_key(
+                kind="Fun*", rule="Fun*", judgment=judgment,
+                low=underlay, high=overlay, relation=relation, tid=tid,
+                scenario=scenario, axes=axes, module=module,
             )
-            return cert
 
-        cert = cached_certificate(
-            "Fun*",
-            (underlay, module, overlay, relation, tid, tuple(scenarios),
-             ("reduce", tuple(sorted(axes)))),
-            compute,
-            jobs=jobs,
+        cert = _sim_rule(
+            "Fun*", judgment, lint,
+            dict(underlay=underlay, module=module, overlay=overlay,
+                 relation=relation, interfaces=(underlay, overlay)),
+            (underlay, module, overlay, relation, tid, tuple(scenarios)),
+            obligation_key,
+            lambda key: check_scenarios(
+                underlay, lambda scenario: scenario_impl_player(module, scenario),
+                overlay, relation, tid, scenarios, judgment=judgment,
+                rule="Fun*", jobs=jobs, obligation_key=key,
+            ),
+            jobs, started, window,
+            module=module.name,
+            functions=sorted(module.names()),
+            scenarios=len(scenarios),
         )
-        stamp_lint(cert, lint_report)
         layer = CertifiedLayer(underlay, module, overlay, relation, {tid}, cert)
     return layer
 
@@ -236,55 +256,31 @@ def interface_sim_rule(
     started = time.perf_counter()
     window = MetricsWindow()
     with _rule_span("interface-sim", low=low.name, high=high.name):
-        lint_report = _lint_gate(
-            "interface-sim",
-            f"{low.name} \u2264_{relation.name} {high.name}",
-            lint,
-            relation=relation,
-            interfaces=(low, high),
-        )
-        axes = current_axes()
-        obligation_key = None
-        if cache_enabled():
+        judgment = f"{low.name} ≤_{relation.name} {high.name}"
+
+        def obligation_key(axes: FrozenSet[str]) -> Callable[[Any], Any]:
             from ..analysis.slices import scenario_obligation_key
 
-            def obligation_key(scenario: Scenario) -> Any:
-                return scenario_obligation_key(
-                    kind="interface-sim", rule="interface-sim",
-                    judgment=f"{low.name} ≤_{relation.name} {high.name}",
-                    low=low, high=high, relation=relation, tid=tid,
-                    scenario=scenario, axes=axes,
-                )
-
-        def compute() -> Certificate:
-            with reduce_active(axes):
-                cert = check_scenarios(
-                    low,
-                    scenario_spec_player,  # low side also just calls its primitives
-                    high,
-                    relation,
-                    tid,
-                    scenarios,
-                    judgment=f"{low.name} ≤_{relation.name} {high.name}",
-                    rule="interface-sim",
-                    jobs=jobs,
-                    obligation_key=obligation_key,
-                )
-            _stamp_rule(
-                cert, "interface-sim", started, window,
-                scenarios=len(scenarios),
-                workers=get_jobs(jobs),
+            return lambda scenario: scenario_obligation_key(
+                kind="interface-sim", rule="interface-sim",
+                judgment=judgment, low=low, high=high, relation=relation,
+                tid=tid, scenario=scenario, axes=axes,
             )
-            return cert
 
-        cert = cached_certificate(
-            "interface-sim",
-            (low, high, relation, tid, tuple(scenarios),
-             ("reduce", tuple(sorted(axes)))),
-            compute,
-            jobs=jobs,
+        cert = _sim_rule(
+            "interface-sim", judgment, lint,
+            dict(relation=relation, interfaces=(low, high)),
+            (low, high, relation, tid, tuple(scenarios)),
+            obligation_key,
+            # The low side also just calls its primitives.
+            lambda key: check_scenarios(
+                low, scenario_spec_player, high, relation, tid, scenarios,
+                judgment=judgment, rule="interface-sim", jobs=jobs,
+                obligation_key=key,
+            ),
+            jobs, started, window,
+            scenarios=len(scenarios),
         )
-        stamp_lint(cert, lint_report)
         sim = InterfaceSim(low, high, relation, cert)
     return sim
 
@@ -337,53 +333,31 @@ def fun_rule(
             f"{underlay.name}[{tid}] \u22a2_{relation.name} "
             f"{impl.name} : {overlay.name}.{impl.name}"
         )
-        lint_report = _lint_gate(
-            "Fun", judgment, lint,
-            underlay=underlay, module=Module.single(impl), overlay=overlay,
-            relation=relation, interfaces=(underlay, overlay),
-        )
-        axes = current_axes()
-        obligation_key = None
-        if cache_enabled():
+
+        def obligation_key(axes: FrozenSet[str]) -> Callable[[Any], Any]:
             from ..analysis.slices import sim_args_obligation_key
 
-            def obligation_key(args: Tuple[Any, ...]) -> Any:
-                return sim_args_obligation_key(
-                    kind="Fun", judgment=judgment,
-                    low=underlay, high=overlay, name=impl.name,
-                    relation=relation, tid=tid, config=config, args=args,
-                    axes=axes, impl=impl,
-                )
-
-        def compute() -> Certificate:
-            with reduce_active(axes):
-                cert = check_sim(
-                    underlay,
-                    impl.player,
-                    overlay,
-                    prim_player(impl.name),
-                    relation,
-                    tid,
-                    config,
-                    judgment=judgment,
-                    rule="Fun",
-                    jobs=jobs,
-                    obligation_key=obligation_key,
-                )
-            _stamp_rule(
-                cert, "Fun", started, window,
-                function=impl.name, lang=impl.lang, workers=get_jobs(jobs),
+            return lambda args: sim_args_obligation_key(
+                kind="Fun", judgment=judgment,
+                low=underlay, high=overlay, name=impl.name,
+                relation=relation, tid=tid, config=config, args=args,
+                axes=axes, impl=impl,
             )
-            return cert
 
-        cert = cached_certificate(
-            "Fun",
-            (underlay, impl, overlay, relation, tid, config,
-             ("reduce", tuple(sorted(axes)))),
-            compute,
-            jobs=jobs,
+        cert = _sim_rule(
+            "Fun", judgment, lint,
+            dict(underlay=underlay, module=Module.single(impl), overlay=overlay,
+                 relation=relation, interfaces=(underlay, overlay)),
+            (underlay, impl, overlay, relation, tid, config),
+            obligation_key,
+            lambda key: check_sim(
+                underlay, impl.player, overlay, prim_player(impl.name),
+                relation, tid, config, judgment=judgment, rule="Fun",
+                jobs=jobs, obligation_key=key,
+            ),
+            jobs, started, window,
+            function=impl.name, lang=impl.lang,
         )
-        stamp_lint(cert, lint_report)
         layer = CertifiedLayer(
             underlay, Module.single(impl), overlay, relation, {tid}, cert
         )

@@ -439,8 +439,7 @@ def _check_soundness_uncached(
 
     with span("check_soundness", module=layer.module.name, clients=len(clients)):
         outputs = parallel_map(
-            checked_client, list(enumerate(clients)),
-            jobs=n_jobs if len(clients) > 1 else 1,
+            checked_client, list(enumerate(clients)), jobs=n_jobs
         )
         for output in outputs:
             cert.obligations.extend(output["obligations"])

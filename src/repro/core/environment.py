@@ -212,7 +212,6 @@ class CallScriptedEnv(EnvContext):
             if self.transform is not None:
                 # Deliver-then-lower group by group so each lowered group
                 # sees the effects of the previous ones.
-                buffer.extend(())  # no-op; keep snapshot fresh semantics
                 lowered = tuple(self.transform(group, buffer.snapshot()))
                 buffer.extend(lowered)
                 out.extend(lowered)

@@ -12,10 +12,10 @@ witness constructively:
    bounded depth — at each query point of the specification, branch over
    an alphabet of environment batches derived from the rely condition
    (:func:`enumerate_local_runs`);
-2. for each high-level run, build the related **low-level** environment
-   by mapping every delivered batch through the simulation relation
-   (``R`` maps each high event to its low witness sequence) and run the
-   implementation under it;
+2. for each high-level run, build the related **low-level** environment,
+   which lowers every delivered batch through the simulation relation
+   at delivery time (``R`` maps each high event to its low witness
+   sequence), and run the implementation under it;
 3. require the implementation run to be safe (not stuck — this is how
    data-race freedom is established in the push/pull model) and its log
    and return value to be ``R``-related to the specification's.
@@ -29,8 +29,8 @@ universe for later ``Compat`` checking.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import obs_enabled, span
 from ..obs.coverage import CoverageBuilder
@@ -49,8 +49,15 @@ from ..parallel.pool import get_jobs, parallel_map
 from ..reduce import RG_SIMPLIFY, current_axes, reduction_collector
 from ..reduce.laws import WEAKEN_RELY
 from ..reduce.stats import tally_law
-from .certificate import Certificate, stamp_provenance
-from .environment import Batch, ChoiceEnv, RecordingEnv, ScriptedEnv
+from .certificate import Certificate, Obligation, stamp_provenance
+from .environment import (
+    Batch,
+    CallScriptedEnv,
+    ChoiceEnv,
+    EnvContext,
+    RecordingEnv,
+    ScriptedEnv,
+)
 from .errors import OutOfFuel
 from .events import Event
 from .interface import LayerInterface
@@ -92,13 +99,15 @@ class SimConfig:
     max_runs: int = 20_000
     compare_rets: bool = True
     check_rely: bool = True
-    #: How the witness environment delivers the high-level run's batches
-    #: to the low-level run: ``"per_query"`` — batch *i* at the low run's
-    #: *i*-th query point (fun-lifts: implementation and low-level
-    #: strategy share the query structure exactly); ``"per_call"`` — all
-    #: batches of high-level call *k* at the low run's first query point
-    #: within call *k* (log-lifts: the atomic spec has fewer query points
-    #: than the implementation, so only call boundaries correspond).
+    #: How a scenario check's witness environment delivers the high-level
+    #: run's batches to the low-level run: ``"per_query"`` — batch *i* at
+    #: the low run's *i*-th query point (fun-lifts: implementation and
+    #: low-level strategy share the query structure exactly);
+    #: ``"per_call"`` — all batches of high-level call *k* at the low
+    #: run's first query point within call *k* (log-lifts: the atomic
+    #: spec has fewer query points than the implementation, so only call
+    #: boundaries correspond).  :func:`check_sim` ignores it and always
+    #: delivers per query.
     delivery: str = "per_call"
 
     def describe(self) -> Dict[str, Any]:
@@ -166,7 +175,6 @@ def enumerate_local_runs(
     player: Callable,
     args: Tuple[Any, ...],
     config: SimConfig,
-    rely: Optional[Rely] = None,
     coverage: Optional[CoverageBuilder] = None,
     redundancy: Optional[RedundancyBuilder] = None,
 ) -> List[RunRecord]:
@@ -184,7 +192,7 @@ def enumerate_local_runs(
     here if not supplied) hash-conses each run's outcome fingerprint to
     count replay-equivalent duplicates and branching factors.
     """
-    rely = rely if rely is not None else interface.rely
+    rely = interface.rely
     env_tids = {e.tid for batch in config.env_alphabet for e in batch}
     results: List[RunRecord] = []
     stack: List[Tuple[int, ...]] = [()]
@@ -250,33 +258,76 @@ def enumerate_local_runs(
     return results
 
 
-def _sim_rerun_factory(
-    low_iface: LayerInterface,
-    low_player: Callable,
-    high_iface: LayerInterface,
-    high_player: Callable,
-    relation: SimRel,
-    config: SimConfig,
-    tid: int,
-) -> Callable:
-    """Replay one env-choice prefix of a per-primitive simulation check.
+@dataclass(frozen=True)
+class _Obligation:
+    """One Def. 2.1 obligation: ``low_player ≤_R high_player`` at one
+    argument vector (:func:`check_sim`) or one scenario.
 
-    The returned ``rerun(args, choices)`` re-executes exactly what
-    :func:`check_sim` did for that context: spec run under the
-    :class:`ChoiceEnv` prefix, validity filtering (prefix covered /
-    rely-valid), then the implementation under the R-mapped witness
-    environment.  Returns ``(high_run, batches, low_run)`` — ``low_run``
-    is ``None`` when the spec run itself was unsafe — or ``None`` when
-    ``choices`` denotes no valid environment context, which the shrinker
-    treats as "does not reproduce".
+    The two kinds differ in three inputs only: ``label`` (the prefix of
+    every obligation description), ``delivery`` (how the witness
+    environment hands the spec run's batches to the low run; ``calls``
+    groups them for ``"per_call"``) and ``relate_ret`` (how return values
+    relate).
     """
-    rely = high_iface.rely
+
+    label: str
+    judgment: str
+    rule: str
+    low_iface: LayerInterface
+    low_player: Callable
+    high_iface: LayerInterface
+    high_player: Callable
+    relation: SimRel
+    tid: int
+    config: SimConfig
+    args: Tuple[Any, ...]
+    delivery: str
+    relate_ret: Callable[[Any, Any], bool]
+    calls: int = 0
+
+    def run_low(self, high_run: LocalRun, batches: Sequence[Batch]) -> LocalRun:
+        """The implementation under the witness environment of one spec run.
+
+        Batches are lowered at delivery time through
+        :meth:`SimRel.concretize_batch`, so stateful relations see the
+        low log so far.  ``"per_query"`` delivers batch *i* at the low
+        run's *i*-th query point; ``"per_call"`` delivers the batches of
+        spec call *k* at the low run's first query point within call *k*.
+        """
+        lower = self.relation.concretize_batch
+        env: EnvContext
+        if self.delivery == "per_query":
+            env = ScriptedEnv(batches, transform=lower)
+        else:
+            marks = high_run.ctx.priv.get(CALL_MARKS, [])
+            groups = _batch_groups(batches, marks, self.calls)
+            env = CallScriptedEnv(groups, transform=lower)
+        return run_local(
+            self.low_iface, self.tid, self.low_player, self.args,
+            env=env, fuel=self.config.fuel,
+        )
+
+
+def _rerun_factory(ob: _Obligation) -> Callable:
+    """Replay one env-choice prefix of ``ob`` exactly as it was checked.
+
+    The returned ``rerun(choices)`` runs the spec under the
+    :class:`ChoiceEnv` prefix, applies the enumerator's validity filter
+    (prefix covered, rely-valid), then runs the implementation under the
+    witness environment.  Returns ``(high_run, batches, low_run)`` —
+    ``low_run`` is ``None`` when the spec run itself was unsafe — or
+    ``None`` when ``choices`` denotes no valid environment context, which
+    the shrinker treats as "does not reproduce".
+    """
+    config = ob.config
+    rely = ob.high_iface.rely
     env_tids = {e.tid for batch in config.env_alphabet for e in batch}
 
-    def rerun(args, choices):
+    def rerun(choices):
         env = RecordingEnv(ChoiceEnv(config.env_alphabet, choices))
         high_run = run_local(
-            high_iface, tid, high_player, args, env=env, fuel=config.fuel
+            ob.high_iface, ob.tid, ob.high_player, ob.args, env=env,
+            fuel=config.fuel,
         )
         if high_run.queries < len(choices):
             return None
@@ -284,16 +335,9 @@ def _sim_rerun_factory(
             high_run.log, rely, env_tids
         ):
             return None
-        low_run = None
-        if high_run.ok:
-            low_batches = [
-                relation.concretize_events(b) for b in env.batches
-            ]
-            low_run = run_local(
-                low_iface, tid, low_player, args,
-                env=ScriptedEnv(low_batches), fuel=config.fuel,
-            )
-        return high_run, tuple(env.batches), low_run
+        batches = tuple(env.batches)
+        low_run = ob.run_low(high_run, batches) if high_run.ok else None
+        return high_run, batches, low_run
 
     return rerun
 
@@ -303,23 +347,24 @@ class _SimForensics:
 
     Owns the capture budget (:data:`MAX_COUNTEREXAMPLES` per judgment —
     a broken layer fails hundreds of obligations with one root cause)
-    and builds the shrinker probe / artifact closures around a ``rerun``
-    callable, so both :func:`check_sim` and the scenario checker share
-    one capture path.  ``failure`` selects which obligation kind must
-    keep reproducing while the schedule shrinks: ``"spec"`` (spec unsafe
-    under a valid env), ``"impl"`` (implementation stuck), ``"logs"``
-    (logs unrelated) or ``"rets"`` (return values unrelated).
+    and builds the shrinker probe / artifact closures around the
+    obligation's ``rerun``.  ``failure`` selects which obligation kind
+    must keep reproducing while the schedule shrinks: ``"spec"`` (spec
+    unsafe under a valid env), ``"impl"`` (implementation stuck),
+    ``"logs"`` (logs unrelated) or ``"rets"`` (return values unrelated
+    under the obligation's own ``relate_ret``).
     """
 
-    def __init__(self, judgment: str, rerun: Callable, relation: SimRel):
-        self.judgment = judgment
-        self.rerun = rerun
-        self.relation = relation
+    def __init__(self, ob: _Obligation):
+        self.ob = ob
+        self.rerun = _rerun_factory(ob)
         self.captured = 0
 
-    def _fails_as(self, failure: str, args: Tuple[Any, ...]) -> Callable:
+    def _fails_as(self, failure: str) -> Callable:
+        relation = self.ob.relation
+
         def still_fails(choices):
-            replay = self.rerun(args, choices)
+            replay = self.rerun(choices)
             if replay is None:
                 return False
             high_run, _, low_run = replay
@@ -332,18 +377,16 @@ class _SimForensics:
             if not low_run.ok:
                 return False
             if failure == "logs":
-                return not self.relation.relate_logs(
-                    low_run.log, high_run.log
-                )
-            return not _relate_ret_lists(
-                self.relation, low_run.ret, high_run.ret
-            )
+                return not relation.relate_logs(low_run.log, high_run.log)
+            return not self.ob.relate_ret(low_run.ret, high_run.ret)
 
         return still_fails
 
-    def _artifacts_for(self, failure: str, args: Tuple[Any, ...]) -> Callable:
+    def _artifacts_for(self, failure: str) -> Callable:
+        relation = self.ob.relation
+
         def artifacts(choices):
-            replay = self.rerun(args, choices)
+            replay = self.rerun(choices)
             if replay is None:
                 return {}
             high_run, batches, low_run = replay
@@ -364,12 +407,12 @@ class _SimForensics:
             # Divergence view for unrelated logs/rets: exactly the pair
             # SimRel.relate_logs compares — essential low events vs. the
             # R-image of the spec's non-scheduler events.
-            got = self.relation.essential_low(low_run.log)
-            want = self.relation.map_events(
+            got = relation.essential_low(low_run.log)
+            want = relation.map_events(
                 e for e in high_run.log if not e.is_sched()
             )
             status = (
-                f"logs unrelated under {self.relation.name}"
+                f"logs unrelated under {relation.name}"
                 if failure == "logs"
                 else f"rets unrelated: {low_run.ret!r} vs {high_run.ret!r}"
             )
@@ -387,7 +430,6 @@ class _SimForensics:
         failure: str,
         obligation: str,
         status: str,
-        args: Tuple[Any, ...],
         choices: Tuple[int, ...],
     ) -> Optional[Dict[str, Any]]:
         """Shrink + hydrate one failing context into obligation evidence."""
@@ -396,12 +438,12 @@ class _SimForensics:
         self.captured += 1
         counterexample = build_counterexample(
             kind="simulation",
-            judgment=self.judgment,
+            judgment=self.ob.judgment,
             obligation=obligation,
             status=status,
             schedule=choices,
-            still_fails=self._fails_as(failure, args),
-            artifacts=self._artifacts_for(failure, args),
+            still_fails=self._fails_as(failure),
+            artifacts=self._artifacts_for(failure),
         )
         return {"counterexample": counterexample}
 
@@ -433,84 +475,121 @@ def _trim_counterexamples(
     return trimmed
 
 
-def _discharge_sim_records(
-    records: Sequence[RunRecord],
-    args: Tuple[Any, ...],
-    low_iface: LayerInterface,
-    low_player: Callable,
-    relation: SimRel,
-    tid: int,
-    config: SimConfig,
-    cert: Certificate,
-    logs: List[Log],
-    forensics: _SimForensics,
-) -> None:
-    """Discharge the per-environment-context obligations of one argument
-    vector (the inner loop of :func:`check_sim`)."""
+def _discharge(ob: _Obligation, records: Sequence[RunRecord]) -> Dict[str, Any]:
+    """Discharge ``ob`` on each enumerated environment context: spec
+    safe, impl safe, logs related and (``compare_rets``) rets related.
+
+    Returns the obligations plus one log per spec run and one per
+    executed implementation run.
+    """
+    cert = Certificate(judgment=ob.judgment, rule=ob.rule)
+    logs: List[Log] = []
+    forensics = _SimForensics(ob)
+    relation = ob.relation
+
+    def add(kind, what, ok, choices, details, status=None):
+        evidence = None if ok else forensics.capture(
+            kind, what, status or details, choices
+        )
+        cert.add(what, ok, details, evidence=evidence)
+
     budget = len(records)
     for explored, record in enumerate(records):
         heartbeat("sim.discharge", explored=explored, budget=budget)
-        label = f"args={args} env={record.choices}"
-        logs.append(record.run.log)
-        if not record.run.ok:
-            details = record.run.stuck or "guarantee violated"
-            cert.add(
-                f"spec safe under valid env [{label}]",
-                False,
-                details,
-                evidence=forensics.capture(
-                    "spec", f"spec safe under valid env [{label}]",
-                    details, tuple(args), record.choices,
-                ),
+        label = f"{ob.label} env={record.choices}"
+        high_run = record.run
+        logs.append(high_run.log)
+        if not high_run.ok:
+            add(
+                "spec", f"spec safe under valid env [{label}]", False,
+                record.choices, high_run.stuck or "guarantee violated",
             )
             continue
-        low_batches = [
-            relation.concretize_events(b) for b in record.batches
-        ]
-        low_run = run_local(
-            low_iface,
-            tid,
-            low_player,
-            tuple(args),
-            env=ScriptedEnv(low_batches),
-            fuel=config.fuel,
-        )
+        low_run = ob.run_low(high_run, record.batches)
         logs.append(low_run.log)
         if not low_run.ok:
-            details = low_run.stuck or "guarantee violated"
-            cert.add(
-                f"impl safe [{label}]",
-                False,
-                details,
-                evidence=forensics.capture(
-                    "impl", f"impl safe [{label}]", details,
-                    tuple(args), record.choices,
-                ),
+            add(
+                "impl", f"impl safe [{label}]", False, record.choices,
+                low_run.stuck or "guarantee violated",
             )
             continue
-        related = relation.relate_logs(low_run.log, record.run.log)
-        cert.add(
-            f"logs related [{label}]",
-            related,
-            "" if related else relation.explain(low_run.log, record.run.log),
-            evidence=None if related else forensics.capture(
-                "logs", f"logs related [{label}]",
-                f"logs unrelated under {relation.name}",
-                tuple(args), record.choices,
-            ),
+        related = relation.relate_logs(low_run.log, high_run.log)
+        add(
+            "logs", f"logs related [{label}]", related, record.choices,
+            "" if related else relation.explain(low_run.log, high_run.log),
+            f"logs unrelated under {relation.name}",
         )
-        if config.compare_rets:
-            rets_ok = relation.relate_ret(low_run.ret, record.run.ret)
-            cert.add(
-                f"rets related [{label}]",
-                rets_ok,
-                "" if rets_ok else f"{low_run.ret!r} vs {record.run.ret!r}",
-                evidence=None if rets_ok else forensics.capture(
-                    "rets", f"rets related [{label}]",
-                    f"{low_run.ret!r} vs {record.run.ret!r}",
-                    tuple(args), record.choices,
-                ),
+        if ob.config.compare_rets:
+            rets_ok = ob.relate_ret(low_run.ret, high_run.ret)
+            add(
+                "rets", f"rets related [{label}]", rets_ok, record.choices,
+                "" if rets_ok else f"{low_run.ret!r} vs {high_run.ret!r}",
             )
+    return {"obligations": cert.obligations, "logs": logs}
+
+
+def _check_obligation(ob: _Obligation, jobs: int) -> Dict[str, Any]:
+    """Enumerate the spec's environment contexts for ``ob`` and discharge
+    each one.
+
+    With ``jobs > 1`` the contexts are chunked across worker processes
+    (records hold live execution contexts and reach workers via fork
+    inheritance, never the pickle pipe); every chunk has its own
+    counterexample budget and the merged obligations are trimmed back to
+    the serial capture set.  Returns the obligations, logs and
+    environment-context count plus the coverage, reduction and (while
+    profiling) profile blocks.
+    """
+    config = ob.config
+    prof = profile_enabled()
+    t_obligation = time.perf_counter() if prof else 0.0
+    env_red = RedundancyBuilder("env_contexts") if prof else None
+    env_cov = (
+        CoverageBuilder(
+            "env_contexts",
+            budget=config.max_runs,
+            depth_bound=config.env_depth,
+        )
+        if obs_enabled() else None
+    )
+    obligations: List[Obligation] = []
+    logs: List[Log] = []
+    with reduction_collector(current_axes()) as red_stats, \
+            profile_span(f"obligation[{ob.label}]"):
+        records = enumerate_local_runs(
+            ob.high_iface, ob.tid, ob.high_player, ob.args, config,
+            coverage=env_cov, redundancy=env_red,
+        )
+        chunks = (
+            chunk_evenly(records, jobs * CHUNKS_PER_WORKER)
+            if jobs > 1 else [records]
+        )
+        for chunk_output in parallel_map(
+            lambda chunk: _discharge(ob, chunk), chunks, jobs=jobs
+        ):
+            obligations.extend(chunk_output["obligations"])
+            logs.extend(chunk_output["logs"])
+        _trim_counterexamples(obligations)
+    output: Dict[str, Any] = {
+        "obligations": obligations,
+        "logs": logs,
+        "env_contexts": len(records),
+        "coverage": (
+            {"env_contexts": env_cov.record()}
+            if env_cov is not None else None
+        ),
+        "reduction": red_stats.as_dict(),
+    }
+    if env_red is not None:
+        # One log per spec run plus one per executed implementation run:
+        # the low-run count falls out of the ledger without extra plumbing.
+        output["profile"] = {
+            "obligation": ob.label,
+            "wall_us": int((time.perf_counter() - t_obligation) * 1e6),
+            "states": env_red.explored + len(logs) - len(records),
+            "redundancy": env_red.record(),
+        }
+    return output
 
 
 def check_sim(
@@ -530,8 +609,8 @@ def check_sim(
 
     Both players receive the same argument vectors.  For every high-level
     run under a rely-valid environment, the low-level run under the
-    R-mapped environment must finish safely with an R-related log and
-    return value.
+    R-mapped environment (delivered per query) must finish safely with
+    an R-related log and return value.
 
     With ``jobs > 1`` (or ``REPRO_JOBS`` set) the argument vectors are
     checked in worker processes; with a single argument vector the
@@ -551,114 +630,35 @@ def check_sim(
     window = MetricsWindow()
     n_jobs = get_jobs(jobs)
     cert = Certificate(judgment=judgment, rule=rule, bounds=config.describe())
-    logs: List[Log] = []
-    env_contexts = 0
+    args_vectors = [tuple(args) for args in config.args_list]
+    inner_jobs = n_jobs if len(args_vectors) == 1 else 1
     args_cov = (
-        CoverageBuilder("args_vectors", budget=len(config.args_list))
+        CoverageBuilder("args_vectors", budget=len(args_vectors))
         if obs_enabled() else None
     )
 
-    def make_forensics() -> _SimForensics:
-        return _SimForensics(
-            judgment,
-            _sim_rerun_factory(
-                low_iface, low_player, high_iface, high_player, relation,
-                config, tid,
-            ),
-            relation,
+    def checked_args_vector(args: Tuple[Any, ...]) -> Dict[str, Any]:
+        ob = _Obligation(
+            label=f"args={args}", judgment=judgment, rule=rule,
+            low_iface=low_iface, low_player=low_player,
+            high_iface=high_iface, high_player=high_player,
+            relation=relation, tid=tid, config=config, args=args,
+            delivery="per_query", relate_ret=relation.relate_ret,
         )
-
-    def check_args_vector(args: Tuple[Any, ...]) -> Dict[str, Any]:
-        """One argument vector: enumerate env contexts, discharge each."""
-        prof = profile_enabled()
-        t_obligation = time.perf_counter() if prof else 0.0
-        env_red = RedundancyBuilder("env_contexts") if prof else None
-        env_cov = (
-            CoverageBuilder(
-                "env_contexts",
-                budget=config.max_runs,
-                depth_bound=config.env_depth,
-            )
-            if obs_enabled() else None
+        key = obligation_key(args) if obligation_key is not None else None
+        return cached_obligation_payload(
+            "sim-args", key, lambda: _check_obligation(ob, inner_jobs),
+            ("obligations", "logs", "env_contexts"),
         )
-        with reduction_collector(current_axes()) as red_stats, \
-                profile_span(f"obligation[args={args}]"):
-            records = enumerate_local_runs(
-                high_iface, tid, high_player, args, config,
-                coverage=env_cov, redundancy=env_red,
-            )
-            scratch = Certificate(judgment=judgment, rule=rule)
-            task_logs: List[Log] = []
-            if n_jobs > 1 and len(config.args_list) == 1 and len(records) > 1:
-                # Single argument vector: the parallelism is per environment
-                # context.  Records hold live execution contexts and reach
-                # workers via fork inheritance, never the pickle pipe.
-                def discharge_chunk(chunk: List[RunRecord]) -> Dict[str, Any]:
-                    chunk_cert = Certificate(judgment=judgment, rule=rule)
-                    chunk_logs: List[Log] = []
-                    _discharge_sim_records(
-                        chunk, args, low_iface, low_player, relation, tid,
-                        config, chunk_cert, chunk_logs, make_forensics(),
-                    )
-                    return {
-                        "obligations": chunk_cert.obligations,
-                        "logs": chunk_logs,
-                    }
-
-                chunks = chunk_evenly(records, n_jobs * CHUNKS_PER_WORKER)
-                for chunk_output in parallel_map(
-                    discharge_chunk, chunks, jobs=n_jobs
-                ):
-                    scratch.obligations.extend(chunk_output["obligations"])
-                    task_logs.extend(chunk_output["logs"])
-            else:
-                _discharge_sim_records(
-                    records, args, low_iface, low_player, relation, tid,
-                    config, scratch, task_logs, make_forensics(),
-                )
-        output = {
-            "obligations": scratch.obligations,
-            "logs": task_logs,
-            "env_contexts": len(records),
-            "coverage": (
-                {"env_contexts": env_cov.record()}
-                if env_cov is not None else None
-            ),
-            "reduction": red_stats.as_dict(),
-        }
-        if prof:
-            # The discharge loop appends one log per spec run plus one per
-            # executed implementation run, so low-run count falls out of
-            # the ledger without extra plumbing.
-            low_runs = len(task_logs) - len(records)
-            output["profile"] = {
-                "obligation": f"args={args}",
-                "wall_us": int((time.perf_counter() - t_obligation) * 1e6),
-                "states": env_red.explored + low_runs,
-                "redundancy": env_red.record(),
-            }
-        return output
 
     with span("check_sim", judgment=judgment, rule=rule):
         init_ok = relation.relate_logs(
             Log(low_iface.init_log), Log(high_iface.init_log)
         )
         cert.add("initial logs related", init_ok)
-
-        def checked_args_vector(args: Tuple[Any, ...]) -> Dict[str, Any]:
-            key = obligation_key(args) if obligation_key is not None else None
-            return cached_obligation_payload(
-                "sim-args", key, lambda: check_args_vector(args),
-                ("obligations", "logs", "env_contexts"),
-            )
-
-        args_vectors = [tuple(args) for args in config.args_list]
-        outputs = parallel_map(
-            checked_args_vector, args_vectors,
-            jobs=n_jobs if len(args_vectors) > 1 else 1,
-        )
+        outputs = parallel_map(checked_args_vector, args_vectors, jobs=n_jobs)
+        logs: List[Log] = []
         for output in outputs:
-            env_contexts += output["env_contexts"]
             cert.obligations.extend(output["obligations"])
             logs.extend(output["logs"])
         _trim_counterexamples(cert.obligations)
@@ -667,8 +667,8 @@ def check_sim(
     if obs_enabled():
         observe("sim.check_wall_s", elapsed)
     extra: Dict[str, Any] = dict(
-        env_contexts=env_contexts,
-        args_vectors=len(config.args_list),
+        env_contexts=sum(output["env_contexts"] for output in outputs),
+        args_vectors=len(args_vectors),
         workers=n_jobs,
     )
     if obs_enabled():
@@ -755,63 +755,16 @@ def _batch_groups(batches: Sequence[Batch], marks: Sequence[int], n_calls: int) 
     return groups
 
 
-def _scenario_rerun_factory(
-    low_iface: LayerInterface,
-    impl_player: Callable,
-    high_iface: LayerInterface,
-    scenario: Scenario,
-    relation: SimRel,
-    tid: int,
-) -> Callable:
-    """Replay one env-choice prefix of a scenario check (call-aligned).
-
-    Mirrors :func:`_check_scenario_records` exactly: spec run under the
-    choice prefix, validity filtering, then the implementation under the
-    per-query or per-call witness environment.  Same return protocol as
-    :func:`_sim_rerun_factory` (the ``args`` parameter is ignored —
-    scenarios embed their own call arguments).
-    """
-    from .environment import CallScriptedEnv
-
-    config = scenario.config
-    spec_player = scenario_spec_player(scenario)
-    rely = high_iface.rely
-    env_tids = {e.tid for batch in config.env_alphabet for e in batch}
-
-    def rerun(args, choices):
-        env = RecordingEnv(ChoiceEnv(config.env_alphabet, choices))
-        high_run = run_local(
-            high_iface, tid, spec_player, (), env=env, fuel=config.fuel
+def _relate_ret_lists(relation: SimRel, low, high) -> bool:
+    """Relate a scenario's per-call return lists call by call."""
+    if isinstance(low, list) and isinstance(high, list):
+        return len(low) == len(high) and all(
+            relation.relate_ret(a, b) for a, b in zip(low, high)
         )
-        if high_run.queries < len(choices):
-            return None
-        if config.check_rely and not env_events_valid(
-            high_run.log, rely, env_tids
-        ):
-            return None
-        batches = tuple(env.batches)
-        low_run = None
-        if high_run.ok:
-            if config.delivery == "per_query":
-                low_env = ScriptedEnv(
-                    batches, transform=relation.concretize_batch
-                )
-            else:
-                marks = high_run.ctx.priv.get(CALL_MARKS, [])
-                groups = _batch_groups(batches, marks, len(scenario.calls))
-                low_env = CallScriptedEnv(
-                    groups, transform=relation.concretize_batch
-                )
-            low_run = run_local(
-                low_iface, tid, impl_player, (), env=low_env,
-                fuel=config.fuel,
-            )
-        return high_run, batches, low_run
-
-    return rerun
+    return relation.relate_ret(low, high)
 
 
-def check_scenario_sim(
+def _check_scenario(
     low_iface: LayerInterface,
     impl_player: Callable,
     high_iface: LayerInterface,
@@ -819,196 +772,49 @@ def check_scenario_sim(
     relation: SimRel,
     tid: int,
     judgment: str,
-    rule: str = "sim",
-    jobs: Optional[int] = None,
+    rule: str,
+    jobs: int,
 ) -> Certificate:
-    """Check one scenario: spec-first enumeration, call-aligned witness.
-
-    Like :func:`check_sim`, but the low-level environment is a
-    :class:`CallScriptedEnv` delivering each high-level call's batches at
-    the corresponding low-level call — the constructive form of Def 2.1's
-    "related environmental event sequences" for multi-call protocols.
-
-    With ``jobs > 1`` the enumerated environment contexts are chunked
-    across worker processes (the records reach workers via fork
-    inheritance; obligations merge in enumeration order and the
-    counterexample budget is enforced globally at merge).
-    """
+    """One scenario as a Def. 2.1 obligation: the spec player calls the
+    scenario's primitives, the witness environment delivers per the
+    scenario config's ``delivery``, and return lists relate call by call
+    — the constructive form of Def. 2.1's "related environmental event
+    sequences" for multi-call protocols."""
     started = time.perf_counter()
     window = MetricsWindow()
     n_jobs = get_jobs(jobs)
     config = scenario.config
     cert = Certificate(judgment=judgment, rule=rule, bounds=config.describe())
-    logs: List[Log] = []
-
-    def make_forensics() -> _SimForensics:
-        return _SimForensics(
-            judgment,
-            _scenario_rerun_factory(
-                low_iface, impl_player, high_iface, scenario, relation, tid
-            ),
-            relation,
-        )
-
-    prof = profile_enabled()
-    t_obligation = time.perf_counter() if prof else 0.0
-    env_red = RedundancyBuilder("env_contexts") if prof else None
-    env_cov = (
-        CoverageBuilder(
-            "env_contexts",
-            budget=config.max_runs,
-            depth_bound=config.env_depth,
-        )
-        if obs_enabled() else None
+    ob = _Obligation(
+        label=scenario.label, judgment=judgment, rule=rule,
+        low_iface=low_iface, low_player=impl_player,
+        high_iface=high_iface, high_player=scenario_spec_player(scenario),
+        relation=relation, tid=tid, config=config, args=(),
+        delivery=config.delivery,
+        relate_ret=lambda low, high: _relate_ret_lists(relation, low, high),
+        calls=len(scenario.calls),
     )
     with span(
         "check_scenario_sim", scenario=scenario.label, judgment=judgment
-    ), reduction_collector(current_axes()) as red_stats, \
-            profile_span(f"obligation[{scenario.label}]"):
+    ):
         init_ok = relation.relate_logs(
             Log(low_iface.init_log), Log(high_iface.init_log)
         )
         cert.add("initial logs related", init_ok)
-        spec_player = scenario_spec_player(scenario)
-        records = enumerate_local_runs(
-            high_iface, tid, spec_player, (), config,
-            coverage=env_cov, redundancy=env_red,
-        )
-        if n_jobs > 1 and len(records) > 1:
-            def discharge_chunk(chunk) -> Dict[str, Any]:
-                chunk_cert = Certificate(judgment=judgment, rule=rule)
-                chunk_logs: List[Log] = []
-                _check_scenario_records(
-                    chunk, scenario, low_iface, impl_player, relation,
-                    tid, config, chunk_cert, chunk_logs, make_forensics(),
-                )
-                return {
-                    "obligations": chunk_cert.obligations,
-                    "logs": chunk_logs,
-                }
-
-            chunks = chunk_evenly(records, n_jobs * CHUNKS_PER_WORKER)
-            for chunk_output in parallel_map(
-                discharge_chunk, chunks, jobs=n_jobs
-            ):
-                cert.obligations.extend(chunk_output["obligations"])
-                logs.extend(chunk_output["logs"])
-            _trim_counterexamples(cert.obligations)
-        else:
-            _check_scenario_records(
-                records, scenario, low_iface, impl_player, relation, tid,
-                config, cert, logs, make_forensics(),
-            )
-    cert.log_universe = tuple(logs)
+        output = _check_obligation(ob, n_jobs)
+    cert.obligations.extend(output["obligations"])
+    cert.log_universe = tuple(output["logs"])
     elapsed = time.perf_counter() - started
     if obs_enabled():
         observe("sim.scenario_wall_s", elapsed)
-    extra: Dict[str, Any] = dict(
-        env_contexts=len(records),
+    stamp_provenance(
+        cert, elapsed, window, [output],
+        env_contexts=output["env_contexts"],
         scenario=scenario.label,
         calls=len(scenario.calls),
         workers=n_jobs,
     )
-    output: Dict[str, Any] = {"reduction": red_stats.as_dict()}
-    if env_cov is not None:
-        output["coverage"] = {"env_contexts": env_cov.record()}
-    if env_red is not None:
-        output["profile"] = {
-            "obligation": scenario.label,
-            "wall_us": int((time.perf_counter() - t_obligation) * 1e6),
-            "states": env_red.explored + len(logs) - len(records),
-            "redundancy": env_red.record(),
-        }
-    stamp_provenance(cert, elapsed, window, [output], **extra)
     return cert
-
-
-def _check_scenario_records(
-    records, scenario, low_iface, impl_player, relation, tid, config, cert,
-    logs, forensics=None,
-):
-    """Discharge one scenario's per-environment-context obligations."""
-    from .environment import CallScriptedEnv
-
-    budget = len(records)
-    for explored, record in enumerate(records):
-        heartbeat("sim.discharge", explored=explored, budget=budget)
-        label = f"{scenario.label} env={record.choices}"
-        logs.append(record.run.log)
-        if not record.run.ok:
-            details = record.run.stuck or "guarantee violated"
-            cert.add(
-                f"spec safe under valid env [{label}]",
-                False,
-                details,
-                evidence=forensics and forensics.capture(
-                    "spec", f"spec safe under valid env [{label}]", details,
-                    (), record.choices,
-                ),
-            )
-            continue
-        if config.delivery == "per_query":
-            env = ScriptedEnv(
-                record.batches, transform=relation.concretize_batch
-            )
-        else:
-            marks = record.run.ctx.priv.get(CALL_MARKS, [])
-            groups = _batch_groups(
-                record.batches, marks, len(scenario.calls)
-            )
-            env = CallScriptedEnv(groups, transform=relation.concretize_batch)
-        low_run = run_local(
-            low_iface,
-            tid,
-            impl_player,
-            (),
-            env=env,
-            fuel=config.fuel,
-        )
-        logs.append(low_run.log)
-        if not low_run.ok:
-            details = low_run.stuck or "guarantee violated"
-            cert.add(
-                f"impl safe [{label}]",
-                False,
-                details,
-                evidence=forensics and forensics.capture(
-                    "impl", f"impl safe [{label}]", details,
-                    (), record.choices,
-                ),
-            )
-            continue
-        related = relation.relate_logs(low_run.log, record.run.log)
-        cert.add(
-            f"logs related [{label}]",
-            related,
-            "" if related else relation.explain(low_run.log, record.run.log),
-            evidence=None if related else forensics and forensics.capture(
-                "logs", f"logs related [{label}]",
-                f"logs unrelated under {relation.name}",
-                (), record.choices,
-            ),
-        )
-        if config.compare_rets:
-            rets_ok = _relate_ret_lists(relation, low_run.ret, record.run.ret)
-            cert.add(
-                f"rets related [{label}]",
-                rets_ok,
-                "" if rets_ok else f"{low_run.ret!r} vs {record.run.ret!r}",
-                evidence=None if rets_ok else forensics and forensics.capture(
-                    "rets", f"rets related [{label}]",
-                    f"{low_run.ret!r} vs {record.run.ret!r}",
-                    (), record.choices,
-                ),
-            )
-
-
-def _relate_ret_lists(relation: SimRel, low, high) -> bool:
-    if isinstance(low, list) and isinstance(high, list):
-        return len(low) == len(high) and all(
-            relation.relate_ret(a, b) for a, b in zip(low, high)
-        )
-    return relation.relate_ret(low, high)
 
 
 def check_scenarios(
@@ -1029,8 +835,7 @@ def check_scenarios(
     bodies, or low-interface primitive calls when checking an interface
     simulation).  With ``jobs > 1`` and multiple scenarios each scenario
     is checked in its own worker process; with a single scenario the
-    worker budget is forwarded into :func:`check_scenario_sim`'s
-    per-environment-context fan-out instead.
+    worker budget goes to the per-environment-context fan-out instead.
 
     ``obligation_key(scenario)`` (an
     :data:`~repro.analysis.slices.ObligationKey` builder) enables the
@@ -1049,7 +854,7 @@ def check_scenarios(
             return cached_obligation(
                 "scenario",
                 key,
-                lambda: check_scenario_sim(
+                lambda: _check_scenario(
                     low_iface,
                     impl_player_for(scenario),
                     high_iface,
@@ -1062,78 +867,10 @@ def check_scenarios(
                 ),
             )
 
-        cert.children.extend(
-            parallel_map(
-                check_one,
-                list(scenarios),
-                jobs=n_jobs if len(scenarios) > 1 else 1,
-            )
-        )
+        cert.children.extend(parallel_map(check_one, list(scenarios), jobs=n_jobs))
     stamp_provenance(
         cert, time.perf_counter() - started, window,
         scenarios=[s.label for s in scenarios],
-        workers=n_jobs,
-    )
-    return cert
-
-
-def check_interface_sim(
-    low_iface: LayerInterface,
-    high_iface: LayerInterface,
-    relation: SimRel,
-    tid: int,
-    configs: Dict[str, SimConfig],
-    judgment: Optional[str] = None,
-    jobs: Optional[int] = None,
-    obligation_key: Optional[Callable[[str, SimConfig], Any]] = None,
-) -> Certificate:
-    """Check ``L ≤_R L'`` primitive by primitive.
-
-    ``configs`` maps each checked primitive name to its
-    :class:`SimConfig`; every primitive of the high interface that should
-    be backed by the low interface must appear.  The per-primitive
-    sub-certificates become children of the returned certificate.  With
-    ``jobs > 1`` and multiple primitives each primitive is checked in
-    its own worker process (one primitive forwards the budget into
-    :func:`check_sim`).
-    """
-    judgment = judgment or f"{low_iface.name} ≤_{relation.name} {high_iface.name}"
-    started = time.perf_counter()
-    window = MetricsWindow()
-    n_jobs = get_jobs(jobs)
-    cert = Certificate(judgment=judgment, rule="interface-sim")
-    with span("check_interface_sim", judgment=judgment):
-        items = list(configs.items())
-        inner_jobs = n_jobs if len(items) == 1 else 1
-
-        def check_one(item) -> Certificate:
-            name, config = item
-            key = (
-                obligation_key(name, config)
-                if obligation_key is not None else None
-            )
-            return cached_obligation(
-                "interface-prim",
-                key,
-                lambda: check_sim(
-                    low_iface,
-                    prim_player(name),
-                    high_iface,
-                    prim_player(name),
-                    relation,
-                    tid,
-                    config,
-                    judgment=f"{low_iface.name}.{name} ≤_{relation.name} {high_iface.name}.{name}",
-                    jobs=inner_jobs,
-                ),
-            )
-
-        cert.children.extend(
-            parallel_map(check_one, items, jobs=n_jobs if len(items) > 1 else 1)
-        )
-    stamp_provenance(
-        cert, time.perf_counter() - started, window,
-        primitives=sorted(configs),
         workers=n_jobs,
     )
     return cert

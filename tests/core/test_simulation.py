@@ -1,5 +1,7 @@
 """The Def. 2.1 strategy-simulation checker."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -22,6 +24,7 @@ from repro.core import (
     shared_prim,
     simple_event_prim,
 )
+from repro.core.errors import Stuck
 from repro.core.log import Log
 from repro.core.module import FuncImpl, Module
 
@@ -211,3 +214,99 @@ class TestScenarios:
             judgment="module ≤ iface (per query)",
         )
         assert cert.ok
+
+
+def bump_twice(ctx):
+    first = yield from ctx.call("bump")
+    second = yield from ctx.call("bump")
+    return [first, second]
+
+
+def bump_n_times(ctx, n):
+    rets = []
+    for _ in range(n):
+        rets.append((yield from ctx.call("bump")))
+    return rets
+
+
+def noise_intolerant_bump(ctx):
+    ret = yield from ctx.call("bump")
+    if ctx.log.count("noise"):
+        raise Stuck("witness noise observed")
+    return ret
+
+
+#: Lowers every environment ``bump`` to ``bump • noise``; ``noise`` is
+#: implementation detail and erased before logs are related.
+NOISY_REL = EventMapRel(
+    "noisy",
+    erase={"noise"},
+    concretize={"bump": lambda e: (e, Event(e.tid, "noise"))},
+)
+
+
+class TestRetsCounterexamples:
+    def test_rets_counterexample_shrinks_under_the_checked_relation(self):
+        """The shrinker re-checks ``rets related`` with the very relation
+        the obligation used, so a whole-value failure shrinks."""
+        iface = counter_iface()
+        ints_only = EventMapRel(
+            "ints",
+            ret_rel=lambda low, high: isinstance(low, int) and low == high,
+        )
+        cert = check_sim(
+            iface, bump_twice, iface, bump_twice, ints_only, 1,
+            SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
+            judgment="twice ≤_ints twice",
+        )
+        failures = cert.failures
+        assert len(failures) == 4
+        assert all(o.description.startswith("rets related") for o in failures)
+        assert [o.counterexample.schedule for o in failures] == [()] * 4
+
+
+#: SHA-256 of ``canonical_bytes()`` for the two checks below, recorded
+#: when ``check_sim`` lowered witness batches up front through
+#: ``concretize_events``.  Lowering them at delivery time through
+#: ``concretize_batch`` must not move a byte.
+NOISY_DIGESTS = {
+    "noisy_args_vectors":
+        "f4cd5bb81a189901712f7e1e3f33aa2b0d832d9c2f055e61699133c7784d4aeb",
+    "noisy_impl_stuck":
+        "7f3951a745c89eabba40704159869813f9539cb876d48eaa6a9562a074135998",
+}
+
+
+@pytest.mark.usefixtures("obs_off")
+class TestNonIdentityConcretizationBytes:
+    """``check_sim`` certificate bytes under a relation whose
+    concretization is not its event map: serial and ``jobs=2`` agree,
+    and both match the pinned digests."""
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "jobs2"])
+    def test_certificates_match_pinned_digests(self, jobs):
+        certificates = {
+            "noisy_args_vectors": check_sim(
+                counter_iface("Low"), bump_n_times,
+                counter_iface("High"), bump_n_times,
+                NOISY_REL, 1,
+                SimConfig(
+                    env_alphabet=[(), ENV_BUMP], env_depth=2,
+                    args_list=[(1,), (2,)],
+                ),
+                judgment="bump^n ≤_noisy bump^n", jobs=jobs,
+            ),
+            "noisy_impl_stuck": check_sim(
+                counter_iface("Low"), noise_intolerant_bump,
+                counter_iface("High"), prim_player("bump"),
+                NOISY_REL, 1, SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
+                judgment="intolerant ≤_noisy bump", jobs=jobs,
+            ),
+        }
+        assert certificates["noisy_args_vectors"].ok
+        assert not certificates["noisy_impl_stuck"].ok
+        digests = {
+            name: hashlib.sha256(cert.canonical_bytes()).hexdigest()
+            for name, cert in certificates.items()
+        }
+        assert digests == NOISY_DIGESTS
