@@ -494,6 +494,90 @@ def _param_mutations(code: types.CodeType, param: str) -> List[Tuple[str, int]]:
     return out
 
 
+# --- restartable specifications -----------------------------------------------
+
+#: :func:`restartability` verdicts.
+NEVER_SUSPENDS = "never-suspends"
+RESTARTABLE = "restartable"
+NOT_RESTARTABLE = "not-restartable"
+
+#: Ops that set up a frame or pad a call and touch no state.
+_FILLER_OPS = frozenset({
+    "GEN_START", "COPY_FREE_VARS", "MAKE_CELL", "RETURN_GENERATOR", "RESUME",
+    "NOP", "PUSH_NULL", "PRECALL", "CACHE", "EXTENDED_ARG",
+})
+#: One per suspension site: a ``yield`` on every version, the
+#: ``yield from`` of 3.10 (later versions yield from inside a SEND loop).
+_YIELD_OPS = frozenset({"YIELD_VALUE", "YIELD_FROM"})
+_JUMP_OPCODES = frozenset(dis.hasjrel) | frozenset(dis.hasjabs)
+
+_RESTART_MEMO: Dict[types.CodeType, str] = {}
+
+
+def restartability(fn: Callable) -> str:
+    """Whether a suspended call of the generator ``fn`` can be restarted.
+
+    * :data:`NEVER_SUSPENDS` — the code has no yield, so a call runs to
+      completion on its first resumption (``push``, private primitives).
+    * :data:`RESTARTABLE` — the body begins with ``yield from
+      ctx.query()`` (``ctx`` the first parameter), yields nowhere else,
+      and no jump reaches back to that query.  A call suspended at the
+      query is then resumed by calling ``fn`` again with the same
+      arguments and advancing it to the query: nothing before the query
+      runs twice.
+    * :data:`NOT_RESTARTABLE` — anything else, or no code to inspect.
+
+    Decided once per code object, from bytecode, identically on Python
+    3.10 to 3.12.
+    """
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return NOT_RESTARTABLE
+    verdict = _RESTART_MEMO.get(code)
+    if verdict is None:
+        verdict = _RESTART_MEMO[code] = _restartability(code)
+    return verdict
+
+
+def _restartability(code: types.CodeType) -> str:
+    instrs = list(dis.get_instructions(code))
+    yields = sum(ins.opname in _YIELD_OPS for ins in instrs)
+    if yields == 0:
+        return NEVER_SUSPENDS
+    if yields > 1 or code.co_argcount < 1:
+        return NOT_RESTARTABLE
+    ops = [
+        ins for prev, ins in zip([None, *instrs], instrs)
+        if ins.opname not in _FILLER_OPS
+        and not (ins.opname == "POP_TOP" and prev is not None
+                 and prev.opname == "RETURN_GENERATOR")
+    ]
+    if len(ops) < 6:
+        return NOT_RESTARTABLE
+    load, method, call, get_iter, none, send = ops[:6]
+    leading_query = (
+        load.opname in _CTX_LOAD_OPS and load.argval == code.co_varnames[0]
+        and method.opname in _CTX_METHOD_OPS and method.argval == "query"
+        and call.opname in _SIMPLE_CALL_OPS and call.arg == 0
+        and get_iter.opname == "GET_YIELD_FROM_ITER"
+        and none.opname == "LOAD_CONST" and none.argval is None
+        and send.opname in ("SEND", "YIELD_FROM")
+    )
+    if not leading_query:
+        return NOT_RESTARTABLE
+    # A jump back to the query would suspend there again with loop
+    # state; the yield-from's own resend loop is the one exception.
+    for ins in instrs:
+        if (
+            ins.opcode in _JUMP_OPCODES
+            and ins.opname != "JUMP_BACKWARD_NO_INTERRUPT"
+            and isinstance(ins.argval, int)
+            and ins.argval <= send.offset
+        ):
+            return NOT_RESTARTABLE
+    return RESTARTABLE
+
+
 # --- mini-C / mini-asm AST analysis ----------------------------------------
 
 

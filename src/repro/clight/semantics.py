@@ -27,12 +27,20 @@ only ones that can reach a query point) become generator functions, so
 silent steps cost plain function calls.  Translation itself never gets
 stuck: an ill-formed node translates into code that raises its
 :class:`Stuck` when, and only if, it runs.
+
+A body that can suspend keeps its state where the game engine can copy
+it (:mod:`repro.core.playerstate`): :meth:`Interp.run_function` pushes
+an :class:`Activation` on ``ctx.frames``, and each ``Call`` records its
+:class:`CallSite` and argument values there before it calls.  The
+translation gives every call site its continuation, the rest of each
+enclosing statement up to the function body, so an activation can be
+re-entered from its record alone.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.context import ExecutionContext
 from ..core.errors import Stuck
@@ -105,6 +113,38 @@ GLOBALS_KEY = "globals"
 Code = Callable[..., Any]
 
 
+class Activation:
+    """One running function body that can suspend (on ``ctx.frames``).
+
+    ``site`` and ``values`` are the ``Call`` the body is in and its
+    argument values; every suspension happens inside a call.
+    """
+
+    __slots__ = ("interp", "name", "env", "site", "values")
+
+    def __init__(self, interp: "Interp", name: str, env: Dict[str, Any]):
+        self.interp = interp
+        self.name = name
+        self.env = env
+        self.site: Any = None
+        self.values: Tuple[Any, ...] = ()
+
+
+class CallSite:
+    """One translated ``Call``: its callee and its continuation.
+
+    ``resume(ctx, env, ret)`` is a generator function that stores the
+    call's result and runs the rest of every enclosing statement up to
+    the function body, returning the body's control signal.
+    """
+
+    __slots__ = ("name", "resume")
+
+    def __init__(self, name: str, resume: Code):
+        self.name = name
+        self.resume = resume
+
+
 def unit_globals(ctx: ExecutionContext, unit: TranslationUnit) -> Dict[str, Any]:
     """This participant's instance of the unit's globals (lazily built)."""
     store = ctx.priv.setdefault(GLOBALS_KEY, {})
@@ -126,20 +166,43 @@ class Interp:
         #: the same before and after its first run.
         self._compiled: Dict[str, Tuple[CFunction, Code, bool]] = {}
 
-    def run_function(self, ctx: ExecutionContext, name: str, args):
+    def run_function(self, ctx: ExecutionContext, name: str, args, resume=None):
+        """Run function ``name`` on ``args`` (a generator; the player body).
+
+        ``resume`` re-enters a suspended activation instead:
+        ``(env, site, values, inner)`` from its record, where ``inner``
+        re-enters the same-unit callee it is suspended in, or is None
+        when that callee is a primitive, which is restarted at its query.
+        """
         fn = self.unit.functions.get(name)
         if fn is None:
             raise Stuck(f"undefined function {name!r} in unit {self.unit.name}")
-        if len(args) != len(fn.params):
+        if resume is None and len(args) != len(fn.params):
             raise Stuck(
                 f"{name} expects {len(fn.params)} args, got {len(args)}"
             )
         entry = self._compiled.get(name)
         if entry is None or entry[0] is not fn:
-            entry = self._compiled[name] = (fn, *self._stmt(fn.body))
+            entry = self._compiled[name] = (fn, *self._stmt(fn.body, ()))
         _fn, body, generator = entry
-        env = dict(zip(fn.params, args))
-        signal = (yield from body(ctx, env)) if generator else body(ctx, env)
+        if not generator:
+            signal = body(ctx, dict(zip(fn.params, args)))
+        elif resume is None:
+            env = dict(zip(fn.params, args))
+            ctx.frames.append(Activation(self, name, env))
+            signal = yield from body(ctx, env)
+            ctx.frames.pop()
+        else:
+            env, site, values, inner = resume
+            activation = Activation(self, name, env)
+            activation.site, activation.values = site, values
+            ctx.frames.append(activation)
+            if inner is not None:
+                ret = yield from self.run_function(ctx, site.name, values, inner)
+            else:
+                ret = yield from ctx.restart_call(site.name, *values)
+            signal = yield from site.resume(ctx, env, ret)
+            ctx.frames.pop()
         if signal is None:
             return None
         if signal[0] == _RETURN:
@@ -354,8 +417,13 @@ class Interp:
     # ``code(ctx, env)`` first charges the statement's unit of fuel and
     # its cycle, then runs it and returns ``None`` or a control signal
     # (the generator kinds return it through ``StopIteration``).
+    #
+    # ``rest`` is what follows the statement up to the function body:
+    # generator functions ``frame(ctx, env, signal) -> signal``,
+    # innermost first, each finishing one enclosing statement given the
+    # signal of the part inside it.  Only call sites keep it.
 
-    def _stmt(self, stmt: Stmt) -> Tuple[Code, bool]:
+    def _stmt(self, stmt: Stmt, rest: Tuple[Code, ...]) -> Tuple[Code, bool]:
         if isinstance(stmt, Skip):
             def skip(ctx, env):
                 ctx.consume_fuel()
@@ -372,7 +440,11 @@ class Interp:
 
             return assign, False
         if isinstance(stmt, Seq):
-            subs = [self._stmt(sub) for sub in stmt.stmts]
+            subs: List[Tuple[Code, bool]] = []
+            following = rest
+            for sub in reversed(stmt.stmts):
+                subs.insert(0, self._stmt(sub, following))
+                following = (_seq_rest(tuple(subs)), *rest)
             if any(generator for _code, generator in subs):
                 def seq(ctx, env):
                     ctx.consume_fuel()
@@ -399,7 +471,7 @@ class Interp:
             return seq, False
         if isinstance(stmt, If):
             cond = self._expr(stmt.cond)
-            then, els = self._stmt(stmt.then), self._stmt(stmt.els)
+            then, els = self._stmt(stmt.then, rest), self._stmt(stmt.els, rest)
             if then[1] or els[1]:
                 def branch(ctx, env):
                     ctx.consume_fuel()
@@ -422,7 +494,16 @@ class Interp:
             # Each iteration charges one more unit of fuel on top of its
             # body's own charges.
             cond = self._expr(stmt.cond)
-            body, body_gen = self._stmt(stmt.body)
+
+            def loop_rest(ctx, env, signal):
+                while signal is None or signal is _CONTINUE:
+                    if not cond(ctx, env):
+                        return None
+                    ctx.consume_fuel()
+                    signal = yield from body(ctx, env)
+                return None if signal is _BREAK else signal
+
+            body, body_gen = self._stmt(stmt.body, (loop_rest, *rest))
             if body_gen:
                 def loop(ctx, env):
                     ctx.consume_fuel()
@@ -467,10 +548,23 @@ class Interp:
             name, unit, args = stmt.fn, self.unit, self._items(stmt.args)
             store = self._place(stmt.dst) if stmt.dst is not None else None
 
+            def after(ctx, env, ret):
+                if store is not None:
+                    store(ctx, env, ret)
+                signal = None
+                for frame in rest:
+                    signal = yield from frame(ctx, env, signal)
+                return signal
+
+            site = CallSite(name, after)
+
             def call(ctx, env):
                 ctx.consume_fuel()
                 ctx.cycles += 1
                 values = args(ctx, env)
+                activation = ctx.frames[-1]
+                activation.site = site
+                activation.values = values
                 if name in unit.functions:
                     ret = yield from self.run_function(ctx, name, values)
                 else:
@@ -500,6 +594,21 @@ class Interp:
         return unknown, False
 
 
+def _seq_rest(tail: Tuple[Tuple[Code, bool], ...]) -> Code:
+    """The frame finishing a ``Seq`` with the statements ``tail``."""
+
+    def seq_rest(ctx, env, signal):
+        if signal is not None:
+            return signal
+        for code, generator in tail:
+            signal = (yield from code(ctx, env)) if generator else code(ctx, env)
+            if signal is not None:
+                return signal
+        return None
+
+    return seq_rest
+
+
 def c_player(unit: TranslationUnit, name: str) -> Callable:
     """Make a player running function ``name`` of ``unit``.
 
@@ -513,6 +622,9 @@ def c_player(unit: TranslationUnit, name: str) -> Callable:
         return ret
 
     player.__name__ = f"c_{name}"
+    # Lets the game engine re-enter a suspended run of this player
+    # (:mod:`repro.core.playerstate`).
+    player.__c_function__ = (interp, name)
     return player
 
 

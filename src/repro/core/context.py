@@ -25,7 +25,7 @@ query through :meth:`ExecutionContext.query`, which yields nothing while
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .errors import OutOfFuel, Stuck
 from .events import Event
@@ -102,6 +102,12 @@ class ExecutionContext:
         #: before private primitives too.  Layer machines leave this off;
         #: the multicore linking theorem (Thm 3.1) relates the two modes.
         self.fine_grained = False
+        #: Activation records of the interpreted function bodies that
+        #: can suspend, outermost first (kept by
+        #: :meth:`repro.clight.semantics.Interp.run_function`).
+        self.frames: List[Any] = []
+        #: The return values so far of a ``seq_player`` running here.
+        self.rets: Optional[List[Any]] = None
 
     # -- log access ---------------------------------------------------------
 
@@ -150,6 +156,25 @@ class ExecutionContext:
         if self.fine_grained and self.critical == 0:
             yield QUERY
         ret = yield from prim.spec(self, *args)
+        if prim.enters_critical:
+            self.critical += 1
+        if prim.exits_critical:
+            self.exit_critical()
+        return ret
+
+    def restart_call(self, name: str, *args):
+        """Re-enter a :meth:`call` suspended at its specification's query.
+
+        The specification must be restartable
+        (:func:`repro.analysis.effects.restartability`): it is called
+        again and advanced to its query, where nothing has run yet.  The
+        call's fuel and cycle charges were made before the suspension
+        and are not repeated.
+        """
+        prim = self.interface.lookup(name)
+        spec = prim.spec(self, *args)
+        next(spec)
+        ret = yield from spec
         if prim.enters_critical:
             self.critical += 1
         if prim.exits_critical:

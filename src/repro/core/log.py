@@ -199,6 +199,27 @@ class LogBuffer:
         self._snapshot: Optional[Log] = None
         self._memo = MemoTable()
 
+    @classmethod
+    def restored(cls, events: Tuple[Event, ...], memo: MemoTable) -> "LogBuffer":
+        """A buffer holding the canonical ``events``, with a copy of ``memo``.
+
+        ``memo`` holds replay checkpoints of a prefix of ``events`` (see
+        :meth:`memo_copy`), so they are valid here too.
+        """
+        buffer = cls()
+        buffer._events = list(events)
+        buffer._memo = MemoTable(memo)
+        return buffer
+
+    def memo_copy(self) -> MemoTable:
+        """A copy of the replay checkpoints taken so far.
+
+        Replay states are never mutated (the
+        :class:`~repro.core.replay.ReplayFn` contract), so the copy
+        shares them safely.
+        """
+        return MemoTable(self._memo)
+
     def append(self, event: Event) -> None:
         self._events.append(intern_event(event))
         self._snapshot = None

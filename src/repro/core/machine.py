@@ -55,6 +55,14 @@ from .errors import OutOfFuel, Stuck
 from .events import HW_SCHED
 from .interface import LayerInterface
 from .log import Log, LogBuffer
+from .playerstate import (
+    UNSTARTED,
+    GameState,
+    Participant,
+    capture_game,
+    resumable_entries,
+    restore_player,
+)
 
 
 # --- players ---------------------------------------------------------------
@@ -88,7 +96,7 @@ def seq_player(calls: Sequence[Tuple[str, Tuple[Any, ...]]]):
     """
 
     def player(ctx):
-        rets = []
+        rets = ctx.rets = []
         for name, args in calls:
             ret = yield from ctx.call(name, *args)
             rets.append(ret)
@@ -96,6 +104,9 @@ def seq_player(calls: Sequence[Tuple[str, Tuple[Any, ...]]]):
 
     player.__name__ = "seq_" + "_".join(name for name, _ in calls)
     player.__static_calls__ = tuple(name for name, _ in calls)
+    # The call list lets a game restore a suspended run of this player
+    # (:mod:`repro.core.playerstate`).
+    player.__seq_calls__ = calls
     return player
 
 
@@ -247,10 +258,14 @@ class GameScheduler:
 
     A scheduler that resumes a recorded run (the reducing scheduler of
     :mod:`repro.reduce.dpor`) also carries ``history``, the tids of the
-    rounds :func:`run_game` replays before its first :meth:`pick`, and
-    ``diverged(log, round, reason)``, which raises
-    :class:`~repro.core.errors.ReplayDivergence` when the replay cannot
-    follow that record.
+    rounds before the branch round, and ``diverged(log, round,
+    reason)``, which raises :class:`~repro.core.errors.ReplayDivergence`
+    when a replay cannot follow that record.  Its ``restore`` is the
+    branch point whose player ``state`` :func:`run_game` installs, or
+    None, in which case the game replays the ``history`` rounds before
+    the first :meth:`pick`.  Its ``capture`` slot is set by the game to
+    a function returning the players' state, when the players are ones
+    :mod:`repro.core.playerstate` can capture.
     """
 
     def pick(self, log: Log, ready: FrozenSet[int]) -> int:
@@ -347,7 +362,18 @@ def run_game(
     hardware scheduling "are arbitrarily and nondeterministically
     interleaved".
     """
-    buffer = LogBuffer(interface.init_log if init_log is None else init_log)
+    # A resumed run starts at its branch round from the recorded player
+    # state when its branch point has one, and otherwise replays the
+    # recorded rounds without consulting the scheduler.  Either way the
+    # scheduler checks the log and ready set at its first pick.
+    history: Tuple[int, ...] = getattr(scheduler, "history", ())
+    replayed = len(history)
+    point = getattr(scheduler, "restore", None)
+    state: Optional[GameState] = point.state if point is not None else None
+    if state is None:
+        buffer = LogBuffer(interface.init_log if init_log is None else init_log)
+    else:
+        buffer = LogBuffer.restored(point.events, state.memo)
     ctxs: Dict[int, ExecutionContext] = {}
     gens: Dict[int, Any] = {}
     for tid, (player, args) in players.items():
@@ -356,18 +382,39 @@ def run_game(
         )
         ctx.fine_grained = fine_grained
         ctxs[tid] = ctx
-        gens[tid] = player(ctx, *args)
+        part = UNSTARTED if state is None else state.players[tid]
+        if part is UNSTARTED:
+            gens[tid] = player(ctx, *args)
+        else:
+            gen = restore_player(ctx, player.__seq_calls__, part)
+            if gen is not None:
+                gens[tid] = gen
 
-    ready = frozenset(players)
+    ready = frozenset(gens)
     rets: Dict[int, Any] = {}
     stuck: Optional[str] = None
     schedule: List[int] = []
     current: Optional[int] = None
     rounds = 0
-    # A resumed run replays its recorded rounds without consulting the
-    # scheduler; the scheduler checks the replay at its first pick.
-    history: Tuple[int, ...] = getattr(scheduler, "history", ())
-    replayed = len(history)
+    if state is not None:
+        rets.update(state.rets)
+        current = state.current
+        schedule.extend(history)
+        rounds = replayed
+        if obs_enabled():
+            inc("machine.schedule_rounds_restored", replayed + 1)
+    # Each participant's last capture, dropped when it runs again.
+    saved: Optional[Dict[int, Participant]] = None
+    if hasattr(scheduler, "capture"):
+        entries = (
+            resumable_entries(interface, players, fine_grained)
+            if state is None else state.entries
+        )
+        if entries is not None:
+            saved = dict(state.players) if state is not None else {}
+            scheduler.capture = lambda: capture_game(
+                ctxs, entries, saved, rets, current, buffer
+            )
 
     try:
         while ready and rounds < max_rounds:
@@ -383,6 +430,8 @@ def run_game(
                 tid = scheduler.pick(buffer.snapshot(), ready)
             rounds += 1
             schedule.append(tid)
+            if saved is not None:
+                saved.pop(tid, None)
             if record_sched and tid != current:
                 buffer.emit(tid, HW_SCHED)
             current = tid

@@ -113,6 +113,7 @@ def link(interface: LayerInterface, module: Module, name: Optional[str] = None) 
             ret = yield from _player(ctx, *args)
             return ret
 
+        spec.__linked_player__ = player
         prims.append(Prim(impl.name, spec, kind=SHARED, cycle_cost=1,
                           doc=f"linked from module {module.name}"))
     return interface.extend(name or f"{interface.name}+{module.name}", prims)

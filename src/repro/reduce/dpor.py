@@ -12,16 +12,20 @@ every ready participant.
 Branch-point resumption
     At every multi-candidate round the scheduler records a
     :class:`BranchPoint`: the tid of every earlier round, the log and
-    ready set at this round (held by reference), and its own state
-    after this round's sleep update.  A sibling run is the stack entry
-    ``(branch point, sibling tid)``.  Its game takes the recorded tids
-    for the earlier rounds without consulting the scheduler (player
-    code still re-executes them: generators cannot be copied), then
-    asks the scheduler, which checks that the replayed log and ready
+    ready set at this round (held by reference), its own state after
+    this round's sleep update, and the players' state as the game
+    captured it (``capture``; see :mod:`repro.core.playerstate`).  A
+    sibling run is the stack entry ``(branch point, sibling tid)``.
+    When the point carries player state, the sibling's game installs it
+    and starts at the branch round: no player code re-runs.  Otherwise
+    (players the game cannot capture, such as hand-written generators)
+    the game takes the recorded tids for the earlier rounds without
+    consulting the scheduler, and the players re-execute them.  Either
+    way it then asks the scheduler, which checks that the log and ready
     set equal the recorded ones, installs the recorded state and picks
     the sibling.  A mismatch — or a recorded tid that is no longer
     ready, or a replay that ends or gets stuck before the branch round
-    — raises :class:`~repro.core.errors.ReplayDivergence`: the replay
+    — raises :class:`~repro.core.errors.ReplayDivergence`: a replay
     presumes players are deterministic functions of the log, and that
     premise is checked on the log and ready set, not on private state.
 
@@ -101,7 +105,8 @@ Static independence seeds (``static-indep``)
 from __future__ import annotations
 
 from typing import (
-    Any, Dict, FrozenSet, List, NamedTuple, NoReturn, Optional, Set, Tuple,
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, NoReturn, Optional, Set,
+    Tuple,
 )
 
 from ..core.errors import ReplayDivergence
@@ -146,10 +151,12 @@ class BranchPoint(NamedTuple):
 
     ``history`` is the tid of every earlier round; ``events`` and
     ``ready`` are the log and the ready set at this round, held by
-    reference.  The rest is the scheduler's state after this round's
+    reference.  Then comes the scheduler's state after this round's
     sleep update: the sleep set, the per-participant step counts, the
     non-sched event chain and the decision depth (picks made at earlier
-    branch points).
+    branch points).  ``state`` is the players' state at this round, as
+    the game's ``capture`` returned it, or None when the game captures
+    none and siblings re-execute the recorded rounds.
     """
 
     history: Tuple[int, ...]
@@ -159,6 +166,7 @@ class BranchPoint(NamedTuple):
     counts: Dict[int, int]
     chain: int
     depth: int
+    state: Any = None
 
 
 #: A DFS stack entry: resume at the branch point and pick the sibling
@@ -172,12 +180,15 @@ class ReducingScheduler:
     A run resumed at ``(point, sibling)`` exposes ``history``: the tids
     of the rounds before the branch round, which
     :func:`~repro.core.machine.run_game` replays without calling
-    :meth:`pick`.  The first pick checks the replayed log and ready set
-    against the record, installs the recorded state and picks
-    ``sibling``.  From there on (and from the first round of the root
-    run) the scheduler keeps choosing the smallest awake ready
-    participant, recording a :class:`BranchPoint` at each
-    multi-candidate round and the sibling groups it leaves in
+    :meth:`pick`, and ``restore``: the point itself when it carries
+    player state, which the game installs instead of replaying.  The
+    game sets ``capture`` to a function returning its players' state;
+    each new branch point stores what it returns.  The first pick
+    checks the log and ready set against the record, installs the
+    recorded state and picks ``sibling``.  From there on (and from the
+    first round of the root run) the scheduler keeps choosing the
+    smallest awake ready participant, recording a :class:`BranchPoint`
+    at each multi-candidate round and the sibling groups it leaves in
     ``branches`` as ``(point, siblings)`` pairs.
     ``last`` is the latest pick with the point it was made at: a run
     cut at the frontier defers that subtree as this entry.
@@ -187,9 +198,10 @@ class ReducingScheduler:
     """
 
     __slots__ = (
-        "history", "dpor", "table", "stats", "frontier_depth", "redundancy",
-        "invisible", "depth", "counts", "branches", "sleep", "last",
-        "_resume", "_rounds", "_sleep_next", "_pending", "_scanned", "_chain",
+        "history", "restore", "capture", "dpor", "table", "stats",
+        "frontier_depth", "redundancy", "invisible", "depth", "counts",
+        "branches", "sleep", "last", "_resume", "_rounds", "_sleep_next",
+        "_pending", "_scanned", "_chain",
     )
 
     def __init__(
@@ -205,6 +217,12 @@ class ReducingScheduler:
         self._resume = resume
         #: Tids of the recorded rounds the game replays before a pick.
         self.history: Tuple[int, ...] = resume[0].history if resume else ()
+        #: The branch point whose player state the game installs.
+        self.restore: Optional[BranchPoint] = (
+            resume[0] if resume and resume[0].state is not None else None
+        )
+        #: Set by the game: returns its players' state, for new points.
+        self.capture: Optional[Callable[[], Any]] = None
         self.dpor = DPOR in axes
         self.table = table if TRANSPO in axes else None
         #: Statically invisible participants (``static-indep`` seeds):
@@ -288,9 +306,16 @@ class ReducingScheduler:
                 if len(kept) != len(siblings):
                     self.stats.prune(STATIC_INDEP, len(siblings) - len(kept))
                 siblings = kept
+            # A point is resumed only for its siblings, or as the entry
+            # of a subtree cut at the frontier.
+            state = None
+            if self.capture is not None and (
+                siblings or self.frontier_depth is not None
+            ):
+                state = self.capture()
             point = BranchPoint(
                 tuple(self._rounds), events, ready, self.sleep,
-                dict(self.counts), chain, self.depth,
+                dict(self.counts), chain, self.depth, state,
             )
             if self.dpor:
                 self._pending = (tid, siblings, point)

@@ -326,6 +326,48 @@ def test_certificates_match_the_reference(name, monkeypatch, obs_off):
     assert json.dumps(certify().to_json(), sort_keys=True) == compiled
 
 
+def test_reference_interpreter_game_reexecutes(monkeypatch, obs_off):
+    # The tree walker keeps no activation records, so no branch point
+    # past the first round stores player state: every sibling there
+    # re-executes its prefix.  (At the first round no player has run,
+    # and a sibling starts every player afresh.)
+    from repro import obs
+    from repro.core import behaviors_of, machine
+    from repro.obs.metrics import MetricsWindow
+
+    client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
+
+    def game():
+        layer = certify_ticket_lock([1, 2], lock="q0").composed
+        with obs.observing(reset=False):
+            window = MetricsWindow()
+            results = behaviors_of(
+                layer.underlay, client, layer.module, max_rounds=14, jobs=1
+            )
+            delta = window.delta()
+        return (
+            results,
+            delta["machine.schedule_rounds_replayed"],
+            delta.get("machine.schedule_rounds_restored", 0),
+        )
+
+    compiled, replayed, restored = game()
+    assert restored == replayed > 0
+    restored_players = []
+
+    def restore_player(ctx, calls, part):
+        restored_players.append(ctx.tid)
+        return real_restore_player(ctx, calls, part)
+
+    real_restore_player = machine.restore_player
+    monkeypatch.setattr(machine, "restore_player", restore_player)
+    monkeypatch.setattr(semantics, "Interp", reference_interp.Interp)
+    reference, replayed, restored = game()
+    assert replayed > restored
+    assert restored_players == []
+    assert reference == compiled
+
+
 def interp_of(impl):
     (interp,) = [
         cell.cell_contents for cell in impl.player.__closure__

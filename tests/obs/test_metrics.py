@@ -183,3 +183,85 @@ class TestScheduleRounds:
         # short by PruneRun or DeferRun, which machine.game_rounds skips,
         # count too.
         assert rounds > counters["machine.game_rounds"]
+
+    @pytest.mark.parametrize("reduce", ["on", "off"])
+    def test_python_spec_ticket_game_restores_nothing(self, reduce, monkeypatch):
+        # Python-spec players are generators the engine cannot copy:
+        # every resumed run re-executes its prefix, and counts as before.
+        from repro.core import check_soundness
+        from repro.objects.ticket_lock import certify_ticket_lock
+
+        layer = certify_ticket_lock(
+            [1, 2], lock="q0", use_c_source=False
+        ).composed
+        client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
+        monkeypatch.setenv("REPRO_REDUCE", reduce)
+        obs.enable()
+        check_soundness(
+            layer, clients=[client], max_rounds=14, require_progress=False,
+        )
+        counters = obs.snapshot()["counters"]
+        rounds = counters["machine.schedule_rounds"]
+        replayed = counters["machine.schedule_rounds_replayed"]
+        assert (rounds, replayed) == self.ROUNDS[reduce]
+        assert counters.get("machine.schedule_rounds_restored", 0) == 0
+
+    @staticmethod
+    def c_ticket_game_counters(jobs=None):
+        """Counters of the C-source ticket game alone (``[[P ⊕ M]]``)."""
+        from repro.core import behaviors_of
+        from repro.objects.ticket_lock import certify_ticket_lock
+
+        layer = certify_ticket_lock([1, 2], lock="q0").composed
+        client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
+        obs.enable()
+        behaviors_of(
+            layer.underlay, client, layer.module, max_rounds=14, jobs=jobs
+        )
+        return obs.snapshot()["counters"]
+
+    @pytest.mark.parametrize("reduce", ["on", "off"])
+    def test_c_ticket_game_restores_every_resumed_run(self, reduce, monkeypatch):
+        monkeypatch.setenv("REPRO_REDUCE", reduce)
+        counters = self.c_ticket_game_counters()
+        replayed = counters["machine.schedule_rounds_replayed"]
+        assert replayed > 0
+        assert counters["machine.schedule_rounds_restored"] == replayed
+
+    def test_restored_activations_reenter_a_wrapped_interpreter(
+        self, monkeypatch
+    ):
+        # A send-loop wrapper on Interp.run_function, shaped like a
+        # tracer that times each resumption, sees restored activations
+        # too: restoration must not switch itself off around it.
+        from repro.clight.semantics import Interp
+
+        original = Interp.run_function
+        entries = []
+
+        def wrapped(*args, **kwargs):
+            entries.append(args[3:])
+            inner = original(*args, **kwargs)
+            value, error = None, None
+            while True:
+                try:
+                    item = inner.send(value) if error is None else inner.throw(error)
+                except StopIteration as stop:
+                    return stop.value
+                value, error = None, None
+                try:
+                    value = yield item
+                except GeneratorExit:
+                    inner.close()
+                    raise
+                except BaseException as thrown:
+                    error = thrown
+
+        monkeypatch.setattr(Interp, "run_function", wrapped)
+        # One process, so that ``entries`` sees every call.
+        counters = self.c_ticket_game_counters(jobs=1)
+        replayed = counters["machine.schedule_rounds_replayed"]
+        assert replayed > 0
+        assert counters["machine.schedule_rounds_restored"] == replayed
+        # Restored activations re-entered through the wrapper.
+        assert any(len(rest) == 2 and rest[1] is not None for rest in entries)

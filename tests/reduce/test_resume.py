@@ -1,6 +1,6 @@
 """Branch-point resumption: the same enumeration, checked replays.
 
-Two contracts:
+Four contracts:
 
 * *Differential oracle.*  The resuming DFS enumerates exactly what the
   script-following DFS it replaced (``reference_dpor.py``) enumerated:
@@ -16,6 +16,14 @@ Two contracts:
   player that behaves differently on a later run raises
   ``ReplayDivergence`` naming the round and the first differing log
   index; it never yields a ``Stuck`` verdict or a silent exploration.
+* *Restored runs equal re-executed ones.*  When every player is a
+  client of linked ClightX functions, a sibling installs the player
+  state recorded at its branch point instead of replaying.  Each such
+  run must end exactly as the same entry with the state removed, which
+  re-executes the prefix: same ``GameResult``, or same cut.
+* *The fallback re-executes.*  Players the engine cannot capture —
+  Python-spec functions, a fine-grained game — restore nothing and
+  replay as before.
 """
 
 from __future__ import annotations
@@ -27,6 +35,26 @@ import pytest
 
 import reference_dpor
 from repro import obs
+from repro.clight import (
+    Assign,
+    Binop,
+    Break,
+    Call,
+    CFunction,
+    Const,
+    Continue,
+    Glob,
+    If,
+    Return,
+    Seq,
+    Shared,
+    Skip,
+    TranslationUnit,
+    Var,
+    While,
+    c_func_impl,
+)
+from repro.core import machine
 from repro.analysis.independence import static_invisible_tids
 from repro.core import (
     LayerInterface,
@@ -39,7 +67,9 @@ from repro.core import (
     shared_prim,
 )
 from repro.core.interface import private_prim
-from repro.core.module import link
+from repro.core.machine import ScriptScheduler
+from repro.core.module import Module, link
+from repro.machine import lx86_interface
 from repro.obs.coverage import CoverageBuilder
 from repro.obs.metrics import MetricsWindow
 from repro.reduce import (
@@ -47,10 +77,16 @@ from repro.reduce import (
     STATIC_INDEP,
     TRANSPO,
     ReductionStats,
+    current_axes,
     reduce_active,
     reduction_collector,
 )
-from repro.reduce.dpor import ReducingScheduler
+from repro.reduce.dpor import (
+    DeferRun,
+    PruneRun,
+    ReducingScheduler,
+    TranspositionTable,
+)
 
 #: The axes that change which game runs execute.
 MACHINE_AXES = frozenset({DPOR, TRANSPO, STATIC_INDEP})
@@ -307,3 +343,247 @@ class TestDivergence:
         error = ReplayDivergence(3, 7, "the log differs")
         copy = pickle.loads(pickle.dumps(error))
         assert (copy.round, copy.index, str(copy)) == (3, 7, str(error))
+
+
+# --- restored players ----------------------------------------------------------
+
+
+def toy_c_unit():
+    """A ClightX unit with what the shipped locks never exercise.
+
+    ``worker`` calls the same-unit ``bump``, which suspends at its
+    ``fai`` and then calls a primitive under either ``If`` branch; the
+    loop around the call breaks, continues and returns on the values it
+    sees.  Depending on the schedule a worker reads the shared counter
+    without pulling it (stuck), or spins a silent loop as long as the
+    counter is high and runs out of fuel.
+    """
+    unit = TranslationUnit("toy_c")
+    unit.add(CFunction("bump", ["c"], Seq([
+        Call(Var("v"), "fai", [Var("c")]),
+        If(Binop("<", Var("v"), Const(2)),
+           Call(None, "aload", [Var("c")]),
+           Call(None, "astore", [Var("c"), Binop("+", Var("v"), Const(2))])),
+        Return(Var("v")),
+    ])))
+    unit.add(CFunction("worker", ["c"], Seq([
+        Assign(Var("i"), Const(0)),
+        Assign(Var("r"), Const(-1)),
+        While(Binop("<", Var("i"), Const(3)), Seq([
+            Assign(Var("i"), Binop("+", Var("i"), Const(1))),
+            Call(Var("r"), "bump", [Var("c")]),
+            If(Binop("==", Var("r"), Const(1)), Continue(), Skip()),
+            If(Binop("==", Var("r"), Const(2)), Break(), Skip()),
+            If(Binop("==", Var("r"), Const(5)),
+               Return(Binop("+", Var("i"), Const(50))), Skip()),
+        ])),
+        If(Binop("==", Var("r"), Const(4)),
+           Assign(Var("x"), Shared(Var("c"))), Skip()),
+        Call(Var("n"), "aload", [Var("c")]),
+        Assign(Var("j"), Const(0)),
+        While(Binop("<", Var("j"), Binop("*", Var("n"), Const(6))),
+              Assign(Var("j"), Binop("+", Var("j"), Const(1)))),
+        Return(Binop("+", Binop("*", Var("i"), Const(10)), Var("r"))),
+    ])))
+    return unit
+
+
+def toy_c_game():
+    module = Module({"worker": c_func_impl(toy_c_unit(), "worker")}, name="M_toy")
+    players = {tid: (seq_player([("worker", ("k",))]), ()) for tid in (1, 2)}
+    return link(lx86_interface([1, 2]), module), players, 16, 120
+
+
+def linked_game(games):
+    """The linked ClightX game of ``games()``, with the default fuel."""
+    interface, players, max_rounds = games()[0]
+    return interface, players, max_rounds, 10_000
+
+
+#: Games whose every player is a client of linked ClightX functions:
+#: ``(interface, players, max_rounds, fuel)``.
+C_GAMES = {
+    "ticket": lambda: linked_game(ticket_games),
+    "mcs": lambda: linked_game(mcs_games),
+    "toy_c": toy_c_game,
+}
+
+
+@pytest.fixture(scope="module")
+def c_games():
+    built = {}
+
+    def get(name):
+        if name not in built:
+            built[name] = C_GAMES[name]()
+        return built[name]
+
+    return get
+
+
+def outcome(run, scheduler):
+    """How ``run(scheduler)`` ended, comparable across two schedulers."""
+    try:
+        ended = ("result", run(scheduler))
+    except PruneRun:
+        ended = ("pruned", None)
+    except DeferRun:
+        point, pick = scheduler.last
+        ended = ("deferred", (point._replace(state=None), pick))
+    scheduler.finalize()
+    branches = [
+        (point._replace(state=None), siblings)
+        for point, siblings in scheduler.branches
+    ]
+    return ended, branches
+
+
+class RestoreOracle:
+    """Runs each restored sibling a second time, re-executing its prefix.
+
+    The second run is the same stack entry with the branch point's
+    player state removed, on a copy of the transposition table, so it
+    cuts where the restored run cuts and takes the same branches.
+    """
+
+    def __init__(self, axes):
+        self.axes = axes
+        self.checked = 0
+        self.stuck = set()
+        self.real_run_game = machine.run_game
+
+    def run_game(self, interface, players, scheduler, **kwargs):
+        point = scheduler.restore
+        if point is None:
+            return self.real_run_game(interface, players, scheduler, **kwargs)
+        table = scheduler.table
+        twin_table = None
+        if table is not None:
+            twin_table = TranspositionTable(ReductionStats(self.axes))
+            twin_table.keys = set(table.keys)
+        twin = ReducingScheduler(
+            (point._replace(state=None), scheduler.last[1]), self.axes,
+            ReductionStats(self.axes), table=twin_table,
+            frontier_depth=scheduler.frontier_depth,
+            invisible=scheduler.invisible,
+        )
+        assert twin.restore is None
+
+        def run(sched):
+            return self.real_run_game(interface, players, sched, **kwargs)
+
+        expected = outcome(run, twin)
+        got = outcome(run, scheduler)
+        assert got == expected
+        if table is not None:
+            assert table.keys == twin_table.keys
+        self.checked += 1
+        kind, result = got[0]
+        if kind == "result":
+            if result.stuck is not None:
+                self.stuck.add(result.stuck.split()[-1])
+            return result
+        raise PruneRun() if kind == "pruned" else DeferRun()
+
+
+class TestRestoredRuns:
+    @pytest.mark.parametrize(
+        "axes", SUBSETS, ids=["+".join(sorted(a)) or "none" for a in SUBSETS]
+    )
+    @pytest.mark.parametrize("name", sorted(C_GAMES))
+    def test_restored_equals_reexecuted(self, name, axes, c_games, monkeypatch):
+        interface, players, max_rounds, fuel = c_games(name)
+        for jobs in (1, 2):
+            oracle = RestoreOracle(axes)
+            monkeypatch.setattr(machine, "run_game", oracle.run_game)
+            with reduce_active(axes), obs.observing(reset=False):
+                window = MetricsWindow()
+                enumerate_game_logs(
+                    interface, players, max_rounds=max_rounds, fuel=fuel,
+                    jobs=jobs,
+                )
+                delta = window.delta()
+            monkeypatch.setattr(machine, "run_game", oracle.real_run_game)
+            # Every resumed run restored, and its twin replayed the rounds
+            # the restored run skipped.
+            restored = delta["machine.schedule_rounds_restored"]
+            assert delta["machine.schedule_rounds_replayed"] == 2 * restored > 0
+            if jobs == 1:
+                assert oracle.checked > 0
+                if name == "toy_c":
+                    # Restored runs reach a read without pull and fuel
+                    # exhaustion after their branch round.
+                    assert {"pull)", "fuel"} <= oracle.stuck
+
+
+def enumerated(interface, players, **kwargs):
+    """``(results, replayed rounds, restored rounds)`` of one enumeration."""
+    with obs.observing(reset=False):
+        window = MetricsWindow()
+        results = enumerate_game_logs(interface, players, **kwargs)
+        delta = window.delta()
+    return (
+        results,
+        delta.get("machine.schedule_rounds_replayed", 0),
+        delta.get("machine.schedule_rounds_restored", 0),
+    )
+
+
+class TestFallback:
+    """See also ``tests/clight/test_compiled.py`` for an interpreter that
+    keeps no activation records."""
+
+    def test_python_spec_functions_reexecute(self):
+        from repro.objects.ticket_lock import certify_ticket_lock
+
+        interface, players, max_rounds = certified_games(
+            lambda: certify_ticket_lock([1, 2], lock="q0", use_c_source=False)
+        )[0]
+        results, replayed, restored = enumerated(
+            interface, players, max_rounds=max_rounds
+        )
+        assert replayed > 0 and restored == 0
+        axes = frozenset(current_axes())
+        assert results == reference_dpor.reference_enumerate(
+            interface, players, axes, max_rounds
+        )[0]
+
+    def test_uncopyable_private_state_reexecutes(self):
+        # A unit global holding a generator cannot be copied, so no
+        # branch point past the first round stores player state.
+        unit = TranslationUnit("uncopyable")
+        unit.globals["token"] = lambda: (x for x in ())
+        unit.add(CFunction("worker", ["c"], Seq([
+            Assign(Var("t"), Glob("token")),
+            Call(None, "fai", [Var("c")]),
+            Call(Var("r"), "fai", [Var("c")]),
+            Return(Var("r")),
+        ])))
+        module = Module({"worker": c_func_impl(unit, "worker")}, name="M_gen")
+        interface = link(lx86_interface([1, 2]), module)
+        players = {tid: (seq_player([("worker", ("k",))]), ()) for tid in (1, 2)}
+        results, replayed, restored = enumerated(
+            interface, players, max_rounds=12
+        )
+        assert replayed > restored
+        axes = frozenset(current_axes())
+        assert results == reference_dpor.reference_enumerate(
+            interface, players, axes, 12
+        )[0]
+
+    def test_fine_grained_game_reexecutes(self, c_games):
+        interface, players, _max_rounds, _fuel = c_games("ticket")
+        # Unreduced, this many rounds of the fine-grained game exceed the
+        # run budget.
+        with reduce_active(MACHINE_AXES):
+            results, replayed, restored = enumerated(
+                interface, players, max_rounds=20, fine_grained=True
+            )
+        assert replayed > 0 and restored == 0
+        assert any(result.ok for result in results)
+        for result in results:
+            rerun = run_game(
+                interface, players, ScriptScheduler(result.schedule),
+                max_rounds=20, fine_grained=True,
+            )
+            assert rerun == result
