@@ -28,7 +28,7 @@ schema ``repro.obs/run/v1``):
   baselines (``--fallback-baseline``, repeatable) as the cold-start
   ratio gate.
 * ``record BENCH.json --ledger DIR`` — ingest bench results as runs.
-* ``compact --ledger DIR`` — apply the retention policy offline.
+* ``compact --ledger DIR`` — apply the retention policy.
 * ``dashboard --ledger DIR -o out.html`` — render the self-contained
   HTML dashboard.
 
@@ -608,7 +608,11 @@ def _open_ledger(args: argparse.Namespace) -> Optional[RunLedger]:
         print(f"error: ledger directory {args.ledger!r} does not exist",
               file=sys.stderr)
         return None
-    return RunLedger(args.ledger)
+    try:
+        return RunLedger(args.ledger)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
 
 
 def _fmt_ts(ts: Optional[float]) -> str:
@@ -639,9 +643,6 @@ def cmd_history(args: argparse.Namespace) -> int:
     ledger = _open_ledger(args)
     if ledger is None:
         return 2
-    if args.reindex:
-        count = ledger.reindex()
-        print(f"history: reindexed {count} record(s)")
     runs = ledger.runs(
         object=args.object,
         rule=args.rule,
@@ -935,6 +936,10 @@ def cmd_record(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as err:
             print(f"error: cannot ingest {path!r}: {err}", file=sys.stderr)
             return 2
+        if digest is None:
+            print(f"error: cannot write {path!r} to the ledger",
+                  file=sys.stderr)
+            return 2
         print(f"record: {path} -> {digest[:12]}")
     return 0
 
@@ -1042,10 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_history.add_argument(
         "--last", type=int, default=None, help="only the newest N runs"
-    )
-    p_history.add_argument(
-        "--reindex", action="store_true",
-        help="rebuild index.jsonl from the segments first",
     )
     p_history.add_argument(
         "--json", action="store_true",
@@ -1156,7 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_record.set_defaults(func=cmd_record)
 
     p_compact = sub.add_parser(
-        "compact", help="apply the ledger retention policy (offline)"
+        "compact", help="apply the ledger retention policy"
     )
     add_ledger_arg(p_compact)
     p_compact.add_argument(

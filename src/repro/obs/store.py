@@ -1,35 +1,27 @@
-"""The run ledger: persistent, append-only cross-run verification analytics.
+"""The run ledger: persistent cross-run verification analytics.
 
-Every PR so far made a *single* run observable — spans, coverage,
-forensics, redundancy, flamegraphs — and then threw the telemetry away
-when the process exited.  This module keeps it: a **run ledger** is an
-append-only, content-addressed store of one record per verification
-run (schema ``repro.obs/run/v1``), durable across processes, machines
-and CI pushes, so questions like "which certificates survived, at what
-cost, versus last week" have data instead of a single hand-committed
-baseline JSON.
+A **run ledger** is a content-addressed store of one record per
+verification run (schema ``repro.obs/run/v1``), durable across
+processes, machines and CI pushes, so questions like "which
+certificates survived, at what cost, versus last week" have data
+instead of a single hand-committed baseline JSON.
 
-Layout (one directory)::
+Layout (one directory, a :class:`repro.cas.ContentStore`)::
 
-    <ledger>/
-      segments/seg-000001.jsonl   # append-only run records, one per line
-      index.jsonl                 # digest -> segment pointers (rebuildable)
+    <ledger>/<digest[:2]>/<digest>.json   # one run record per file
 
-Writes are single ``write()`` calls of one ``\\n``-terminated line on a
-file opened in append mode; POSIX ``O_APPEND`` makes them atomic, so
-concurrent runs appending to the same segment interleave whole lines
-and never corrupt each other.  Readers skip torn or foreign lines (the
-heartbeat-stream convention).  Records are content-addressed: the
-``digest`` field is the SHA-256 of the record's canonical JSON, used to
-deduplicate replayed appends and to name runs in CLI filters.
+The ``digest`` field is the SHA-256 of the record's canonical JSON; it
+names the record's file, deduplicates replayed appends and names runs
+in CLI filters.  Records are written atomically, so concurrent
+appenders never see each other's partial writes, and read back
+digest-checked: a damaged record is reported as a
+:class:`repro.cas.StoreWarning`, removed and skipped.
 
 A run record captures what the run proved and what it cost: the digest
 and canonical fingerprint of every root certificate, per-rule wall
 time, obligation counts, the coverage map, redundancy ratios from
 ``provenance["profile"]``, cache hit/miss counts and latencies, pool
-utilization, engine/ruleset versions and host metadata.  The same
-record schema is the persistence format the future ``repro.serve``
-daemon will reuse for job status.
+utilization, engine/ruleset versions and host metadata.
 
 Capture is automatic: arm the ledger with :func:`ledger` (a context
 manager), :func:`enable_ledger`, or ``REPRO_LEDGER=/path/to/ledger`` in
@@ -61,17 +53,15 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..cas import ContentStore
 from .blocks import ledger_fields, register_sink
 from .heartbeat import stream_path as _heartbeat_stream_path
 from .metrics import snapshot as _metrics_snapshot
 from .profile import PROFILER, profile_enabled
 from .trace import obs_enabled
 
-#: Schema tag of one run record (one JSON line in a ledger segment).
+#: Schema tag of one run record (one file in a ledger).
 RUN_SCHEMA = "repro.obs/run/v1"
-
-#: Schema tag of one index line.
-INDEX_SCHEMA = "repro.obs/index/v1"
 
 #: Environment switch: a directory path arms the ledger at import time;
 #: the run record is flushed at interpreter exit.
@@ -80,10 +70,6 @@ LEDGER_ENV = "REPRO_LEDGER"
 #: Optional label for env-armed runs (defaults to the first root
 #: certificate's judgment).
 LEDGER_OBJECT_ENV = "REPRO_LEDGER_OBJECT"
-
-#: Rotate the active segment past this size (appends only ever go to
-#: the newest segment; old segments are immutable history).
-SEGMENT_MAX_BYTES = 4 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -155,137 +141,37 @@ def _record_digest(record: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _read_jsonl_tolerant(path: str) -> List[Dict[str, Any]]:
-    """Every parseable JSON-object line of ``path`` (torn lines skipped)."""
-    out: List[Dict[str, Any]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.endswith("\n"):
-                    continue  # torn tail: a writer is mid-append
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # foreign or corrupt line: skip, keep reading
-                if isinstance(entry, dict):
-                    out.append(entry)
-    except OSError:
-        return []
-    return out
-
-
 class RunLedger:
-    """One ledger directory: append-only JSONL segments plus an index."""
+    """One ledger directory: one content-addressed file per run record."""
 
     def __init__(self, root: str):
-        self.root = root
-        self.segments_dir = os.path.join(root, "segments")
-        self.index_path = os.path.join(root, "index.jsonl")
-
-    # -- writing ------------------------------------------------------------
-
-    def _segment_files(self) -> List[str]:
-        try:
-            names = sorted(
-                n for n in os.listdir(self.segments_dir)
-                if n.startswith("seg-") and n.endswith(".jsonl")
+        if os.path.isdir(os.path.join(root, "segments")):
+            raise ValueError(
+                f"{root!r} is a run ledger in the old segments/ layout; "
+                "record into a new directory"
             )
-        except OSError:
-            return []
-        return [os.path.join(self.segments_dir, n) for n in names]
+        self.root = root
+        self._records = ContentStore(root, ".json")
 
-    def _active_segment(self) -> str:
-        os.makedirs(self.segments_dir, exist_ok=True)
-        segments = self._segment_files()
-        if segments:
-            newest = segments[-1]
-            try:
-                if os.path.getsize(newest) < SEGMENT_MAX_BYTES:
-                    return newest
-            except OSError:
-                pass
-            stem = os.path.basename(newest)[len("seg-"):-len(".jsonl")]
-            try:
-                nxt = int(stem) + 1
-            except ValueError:
-                nxt = len(segments) + 1
-        else:
-            nxt = 1
-        return os.path.join(self.segments_dir, f"seg-{nxt:06d}.jsonl")
-
-    def _append_line(self, path: str, record: Dict[str, Any]) -> None:
-        line = json.dumps(
-            record, sort_keys=True, ensure_ascii=False, default=repr
-        ) + "\n"
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line)  # one write of one line: atomic under O_APPEND
-
-    def append(self, record: Dict[str, Any]) -> str:
+    def append(self, record: Dict[str, Any]) -> Optional[str]:
         """Append one run record; returns its content digest.
 
         The record gains ``schema`` and ``digest`` fields if missing.
-        Re-appending a record whose digest the index already lists is a
-        no-op (content addressing makes replays idempotent).
+        Re-appending a record already on the ledger is a no-op (content
+        addressing makes replays idempotent).  Returns ``None`` when the
+        record could not be written (reported as a
+        :class:`repro.cas.StoreWarning`).
         """
         record = dict(record)
         record.setdefault("schema", RUN_SCHEMA)
         digest = record.get("digest") or _record_digest(record)
         record["digest"] = digest
-        if digest in {entry.get("digest") for entry in self.index()}:
+        if self._records.get(digest) is not None:
             return digest
-        segment = self._active_segment()
-        self._append_line(segment, record)
-        try:
-            self._append_line(
-                self.index_path,
-                {
-                    "schema": INDEX_SCHEMA,
-                    "digest": digest,
-                    "segment": os.path.basename(segment),
-                    "ts": record.get("ts"),
-                    "object": record.get("object"),
-                    "ok": record.get("ok"),
-                },
-            )
-        except OSError:
-            pass  # the index is a cache: rebuildable via reindex()
-        return digest
-
-    # -- reading ------------------------------------------------------------
-
-    def index(self) -> List[Dict[str, Any]]:
-        """The index entries (best-effort; see :meth:`reindex`)."""
-        return [
-            entry for entry in _read_jsonl_tolerant(self.index_path)
-            if entry.get("schema") == INDEX_SCHEMA
-        ]
-
-    def reindex(self) -> int:
-        """Rebuild ``index.jsonl`` from the segments; returns entry count."""
-        entries = []
-        for segment in self._segment_files():
-            for record in _read_jsonl_tolerant(segment):
-                if record.get("schema") != RUN_SCHEMA:
-                    continue
-                entries.append(
-                    {
-                        "schema": INDEX_SCHEMA,
-                        "digest": record.get("digest"),
-                        "segment": os.path.basename(segment),
-                        "ts": record.get("ts"),
-                        "object": record.get("object"),
-                        "ok": record.get("ok"),
-                    }
-                )
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        os.replace(tmp, self.index_path)
-        return len(entries)
+        payload = json.dumps(
+            record, sort_keys=True, ensure_ascii=False, default=repr
+        ).encode("utf-8")
+        return digest if self._records.put(digest, payload) else None
 
     def runs(
         self,
@@ -302,16 +188,19 @@ class RunLedger:
         applied the named rule; ``last`` keeps the newest N after
         filtering.
         """
-        seen = set()
         records: List[Dict[str, Any]] = []
-        for segment in self._segment_files():
-            for record in _read_jsonl_tolerant(segment):
-                if record.get("schema") != RUN_SCHEMA:
-                    continue
-                digest = record.get("digest") or _record_digest(record)
-                if digest in seen:
-                    continue
-                seen.add(digest)
+        for _mtime, _size, path in self._records.entries():
+            key = os.path.basename(path)[: -len(".json")]
+            payload = self._records.get(key)
+            if payload is None:
+                continue
+            try:
+                record = json.loads(payload)
+            except ValueError:
+                self._records.discard(key, "payload is not JSON")
+                continue
+            if (isinstance(record, dict) and record.get("schema") == RUN_SCHEMA
+                    and record.get("digest") == key):
                 records.append(record)
         records.sort(key=lambda r: (r.get("ts") or 0.0, r.get("digest") or ""))
         if object is not None:
@@ -338,15 +227,16 @@ class RunLedger:
         max_age_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> int:
-        """Rewrite the segments, dropping duplicates and expired runs.
+        """Apply retention, deleting the records that do not survive.
 
         Retention: keep the newest ``keep_last`` runs per object and
-        drop runs older than ``max_age_s``.  Not concurrency-safe — run
-        it offline (CI does, before saving the ledger artifact).
+        drop runs older than ``max_age_s``.  Only the dropped records'
+        files are removed, so this is safe beside concurrent appends.
         Returns the number of surviving records.
         """
         now = time.time() if now is None else now
-        survivors = self.runs()
+        runs = self.runs()
+        survivors = runs
         if max_age_s is not None:
             survivors = [
                 r for r in survivors if now - (r.get("ts") or 0.0) <= max_age_s
@@ -355,26 +245,14 @@ class RunLedger:
             by_object: Dict[str, List[Dict[str, Any]]] = {}
             for record in survivors:
                 by_object.setdefault(record.get("object") or "?", []).append(record)
-            kept = []
-            for records in by_object.values():
-                kept.extend(records[-keep_last:])
-            kept.sort(key=lambda r: (r.get("ts") or 0.0, r.get("digest") or ""))
-            survivors = kept
-        os.makedirs(self.segments_dir, exist_ok=True)
-        tmp = os.path.join(self.segments_dir, "compact.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for record in survivors:
-                handle.write(
-                    json.dumps(record, sort_keys=True, ensure_ascii=False,
-                               default=repr) + "\n"
-                )
-        for segment in self._segment_files():
-            try:
-                os.unlink(segment)
-            except OSError:
-                pass
-        os.replace(tmp, os.path.join(self.segments_dir, "seg-000001.jsonl"))
-        self.reindex()
+            survivors = [
+                record for records in by_object.values()
+                for record in records[-keep_last:]
+            ]
+        kept = {record["digest"] for record in survivors}
+        for record in runs:
+            if record["digest"] not in kept:
+                self._records.delete(record["digest"])
         return len(survivors)
 
 
@@ -459,12 +337,6 @@ class LedgerRun:
                 self._cache[key] += value
 
     # -- record assembly ----------------------------------------------------
-
-    def roots(self) -> List[Any]:
-        """Certificates not contained in any other observed certificate."""
-        return [
-            cert for cert, _ in self._certs if id(cert) not in self._child_ids
-        ]
 
     def build_record(self) -> Dict[str, Any]:
         wall_s = time.monotonic() - self._t0
@@ -632,11 +504,6 @@ def _artifact_paths() -> Dict[str, str]:
 # ---------------------------------------------------------------------------
 
 _RUN: Optional[LedgerRun] = None
-
-
-def active_run() -> Optional[LedgerRun]:
-    """The armed capture, if any (inherited by forked workers)."""
-    return _RUN
 
 
 def ledger_armed() -> bool:

@@ -19,20 +19,22 @@ that populated the cache.
 
 Location: ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``.  The cache is
 off unless ``REPRO_CACHE_DIR`` is set or ``REPRO_CACHE`` is truthy.
-Writes are atomic (temp file + rename), so concurrent runs sharing a
-cache directory at worst both compute; they never read torn entries.
+Entries live in a :class:`repro.cas.ContentStore`: writes are atomic,
+so concurrent runs sharing a cache directory at worst both compute,
+and every read is digest-checked, so a damaged entry is reported as a
+:class:`repro.cas.StoreWarning` and recomputed, never served.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.rules import RULESET_VERSION
+from ..cas import ContentStore
 from ..envflags import env_flag
 from ..obs.blocks import register_block, register_stack_sink
 from ..obs.metrics import inc, observe
@@ -78,21 +80,13 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
+def _content_store() -> ContentStore:
+    return ContentStore(cache_dir(), ".pkl")
+
+
 def clear_cache() -> int:
     """Delete every cache entry; returns the number removed."""
-    removed = 0
-    root = cache_dir()
-    if not os.path.isdir(root):
-        return 0
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for filename in filenames:
-            if filename.endswith(".pkl"):
-                try:
-                    os.unlink(os.path.join(dirpath, filename))
-                    removed += 1
-                except OSError:  # pragma: no cover - concurrent removal
-                    pass
-    return removed
+    return _content_store().clear()
 
 
 def cache_key(kind: str, parts: Tuple[Any, ...]) -> str:
@@ -100,17 +94,15 @@ def cache_key(kind: str, parts: Tuple[Any, ...]) -> str:
     return canonical_fingerprint((kind, ENGINE_VERSION) + tuple(parts))
 
 
-def _entry_path(key: str) -> str:
-    return os.path.join(cache_dir(), key[:2], key + ".pkl")
-
-
 def _load(key: str) -> Optional[Any]:
-    path = _entry_path(key)
+    store = _content_store()
+    payload = store.get(key)
+    if payload is None:
+        return None
     try:
-        with open(path, "rb") as handle:
-            entry = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
+        entry = pickle.loads(payload)
+    except Exception as error:  # noqa: BLE001 - e.g. a class that moved
+        store.discard(key, f"payload does not unpickle ({error!r})")
         return None
     if not isinstance(entry, dict) or entry.get("schema") != _SCHEMA:
         return None
@@ -120,31 +112,10 @@ def _load(key: str) -> Optional[Any]:
 
 
 def _store(key: str, certificate: Any) -> None:
-    path = _entry_path(key)
-    directory = os.path.dirname(path)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(
-                    {
-                        "schema": _SCHEMA,
-                        "engine": ENGINE_VERSION,
-                        "certificate": certificate,
-                    },
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-    except OSError:  # cache is best-effort: never fail verification
-        return
+    entry = {"schema": _SCHEMA, "engine": ENGINE_VERSION,
+             "certificate": certificate}
+    payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    _content_store().put(key, payload)  # best-effort: never fail verification
 
 
 def _strip_provenance(cert):

@@ -34,7 +34,7 @@ import asyncio
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .jobs import (
@@ -59,6 +59,17 @@ DEFAULT_WAIT_S = 120.0
 
 #: Poll interval for tailing a job's event file into a response stream.
 _TAIL_INTERVAL_S = 0.05
+
+
+class BadRequest(ValueError):
+    """A malformed request field; answered 400 with this message."""
+
+
+def _content_length(headers: Dict[str, str]) -> int:
+    raw = headers.get("content-length", "0") or "0"
+    if not raw.isdecimal():
+        raise BadRequest(f"invalid Content-Length header {raw!r}")
+    return int(raw)
 
 
 class ServeApp:
@@ -219,51 +230,47 @@ class ServeApp:
             return
         kind, value = outcome
         payload = value if kind == "ok" else None
+        followers = self.table.followers_of(job)
+        job.source = "verified"
+        unstored: Set[str] = set()
         if payload is not None and payload.get("bytes") is not None:
-            blob = payload["bytes"]
-            job.state = DONE
-            job.result_ok = payload["ok"]
+            failure = None
             job.wall_s = payload["wall_s"]
-            job.source = "verified"
             job.error = payload.get("error")
-            self.metrics.jobs_completed += 1
             self.metrics.cold.add(payload["wall_s"])
             incremental = payload.get("incremental") or {}
             self.metrics.obligations_reused += incremental.get("reused", 0)
             self.metrics.obligations_rechecked += incremental.get("rechecked", 0)
             self.metrics.slice_misses += incremental.get("slice_misses", 0)
             # One store entry per requesting tenant: dedup shares the
-            # work, never the artifact namespace.
-            tenants = {job.spec["tenant"]}
-            followers = self.table.followers_of(job)
-            tenants.update(f.spec["tenant"] for f in followers)
-            for tenant in sorted(tenants):
-                self.store.put(tenant, job.fingerprint, blob)
-            for follower in followers:
-                if follower.terminal:
-                    continue
-                follower.state = DONE
-                follower.result_ok = job.result_ok
-                follower.wall_s = job.wall_s
-                follower.finished_at = time.time()
-                self.metrics.jobs_completed += 1
-                self._finish(follower)
+            # work, never the artifact namespace.  A job whose entry
+            # could not be written has nothing to serve, so it fails.
+            tenants = sorted({m.spec["tenant"] for m in [job] + followers})
+            unstored = {
+                tenant for tenant in tenants
+                if self.store.put(tenant, job.fingerprint, payload["bytes"]) is None
+            }
         else:
-            error = (
-                payload.get("error", "worker error") if payload else str(value)
-            )
-            job.state = FAILED
-            job.error = error
-            job.source = "verified"
-            self.metrics.jobs_failed += 1
-            for follower in self.table.followers_of(job):
-                if follower.terminal:
-                    continue
-                follower.state = FAILED
-                follower.error = error
-                follower.finished_at = time.time()
+            failure = payload.get("error", "worker error") if payload else str(value)
+        for member in [job] + followers:
+            if member.terminal:
+                continue
+            tenant = member.spec["tenant"]
+            error = failure
+            if error is None and tenant in unstored:
+                error = f"certificate store write failed for tenant {tenant!r}"
+            if error is None:
+                member.state = DONE
+                member.result_ok = payload["ok"]
+                member.wall_s = job.wall_s
+                self.metrics.jobs_completed += 1
+            else:
+                member.state = FAILED
+                member.error = error
                 self.metrics.jobs_failed += 1
-                self._finish(follower)
+            if member is not job:
+                member.finished_at = time.time()
+                self._finish(member)
         job.finished_at = time.time()
         self.table.release(job)
         self._finish(job)
@@ -345,9 +352,11 @@ class ServeApp:
             except ValueError:
                 await _respond(writer, 400, {"error": "malformed request"})
                 return
-            length = int(headers.get("content-length", "0") or "0")
-            body = await reader.readexactly(length) if length else b""
-            await self._route(writer, method, target, body)
+            try:
+                body = await reader.readexactly(_content_length(headers))
+                await self._route(writer, method, target, body)
+            except BadRequest as error:
+                await _respond(writer, 400, {"error": str(error)})
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as error:  # noqa: BLE001 - last-resort 500
@@ -427,9 +436,7 @@ class ServeApp:
                 await _respond(writer, 404, {"error": "no such job"})
                 return
             if query.get("wait") in {"1", "true"} and not job.terminal:
-                await self._wait_terminal(
-                    job, float(query.get("timeout_s", DEFAULT_WAIT_S))
-                )
+                await self._wait_terminal(job, query)
             await _respond(writer, 200, job.to_json())
             return
         if (method == "GET" and len(parts) == 3 and parts[0] == "jobs"
@@ -448,9 +455,7 @@ class ServeApp:
                 await _respond(writer, 404, {"error": "no such job"})
                 return
             if not job.terminal:
-                await self._wait_terminal(
-                    job, float(query.get("timeout_s", DEFAULT_WAIT_S))
-                )
+                await self._wait_terminal(job, query)
             payload = self.store.get(job.spec["tenant"], job.fingerprint)
             if payload is None:
                 await _respond(writer, 404, {
@@ -461,7 +466,10 @@ class ServeApp:
             await _respond_bytes(writer, 200, payload, _JSON)
             return
         if method == "GET" and len(parts) == 3 and parts[0] == "certs":
-            payload = self.store.get(parts[1], parts[2])
+            try:
+                payload = self.store.get(parts[1], parts[2])
+            except ValueError as error:  # an unsafe tenant or fingerprint
+                raise BadRequest(str(error)) from None
             if payload is None:
                 await _respond(writer, 404, {"error": "not in store"})
                 return
@@ -470,7 +478,12 @@ class ServeApp:
         await _respond(writer, 404, {"error": f"no route for "
                                               f"{method} {split.path}"})
 
-    async def _wait_terminal(self, job: JobRecord, timeout_s: float) -> None:
+    async def _wait_terminal(self, job: JobRecord, query: Dict[str, str]) -> None:
+        raw = query.get("timeout_s", DEFAULT_WAIT_S)
+        try:
+            timeout_s = float(raw)
+        except ValueError:
+            raise BadRequest(f"invalid timeout_s query parameter {raw!r}") from None
         waiter = self._waiters.setdefault(job.id, asyncio.Event())
         try:
             await asyncio.wait_for(

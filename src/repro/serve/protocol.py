@@ -254,8 +254,10 @@ def parse_job(document: Any) -> Dict[str, Any]:
     _require(
         isinstance(tenant, str)
         and 0 < len(tenant) <= 64
+        and not tenant.startswith(".")
         and tenant.replace("-", "").replace("_", "").replace(".", "").isalnum(),
-        "job.tenant must be a short name ([A-Za-z0-9._-], max 64 chars)",
+        "job.tenant must be a short name ([A-Za-z0-9._-], max 64 chars, "
+        "no leading '.')",
     )
     priority = document.get("priority", 0)
     _require(

@@ -4,17 +4,19 @@ Layout mirrors the CLI certificate cache but adds a tenant dimension::
 
     <root>/<tenant>/<fp[:2]>/<fp>.json
 
-The payload is the canonical result-document bytes produced by a worker
+Each tenant's directory is a :class:`repro.cas.ContentStore` of the
+canonical result-document bytes produced by a worker
 (:func:`repro.serve.protocol.result_bytes`), stored verbatim — a store
 hit is served without re-serialization, which is what makes the
-byte-identity guarantee auditable with ``cmp``.
+byte-identity guarantee auditable with ``cmp``.  A damaged entry reads
+as a miss, so its job re-verifies instead of serving it.
 
-Per-tenant namespaces isolate both reads and eviction: tenant A's
-traffic can never evict tenant B's certificates, and a fingerprint is
-only a hit for the tenant that owns the entry (in-flight *work* is
-shared across tenants; the stored *artifact* is not, so a tenant's
-store directory is a complete, self-contained audit trail of what was
-served to it).
+Reads are isolated by tenant: a fingerprint is only a hit for the
+tenant that owns the entry (in-flight *work* is shared across tenants;
+the stored *artifact* is not).  The byte budget is shared: one
+tenant's puts may evict another tenant's stalest entries, since
+per-tenant budgets would let a client that invents tenant names grow
+the store without bound.
 
 Eviction is LRU by file mtime: every hit touches the entry, and when
 the store exceeds its byte budget the stalest entries go first.  All
@@ -28,16 +30,12 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cas import ContentStore, check_name
+
 #: Default eviction budget: plenty for thousands of result documents.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
 _SUFFIX = ".json"
-
-
-def _safe(name: str) -> str:
-    if not name or name != os.path.basename(name) or name.startswith("."):
-        raise ValueError(f"unsafe store name {name!r}")
-    return name
 
 
 class CertificateStore:
@@ -47,81 +45,44 @@ class CertificateStore:
         self.root = os.path.abspath(root)
         self.max_bytes = max_bytes
         os.makedirs(self.root, exist_ok=True)
+        # Walks every tenant: the byte budget is shared.
+        self._all = ContentStore(self.root, _SUFFIX)
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.evictions = 0
 
+    def _entry(self, tenant: str, fingerprint: str) -> Tuple[ContentStore, str]:
+        """The tenant's store and the entry's key (both names checked)."""
+        root = os.path.join(self.root, check_name(tenant, "tenant"))
+        return ContentStore(root, _SUFFIX), check_name(fingerprint, "fingerprint")
+
     def _path(self, tenant: str, fingerprint: str) -> str:
-        tenant = _safe(tenant)
-        fingerprint = _safe(fingerprint)
-        return os.path.join(
-            self.root, tenant, fingerprint[:2], fingerprint + _SUFFIX
-        )
+        store, key = self._entry(tenant, fingerprint)
+        return store.path(key)
 
     def get(self, tenant: str, fingerprint: str) -> Optional[bytes]:
         """The stored bytes, or ``None``; a hit refreshes LRU recency."""
-        path = self._path(tenant, fingerprint)
-        try:
-            with open(path, "rb") as handle:
-                payload = handle.read()
-        except OSError:
+        store, key = self._entry(tenant, fingerprint)
+        payload = store.get(key, touch=True)
+        if payload is None:
             self.misses += 1
-            return None
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
-        self.hits += 1
+        else:
+            self.hits += 1
         return payload
 
-    def contains(self, tenant: str, fingerprint: str) -> bool:
-        """Membership probe that does not move metrics or recency."""
-        return os.path.exists(self._path(tenant, fingerprint))
+    def put(self, tenant: str, fingerprint: str, payload: bytes) -> Optional[str]:
+        """Store ``payload``, then evict down to budget.
 
-    def put(self, tenant: str, fingerprint: str, payload: bytes) -> str:
-        """Store ``payload``; atomic rename, then evict down to budget."""
-        path = self._path(tenant, fingerprint)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-        self.puts += 1
-        self._evict(keep=path)
+        Returns the entry's path, or ``None`` when the write failed
+        (reported as a :class:`repro.cas.StoreWarning`).
+        """
+        store, key = self._entry(tenant, fingerprint)
+        path = store.put(key, payload)
+        if path is not None:
+            self.puts += 1
+            self.evictions += self._all.evict(self.max_bytes, keep=path)
         return path
-
-    def _entries(self) -> List[Tuple[float, int, str]]:
-        """All entries as ``(mtime, size, path)``."""
-        found: List[Tuple[float, int, str]] = []
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for name in filenames:
-                if not name.endswith(_SUFFIX):
-                    continue
-                path = os.path.join(dirpath, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                found.append((stat.st_mtime, stat.st_size, path))
-        return found
-
-    def _evict(self, keep: Optional[str] = None) -> None:
-        entries = self._entries()
-        total = sum(size for _mtime, size, _path in entries)
-        if total <= self.max_bytes:
-            return
-        for _mtime, size, path in sorted(entries):
-            if path == keep:
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            self.evictions += 1
-            total -= size
-            if total <= self.max_bytes:
-                return
 
     def tenants(self) -> List[str]:
         try:
@@ -134,7 +95,7 @@ class CertificateStore:
             return []
 
     def stats(self) -> Dict[str, Any]:
-        entries = self._entries()
+        entries = self._all.entries()
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -17,6 +17,7 @@ import pickle
 import pytest
 
 from repro.analysis.rules import RULESET_VERSION
+from repro.cas import ContentStore, StoreWarning
 from repro.core import FuncImpl, SimConfig, fun_rule
 from repro.parallel.cache import ENGINE_VERSION, cache_key
 
@@ -49,33 +50,50 @@ class TestRulesetVersioning:
         """An on-disk entry stamped with an older engine string is dead."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cold = _certify(counter_base, counter_overlay, ret_only_rel)
-        entries = [
-            os.path.join(root, f)
-            for root, _, files in os.walk(tmp_path)
-            for f in files
-            if f.endswith(".pkl")
+        store = ContentStore(str(tmp_path), ".pkl")
+        keys = [
+            os.path.basename(path)[: -len(".pkl")]
+            for _mtime, _size, path in store.entries()
         ]
-        assert entries, "cold run did not populate the cache"
+        assert keys, "cold run did not populate the cache"
 
         # Forge what a pre-lint (or older-ruleset) engine would have
         # written: same payload, older engine stamp, poisoned judgment
-        # so we can tell if it gets served.  Obligation-granular entries
+        # so we can tell if it gets served.  The forged entry is written
+        # through the store, so it passes its digest check and only the
+        # engine check can reject it.  Obligation-granular entries
         # store payload dicts, so pick a certificate-valued entry.
-        for path in entries:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
+        for key in keys:
+            entry = pickle.loads(store.get(key))
             if hasattr(entry.get("certificate"), "judgment"):
                 break
         else:
             raise AssertionError("no certificate-valued cache entry found")
         entry["engine"] = "repro-engine/1+repro-lint/0"
         entry["certificate"].judgment = "POISONED"
-        with open(path, "wb") as handle:
-            pickle.dump(entry, handle)
+        store.put(key, pickle.dumps(entry))
 
         warm = _certify(counter_base, counter_overlay, ret_only_rel)
         # The poisoned old-ruleset entry must NOT be served.
         assert warm.certificate.judgment != "POISONED"
+        assert cert_bytes(warm.certificate) == cert_bytes(cold.certificate)
+
+    @pytest.mark.usefixtures("obs_off")
+    def test_entry_that_no_longer_unpickles_is_recomputed(
+        self, monkeypatch, tmp_path, counter_base, counter_overlay,
+        ret_only_rel,
+    ):
+        """A digest-clean payload that fails to unpickle is a reported miss."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_JOBS", "1")  # warnings raised here
+        cold = _certify(counter_base, counter_overlay, ret_only_rel)
+        store = ContentStore(str(tmp_path), ".pkl")
+        paths = sorted(path for _mtime, _size, path in store.entries())
+        for path in paths:
+            store.put(os.path.basename(path)[: -len(".pkl")], b"not a pickle")
+        with pytest.warns(StoreWarning, match="does not unpickle") as caught:
+            warm = _certify(counter_base, counter_overlay, ret_only_rel)
+        assert sorted(str(w.message).split(":")[0] for w in caught) == paths
         assert cert_bytes(warm.certificate) == cert_bytes(cold.certificate)
 
     def test_cache_key_depends_on_engine_version(

@@ -102,11 +102,11 @@ class TestHistory:
         assert cli.main(["history", "--ledger", missing]) == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_reindex_flag(self, tmp_path, capsys):
-        path = seed_ledger(tmp_path, [1.0, 1.1])
-        (tmp_path / "ledger" / "index.jsonl").unlink()
-        assert cli.main(["history", "--ledger", path, "--reindex"]) == 0
-        assert "reindexed 2 record(s)" in capsys.readouterr().out
+    def test_old_layout_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "ledger" / "segments").mkdir(parents=True)
+        path = str(tmp_path / "ledger")
+        assert cli.main(["history", "--ledger", path]) == 2
+        assert "old segments/ layout" in capsys.readouterr().err
 
 
 class TestTrends:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from repro import obs
+from repro.cas import ContentStore, StoreWarning
 from repro.core.certificate import (
     Certificate,
     Obligation,
@@ -102,31 +104,41 @@ class TestLedgerStorage:
     def test_torn_and_foreign_lines_are_skipped(self, tmp_path):
         ledger = store.RunLedger(str(tmp_path / "ledger"))
         ledger.append({"ts": 1.0, "object": "a", "ok": True})
-        segment = ledger._segment_files()[0]
-        with open(segment, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": "someone/else", "ts": 9}\n')
-            handle.write("not json at all\n")
-            handle.write('{"schema": "repro.obs/run/v1", "ts": 2.0, "trunc')
-        runs = ledger.runs()
+        torn = ledger.append({"ts": 2.0, "object": "b", "ok": True})
+        flipped = ledger.append({"ts": 3.0, "object": "c", "ok": True})
+        records = ContentStore(ledger.root, ".json")
+        with open(records.path(torn), "r+b") as handle:
+            handle.truncate(os.path.getsize(records.path(torn)) - 5)
+        with open(records.path(flipped), "r+b") as handle:
+            handle.seek(-3, os.SEEK_END)
+            handle.write(b"X")
+        records.put("f" * 64, b'{"schema": "someone/else", "ts": 9}')
+        records.put("e" * 64, b"not json at all")
+        with pytest.warns(StoreWarning) as caught:
+            runs = ledger.runs()
+        # The intact run survives; each damaged record is one warning
+        # naming its file, and a foreign record is skipped silently.
         assert [r["ts"] for r in runs] == [1.0]
+        assert sorted(str(w.message).split(":")[0] for w in caught) == sorted(
+            records.path(key) for key in (torn, flipped, "e" * 64)
+        )
 
-    def test_reindex_rebuilds_from_segments(self, tmp_path):
+    def test_failed_append_is_reported(self, tmp_path, monkeypatch):
         ledger = store.RunLedger(str(tmp_path / "ledger"))
-        ledger.append({"ts": 1.0, "object": "a", "ok": True})
-        ledger.append({"ts": 2.0, "object": "b", "ok": True})
-        os.unlink(ledger.index_path)
-        assert ledger.index() == []
-        assert ledger.reindex() == 2
-        assert {entry["object"] for entry in ledger.index()} == {"a", "b"}
 
-    def test_segment_rotation(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(store, "SEGMENT_MAX_BYTES", 200)
-        ledger = store.RunLedger(str(tmp_path / "ledger"))
-        for i in range(5):
-            ledger.append({"ts": float(i), "object": "a", "ok": True,
-                           "pad": "x" * 120})
-        assert len(ledger._segment_files()) > 1
-        assert len(ledger.runs()) == 5
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.warns(StoreWarning, match="No space left"):
+            assert ledger.append({"ts": 1.0, "object": "a", "ok": True}) is None
+        monkeypatch.undo()
+        assert ledger.runs() == []
+
+    def test_old_segment_layout_is_refused(self, tmp_path):
+        (tmp_path / "ledger" / "segments").mkdir(parents=True)
+        with pytest.raises(ValueError, match="segments"):
+            store.RunLedger(str(tmp_path / "ledger"))
 
     def test_compact_retention(self, tmp_path):
         ledger = store.RunLedger(str(tmp_path / "ledger"))
@@ -139,9 +151,8 @@ class TestLedgerStorage:
         kept = ledger.compact(max_age_s=2.5, now=6.0)
         assert all(6.0 - r["ts"] <= 2.5 for r in ledger.runs())
         assert kept == len(ledger.runs())
-        # compaction leaves a single fresh segment + a valid index
-        assert len(ledger._segment_files()) == 1
-        assert len(ledger.index()) == kept
+        # compaction deletes exactly the dropped records' files
+        assert len(ContentStore(ledger.root, ".json").entries()) == kept
 
 
 class TestCertificateIdentity:

@@ -8,10 +8,14 @@ cold run — same obligations in the same order, same counterexamples
 failure messages.
 """
 
+import errno
 import json
+import os
+import warnings
 
 import pytest
 
+from repro.cas import ContentStore, StoreWarning
 from repro.core import (
     Event,
     EventMapRel,
@@ -241,6 +245,65 @@ class TestCachedRunEquivalence:
         )
         assert cert_bytes(cold) == cert_bytes(serial)
         assert cert_bytes(warm) == cert_bytes(serial)
+
+    @pytest.mark.usefixtures("obs_off")
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_entries_are_reported_and_recomputed(
+        self, monkeypatch, tmp_path, damage
+    ):
+        def run():
+            return check_soundness(
+                certified_stack(),
+                clients=[{1: [("bump2", ())], 2: [("bump2", ())]}],
+                max_rounds=24,
+            )
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # Serial, so every warning is raised in this process: a forked
+        # worker reports the entries it reads on its own stderr.
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        cold = run()
+        store = ContentStore(str(tmp_path), ".pkl")
+        paths = sorted(path for _mtime, _size, path in store.entries())
+        assert paths, "cold run did not populate the cache"
+        for path in paths:
+            with open(path, "r+b") as handle:
+                if damage == "truncate":
+                    handle.truncate(os.path.getsize(path) - 7)
+                else:
+                    handle.seek(-7, os.SEEK_END)
+                    byte = handle.read(1)
+                    handle.seek(-7, os.SEEK_END)
+                    handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.warns(StoreWarning) as caught:
+            warm = run()
+        assert cert_bytes(warm) == cert_bytes(cold)
+        # One warning per damaged entry, naming its file...
+        assert sorted(str(w.message).split(":")[0] for w in caught) == paths
+        # ...and every entry was rewritten: the next run reads clean.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreWarning)
+            assert cert_bytes(run()) == cert_bytes(cold)
+
+    @pytest.mark.usefixtures("obs_off")
+    def test_failed_puts_keep_the_computed_certificate(
+        self, monkeypatch, tmp_path
+    ):
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        clients = [{1: [("bump2", ())], 2: [("bump2", ())]}]
+        reference = check_soundness(certified_stack(), clients=clients,
+                                    max_rounds=24)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.warns(StoreWarning, match="No space left"):
+            cert = check_soundness(certified_stack(), clients=clients,
+                                   max_rounds=24)
+        assert cert_bytes(cert) == cert_bytes(reference)
+        # Nothing was stored, and no temporary file was left behind.
+        assert [name for _dir, _sub, names in os.walk(tmp_path)
+                for name in names] == []
 
     @pytest.mark.usefixtures("obs_off")
     def test_warm_failing_rule_raises_identically(self, monkeypatch, tmp_path):

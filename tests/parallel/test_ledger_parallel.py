@@ -5,9 +5,9 @@ Three contracts from DESIGN.md:
 - ledger notes produced inside fork-pool workers (cache hits/misses)
   ship back in plan order, so the merged run record is deterministic —
   a ``jobs=2`` record matches the serial one modulo wall-clock fields;
-- the segment format survives concurrent appenders: one writer per
-  process, ``O_APPEND`` single-``write`` lines, torn tails skipped on
-  read;
+- the record store survives concurrent appenders: one writer per
+  process, one atomically renamed file per record, damaged records
+  skipped on read with a warning;
 - arming the ledger never perturbs verification: with obs off the
   serial, parallel, and cache-warm certificate bytes stay identical.
 """
@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+from repro.cas import ContentStore, StoreWarning
 from repro.obs import store
 from tests.parallel.test_equivalence import cert_bytes, certified_stack
 
@@ -120,7 +121,7 @@ def _append_worker(ledger_path, worker, count):
 
 class TestConcurrentAppenders:
     def test_torn_write_tolerance(self, tmp_path):
-        """Four processes hammering one ledger never corrupt a segment."""
+        """Four processes hammering one ledger never corrupt a record."""
         path = str(tmp_path / "ledger")
         store.RunLedger(path)  # create the directory up front
         ctx = multiprocessing.get_context("fork")
@@ -146,10 +147,15 @@ class TestConcurrentAppenders:
             "schema": store.RUN_SCHEMA, "ts": 1.0, "object": "a",
             "ok": True, "wall_s": 1.0,
         })
-        segment = next(iter(ledger._segment_files()))
-        with open(segment, "a", encoding="utf-8") as fh:
+        torn = ledger.append({
+            "schema": store.RUN_SCHEMA, "ts": 2.0, "object": "torn",
+            "ok": True, "wall_s": 1.0,
+        })
+        with open(ContentStore(path, ".json").path(torn), "a",
+                  encoding="utf-8") as fh:
             fh.write('{"schema": "repro.obs/run/v1", "object": "torn"')
-        assert [r["object"] for r in ledger.runs()] == ["a"]
+        with pytest.warns(StoreWarning, match=torn):
+            assert [r["object"] for r in ledger.runs()] == ["a"]
 
 
 class TestCertificateBytesUnperturbed:
@@ -185,16 +191,18 @@ class TestCertificateBytesUnperturbed:
         )
         import os
 
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
         env = dict(os.environ, PYTHONPATH="src")
         env.pop("REPRO_LEDGER", None)
         plain = subprocess.run(
-            [sys.executable, "-c", script], cwd="/root/repo",
+            [sys.executable, "-c", script], cwd=root,
             env=env, capture_output=True, text=True, check=True,
         )
         env["REPRO_LEDGER"] = str(tmp_path / "ledger")
         env["REPRO_LEDGER_OBJECT"] = "ticket_lock"
         with_ledger = subprocess.run(
-            [sys.executable, "-c", script], cwd="/root/repo",
+            [sys.executable, "-c", script], cwd=root,
             env=env, capture_output=True, text=True, check=True,
         )
         assert with_ledger.stdout == plain.stdout

@@ -61,17 +61,17 @@ def stub_executor(monkeypatch):
 
         def __call__(self, descriptor):
             Stub.calls.append(descriptor["job"])
-            if Stub.delay_s:
-                time.sleep(Stub.delay_s)
-            if Stub.fail:
-                return {"ok": False, "bytes": None, "wall_s": Stub.delay_s,
+            if self.delay_s:
+                time.sleep(self.delay_s)
+            if self.fail:
+                return {"ok": False, "bytes": None, "wall_s": self.delay_s,
                         "error": "stub failure"}
             blob = json.dumps(
                 {"stack": descriptor["stack"],
                  "params": descriptor["params"]},
                 sort_keys=True,
             ).encode("utf-8")
-            return {"ok": True, "bytes": blob, "wall_s": Stub.delay_s}
+            return {"ok": True, "bytes": blob, "wall_s": self.delay_s}
 
     stub = Stub()
     monkeypatch.setattr("repro.serve.pool.execute_job", stub)

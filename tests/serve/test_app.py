@@ -7,12 +7,22 @@ the issue is asserted deterministically:
 * two identical submissions → one verification, two certificates;
 * full admission queue → 429 with a Retry-After estimate;
 * per-tenant store isolation (hits never cross tenants);
-* graceful drain: in-flight jobs finish, queued jobs are rejected.
+* graceful drain: in-flight jobs finish, queued jobs are rejected;
+* a damaged store entry re-verifies, and a failed store write fails
+  its job without wedging the queue;
+* malformed requests answer 400 over a real socket.
 """
 
 import asyncio
+import errno
+import json
+import os
+
+import pytest
 
 from conftest import wait_terminal
+
+from repro.cas import StoreWarning
 
 
 def submit(app, **overrides):
@@ -177,3 +187,134 @@ class TestDrain:
             await wait_terminal(app, running["id"])
 
         run_app(scenario, queue_limit=4)
+
+
+class TestStoreFaults:
+    def test_damaged_entry_is_a_miss_that_reverifies(
+        self, run_app, stub_executor
+    ):
+        async def scenario(app):
+            _status, first = submit(app)
+            job = await wait_terminal(app, first["id"])
+            path = app.store._path("public", job.fingerprint)
+            with open(path, "r+b") as handle:
+                handle.seek(-2, os.SEEK_END)
+                handle.write(b"!")
+            with pytest.warns(StoreWarning, match=job.fingerprint):
+                status, doc = submit(app)
+            assert status == 202  # not served from the store
+            again = await wait_terminal(app, doc["id"])
+            assert again.state == "done"
+            assert len(stub_executor.calls) == 2
+            # The re-verified certificate was stored again, intact.
+            assert app.store.get("public", job.fingerprint) is not None
+
+        run_app(scenario)
+
+    def test_failed_store_write_fails_the_job_and_keeps_pumping(
+        self, run_app, stub_executor, monkeypatch
+    ):
+        real_replace = os.replace
+
+        def full_disk_once(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def scenario(app):
+            stub_executor.delay_s = 0.05
+            monkeypatch.setattr(os, "replace", full_disk_once)
+            _s, first = submit(app, params={"fuel": 2001})
+            _s, second = submit(app, params={"fuel": 2002})
+            with pytest.warns(StoreWarning, match="No space left"):
+                failed = await wait_terminal(app, first["id"])
+            assert failed.state == "failed"
+            assert "certificate store write failed" in failed.error
+            assert app.store.get("public", failed.fingerprint) is None
+            done = await wait_terminal(app, second["id"], timeout_s=5.0)
+            assert done.state == "done"
+            assert app.metrics.jobs_failed == 1
+
+        run_app(scenario, queue_limit=2)
+
+    def test_failed_write_fails_only_that_tenants_jobs(
+        self, run_app, stub_executor, monkeypatch
+    ):
+        real_replace = os.replace
+
+        def beta_disk_full(src, dst):
+            if f"{os.sep}beta{os.sep}" in dst:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_replace(src, dst)
+
+        async def scenario(app):
+            stub_executor.delay_s = 0.05
+            monkeypatch.setattr(os, "replace", beta_disk_full)
+            _s, alpha = submit(app, tenant="alpha")
+            _s, beta = submit(app, tenant="beta")
+            assert beta["primary_id"] == alpha["id"]  # one verification
+            with pytest.warns(StoreWarning, match="beta"):
+                await wait_terminal(app, alpha["id"])
+            assert app.table.get(alpha["id"]).state == "done"
+            failed = app.table.get(beta["id"])
+            assert failed.state == "failed"
+            assert failed.error == (
+                "certificate store write failed for tenant 'beta'"
+            )
+
+        run_app(scenario)
+
+
+async def _raw_request(app, request: bytes):
+    """Send raw bytes to the app over a localhost socket."""
+    server = await asyncio.start_server(app.handle, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(request)
+        await writer.drain()
+        response = await reader.read()
+        writer.close()
+    finally:
+        server.close()
+        await server.wait_closed()
+    head, _sep, body = response.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    def test_unsafe_store_name_is_400(self, run_app):
+        async def scenario(app):
+            return await _raw_request(
+                app, b"GET /certs/.hidden/x HTTP/1.1\r\n\r\n"
+            )
+
+        status, doc = run_app(scenario)
+        assert status == 400
+        assert "tenant" in doc["error"]
+
+    def test_non_numeric_content_length_is_400(self, run_app):
+        async def scenario(app):
+            return await _raw_request(
+                app,
+                b"POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}",
+            )
+
+        status, doc = run_app(scenario)
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    @pytest.mark.parametrize("route", ["", "/certificate"])
+    def test_non_numeric_timeout_is_400(self, run_app, stub_executor, route):
+        async def scenario(app):
+            stub_executor.delay_s = 0.2
+            _s, doc = submit(app)
+            target = f"/jobs/{doc['id']}{route}?wait=1&timeout_s=soon"
+            result = await _raw_request(
+                app, f"GET {target} HTTP/1.1\r\n\r\n".encode()
+            )
+            await wait_terminal(app, doc["id"])
+            return result
+
+        status, doc = run_app(scenario)
+        assert status == 400
+        assert "timeout_s" in doc["error"]

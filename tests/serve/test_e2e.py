@@ -17,6 +17,7 @@ import pytest
 
 from repro.serve.protocol import result_bytes, run_stack
 from repro.serve.smoke import boot_daemon
+from repro.serve.store import CertificateStore
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +111,11 @@ class TestDrain:
         assert "repro-serve stopped" in log
         # The in-flight verification ran to completion and its
         # certificate landed in the store before the workers exited.
-        fingerprint = doc["fingerprint"]
-        path = os.path.join(
+        store = CertificateStore(str(tmp_path / "spool" / "store"))
+        assert store._path("public", doc["fingerprint"]) == os.path.join(
             str(tmp_path / "spool"), "store", "public",
-            fingerprint[:2], fingerprint + ".json",
+            doc["fingerprint"][:2], doc["fingerprint"] + ".json",
         )
-        assert os.path.exists(path)
-        assert json.loads(open(path, "rb").read())["ok"] is True
+        payload = store.get("public", doc["fingerprint"])
+        assert payload is not None
+        assert json.loads(payload)["ok"] is True

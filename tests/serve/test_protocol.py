@@ -44,8 +44,9 @@ class TestParseJob:
             parse_job({"stack": "ticket", "params": {"domain": [1, 1]}})
 
     def test_tenant_and_priority_validated(self):
-        with pytest.raises(JobError, match="tenant"):
-            parse_job({"stack": "ticket", "tenant": "../escape"})
+        for tenant in ("../escape", ".hidden"):
+            with pytest.raises(JobError, match="tenant"):
+                parse_job({"stack": "ticket", "tenant": tenant})
         with pytest.raises(JobError, match="priority"):
             parse_job({"stack": "ticket", "priority": 1000})
         spec = parse_job({"stack": "ticket", "tenant": "ci-7", "priority": 9})

@@ -59,6 +59,21 @@ class TestStore:
         assert store.get("t1", FP_A) is not None  # A survived via recency
         assert store.get("t1", FP_C) is not None
 
+    def test_byte_budget_is_shared_but_reads_stay_isolated(self, tmp_path):
+        store = CertificateStore(str(tmp_path), max_bytes=250)
+        blob = b"x" * 100
+        store.put("a", FP_A, blob)
+        store.put("a", FP_B, blob)
+        os.utime(store._path("a", FP_A), (1, 1))  # a's stalest entry
+        os.utime(store._path("a", FP_B), (2, 2))
+        store.put("b", FP_C, blob)  # 300 bytes > 250: evicts across tenants
+        assert store.evictions == 1
+        assert store.get("a", FP_A) is None
+        assert store.get("a", FP_B) == blob
+        # a's entries are still never a hit for b.
+        assert store.get("b", FP_B) is None
+        assert store.get("b", FP_C) == blob
+
     def test_eviction_never_removes_fresh_put(self, tmp_path):
         store = CertificateStore(str(tmp_path), max_bytes=10)
         store.put("t1", FP_A, b"y" * 100)  # over budget on its own
