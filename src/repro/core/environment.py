@@ -111,13 +111,24 @@ class ChoiceEnv(EnvContext):
     reports it via :attr:`exhausted_at` and produces empty batches — the
     DFS in :mod:`repro.core.simulation` uses that signal to extend the
     choice prefix and re-run.
+
+    ``on_last`` (optional) is called once, with ``buffer.snapshot()``,
+    right after the batch of the last choice is appended: from then on
+    this environment appends nothing.  The simulation checker decides
+    rely validity there, and stops a rely-invalid run by raising.
     """
 
-    def __init__(self, alphabet: Sequence[Batch], choices: Sequence[int]):
+    def __init__(
+        self,
+        alphabet: Sequence[Batch],
+        choices: Sequence[int],
+        on_last: Optional[Callable[[Log], None]] = None,
+    ):
         self.alphabet: List[Batch] = [tuple(b) for b in alphabet]
         self.choices: Tuple[int, ...] = tuple(choices)
         self.cursor = 0
         self.exhausted_at: Optional[int] = None
+        self.on_last = on_last
 
     def advance(self, buffer: LogBuffer, focused_tid: int, ctx=None) -> Batch:
         if self.cursor >= len(self.choices):
@@ -128,10 +139,12 @@ class ChoiceEnv(EnvContext):
         batch = self.alphabet[self.choices[self.cursor]]
         self.cursor += 1
         buffer.extend(batch)
+        if self.on_last is not None and self.cursor == len(self.choices):
+            self.on_last(buffer.snapshot())
         return batch
 
     def fresh(self) -> "ChoiceEnv":
-        return ChoiceEnv(self.alphabet, self.choices)
+        return ChoiceEnv(self.alphabet, self.choices, self.on_last)
 
     def __repr__(self):
         return f"ChoiceEnv(|Σ|={len(self.alphabet)}, choices={self.choices})"

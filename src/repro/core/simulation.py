@@ -169,6 +169,93 @@ def env_events_valid(log: Log, rely: Rely, env_tids: Set[int]) -> bool:
     return True
 
 
+class _RelyBroken(Exception):
+    """Stops a gated env-choice run at its last delivery: the environment
+    events delivered by then break the rely.  Not a :class:`Stuck`, so it
+    passes through :func:`run_local` unchanged."""
+
+    def __init__(self, log: Log):
+        super().__init__("environment events break the rely")
+        self.log = log
+
+
+@dataclass
+class _ChoiceRun:
+    """One spec run under a :class:`ChoiceEnv` prefix and its rely verdict.
+
+    ``run`` is ``None`` for a run stopped at its last delivery; ``log``
+    is then the log at the stop.
+    """
+
+    run: Optional[LocalRun]
+    log: Log
+    batches: Tuple[Batch, ...]
+    rely_ok: bool
+
+    def fingerprint(self) -> Tuple[Any, ...]:
+        """The run's outcome: what the enumerator hash-conses."""
+        run = self.run
+        if run is None:
+            return (self.log, repr(None), False, None)
+        return (run.log, repr(run.ret), run.finished, run.stuck)
+
+
+def _choice_run(
+    interface: LayerInterface,
+    tid: int,
+    player: Callable,
+    args: Tuple[Any, ...],
+    config: SimConfig,
+    choices: Tuple[int, ...],
+) -> Optional[_ChoiceRun]:
+    """The rely-gated run of ``player`` under one env-choice prefix.
+
+    Returns ``None`` when the prefix is longer than the player's query
+    sequence under it (it denotes no new behaviour), else the run and
+    its rely verdict (always true without ``config.check_rely``).  When
+    the rely is checked, the prefix is non-empty and the focused tid
+    emits none of the alphabet's events, the verdict is decided once,
+    when :class:`ChoiceEnv` delivers the batch of the last choice, and a
+    false verdict stops the run there.  This is exact:
+
+    1. choice *i* is delivered at query *i*+1, so a stopped run has
+       ``len(choices)`` queries and is never one the length skip takes;
+    2. :func:`env_events_valid` judges each environment event on the log
+       prefix ending at it (a prefix-closed rely on the longest such
+       prefix), and no environment event follows the last delivery, so
+       the verdict and its ``weaken-rely`` tally are final there;
+    3. every other run keeps the end-of-run check: a run with no
+       choices, one that finishes, gets stuck or runs out of fuel before
+       its last delivery, and one whose alphabet holds events of the
+       focused tid (its own later events would be judged too).
+    """
+    rely = interface.rely
+    env_tids = {e.tid for batch in config.env_alphabet for e in batch}
+    judged: List[Log] = []
+
+    def judge(log: Log) -> None:
+        if not env_events_valid(log, rely, env_tids):
+            raise _RelyBroken(log)
+        judged.append(log)
+
+    gated = config.check_rely and choices and tid not in env_tids
+    env = RecordingEnv(ChoiceEnv(
+        config.env_alphabet, choices, on_last=judge if gated else None
+    ))
+    try:
+        run = run_local(interface, tid, player, args, env=env, fuel=config.fuel)
+    except _RelyBroken as stop:
+        return _ChoiceRun(None, stop.log, (), False)
+    if run.queries < len(choices):
+        return None
+    # A run judged at its last delivery passed (a failing one stopped
+    # there); judging it again would tally the weaken-rely law twice.
+    rely_ok = bool(judged) or not config.check_rely or env_events_valid(
+        run.log, rely, env_tids
+    )
+    return _ChoiceRun(run, run.log, tuple(env.batches), rely_ok)
+
+
 def enumerate_local_runs(
     interface: LayerInterface,
     tid: int,
@@ -184,7 +271,12 @@ def enumerate_local_runs(
     went idle after the prefix is recorded; if the player queried past the
     prefix and the depth bound allows, the prefix branches over the whole
     alphabet.  Runs whose delivered environment events violate the rely
-    condition are pruned together with all their extensions.
+    condition are pruned together with all their extensions; where
+    :func:`_choice_run` can decide that at the run's last delivery,
+    the run stops there instead of running on (a spin loop whose turn
+    never comes would spin until the fuel runs out).  A stopped run is
+    counted like any pruned one, with the fingerprint
+    ``(log at the stop, repr(None), False, None)``.
 
     ``coverage`` (optional) accumulates explored-vs-budget counts and a
     depth histogram over the choice prefixes; checkers stamp it into
@@ -192,8 +284,6 @@ def enumerate_local_runs(
     here if not supplied) hash-conses each run's outcome fingerprint to
     count replay-equivalent duplicates and branching factors.
     """
-    rely = interface.rely
-    env_tids = {e.tid for batch in config.env_alphabet for e in batch}
     results: List[RunRecord] = []
     stack: List[Tuple[int, ...]] = [()]
     runs = 0
@@ -214,11 +304,8 @@ def enumerate_local_runs(
                 raise OutOfFuel(
                     f"simulation enumeration exceeded {config.max_runs} runs"
                 )
-            env = RecordingEnv(ChoiceEnv(config.env_alphabet, choices))
-            run = run_local(
-                interface, tid, player, args, env=env, fuel=config.fuel
-            )
-            if run.queries < len(choices):
+            outcome = _choice_run(interface, tid, player, args, config, choices)
+            if outcome is None:
                 # This prefix is longer than the player's query sequence
                 # under it; it denotes no new behaviour (already covered by
                 # the shorter prefix).  Skip without branching.
@@ -227,22 +314,19 @@ def enumerate_local_runs(
                 continue
             if coverage is not None:
                 coverage.visit(depth=len(choices))
-            key = (run.log, repr(run.ret), run.finished, run.stuck)
+            key = outcome.fingerprint()
             if redundancy is not None:
                 redundancy.visit(state_fingerprint(*key))
-            if config.check_rely and not env_events_valid(
-                run.log, rely, env_tids
-            ):
+            if not outcome.rely_ok:
                 if tracking:
                     inc("sim.env_contexts_rely_pruned")
                 if coverage is not None:
                     coverage.prune()
                 continue
+            run = outcome.run
             if key not in seen:
                 seen.add(key)
-                results.append(
-                    RunRecord(choices, tuple(env.batches), run)
-                )
+                results.append(RunRecord(choices, outcome.batches, run))
             if run.queries > len(choices) and len(choices) < config.env_depth:
                 if redundancy is not None:
                     redundancy.branch(len(config.env_alphabet))
@@ -312,32 +396,24 @@ def _rerun_factory(ob: _Obligation) -> Callable:
     """Replay one env-choice prefix of ``ob`` exactly as it was checked.
 
     The returned ``rerun(choices)`` runs the spec under the
-    :class:`ChoiceEnv` prefix, applies the enumerator's validity filter
-    (prefix covered, rely-valid), then runs the implementation under the
-    witness environment.  Returns ``(high_run, batches, low_run)`` —
-    ``low_run`` is ``None`` when the spec run itself was unsafe — or
-    ``None`` when ``choices`` denotes no valid environment context, which
-    the shrinker treats as "does not reproduce".
+    :class:`ChoiceEnv` prefix through the enumerator's own gated run
+    (:func:`_choice_run`: prefix covered, rely-valid), then runs the
+    implementation under the witness environment.  Returns
+    ``(high_run, batches, low_run)`` — ``low_run`` is ``None`` when the
+    spec run itself was unsafe — or ``None`` when ``choices`` denotes no
+    valid environment context, which the shrinker treats as "does not
+    reproduce".
     """
-    config = ob.config
-    rely = ob.high_iface.rely
-    env_tids = {e.tid for batch in config.env_alphabet for e in batch}
 
     def rerun(choices):
-        env = RecordingEnv(ChoiceEnv(config.env_alphabet, choices))
-        high_run = run_local(
-            ob.high_iface, ob.tid, ob.high_player, ob.args, env=env,
-            fuel=config.fuel,
+        outcome = _choice_run(
+            ob.high_iface, ob.tid, ob.high_player, ob.args, ob.config, choices
         )
-        if high_run.queries < len(choices):
+        if outcome is None or not outcome.rely_ok:
             return None
-        if config.check_rely and not env_events_valid(
-            high_run.log, rely, env_tids
-        ):
-            return None
-        batches = tuple(env.batches)
-        low_run = ob.run_low(high_run, batches) if high_run.ok else None
-        return high_run, batches, low_run
+        high_run = outcome.run
+        low_run = ob.run_low(high_run, outcome.batches) if high_run.ok else None
+        return high_run, outcome.batches, low_run
 
     return rerun
 

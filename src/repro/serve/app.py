@@ -104,6 +104,10 @@ class ServeApp:
         self.draining = False
         self.drained = asyncio.Event()
         self._waiters: Dict[str, asyncio.Event] = {}
+        # The ``ok`` of each stored result document by job fingerprint,
+        # so a warm hit need not parse the document.  It depends on what
+        # was verified, never on the tenant.
+        self._result_ok: Dict[str, bool] = {}
         if workers <= 0 or not hasattr(os, "fork"):
             self.pool: Any = SerialPool(loop, self._on_start, self._on_done)
         else:
@@ -189,21 +193,28 @@ class ServeApp:
         job.state = DONE
         job.finished_at = time.time()
         job.wall_s = 0.0
-        try:
-            job.result_ok = bool(json.loads(payload).get("ok"))
-        except ValueError:  # pragma: no cover - store corruption
-            job.result_ok = None
+        job.result_ok = self._result_ok.get(job.fingerprint)
+        if job.result_ok is None:
+            try:
+                job.result_ok = bool(json.loads(payload).get("ok"))
+            except ValueError:  # pragma: no cover - store corruption
+                pass
+            else:
+                self._result_ok[job.fingerprint] = job.result_ok
         # A synthetic event stream so watch works uniformly on warm jobs.
         job.events_path = os.path.join(
             self.spool, "events", f"{job.id}.jsonl"
         )
-        self._event(job, {"type": "start", "schema": "repro.obs/heartbeat/v1",
-                          "t_s": 0.0, "pid": os.getpid()})
-        self._event(job, {"type": "heartbeat", "t_s": 0.0,
-                          "pid": os.getpid(), "phase": "store-hit",
-                          "job": job.id})
-        self._event(job, {"type": "end", "t_s": 0.0, "pid": os.getpid(),
-                          "status": "done", "job": job.id})
+        pid = os.getpid()
+        self._event(
+            job,
+            {"type": "start", "schema": "repro.obs/heartbeat/v1",
+             "t_s": 0.0, "pid": pid},
+            {"type": "heartbeat", "t_s": 0.0, "pid": pid,
+             "phase": "store-hit", "job": job.id},
+            {"type": "end", "t_s": 0.0, "pid": pid, "status": "done",
+             "job": job.id},
+        )
         self.metrics.jobs_completed += 1
         self._finish(job)
 
@@ -250,6 +261,8 @@ class ServeApp:
                 tenant for tenant in tenants
                 if self.store.put(tenant, job.fingerprint, payload["bytes"]) is None
             }
+            if len(unstored) < len(tenants):
+                self._result_ok[job.fingerprint] = bool(payload["ok"])
         else:
             failure = payload.get("error", "worker error") if payload else str(value)
         for member in [job] + followers:
@@ -307,12 +320,16 @@ class ServeApp:
                 },
             )
 
-    def _event(self, job: JobRecord, record: Dict[str, Any]) -> None:
+    def _event(self, job: JobRecord, *records: Dict[str, Any]) -> None:
+        """Append ``records`` to the job's event file in one write."""
         if not job.events_path:
             return
+        lines = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        )
         try:
             with open(job.events_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(lines)
         except OSError:  # pragma: no cover - spool unwritable
             pass
 

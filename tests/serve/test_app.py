@@ -100,6 +100,62 @@ class TestDedup:
         run_app(scenario)
 
 
+class TestWarmPath:
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_warm_hit_document_and_events(
+        self, run_app, monkeypatch, tmp_path, ok
+    ):
+        """A warm hit reads ``ok`` from the memo the store put filled, or
+        after a restart from the stored document; either way its job
+        document and its three-line event file are the same."""
+
+        def execute(descriptor):
+            blob = json.dumps({"ok": ok, "stack": descriptor["stack"]})
+            return {"ok": ok, "bytes": blob.encode("utf-8"), "wall_s": 0.0}
+
+        monkeypatch.setattr("repro.serve.pool.execute_job", execute)
+
+        async def warm_hit(app):
+            status, doc = submit(app)
+            assert status == 200
+            with open(app.table.get(doc["id"]).events_path, "rb") as handle:
+                return doc, handle.read()
+
+        async def cold_then_warm(app):
+            _status, first = submit(app)
+            await wait_terminal(app, first["id"])
+            return await warm_hit(app)
+
+        # A restart keeps the store, not the memo (nor the spool, whose
+        # job ids start over).
+        store = str(tmp_path / "store")
+        hits = [
+            run_app(cold_then_warm, store_root=store, spool=str(tmp_path / "a")),
+            run_app(warm_hit, store_root=store, spool=str(tmp_path / "b")),
+        ]
+        pid = os.getpid()
+        for doc, events in hits:
+            job = doc["id"]
+            assert events == (
+                f'{{"pid": {pid}, "schema": "repro.obs/heartbeat/v1", '
+                f'"t_s": 0.0, "type": "start"}}\n'
+                f'{{"job": "{job}", "phase": "store-hit", "pid": {pid}, '
+                f'"t_s": 0.0, "type": "heartbeat"}}\n'
+                f'{{"job": "{job}", "pid": {pid}, "status": "done", '
+                f'"t_s": 0.0, "type": "end"}}\n'
+            ).encode("utf-8")
+            assert doc == {
+                **doc,
+                "state": "done", "source": "store", "wall_s": 0.0, "ok": ok,
+                "certificate_url": f"/jobs/{job}/certificate",
+            }
+            assert sorted(doc) == [
+                "certificate_url", "fingerprint", "finished_at", "id", "ok",
+                "params", "priority", "source", "stack", "state",
+                "submitted_at", "tenant", "wall_s",
+            ]
+
+
 class TestAdmission:
     def test_queue_full_answers_429_with_retry_after(
         self, run_app, stub_executor
