@@ -377,12 +377,14 @@ def run_game(
     ctxs: Dict[int, ExecutionContext] = {}
     gens: Dict[int, Any] = {}
     for tid, (player, args) in players.items():
+        part = UNSTARTED if state is None else state.players[tid]
+        # A restored participant's private state comes from its record.
         ctx = ExecutionContext(
-            interface, tid, buffer, fuel=fuel, priv=interface.init_priv(tid)
+            interface, tid, buffer, fuel=fuel,
+            priv=interface.init_priv(tid) if part is UNSTARTED else None,
         )
         ctx.fine_grained = fine_grained
         ctxs[tid] = ctx
-        part = UNSTARTED if state is None else state.players[tid]
         if part is UNSTARTED:
             gens[tid] = player(ctx, *args)
         else:

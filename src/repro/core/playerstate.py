@@ -26,16 +26,25 @@ A game is resumable when every participant is such a client and the
 game is not fine-grained.  At a branch round each suspended participant
 must also be accounted for by its records — at least one activation,
 each inside a call, the outer ones in same-unit callees, the innermost
-in a restartable primitive — and its values must be copyable.
+in a restartable primitive — and its values must be immutable.
 Otherwise the round stores no state and its siblings re-execute the
 recorded rounds as any other game's do.  An interpreter that keeps no
 records therefore falls back on its own.
+
+A captured participant is a frozen value: its private state and locals
+are copies that nothing mutates, its return values a tuple, and every
+value they hold is immutable — an atom or a tuple of immutable values —
+so the branch point, later points (a participant that has not run since
+keeps its record) and every sibling share it by reference.  A restore
+rebuilds the mutable containers with ``dict`` and ``list``; nothing is
+copied recursively.  A participant holding any other value, such as a
+list or an object in a local, is not captured, and the siblings of that
+round re-execute.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.effects import RESTARTABLE, restartability
 from .context import ExecutionContext
@@ -50,21 +59,24 @@ class Participant(NamedTuple):
 
     ``counters`` are the context's ``fuel``, ``cycles``, ``critical``,
     ``queries`` and ``scenario_call``.  A finished participant keeps
-    only those (``frames`` empty, ``values`` None).  A suspended one
-    keeps ``(interpreter, function, call site)`` per activation,
-    outermost first, and ``values``: one deep copy of its private state,
-    its client's return values and each activation's ``(env, argument
-    values)``, made with a single memo so that aliasing among them
-    survives.
+    only those.  A suspended one also keeps ``entry``, the
+    ``(interpreter, function)`` of its outermost activation; ``frames``,
+    ``(env, call site, argument values)`` per activation, outermost
+    first; ``priv``, its private state; and ``rets``, its client's
+    return values.  The record is frozen (:func:`_freeze`): the envs,
+    ``priv`` and each dict in ``priv`` are copies that nothing mutates,
+    and every value they hold is immutable.
     """
 
     counters: Tuple[int, int, int, int, int]
-    frames: Tuple[Tuple[Any, str, Any], ...]
-    values: Any
+    entry: Optional[Tuple[Any, str]] = None
+    frames: Tuple[Tuple[Dict[str, Any], Any, Tuple[Any, ...]], ...] = ()
+    priv: Optional[Dict[Any, Any]] = None
+    rets: Tuple[Any, ...] = ()
 
 
 #: A participant that has not been scheduled: restored as a fresh player.
-UNSTARTED = Participant((0, 0, 0, 0, 0), (), None)
+UNSTARTED = Participant((0, 0, 0, 0, 0))
 
 
 class GameState(NamedTuple):
@@ -122,7 +134,7 @@ def capture_game(
     """The game's state at a branch round, or None if a player resists.
 
     ``saved`` holds each participant's last capture and must drop a
-    participant when it runs; a participant still in it is not copied
+    participant when it runs; a participant still in it is not captured
     again.
     """
     players = {}
@@ -144,7 +156,7 @@ def _capture(
         ctx.fuel, ctx.cycles, ctx.critical, ctx.queries, ctx.scenario_call,
     )
     if finished:
-        return Participant(counters, (), None)
+        return Participant(counters)
     rets = ctx.rets
     if rets is None:
         return UNSTARTED
@@ -152,7 +164,8 @@ def _capture(
     if not frames or ctx.critical or len(rets) >= len(entries):
         return None
     first = frames[0]
-    interp, name = entries[len(rets)]
+    entry = entries[len(rets)]
+    interp, name = entry
     if first.interp is not interp or first.name != name:
         return None
     for outer, inner in zip(frames, frames[1:]):
@@ -170,17 +183,57 @@ def _capture(
     prim = ctx.interface.prims.get(site.name)
     if prim is None or restartability(prim.spec) != RESTARTABLE:
         return None
-    try:
-        values = deep_copy(
-            (ctx.priv, rets, tuple((frame.env, frame.values) for frame in frames))
-        )
-    except (TypeError, copy.Error):  # a value that cannot be copied
+    return _freeze(counters, entry, ctx.priv, rets, frames)
+
+
+def _freeze(
+    counters: Tuple[int, int, int, int, int], entry: Tuple[Any, str],
+    priv: Dict[Any, Any], rets: List[Any], frames: Sequence[Any],
+) -> Optional[Participant]:
+    """The frozen record of a suspended participant, or None.
+
+    None unless every return value, argument value and env value, and
+    every key and value of ``priv`` and of the dicts it holds, is
+    immutable, and those dicts are distinct objects.  An env's keys are
+    the function's parameter and variable names (strings, see
+    :class:`~repro.clight.ast.CFunction`), and an env is reachable only
+    from its activation.  An immutable value holds no container, so no
+    two containers of the record can be one object: rebuilding each
+    container from the record makes what a deep copy would.
+    """
+    if not (_immutables(rets) and _immutables(priv)):
         return None
-    return Participant(
-        counters,
-        tuple((frame.interp, frame.name, frame.site) for frame in frames),
-        values,
-    )
+    own = {}
+    dicts = set()
+    for key, value in priv.items():
+        if type(value) is dict:
+            if id(value) in dicts or not (
+                _immutables(value) and _immutables(value.values())
+            ):
+                return None
+            dicts.add(id(value))
+            value = value.copy()
+        elif not _immutable(value):
+            return None
+        own[key] = value
+    kept = []
+    for frame in frames:
+        env = frame.env
+        if not (_immutable(frame.values) and _immutables(env.values())):
+            return None
+        kept.append((env.copy(), frame.site, frame.values))
+    return Participant(counters, entry, tuple(kept), own, tuple(rets))
+
+
+def _immutables(values: Any) -> bool:
+    """Whether every item of ``values`` is immutable."""
+    return _ATOMS.issuperset(map(type, values)) or all(map(_immutable, values))
+
+
+def _immutable(value: Any) -> bool:
+    """Whether ``value`` is an atom or a tuple of immutable values."""
+    kind = type(value)
+    return kind in _ATOMS or kind is tuple and _immutables(value)
 
 
 def restore_player(
@@ -197,17 +250,18 @@ def restore_player(
     (
         ctx.fuel, ctx.cycles, ctx.critical, ctx.queries, ctx.scenario_call,
     ) = part.counters
-    if part.values is None:
+    if part.entry is None:
         return None
-    priv, rets, locals_ = deep_copy(part.values)
-    ctx.priv = priv
-    ctx.rets = rets
+    ctx.priv = {
+        key: dict(value) if type(value) is dict else value
+        for key, value in part.priv.items()
+    }
+    rets = ctx.rets = list(part.rets)
+    # Each activation gets an env of its own.
     chain = None
-    for (_interp, _name, site), (env, values) in zip(
-        reversed(part.frames), reversed(locals_)
-    ):
-        chain = (env, site, values, chain)
-    interp, name, _site = part.frames[0]
+    for env, site, args in reversed(part.frames):
+        chain = (dict(env), site, args, chain)
+    interp, name = part.entry
     return _resume_client(
         ctx, calls, rets, interp.run_function(ctx, name, None, chain)
     )
@@ -215,50 +269,6 @@ def restore_player(
 
 #: Types whose values are immutable and refer to nothing.
 _ATOMS = frozenset({int, str, bool, float, bytes, type(None)})
-
-
-def deep_copy(value: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
-    """``copy.deepcopy(value)``, fast on the plain values players hold.
-
-    Dicts, lists and tuples are copied here, atoms are shared, and any
-    other object goes to :func:`copy.deepcopy` with the same memo, so
-    aliasing is kept across all of them.
-    """
-    kind = type(value)
-    if kind in _ATOMS:
-        return value
-    if memo is None:
-        memo = {}
-    if kind is tuple:
-        out = None
-        for index, item in enumerate(value):
-            if type(item) not in _ATOMS:
-                new = deep_copy(item, memo)
-                if new is not item:
-                    if out is None:
-                        out = list(value)
-                    out[index] = new
-        return value if out is None else tuple(out)
-    key = id(value)
-    if key in memo:
-        return memo[key]
-    if kind is dict:
-        copied: Any = {}
-        memo[key] = copied
-        for name, item in value.items():
-            if type(name) not in _ATOMS:
-                name = deep_copy(name, memo)
-            copied[name] = item if type(item) in _ATOMS else deep_copy(item, memo)
-        return copied
-    if kind is list:
-        copied = []
-        memo[key] = copied
-        copied.extend([
-            item if type(item) in _ATOMS else deep_copy(item, memo)
-            for item in value
-        ])
-        return copied
-    return copy.deepcopy(value, memo)
 
 
 def _resume_client(ctx, calls, rets, pending):

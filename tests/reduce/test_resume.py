@@ -20,10 +20,12 @@ Four contracts:
   client of linked ClightX functions, a sibling installs the player
   state recorded at its branch point instead of replaying.  Each such
   run must end exactly as the same entry with the state removed, which
-  re-executes the prefix: same ``GameResult``, or same cut.
+  re-executes the prefix: same ``GameResult``, or same cut.  Records
+  are shared by reference between branch points and siblings.
 * *The fallback re-executes.*  Players the engine cannot capture —
   Python-spec functions, a fine-grained game — restore nothing and
-  replay as before.
+  replay as before, and a branch point at which a player's state holds
+  a value that cannot be frozen stores nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.clight import (
     While,
     c_func_impl,
 )
-from repro.core import machine
+from repro.core import machine, playerstate
 from repro.analysis.independence import static_invisible_tids
 from repro.core import (
     LayerInterface,
@@ -354,11 +356,13 @@ def toy_c_unit():
     ``worker`` calls the same-unit ``bump``, which suspends at its
     ``fai`` and then calls a primitive under either ``If`` branch; the
     loop around the call breaks, continues and returns on the values it
-    sees.  Depending on the schedule a worker reads the shared counter
-    without pulling it (stuck), or spins a silent loop as long as the
-    counter is high and runs out of fuel.
+    sees, and adds each to a unit global (a dict in the private state).
+    Depending on the schedule a worker reads the shared counter without
+    pulling it (stuck), or spins a silent loop as long as the counter is
+    high and runs out of fuel.
     """
     unit = TranslationUnit("toy_c")
+    unit.globals["seen"] = 0
     unit.add(CFunction("bump", ["c"], Seq([
         Call(Var("v"), "fai", [Var("c")]),
         If(Binop("<", Var("v"), Const(2)),
@@ -372,6 +376,7 @@ def toy_c_unit():
         While(Binop("<", Var("i"), Const(3)), Seq([
             Assign(Var("i"), Binop("+", Var("i"), Const(1))),
             Call(Var("r"), "bump", [Var("c")]),
+            Assign(Glob("seen"), Binop("+", Glob("seen"), Var("r"))),
             If(Binop("==", Var("r"), Const(1)), Continue(), Skip()),
             If(Binop("==", Var("r"), Const(2)), Break(), Skip()),
             If(Binop("==", Var("r"), Const(5)),
@@ -383,15 +388,16 @@ def toy_c_unit():
         Assign(Var("j"), Const(0)),
         While(Binop("<", Var("j"), Binop("*", Var("n"), Const(6))),
               Assign(Var("j"), Binop("+", Var("j"), Const(1)))),
-        Return(Binop("+", Binop("*", Var("i"), Const(10)), Var("r"))),
+        Return(Binop("+", Binop("*", Glob("seen"), Const(100)),
+                     Binop("+", Binop("*", Var("i"), Const(10)), Var("r")))),
     ])))
     return unit
 
 
-def toy_c_game():
+def toy_c_game(tids=(1, 2), max_rounds=16):
     module = Module({"worker": c_func_impl(toy_c_unit(), "worker")}, name="M_toy")
-    players = {tid: (seq_player([("worker", ("k",))]), ()) for tid in (1, 2)}
-    return link(lx86_interface([1, 2]), module), players, 16, 120
+    players = {tid: (seq_player([("worker", ("k",))]), ()) for tid in tids}
+    return link(lx86_interface(list(tids)), module), players, max_rounds, 120
 
 
 def linked_game(games):
@@ -406,6 +412,9 @@ C_GAMES = {
     "ticket": lambda: linked_game(ticket_games),
     "mcs": lambda: linked_game(mcs_games),
     "toy_c": toy_c_game,
+    # Three clients: a branch point has up to two siblings, each installing
+    # the same frozen records.
+    "toy_c3": lambda: toy_c_game((1, 2, 3), 7),
 }
 
 
@@ -451,11 +460,19 @@ class RestoreOracle:
         self.checked = 0
         self.stuck = set()
         self.real_run_game = machine.run_game
+        #: ``id(point) -> [point, restored runs]`` (the point kept alive
+        #: so that its id is not reused).
+        self.restores = {}
+        #: ``id(record) -> [record, ids of the points holding it]``.
+        self.holders = {}
 
     def run_game(self, interface, players, scheduler, **kwargs):
         point = scheduler.restore
         if point is None:
             return self.real_run_game(interface, players, scheduler, **kwargs)
+        self.restores.setdefault(id(point), [point, 0])[1] += 1
+        for part in point.state.players.values():
+            self.holders.setdefault(id(part), [part, set()])[1].add(id(point))
         table = scheduler.table
         twin_table = None
         if table is not None:
@@ -510,10 +527,18 @@ class TestRestoredRuns:
             assert delta["machine.schedule_rounds_replayed"] == 2 * restored > 0
             if jobs == 1:
                 assert oracle.checked > 0
+                # A participant that did not run between two branch
+                # points keeps its record: both points hold the same one.
+                assert any(
+                    len(points) > 1 for _part, points in oracle.holders.values()
+                )
                 if name == "toy_c":
                     # Restored runs reach a read without pull and fuel
                     # exhaustion after their branch round.
                     assert {"pull)", "fuel"} <= oracle.stuck
+                if name == "toy_c3":
+                    # One frozen record installed in two or more siblings.
+                    assert max(n for _point, n in oracle.restores.values()) > 1
 
 
 def enumerated(interface, players, **kwargs):
@@ -529,9 +554,134 @@ def enumerated(interface, players, **kwargs):
     )
 
 
+def peek_spec(ctx, items):
+    # Restartable: nothing runs before the query.
+    yield from ctx.query()
+    ctx.emit("peek", ret=len(items))
+    return len(items)
+
+
+def alias_priv(ctx):
+    ctx.priv["left"] = ctx.priv["right"] = {"n": 0}
+
+
+def bump_priv(ctx, key, by):
+    ctx.priv[key]["n"] += by
+
+
+#: Primitives over lists and private dicts, for :func:`mutable_state_game`.
+MUTABLE_PRIMS = [
+    private_prim("fresh", lambda ctx: []),
+    private_prim("note", lambda ctx, items, value: items.append(value)),
+    private_prim("total", lambda ctx, items: sum(items) * 10 + len(items)),
+    private_prim("alias", alias_priv),
+    private_prim("bump", bump_priv),
+    private_prim("read", lambda ctx, key: ctx.priv[key]["n"]),
+    shared_prim("peek", peek_spec),
+]
+
+
+def mutable_state_game(holder):
+    """Two clients whose state holds a value that cannot be frozen.
+
+    ``holder`` says where, at some branch round, and nowhere else:
+
+    * ``local`` or ``global``: a list in a local or a unit global, which
+      a private primitive grows after every ``fai``, so a sibling that
+      shared its branch point's list would see the other runs' items;
+    * ``argument``: a list literal passed to the suspended call;
+    * ``returned``: a list the client's first call returned;
+    * ``aliased``: one dict under two keys of the private state, written
+      through one and read through the other.
+    """
+    unit = TranslationUnit("mutable")
+    v = Call(Var("v"), "fai", [Var("c")])
+    w = Call(Var("w"), "fai", [Var("c")])
+    calls = [("worker", ("k",))]
+    if holder in ("local", "global"):
+        if holder == "global":
+            unit.globals["items"] = lambda: []
+            items = Glob("items")
+            body = []
+        else:
+            items = Var("items")
+            body = [Call(items, "fresh", [])]
+        body += [
+            v, Call(None, "note", [items, Var("v")]),
+            w, Call(None, "note", [items, Var("w")]),
+            Call(Var("n"), "total", [items]),
+            Return(Var("n")),
+        ]
+    elif holder == "argument":
+        body = [
+            v, Call(Var("w"), "peek", [Const([7, 8])]),
+            Return(Binop("+", Binop("*", Var("v"), Const(10)), Var("w"))),
+        ]
+    elif holder == "returned":
+        # The list is made after the last query of the first call.
+        unit.add(CFunction("make", ["c"], Seq([
+            v, Call(Var("items"), "fresh", []),
+            Call(None, "note", [Var("items"), Var("v")]),
+            Return(Var("items")),
+        ])))
+        body = [v, Return(Var("v"))]
+        calls = [("make", ("k",)), ("worker", ("k",))]
+    else:
+        body = [
+            Call(None, "alias", []),
+            v, Call(None, "bump", [Const("left"), Var("v")]),
+            w, Call(Var("n"), "read", [Const("right")]),
+            Return(Binop("+", Binop("*", Var("n"), Const(10)), Var("w"))),
+        ]
+    unit.add(CFunction("worker", ["c"], Seq(body)))
+    module = Module(
+        {name: c_func_impl(unit, name) for name in unit.functions},
+        name="M_mutable",
+    )
+    interface = link(lx86_interface([1, 2], extra_prims=MUTABLE_PRIMS), module)
+    players = {tid: (seq_player(list(calls)), ()) for tid in (1, 2)}
+    return interface, players
+
+
 class TestFallback:
     """See also ``tests/clight/test_compiled.py`` for an interpreter that
     keeps no activation records."""
+
+    @pytest.mark.parametrize(
+        "axes", [frozenset(), MACHINE_AXES], ids=["none", "all"]
+    )
+    @pytest.mark.parametrize(
+        "holder", ["local", "global", "argument", "returned", "aliased"]
+    )
+    def test_unfreezable_state_reexecutes(self, holder, axes, monkeypatch):
+        # A branch point at which a participant holds such a value stores
+        # no state, so its siblings re-execute the recorded rounds.  Runs
+        # restored from the points before it are checked as usual.
+        interface, players = mutable_state_game(holder)
+        oracle = RestoreOracle(axes)
+        captured = []
+
+        def capture_game(*args):
+            state = playerstate.capture_game(*args)
+            captured.append(state is not None)
+            return state
+
+        monkeypatch.setattr(machine, "run_game", oracle.run_game)
+        monkeypatch.setattr(machine, "capture_game", capture_game)
+        with reduce_active(axes), obs.observing(reset=False):
+            window = MetricsWindow()
+            results = enumerate_game_logs(
+                interface, players, max_rounds=12, jobs=1
+            )
+            delta = window.delta()
+        monkeypatch.setattr(machine, "run_game", oracle.real_run_game)
+        assert not all(captured)
+        restored = delta.get("machine.schedule_rounds_restored", 0)
+        assert delta["machine.schedule_rounds_replayed"] > 2 * restored
+        assert all(result.ok for result in results)
+        assert results == reference_dpor.reference_enumerate(
+            interface, players, axes, 12
+        )[0]
 
     def test_python_spec_functions_reexecute(self):
         from repro.objects.ticket_lock import certify_ticket_lock
