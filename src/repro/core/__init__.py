@@ -27,9 +27,6 @@ from .rely_guarantee import (
     Rely,
     TRUE_INV,
     check_compat,
-    events_follow_protocol,
-    release_within,
-    scheduled_within,
 )
 from .relation import (
     ComposedRel,
@@ -61,7 +58,6 @@ from .environment import (
     ScriptedEnv,
     StrategyEnv,
     round_robin_schedule,
-    validate_env_batches,
 )
 from .machine import (
     GameResult,

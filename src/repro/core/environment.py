@@ -26,7 +26,7 @@ produces a reset copy so one description can drive many runs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import RelyViolation
 from .events import Event, hw_sched
@@ -255,23 +255,6 @@ class RecordingEnv(EnvContext):
 
     def fresh(self) -> "RecordingEnv":
         return RecordingEnv(self.inner.fresh())
-
-
-def validate_env_batches(batches: Iterable[Batch], rely, base_log: Log) -> bool:
-    """Check a sequence of environment batches against a rely condition.
-
-    Builds up the log from ``base_log`` and checks every per-participant
-    rely invariant on each prefix — the executable version of "the rely
-    condition specifies a set of valid environment contexts, which take
-    valid input logs and return a valid list of events" (§3.2).
-    """
-    log = base_log
-    for batch in batches:
-        for event in batch:
-            log = log.append(event)
-            if not rely.condition(event.tid).holds(log):
-                return False
-    return True
 
 
 def round_robin_schedule(order: Sequence[int]) -> Callable[[Log], int]:

@@ -33,13 +33,7 @@ from ..obs.metrics import inc
 from ..obs.profile import RedundancyBuilder, profile_enabled, state_fingerprint
 from ..parallel.partition import CHUNKS_PER_WORKER, chunk_evenly
 from ..parallel.pool import get_jobs, parallel_map
-from ..reduce import (
-    RG_SIMPLIFY,
-    STATIC_INDEP,
-    ReductionStats,
-    contribute,
-    current_axes,
-)
+from ..reduce import STATIC_INDEP, ReductionStats, contribute, current_axes
 from ..reduce.dpor import (
     DeferRun,
     PruneRun,
@@ -47,8 +41,6 @@ from ..reduce.dpor import (
     Resume,
     TranspositionTable,
 )
-from ..reduce.laws import FRAME, STRENGTHEN_GUARANTEE, frame_allows_skip
-from ..reduce.stats import tally_law
 from .context import QUERY, ExecutionContext
 from .environment import EnvContext, NullEnv
 from .errors import OutOfFuel, Stuck
@@ -144,9 +136,12 @@ def run_local(
 ) -> LocalRun:
     """Run one player over ``interface[tid]`` under an environment context.
 
-    The guarantee condition of the interface is checked on the log after
-    every resumption segment; a violation does not abort the run but is
-    reported through ``guar_ok`` (verifiers turn it into a failure).
+    The guarantee condition of the interface is checked on the log at
+    every query point and on the final log of a finished run; a
+    violation does not abort the run but is reported through
+    ``guar_ok`` (verifiers turn it into a failure).  Every snapshot
+    shares the buffer's replay checkpoints, so each check folds only
+    the events appended since the previous one.
     """
     env = env if env is not None else NullEnv()
     buffer = LogBuffer(interface.init_log if init_log is None else init_log)
@@ -156,24 +151,9 @@ def run_local(
     ctx = ExecutionContext(interface, tid, buffer, fuel=fuel, priv=base_priv)
     gen = player(ctx, *args)
 
+    guar = interface.guar.condition(tid)
     queries = 0
     guar_ok = True
-    # rg-simplify laws: a prefix-closed guarantee invariant is checked
-    # once on the last snapshot instead of at every query point
-    # (strengthen-guarantee — a violation of any earlier prefix
-    # persists into the last snapshot, so the verdict is identical);
-    # an invariant with a declared footprint is re-checked only when
-    # the log delta since the last check touches it (frame).
-    guar_inv = interface.guar.condition(tid) if check_guar else None
-    rg_active = check_guar and RG_SIMPLIFY in current_axes()
-    guar_once = rg_active and getattr(guar_inv, "prefix_closed", False)
-    guar_frame = (
-        rg_active and not guar_once
-        and getattr(guar_inv, "footprint", None) is not None
-    )
-    stepwise_skipped = 0
-    last_query_len = 0
-    last_checked_len = len(buffer)
     ret: Any = None
     finished = False
     stuck: Optional[str] = None
@@ -187,44 +167,16 @@ def run_local(
                 break
             if marker is not QUERY:  # pragma: no cover - protocol violation
                 raise Stuck(f"player yielded non-query value {marker!r}")
-            if guar_once:
-                stepwise_skipped += 1
-                last_query_len = len(buffer)
-            elif check_guar:
-                snapshot = buffer.snapshot()
-                if guar_frame and frame_allows_skip(
-                    guar_inv, snapshot.events[last_checked_len:]
-                ):
-                    stepwise_skipped += 1
-                    tally_law(FRAME)
-                else:
-                    last_checked_len = len(snapshot)
-                    if not interface.guar.holds(snapshot, tid):
-                        guar_ok = False
+            if check_guar and guar_ok:
+                guar_ok = guar.holds(buffer.snapshot())
             queries += 1
             ctx.queries = queries
             ctx.consume_fuel()
             env.advance(buffer, tid, ctx)
     except Stuck as err:
         stuck = err.reason
-    if guar_once:
-        # The last checked snapshot of the stepwise scheme: the final
-        # log when the run finished, else the snapshot at the last
-        # query point (the seed checks nothing after a stuck segment).
-        if finished:
-            if not interface.guar.holds(buffer.snapshot(), tid):
-                guar_ok = False
-        elif queries:
-            stepwise_skipped -= 1
-            prefix = Log(buffer.snapshot().events[:last_query_len])
-            if not interface.guar.holds(prefix, tid):
-                guar_ok = False
-        if stepwise_skipped > 0:
-            tally_law(STRENGTHEN_GUARANTEE, stepwise_skipped)
-    elif check_guar and finished and not interface.guar.holds(
-        buffer.snapshot(), tid
-    ):
-        guar_ok = False
+    if check_guar and guar_ok and finished:
+        guar_ok = guar.holds(buffer.snapshot())
     if obs_enabled():
         inc("machine.local_runs")
         inc("machine.local_queries", queries)

@@ -7,6 +7,14 @@ participants' log must maintain.  Both are per-participant families of log
 invariants ("these conditions are simply expressed as invariants over the
 global log", §2).
 
+An invariant is a replay fold (:class:`~repro.core.replay.ReplayFn`) with
+an optional verdict on the fold's state, so it is evaluated through the
+same log checkpoints as every other replay function: checking a snapshot
+of a growing buffer folds only the events appended since the previous
+check.  A step that meets a violating event raises
+:class:`~repro.core.errors.Stuck`; the checkpoint stays at the last good
+prefix, so every longer log violates the invariant too.
+
 The ``Compat`` rule (Fig. 9) requires implications between guarantees and
 relies (``L[B].R(i) ⊆ L[A].G(i)``).  In Coq these are proved once and for
 all; here implication is checked over a *log universe* — every log
@@ -16,100 +24,73 @@ and the check is recorded in the resulting certificate (see DESIGN.md §4).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..reduce import RG_SIMPLIFY, current_axes
 from ..reduce.laws import MERGE_COMPATIBLE, structurally_implies
 from ..reduce.stats import tally_law
+from .errors import Stuck
 from .log import Log
 
 
-#: Per-invariant memo size bound.  Sibling runs of a bounded enumeration
-#: share long log prefixes, so the same (invariant, log) query recurs
-#: constantly; the memo is cleared wholesale when it fills.
-_MEMO_LIMIT = 1 << 16
-
-
 class LogInvariant:
-    """A named predicate over logs.
+    """A named log invariant: a replay fold and an optional verdict.
 
-    Supports conjunction (``&``) and implication checking over a finite
-    universe of logs.  ``holds`` must be total: invariants never raise.
+    ``holds(log)`` folds the log with ``fold(log, *params)``.  The log
+    violates the invariant when the fold raises :class:`Stuck`;
+    otherwise ``verdict(state)`` decides, and with no verdict the log
+    holds.  ``holds`` never raises.
 
-    ``holds`` may be memoized per log content (``memo=True``): invariants
-    are pure predicates over immutable logs (the paper presents
-    rely/guarantee conditions as "invariants over the global log"), and
-    bounded enumerations re-check the same prefix logs across thousands
-    of sibling runs.  Memoization is opt-in because hashing a log costs
-    more than evaluating a trivial predicate (e.g. ``TRUE_INV``); the
-    builders below enable it for the O(n) protocol walks where it pays.
-
-    Two optional *structural declarations* feed the rely-guarantee
-    pre-simplifier (:mod:`repro.reduce.laws`); both are trusted, and
-    both default to the conservative "no claim":
-
-    * ``prefix_closed`` — violations are permanent: ``holds(l·e) ⇒
-      holds(l)``.  Lets checkers collapse a chain of prefix checks into
-      one check of the longest prefix.  The builders below are
-      prefix-closed by violation monotonicity (each walks the log and
-      fails at the first offending position; later events cannot erase
-      it), and the ``&``/``|`` combinators preserve the property.
-    * ``footprint`` — an event-name set outside which the predicate is
-      constant: ``holds(l·e) = holds(l)`` when ``e.name ∉ footprint``.
-      Lets ``run_local`` skip re-checks whose log delta misses the
-      footprint (the *frame* law).
+    ``&`` and ``|`` combine invariants; :meth:`conjuncts` lists the
+    top-level ∧-parts.  Two leaves are equal when they fold the same
+    replay function with equal ``params`` under the same verdict, so
+    a rely and a guarantee built by separate builder calls compare
+    equal, share one checkpoint per log, and match in structural
+    implication whatever their names.
     """
 
     def __init__(
         self,
         name: str,
-        check: Callable[[Log], bool],
-        memo: bool = False,
-        prefix_closed: bool = False,
-        footprint: Optional[Iterable[str]] = None,
+        fold: Callable[..., Any],
+        params: Tuple[Any, ...] = (),
+        verdict: Optional[Callable[[Any], bool]] = None,
     ):
         self.name = name
-        self._check = check
-        self._memo: Optional[Dict[Log, bool]] = {} if memo else None
-        self.prefix_closed = prefix_closed
-        self.footprint: Optional[frozenset] = (
-            None if footprint is None else frozenset(footprint)
-        )
-        self._conjuncts: Optional[Tuple["LogInvariant", ...]] = None
+        self.fold = fold
+        self.params = tuple(params)
+        self.verdict = verdict
 
     def conjuncts(self) -> Tuple["LogInvariant", ...]:
         """The invariant's top-level ∧-parts (itself when atomic)."""
-        return self._conjuncts if self._conjuncts is not None else (self,)
+        return (self,)
 
     def holds(self, log: Log) -> bool:
-        memo = self._memo
-        if memo is None or type(log) is not Log:  # unhashable raw sequences: no memo
-            return bool(self._check(log))
-        verdict = memo.get(log)
-        if verdict is None:
-            verdict = bool(self._check(log))
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[log] = verdict
-        return verdict
+        try:
+            state = self.fold(log, *self.params)
+        except Stuck:
+            return False
+        return self.verdict is None or bool(self.verdict(state))
+
+    def _key(self) -> Tuple[Any, ...]:
+        return (self.fold, self.params, self.verdict)
+
+    def __eq__(self, other):
+        if not isinstance(other, LogInvariant):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __and__(self, other: "LogInvariant") -> "LogInvariant":
-        combined = LogInvariant(
+        return all_of(
             f"({self.name} ∧ {other.name})",
-            lambda log: self.holds(log) and other.holds(log),
-            prefix_closed=self.prefix_closed and other.prefix_closed,
-            footprint=_union_footprints(self.footprint, other.footprint),
+            self.conjuncts() + other.conjuncts(),
         )
-        combined._conjuncts = self.conjuncts() + other.conjuncts()
-        return combined
 
     def __or__(self, other: "LogInvariant") -> "LogInvariant":
-        return LogInvariant(
-            f"({self.name} ∨ {other.name})",
-            lambda log: self.holds(log) or other.holds(log),
-            prefix_closed=self.prefix_closed and other.prefix_closed,
-            footprint=_union_footprints(self.footprint, other.footprint),
-        )
+        return any_of(f"({self.name} ∨ {other.name})", (self, other))
 
     def implies_on(self, other: "LogInvariant", universe: Iterable[Log]) -> Tuple[bool, Optional[Log]]:
         """Check ``self ⊆ other`` over a finite universe of logs.
@@ -126,18 +107,44 @@ class LogInvariant:
         return f"Inv({self.name})"
 
 
-def _union_footprints(
-    a: Optional[frozenset], b: Optional[frozenset]
-) -> Optional[frozenset]:
-    """Footprint of a pointwise combination: union, if both declared."""
-    if a is None or b is None:
-        return None
-    return a | b
+class _Junction(LogInvariant):
+    """The conjunction (``conjunctive``) or the disjunction of ``parts``."""
+
+    def __init__(self, name: str, conjunctive: bool, parts: Iterable[LogInvariant]):
+        self.name = name
+        self.conjunctive = conjunctive
+        self.parts = tuple(parts)
+
+    def conjuncts(self) -> Tuple[LogInvariant, ...]:
+        return self.parts if self.conjunctive else (self,)
+
+    def holds(self, log: Log) -> bool:
+        # An explicit loop: this runs at every query point and env event,
+        # where a generator under ``all``/``any`` added about 1 us a call.
+        conjunctive = self.conjunctive
+        for part in self.parts:
+            if part.holds(log) is not conjunctive:
+                return not conjunctive
+        return conjunctive
+
+    def _key(self) -> Tuple[Any, ...]:
+        return (self.conjunctive, self.parts)
 
 
-TRUE_INV = LogInvariant("true", lambda log: True, prefix_closed=True, footprint=())
-TRUE_INV.always_true = True  # weaken-rely: no prefix walk needed at all
-FALSE_INV = LogInvariant("false", lambda log: False, prefix_closed=True, footprint=())
+def all_of(name: str, parts: Iterable[LogInvariant]) -> LogInvariant:
+    """The conjunction of ``parts``, flattened to their conjuncts."""
+    return _Junction(name, True, (c for part in parts for c in part.conjuncts()))
+
+
+def any_of(name: str, parts: Iterable[LogInvariant]) -> LogInvariant:
+    """The disjunction of ``parts``."""
+    return _Junction(name, False, parts)
+
+
+#: The empty conjunction, which every log satisfies.
+TRUE_INV = all_of("true", ())
+#: The empty disjunction, which no log satisfies.
+FALSE_INV = any_of("false", ())
 
 
 class Rely:
@@ -267,10 +274,10 @@ def check_compat(
     of failure descriptions (empty = compatible on the universe).
 
     With ``rg-simplify`` active, implications that hold *structurally*
-    (the guarantee is trivially true, is the rely itself, or is one of
-    its conjuncts — :func:`repro.reduce.laws.structurally_implies`) are
-    discharged without scanning the universe; a structural implication
-    holds on every universe, so the result is identical.
+    (every conjunct of the guarantee is a conjunct of the rely —
+    :func:`repro.reduce.laws.structurally_implies`) are discharged
+    without scanning the universe; a structural implication holds on
+    every universe, so the result is identical.
     """
     universe = list(universe)
     structural = RG_SIMPLIFY in current_axes()
@@ -295,81 +302,3 @@ def check_compat(
                 f"L[A].R({i}) ⊄ L[B].G({i}); counterexample log: {witness!r}"
             )
     return failures
-
-
-# --- common invariant builders --------------------------------------------
-
-
-def events_follow_protocol(
-    tid: int,
-    allowed: Callable[[Log, "Event"], bool],
-    name: str = "protocol",
-) -> LogInvariant:
-    """Every event of ``tid`` is allowed given the log prefix before it.
-
-    The standard shape of rely conditions like ``L'1[i].Rj``: "lock-related
-    events generated by φj must follow φacq'[j] and φrel'[j]" (§2).
-    """
-
-    def check(log: Log) -> bool:
-        prefix = []
-        for event in log:
-            if event.tid == tid and not allowed(Log(prefix), event):
-                return False
-            prefix.append(event)
-        return True
-
-    return LogInvariant(f"{name}[{tid}]", check, memo=True, prefix_closed=True)
-
-
-def release_within(tid: int, acquire: str, release: str, bound: int) -> LogInvariant:
-    """Definite action: after ``tid.acquire``, ``tid.release`` appears
-    within ``bound`` of ``tid``'s own subsequent events.
-
-    This is the paper's "held locks will eventually be released" rely
-    condition, made quantitative ("the distance between c'.acq and c'.rel
-    in the log is less than some number n", §4.1).  A trailing acquire
-    with fewer than ``bound`` own-events after it is allowed (the log may
-    be a prefix of a longer run).
-    """
-
-    def check(log: Log) -> bool:
-        own_events = [e for e in log if e.tid == tid]
-        pending: Optional[int] = None
-        for idx, event in enumerate(own_events):
-            if event.name == acquire:
-                if pending is not None:
-                    return False
-                pending = idx
-            elif event.name == release:
-                if pending is None:
-                    return False
-                pending = None
-            if pending is not None and idx - pending > bound:
-                return False
-        return True
-
-    return LogInvariant(
-        f"release_within[{tid},{acquire}->{release}≤{bound}]",
-        check,
-        memo=True,
-        prefix_closed=True,
-    )
-
-
-def scheduled_within(tid: int, bound: int) -> LogInvariant:
-    """Fairness: ``tid`` gets a hardware-scheduling event at least once in
-    every window of ``bound`` consecutive events."""
-
-    def check(log: Log) -> bool:
-        gap = 0
-        for event in log:
-            if event.is_sched() and event.tid == tid:
-                gap = 0
-            else:
-                gap += 1
-                if gap > bound:
-                    return False
-        return True
-
-    return LogInvariant(f"fair[{tid}≤{bound}]", check, memo=True, prefix_closed=True)

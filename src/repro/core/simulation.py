@@ -46,9 +46,7 @@ from ..obs.profile import (
 from ..parallel.cache import cached_obligation, cached_obligation_payload
 from ..parallel.partition import CHUNKS_PER_WORKER, chunk_evenly
 from ..parallel.pool import get_jobs, parallel_map
-from ..reduce import RG_SIMPLIFY, current_axes, reduction_collector
-from ..reduce.laws import WEAKEN_RELY
-from ..reduce.stats import tally_law
+from ..reduce import current_axes, reduction_collector
 from .certificate import Certificate, Obligation, stamp_provenance
 from .environment import (
     Batch,
@@ -61,7 +59,7 @@ from .environment import (
 from .errors import OutOfFuel
 from .events import Event
 from .interface import LayerInterface
-from .log import Log
+from .log import Log, LogBuffer
 from .machine import LocalRun, run_local
 from .relation import SimRel
 from .rely_guarantee import Rely
@@ -132,40 +130,17 @@ class RunRecord:
 def env_events_valid(log: Log, rely: Rely, env_tids: Set[int]) -> bool:
     """Every environment event satisfies its rely invariant on its prefix.
 
-    With ``rg-simplify`` active the per-event prefix walk is simplified
-    per participant by the *weaken-rely* law: an unconstrained rely
-    (``always_true``) needs no check at all, and a prefix-closed rely
-    (violations permanent) holds of every prefix iff it holds of the
-    longest one — both boolean-equivalent to the exhaustive walk.
-    Participants whose rely declares neither keep the exact walk.
+    One pass: the prefixes are growing snapshots of one buffer, which
+    share its replay checkpoints, so each rely leaf folds every event
+    once.
     """
-    events = log.events
-    if RG_SIMPLIFY in current_axes():
-        last_idx: Dict[int, int] = {}
-        counts: Dict[int, int] = {}
-        for idx, event in enumerate(events):
-            if event.tid in env_tids:
-                last_idx[event.tid] = idx
-                counts[event.tid] = counts.get(event.tid, 0) + 1
-        exact_tids: Set[int] = set()
-        for tid, idx in last_idx.items():
-            inv = rely.condition(tid)
-            if getattr(inv, "always_true", False):
-                tally_law(WEAKEN_RELY, counts[tid])
-            elif getattr(inv, "prefix_closed", False):
-                tally_law(WEAKEN_RELY, counts[tid] - 1)
-                if not inv.holds(Log(events[: idx + 1])):
-                    return False
-            else:
-                exact_tids.add(tid)
-        if not exact_tids:
-            return True
-        env_tids = exact_tids
-    for idx, event in enumerate(events):
-        if event.tid in env_tids:
-            prefix = Log(events[: idx + 1])
-            if not rely.condition(event.tid).holds(prefix):
-                return False
+    buffer = LogBuffer()
+    for event in log.events:
+        buffer.append(event)
+        if event.tid in env_tids and not rely.condition(event.tid).holds(
+            buffer.snapshot()
+        ):
+            return False
     return True
 
 
@@ -221,9 +196,8 @@ def _choice_run(
     1. choice *i* is delivered at query *i*+1, so a stopped run has
        ``len(choices)`` queries and is never one the length skip takes;
     2. :func:`env_events_valid` judges each environment event on the log
-       prefix ending at it (a prefix-closed rely on the longest such
-       prefix), and no environment event follows the last delivery, so
-       the verdict and its ``weaken-rely`` tally are final there;
+       prefix ending at it, and no environment event follows the last
+       delivery, so the verdict is final there;
     3. every other run keeps the end-of-run check: a run with no
        choices, one that finishes, gets stuck or runs out of fuel before
        its last delivery, and one whose alphabet holds events of the
@@ -249,7 +223,7 @@ def _choice_run(
     if run.queries < len(choices):
         return None
     # A run judged at its last delivery passed (a failing one stopped
-    # there); judging it again would tally the weaken-rely law twice.
+    # there), and no environment event came after it.
     rely_ok = bool(judged) or not config.check_rely or env_events_valid(
         run.log, rely, env_tids
     )

@@ -35,7 +35,7 @@ from ..core.interface import LayerInterface, Prim, SHARED
 from ..core.log import Log
 from ..core.machint import IntWidth
 from ..core.relation import EventMapRel
-from ..core.rely_guarantee import Guarantee, LogInvariant, Rely
+from ..core.rely_guarantee import Guarantee, LogInvariant, Rely, all_of
 from ..core.replay import ReplayFn, replay_shared
 from ..machine.atomics import ALOAD, ASTORE, CAS, SWAP, replay_atomic
 from ..machine.sharedmem import local_copy
@@ -86,7 +86,15 @@ def _mcs_step(queue, event: Event, lock):
         if new == NIL and queue == (event.tid,) and old == node_id(event.tid):
             return ()
         return queue
-    if (
+    if _is_handoff(event, lock) and queue and queue[0] == event.tid:
+        # The holder hands off to its successor.
+        return queue[1:]
+    return queue
+
+
+def _is_handoff(event: Event, lock: Any) -> bool:
+    """``event`` clears some participant's busy flag of ``lock``."""
+    return (
         event.name == ASTORE
         and event.args
         and isinstance(event.args[0], tuple)
@@ -94,12 +102,7 @@ def _mcs_step(queue, event: Event, lock):
         and event.args[0][1] == lock
         and len(event.args) > 1
         and event.args[1] == 0
-        and queue
-        and queue[0] == event.tid
-    ):
-        # The holder hands off to its successor.
-        return queue[1:]
-    return queue
+    )
 
 
 replay_mcs = ReplayFn("Rmcs", _mcs_init, _mcs_step)
@@ -412,46 +415,46 @@ def mcs_relation() -> EventMapRel:
 # --- rely ---------------------------------------------------------------------
 
 
+def _mcs_protocol_step(queue, event: Event, lock):
+    if event.name == SWAP and event.args and event.args[0] == tail_cell(lock):
+        return queue + (event.tid,)
+    if event.name == CAS and event.args and event.args[0] == tail_cell(lock):
+        _, old, new = event.args
+        if new == NIL:
+            if old != node_id(event.tid):
+                raise Stuck(f"{event.tid} cleared the tail of {lock} for another node")
+            if queue == (event.tid,):
+                return ()
+            # A failed CAS (queue longer) is legal.
+        return queue
+    if _is_handoff(event, lock):
+        if not queue or queue[0] != event.tid:
+            raise Stuck(f"{event.tid} handed off {lock} without holding it")
+        return queue[1:]
+    if event.name == PULL and event.args and event.args[0] == lock:
+        if not queue or queue[0] != event.tid:
+            raise Stuck(f"{event.tid} pulled {lock} before its turn")
+    return queue
+
+
+mcs_protocol = ReplayFn("mcs_protocol", _mcs_init, _mcs_protocol_step)
+"""The MCS discipline's fold: the queue (head first), raising
+:class:`Stuck` at the first event that breaks the discipline."""
+
+
 def mcs_protocol_inv(locks: Sequence[Any]) -> LogInvariant:
     """The MCS queue discipline as a log invariant.
 
     ``pull`` is only legal for the queue head; tail CAS to nil only for a
     sole holder; busy hand-off only from the head to its successor.
     """
-
-    def check(log: Log) -> bool:
-        for lock in locks:
-            queue: List[int] = []
-            tc = tail_cell(lock)
-            for event in log:
-                if event.name == SWAP and event.args and event.args[0] == tc:
-                    queue.append(event.tid)
-                elif event.name == CAS and event.args and event.args[0] == tc:
-                    _, old, new = event.args
-                    if new == NIL:
-                        if old != node_id(event.tid):
-                            return False
-                        if queue == [event.tid]:
-                            queue.pop()
-                        # A failed CAS (queue longer) is legal.
-                elif (
-                    event.name == ASTORE
-                    and event.args
-                    and isinstance(event.args[0], tuple)
-                    and event.args[0][:1] == ("mcs_busy",)
-                    and event.args[0][1] == lock
-                    and len(event.args) > 1
-                    and event.args[1] == 0
-                ):
-                    if not queue or queue[0] != event.tid:
-                        return False
-                    queue.pop(0)
-                elif event.name == PULL and event.args and event.args[0] == lock:
-                    if not queue or queue[0] != event.tid:
-                        return False
-        return True
-
-    return LogInvariant(f"mcs_protocol{list(locks)}", check)
+    return all_of(
+        f"mcs_protocol{list(locks)}",
+        (
+            LogInvariant(f"mcs_protocol[{lock!r}]", mcs_protocol, (lock,))
+            for lock in locks
+        ),
+    )
 
 
 def mcs_rely(

@@ -42,7 +42,7 @@ from ..core.interface import LayerInterface, Prim, private_prim
 from ..core.log import Log
 from ..core.relation import SimRel
 from ..core.replay import ReplayFn
-from ..core.rely_guarantee import Guarantee, LogInvariant, Rely
+from ..core.rely_guarantee import Guarantee, LogInvariant, Rely, all_of
 from ..machine.sharedmem import local_copy
 from .local_queue import NIL, linked_deq, linked_enq, linked_to_list, new_queue
 from .ticket_lock import replay_lock
@@ -328,35 +328,42 @@ class QueueRel(SimRel):
 # --- rely / alphabets ------------------------------------------------------------------
 
 
+def _wellformed_step(contents, event: Event, queue):
+    if (
+        event.name == ENQ and event.args and event.args[0] == queue
+        and event.args[1] in contents
+    ):
+        raise Stuck(f"{event} enqueues a node already in {queue}")
+    return _queue_step(contents, event, queue)
+
+
+queue_wellformed = ReplayFn("queue_wellformed", _queue_init, _wellformed_step)
+"""``Rqueue`` that also gets stuck on an ``enQ`` of a node already in
+the queue."""
+
+
+def _distinct(contents: Tuple[int, ...]) -> bool:
+    return len(contents) == len(set(contents))
+
+
 def queue_wellformed_inv(queues: Sequence[Any]) -> LogInvariant:
     """Rely: queue events keep every node in at most one position.
 
     Environment behaviours that double-enqueue a node (or forge a dequeue
     return) make the high-level replay stuck and are excluded from the
-    valid environment contexts.
+    valid environment contexts.  The verdict also requires the final
+    contents to be distinct.
     """
-
-    def check(log: Log) -> bool:
-        for queue in queues:
-            try:
-                contents = replay_shared_queue(log, queue)
-            except Stuck:
-                return False
-            if len(contents) != len(set(contents)):
-                return False
-            # Also reject enqueues of already-present nodes.
-            state: List[int] = []
-            for event in log:
-                if event.name == ENQ and event.args and event.args[0] == queue:
-                    if event.args[1] in state:
-                        return False
-                    state.append(event.args[1])
-                elif event.name == DEQ and event.args and event.args[0] == queue:
-                    if state:
-                        state.pop(0)
-        return True
-
-    return LogInvariant(f"queue_wellformed{list(queues)}", check)
+    return all_of(
+        f"queue_wellformed{list(queues)}",
+        (
+            LogInvariant(
+                f"queue_wellformed[{queue!r}]", queue_wellformed, (queue,),
+                verdict=_distinct,
+            )
+            for queue in queues
+        ),
+    )
 
 
 def queue_env_alphabet(

@@ -45,7 +45,7 @@ from ..core.interface import LayerInterface, Prim, SHARED, shared_prim
 from ..core.log import Log
 from ..core.machint import UINT32, IntWidth
 from ..core.relation import EventMapRel
-from ..core.rely_guarantee import Guarantee, LogInvariant, Rely
+from ..core.rely_guarantee import Guarantee, LogInvariant, Rely, all_of
 from ..core.replay import ReplayFn, replay_shared
 from ..machine.atomics import ALOAD, FAI, replay_atomic
 from ..machine.sharedmem import local_copy
@@ -371,22 +371,41 @@ def replay_consistent_inv(locks: Sequence[Any], width_bits: int = 32) -> LogInva
     This is the executable form of "lock-related events generated by φj
     must follow φ'acq[j] and φ'rel[j]" (§2): an environment whose events
     break the ticket/ownership discipline produces a replay-stuck prefix.
+    One leaf per lock and fold: ``Rshared`` and ``Rlock``.
     """
-
-    def check(log: Log) -> bool:
-        for lock in locks:
-            try:
-                replay_shared(log, lock)
-                replay_lock(log, lock)
-            except Stuck:
-                return False
-        return True
-
-    # Prefix-closed: replay processes events in order and raises Stuck at
-    # the first offending one, which any extension still contains.
-    return LogInvariant(
-        f"replay_consistent{list(locks)}", check, prefix_closed=True
+    return all_of(
+        f"replay_consistent{list(locks)}",
+        (
+            LogInvariant(f"{fold.name}[{lock!r}]", fold, (lock,))
+            for lock in locks
+            for fold in (replay_shared, replay_lock)
+        ),
     )
+
+
+def _ticket_protocol_init(lock) -> Tuple[int, ...]:
+    return ()
+
+
+def _ticket_protocol_step(waiting, event: Event, lock):
+    if event.name == FAI and event.args:
+        if event.args[0] == t_cell(lock):
+            return waiting + (event.tid,)
+        if event.args[0] == n_cell(lock):
+            if not waiting or waiting[0] != event.tid:
+                raise Stuck(f"{event.tid} released {lock} out of ticket order")
+            return waiting[1:]
+    elif event.name == PULL and event.args and event.args[0] == lock:
+        if not waiting or waiting[0] != event.tid:
+            raise Stuck(f"{event.tid} pulled {lock} out of ticket order")
+    return waiting
+
+
+ticket_protocol = ReplayFn(
+    "ticket_protocol", _ticket_protocol_init, _ticket_protocol_step
+)
+"""The ticket discipline's fold: the tids holding a ticket that is not
+yet served, oldest first."""
 
 
 def ticket_protocol_inv(locks: Sequence[Any]) -> LogInvariant:
@@ -400,29 +419,12 @@ def ticket_protocol_inv(locks: Sequence[Any]) -> LogInvariant:
     φacq'[j] and φrel'[j]" — in executable form; without it an
     environment could jump the queue and starve the focused spinner.
     """
-
-    def check(log: Log) -> bool:
-        for lock in locks:
-            tc, nc = t_cell(lock), n_cell(lock)
-            tickets: List[int] = []
-            served = 0
-            for event in log:
-                if event.name == FAI and event.args:
-                    if event.args[0] == tc:
-                        tickets.append(event.tid)
-                    elif event.args[0] == nc:
-                        if served >= len(tickets) or tickets[served] != event.tid:
-                            return False
-                        served += 1
-                elif event.name == PULL and event.args and event.args[0] == lock:
-                    if served >= len(tickets) or tickets[served] != event.tid:
-                        return False
-        return True
-
-    # Prefix-closed: the fold fails at the first out-of-order ticket
-    # event, and later events never legalize an earlier violation.
-    return LogInvariant(
-        f"ticket_protocol{list(locks)}", check, prefix_closed=True
+    return all_of(
+        f"ticket_protocol{list(locks)}",
+        (
+            LogInvariant(f"ticket_protocol[{lock!r}]", ticket_protocol, (lock,))
+            for lock in locks
+        ),
     )
 
 

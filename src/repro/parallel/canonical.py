@@ -43,7 +43,7 @@ from typing import Any, Dict
 #: Per-instance caches and run-dependent attributes that must never
 #: influence a content address.
 _EXCLUDED_ATTRS = {
-    "_memo",       # LogInvariant / LogBuffer memo tables
+    "_memo",       # Log / LogBuffer replay memo tables
     "_hash",       # cached Event/Log hashes (per-process salted)
     "_snapshot",   # LogBuffer snapshot cache
     "_stats",      # ReplayFn call accounting

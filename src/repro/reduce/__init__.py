@@ -37,15 +37,9 @@ redundancy without changing any verdict, through four techniques:
 
 ``rg-simplify``
     An algebraic rely-guarantee pre-simplifier (:mod:`repro.reduce.laws`)
-    applying a small law catalog before/around machine runs:
-    *strengthen-guarantee* (a prefix-closed guarantee checked once on
-    the final snapshot instead of at every query point),
-    *weaken-rely* (unconstrained or prefix-closed rely conditions
-    validated on the longest prefix only), *frame* (invariants with a
-    declared event-name footprint are only re-checked when the log
-    delta touches it) and *merge-compatible-obligations* (``Compat``
-    implications discharged structurally and refinement witness
-    searches shared between identical low logs).
+    applying *merge-compatible-obligations*: ``Compat`` implications
+    discharged structurally and refinement witness searches shared
+    between identical low logs.
 
 ``static-indep``
     Static independence seeds for the DPOR scheduler

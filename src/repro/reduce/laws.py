@@ -7,28 +7,6 @@ concurrency: An algebraic foundation*), that discharge or fuse
 obligations before any machine run.  Each law application is tallied
 (:func:`repro.reduce.stats.tally_law`) under its catalog name:
 
-``strengthen-guarantee``
-    A *prefix-closed* guarantee invariant (one whose violations are
-    permanent: ``inv(l·e) ⇒ inv(l)``) that holds of a run's last
-    checked snapshot holds of every earlier snapshot, because the log
-    only grows.  The per-query stepwise checks in ``run_local`` are
-    subsumed by a single check of the last snapshot — verdict-identical
-    by construction.  Applied in :func:`repro.core.machine.run_local`.
-
-``weaken-rely``
-    An unconstrained rely condition (``TRUE_INV``) needs no prefix
-    walk, and a prefix-closed rely condition holds of every environment
-    prefix iff it holds of the longest one.  Applied in
-    :func:`repro.core.simulation.env_events_valid`.
-
-``frame``
-    An invariant with a declared event-name ``footprint`` is constant
-    under events outside it (``inv(l·e) = inv(l)`` when ``e.name ∉
-    footprint``), so a re-check whose log delta misses the footprint is
-    skipped.  Applied in ``run_local`` for non-prefix-closed
-    guarantees; the soundness of a declared footprint is the caller's
-    obligation (see DESIGN.md).
-
 ``merge-compatible-obligations``
     ``Compat`` implications ``R(i) ⊆ G(i)`` are discharged without a
     log-universe scan when they hold structurally
@@ -36,54 +14,28 @@ obligations before any machine run.  Each law application is tallied
     shared between low-level runs with identical sched-erased logs
     (:func:`repro.core.contextual.check_refinement`).
 
-Soundness caveats (also in DESIGN.md): ``prefix_closed`` and
-``footprint`` are trusted declarations on :class:`~repro.core.rely_guarantee.LogInvariant`
-(the built-in builders are proved prefix-closed by violation
-monotonicity; combinators propagate both conservatively), and
-structural implication matches conjuncts by object identity *or name
-equality* — invariant names in this repo are content-derived, but a
-user who reuses a name across semantically different invariants
-voids the discharge.  ``REPRO_REDUCE=off`` restores the exhaustive
-checks.
+Structural implication compares conjuncts by their replay fold,
+parameters and verdict, never by name, so it rests on no declaration.
+``REPRO_REDUCE=off`` restores the exhaustive checks.
+
+Rely and guarantee checks need no law: an invariant is a replay fold
+(:class:`~repro.core.rely_guarantee.LogInvariant`), so its exact check
+on a growing log is already incremental.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-STRENGTHEN_GUARANTEE = "strengthen-guarantee"
-WEAKEN_RELY = "weaken-rely"
-FRAME = "frame"
 MERGE_COMPATIBLE = "merge-compatible-obligations"
 
 
 def structurally_implies(antecedent, consequent) -> bool:
     """``antecedent ⊆ consequent`` by structure, without a universe scan.
 
-    True when the consequent is trivially true, is the antecedent
-    itself, or appears among the antecedent's conjuncts (by identity or
-    by name — names are content-derived in this repo; see the module
-    docstring for the caveat).
+    True when every conjunct of the consequent equals some conjunct of
+    the antecedent.  Leaves are equal when they fold the same replay
+    function with equal parameters under the same verdict; names play
+    no part.  The empty conjunction (``TRUE_INV``) is implied by
+    anything.
     """
-    if consequent is antecedent:
-        return True
-    if getattr(consequent, "always_true", False):
-        return True
-    name = getattr(consequent, "name", None)
-    conjuncts = getattr(antecedent, "conjuncts", None)
-    parts = conjuncts() if callable(conjuncts) else [antecedent]
-    for part in parts:
-        if part is consequent or (name is not None and part.name == name):
-            return True
-    return False
-
-
-def frame_allows_skip(invariant, delta_events: Iterable) -> bool:
-    """Whether a re-check of ``invariant`` may be skipped for this delta.
-
-    Requires a declared footprint and a delta entirely outside it.
-    """
-    footprint = getattr(invariant, "footprint", None)
-    if footprint is None:
-        return False
-    return not any(event.name in footprint for event in delta_events)
+    parts = antecedent.conjuncts()
+    return all(part in parts for part in consequent.conjuncts())

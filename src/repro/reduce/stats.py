@@ -10,7 +10,7 @@ The block schema::
     {
       "axes":   ["dpor", "transpo", ...],        # axes active
       "pruned": {"dpor": n, "transpo": n},        # equivalence classes cut
-      "laws":   {"strengthen-guarantee": n, ...}, # rg-simplify applications
+      "laws":   {"merge-compatible-obligations": n}, # rg-simplify applications
       "table":  {"hits": h, "misses": m, "hit_rate": r},
     }
 

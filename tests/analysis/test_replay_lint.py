@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import textwrap
+
+from repro.analysis.cli import main
 from repro.analysis.replay_lint import lint_replay_fn
 from repro.core.replay import ReplayFn, all_replay_fns, replay_shared
 
@@ -166,3 +170,40 @@ class TestShippedReplayFns:
             if _rules(lint_replay_fn(rf))
         }
         assert not dirty, f"shipped replay functions have findings: {dirty}"
+
+
+class TestInvariantFolds:
+    """A log invariant is a replay fold, so the lint sweep checks its step
+    like any other replay function's."""
+
+    def test_mutating_invariant_step_is_flagged(self, tmp_path, monkeypatch, capsys):
+        src = textwrap.dedent(
+            """
+            from repro.core import LogInvariant, ReplayFn
+
+            def _seen_init():
+                return []
+
+            def _seen_step(seen, event):
+                seen.append(event.name)
+                return seen
+
+            seen_names = ReplayFn("seen_names", _seen_init, _seen_step)
+
+            def no_repeats():
+                return LogInvariant(
+                    "no_repeats", seen_names,
+                    verdict=lambda seen: len(seen) == len(set(seen)),
+                )
+            """
+        )
+        (tmp_path / "mutating_inv_mod.py").write_text(src)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            code = main(["mutating_inv_mod"])
+        finally:
+            sys.modules.pop("mutating_inv_mod", None)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "REPRO-R404" in out
+        assert "seen_names.step" in out

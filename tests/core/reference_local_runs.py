@@ -6,8 +6,8 @@ verbatim: every env-choice run goes to its end (a spin loop whose turn
 never comes spins until the fuel runs out), and only then is the run
 dropped when :func:`~repro.core.simulation.env_events_valid` rejects its
 environment events.  ``tests/core/test_rely_gate.py`` checks that
-the gated enumerator records exactly the runs, coverage, redundancy and
-``weaken-rely`` tallies this one does.
+the gated enumerator records exactly the runs, coverage and redundancy
+this one does.
 """
 
 from __future__ import annotations

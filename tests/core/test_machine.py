@@ -7,7 +7,6 @@ from repro.core import (
     Event,
     Guarantee,
     LayerInterface,
-    LogInvariant,
     NullEnv,
     OutOfFuel,
     RoundRobinScheduler,
@@ -26,9 +25,12 @@ from repro.core import (
     shared_prim,
     simple_event_prim,
 )
-from repro.core.environment import round_robin_schedule, validate_env_batches
+from repro.core.environment import round_robin_schedule
 from repro.core.rely_guarantee import Rely
 from repro.core.log import Log
+from repro.core.simulation import env_events_valid
+
+from count_invariants import count_inv
 
 
 def counter_interface(domain=(1, 2)):
@@ -89,7 +91,7 @@ class TestRunLocal:
 
     def test_guarantee_checked(self):
         iface = counter_interface().with_guar(
-            Guarantee({1: LogInvariant("≤1 bump", lambda log: log.count("bump") <= 1)})
+            Guarantee({1: count_inv("≤1 bump", "bump", lambda count: count <= 1)})
         )
         good = run_local(iface, 1, call_player("bump"))
         assert good.guar_ok
@@ -136,12 +138,12 @@ class TestEnvContexts:
         run = run_local(iface, 1, call_player("bump"), env=env)
         assert run.ok
 
-    def test_validate_env_batches(self):
-        rely = Rely({2: LogInvariant("no_bump", lambda log: log.count("bump", tid=2) == 0)})
-        good = [(Event(2, "other"),)]
-        bad = [(Event(2, "bump"),)]
-        assert validate_env_batches(good, rely, Log())
-        assert not validate_env_batches(bad, rely, Log())
+    def test_env_events_valid(self):
+        rely = Rely({2: count_inv("no_bump", "bump", lambda count: count == 0, tid=2)})
+        good = Log([Event(2, "other")])
+        bad = Log([Event(2, "bump")])
+        assert env_events_valid(good, rely, {2})
+        assert not env_events_valid(bad, rely, {2})
 
 
 class TestGames:

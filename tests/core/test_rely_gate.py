@@ -16,7 +16,6 @@ from repro.core import (
     ChoiceEnv,
     Event,
     LayerInterface,
-    LogInvariant,
     Rely,
     SimConfig,
     enumerate_local_runs,
@@ -27,33 +26,28 @@ from repro.core import simulation
 from repro.core.log import LogBuffer
 from repro.obs.coverage import CoverageBuilder
 from repro.obs.profile import RedundancyBuilder
-from repro.reduce import current_axes, reduction_collector
-from repro.reduce.laws import WEAKEN_RELY
 
+from count_invariants import count_inv
 from reference_local_runs import reference_local_runs
 
 TAKE = (Event(2, "take"),)
 
 
 def _enumerate(enumerator, interface, tid, player, args, config):
-    """One enumerator's records, coverage, redundancy and weaken-rely tally."""
+    """One enumerator's records, coverage and redundancy."""
     coverage = CoverageBuilder(
         "env_contexts", budget=config.max_runs, depth_bound=config.env_depth
     )
     redundancy = RedundancyBuilder("env_contexts")
-    with reduction_collector(current_axes()) as stats:
-        records = enumerator(
-            interface, tid, player, args, config,
-            coverage=coverage, redundancy=redundancy,
-        )
+    records = enumerator(
+        interface, tid, player, args, config,
+        coverage=coverage, redundancy=redundancy,
+    )
     runs = [
         (r.choices, r.batches, r.run.log, r.run.ret, r.run.finished, r.run.stuck)
         for r in records
     ]
-    return (
-        runs, coverage.as_dict(), redundancy.as_dict(),
-        stats.laws.get(WEAKEN_RELY, 0),
-    )
+    return runs, coverage.as_dict(), redundancy.as_dict()
 
 
 class TestMatchesReference:
@@ -122,9 +116,8 @@ def _turn_iface(resumptions):
                 break
         ctx.emit("wait")
 
-    rely = Rely({2: LogInvariant(
-        "never_takes", lambda log: log.count("take", tid=2) == 0,
-        prefix_closed=True,
+    rely = Rely({2: count_inv(
+        "never_takes", "take", lambda count: count == 0, tid=2
     )})
     return LayerInterface(
         "Turn", (1, 2), {"wait": shared_prim("wait", wait_spec)}
@@ -166,8 +159,8 @@ class TestStopAtLastDelivery:
 
         iface = LayerInterface(
             "Bump", (1, 2), {"bump": shared_prim("bump", bump_spec)}
-        ).with_rely(Rely({1: LogInvariant(
-            "bumps_once", lambda log: log.count("bump", tid=1) <= 1,
+        ).with_rely(Rely({1: count_inv(
+            "bumps_once", "bump", lambda count: count <= 1, tid=1
         )}))
         config = SimConfig(env_alphabet=[(), (Event(1, "bump"),)], env_depth=1)
         coverage = CoverageBuilder("env_contexts")

@@ -7,15 +7,16 @@ from repro.core import (
     FALSE_INV,
     Guarantee,
     Log,
+    LogBuffer,
     LogInvariant,
     Rely,
+    ReplayFn,
+    Stuck,
     TRUE_INV,
     check_compat,
-    events_follow_protocol,
-    release_within,
-    scheduled_within,
 )
-from repro.core.events import hw_sched
+
+from count_invariants import count_inv
 
 
 def log_of(*specs):
@@ -24,9 +25,23 @@ def log_of(*specs):
 
 class TestLogInvariant:
     def test_basic(self):
-        inv = LogInvariant("has_a", lambda log: log.count("a") > 0)
+        inv = count_inv("has_a", "a", lambda count: count > 0)
         assert inv.holds(log_of((1, "a")))
         assert not inv.holds(Log())
+
+    def test_stuck_fold_violates_every_longer_log(self):
+        def step(state, event):
+            if event.name == "bad":
+                raise Stuck("bad event")
+            return state
+
+        inv = LogInvariant("no_bad", ReplayFn("no_bad", lambda: None, step))
+        buffer = LogBuffer([Event(1, "a")])
+        assert inv.holds(buffer.snapshot())
+        buffer.append(Event(2, "bad"))
+        assert not inv.holds(buffer.snapshot())
+        buffer.append(Event(1, "a"))
+        assert not inv.holds(buffer.snapshot())
 
     def test_conjunction(self):
         both = TRUE_INV & FALSE_INV
@@ -38,8 +53,8 @@ class TestLogInvariant:
         assert not (FALSE_INV | FALSE_INV).holds(Log())
 
     def test_implies_on_universe(self):
-        narrow = LogInvariant("len<2", lambda log: len(log) < 2)
-        wide = LogInvariant("len<5", lambda log: len(log) < 5)
+        narrow = count_inv("len<2", None, lambda length: length < 2)
+        wide = count_inv("len<5", None, lambda length: length < 5)
         universe = [Log(), log_of((1, "a")), log_of((1, "a"), (2, "b"))]
         ok, witness = narrow.implies_on(wide, universe)
         assert ok and witness is None
@@ -57,9 +72,9 @@ class TestRely:
         assert not rely.holds(Log())
 
     def test_intersect_conjunction(self):
-        r1 = Rely({1: LogInvariant("a", lambda log: log.count("a") > 0)},
+        r1 = Rely({1: count_inv("a", "a", lambda count: count > 0)},
                   fairness_bound=5)
-        r2 = Rely({1: LogInvariant("b", lambda log: log.count("b") > 0)},
+        r2 = Rely({1: count_inv("b", "b", lambda count: count > 0)},
                   fairness_bound=3)
         merged = r1.intersect(r2)
         assert merged.fairness_bound == 3
@@ -94,44 +109,3 @@ class TestCompat:
         guar = Guarantee({1: FALSE_INV})
         failures = check_compat(rely, guar, [1], rely, guar, [2], [Log()])
         assert failures
-
-
-class TestProtocolInvariants:
-    def test_events_follow_protocol(self):
-        # tid 2 may only emit "b" after an "a" exists.
-        inv = events_follow_protocol(
-            2, lambda prefix, e: e.name != "b" or prefix.count("a") > 0
-        )
-        assert inv.holds(log_of((1, "a"), (2, "b")))
-        assert not inv.holds(log_of((2, "b")))
-        # Other participants unconstrained.
-        assert inv.holds(log_of((1, "b")))
-
-    def test_release_within_ok(self):
-        inv = release_within(1, "acq", "rel", bound=2)
-        assert inv.holds(log_of((1, "acq"), (1, "x"), (1, "rel")))
-
-    def test_release_within_violated(self):
-        inv = release_within(1, "acq", "rel", bound=1)
-        assert not inv.holds(
-            log_of((1, "acq"), (1, "x"), (1, "y"), (1, "rel"))
-        )
-
-    def test_release_within_trailing_acquire_is_prefix(self):
-        inv = release_within(1, "acq", "rel", bound=3)
-        assert inv.holds(log_of((1, "acq")))
-
-    def test_release_without_acquire(self):
-        inv = release_within(1, "acq", "rel", bound=3)
-        assert not inv.holds(log_of((1, "rel")))
-
-    def test_double_acquire(self):
-        inv = release_within(1, "acq", "rel", bound=3)
-        assert not inv.holds(log_of((1, "acq"), (1, "acq")))
-
-    def test_scheduled_within(self):
-        inv = scheduled_within(1, bound=2)
-        good = Log([hw_sched(1), Event(2, "a"), hw_sched(1), Event(2, "b")])
-        assert inv.holds(good)
-        bad = Log([hw_sched(1), Event(2, "a"), Event(2, "b"), Event(2, "c")])
-        assert not inv.holds(bad)

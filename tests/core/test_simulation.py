@@ -11,6 +11,7 @@ from repro.core import (
     LayerInterface,
     LogInvariant,
     Rely,
+    ReplayFn,
     Scenario,
     SimConfig,
     VerificationError,
@@ -28,6 +29,8 @@ from repro.core.errors import Stuck
 from repro.core.log import Log
 from repro.core.module import FuncImpl, Module
 
+from count_invariants import count_inv
+
 
 def counter_iface(name="Cnt", domain=(1, 2)):
     def bump_spec(ctx):
@@ -40,6 +43,9 @@ def counter_iface(name="Cnt", domain=(1, 2)):
 
 
 ENV_BUMP = (Event(2, "bump"),)
+
+#: The name of the log's last event (None on the empty log).
+last_name = ReplayFn("last_name", lambda: None, lambda state, event: event.name)
 
 
 class TestEnumerateLocalRuns:
@@ -73,8 +79,8 @@ class TestEnumerateLocalRuns:
 
     def test_rely_prunes_invalid_envs(self):
         iface = counter_iface().with_rely(
-            Rely({2: LogInvariant(
-                "no_bumps", lambda log: log.count("bump", tid=2) == 0
+            Rely({2: count_inv(
+                "no_bumps", "bump", lambda count: count == 0, tid=2
             )})
         )
         config = SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=1)
@@ -85,9 +91,23 @@ class TestEnumerateLocalRuns:
         assert records[0].run.ret == 1
 
     def test_env_events_valid_helper(self):
-        rely = Rely({2: LogInvariant("none", lambda log: log.count("x", tid=2) == 0)})
+        rely = Rely({2: count_inv("none", "x", lambda count: count == 0, tid=2)})
         assert env_events_valid(Log([Event(1, "x")]), rely, {2})
         assert not env_events_valid(Log([Event(2, "x")]), rely, {2})
+
+    def test_env_events_valid_judges_each_prefix(self):
+        """A non-monotone rely: a log whose last event is ``bad`` fails,
+        but extending it succeeds again.  Each environment event is
+        judged on the prefix ending at it, so a ``bad`` one fails the
+        log even when a later event follows it."""
+        flaky = LogInvariant(
+            "no-trailing-bad", last_name, verdict=lambda name: name != "bad"
+        )
+        assert flaky.holds(Log([Event(2, "bad"), Event(2, "x")]))
+        rely = Rely({2: flaky})
+        assert not env_events_valid(Log([Event(2, "bad"), Event(2, "x")]), rely, {2})
+        assert env_events_valid(Log([Event(1, "bad"), Event(2, "x")]), rely, {2})
+        assert env_events_valid(Log([Event(2, "x")]), rely, {2})
 
 
 class TestCheckSim:

@@ -127,37 +127,25 @@ class TestWorkerCountsReachTheParent:
         assert self._counts(tmp_path, monkeypatch, jobs=2) == serial
 
     def test_reduction_tallies_equal_serial(self, monkeypatch):
-        from repro.core import (
-            ID_REL, Event, LayerInterface, SimConfig, check_sim, prim_player,
-            shared_prim,
-        )
+        from repro.core import check_soundness
         from repro.reduce import reduction_collector
 
-        def bump_spec(ctx):
-            yield from ctx.query()
-            ctx.emit("bump", ret=ctx.log.count("bump") + 1)
-            return None
-
-        iface = LayerInterface(
-            "Cnt", (1, 2), {"bump": shared_prim("bump", bump_spec)}
-        )
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("REPRO_REDUCE", "on")
+        layer = tl.certify_ticket_lock([0, 1], use_c_source=False).composed
 
         def tallies(jobs):
-            # One argument vector: the environment contexts are chunked
-            # across workers, whose law tallies must reach this collector.
-            with reduction_collector(["rg-simplify"]) as outer:
-                check_sim(
-                    iface, prim_player("bump"), iface, prim_player("bump"),
-                    ID_REL, 1,
-                    SimConfig(env_alphabet=[(), (Event(2, "bump"),)],
-                              env_depth=2),
-                    judgment="bump ≤ bump", jobs=jobs,
+            # The game's schedules are chunked across workers, whose
+            # pruning tallies must reach this collector.
+            with reduction_collector(["dpor"]) as outer:
+                check_soundness(
+                    layer, clients=self.CLIENTS, max_rounds=12,
+                    require_progress=False, jobs=jobs,
                 )
             return outer.as_dict()
 
         serial = tallies(1)
-        assert serial.get("laws")
+        assert serial.get("pruned")
         assert tallies(2) == serial
 
 

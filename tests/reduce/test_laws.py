@@ -1,48 +1,14 @@
-"""The rg-simplify law catalog: declarations, combinators, fast paths."""
+"""The rg-simplify law catalog: structural implication."""
 
-from repro.core import Event, LogInvariant
-from repro.core.log import Log
-from repro.core.rely_guarantee import FALSE_INV, Rely, TRUE_INV
-from repro.core.simulation import env_events_valid
-from repro.reduce import RG_SIMPLIFY, reduce_active
-from repro.reduce.laws import frame_allows_skip, structurally_implies
+from repro.core import LogInvariant
+from repro.core.rely_guarantee import FALSE_INV, TRUE_INV
+from repro.reduce.laws import structurally_implies
+
+from count_invariants import count_inv, event_count
 
 
 def at_most(name, bound):
-    """Prefix-closed by violation permanence: counts only grow."""
-    return LogInvariant(
-        f"≤{bound} {name}",
-        lambda log: log.count(name) <= bound,
-        prefix_closed=True,
-        footprint=(name,),
-    )
-
-
-class TestDeclarations:
-    def test_true_inv_is_always_true_and_prefix_closed(self):
-        assert TRUE_INV.always_true
-        assert TRUE_INV.prefix_closed
-        assert TRUE_INV.footprint == frozenset()
-
-    def test_false_inv_prefix_closed(self):
-        assert FALSE_INV.prefix_closed
-
-    def test_conjunction_propagates(self):
-        both = at_most("x", 1) & at_most("y", 2)
-        assert both.prefix_closed
-        assert both.footprint == {"x", "y"}
-        assert len(both.conjuncts()) == 2
-
-    def test_conjunction_with_undeclared_is_conservative(self):
-        bare = LogInvariant("bare", lambda log: True)
-        combined = at_most("x", 1) & bare
-        assert not combined.prefix_closed
-        assert combined.footprint is None
-
-    def test_disjunction_propagates_prefix_closed(self):
-        either = at_most("x", 1) | at_most("y", 2)
-        assert either.prefix_closed
-        assert either.footprint == {"x", "y"}
+    return count_inv(f"≤{bound} {name}", name, lambda count: count <= bound)
 
 
 class TestStructurallyImplies:
@@ -52,83 +18,31 @@ class TestStructurallyImplies:
 
     def test_true_consequent(self):
         assert structurally_implies(at_most("x", 1), TRUE_INV)
+        assert structurally_implies(FALSE_INV, TRUE_INV)
+        assert not structurally_implies(TRUE_INV, FALSE_INV)
 
     def test_conjunct_member(self):
         x, y = at_most("x", 1), at_most("y", 2)
         assert structurally_implies(x & y, x)
         assert structurally_implies(x & y, y)
+        assert structurally_implies(x & y, y & x)
+        assert not structurally_implies(x, x & y)
 
-    def test_name_match(self):
-        a = at_most("x", 1)
-        b = LogInvariant(a.name, lambda log: True)
-        assert structurally_implies(a, b)
+    def test_equal_leaves_built_apart(self):
+        """Leaves with the same fold, params and verdict are one invariant,
+        whatever their names."""
+        def positive(count):
+            return count > 0
+
+        a = LogInvariant("a", event_count, ("x", None), verdict=positive)
+        b = LogInvariant("b", event_count, ("x", None), verdict=positive)
+        assert structurally_implies(a & at_most("y", 2), b)
+
+    def test_name_alone_does_not_imply(self):
+        a = LogInvariant("same", event_count, ("x", None))
+        b = LogInvariant("same", event_count, ("y", None))
+        assert not structurally_implies(a, b)
+        assert not structurally_implies(a, at_most("x", 1))
 
     def test_unrelated_not_implied(self):
         assert not structurally_implies(at_most("x", 1), at_most("y", 2))
-
-
-class TestFrame:
-    def test_skip_outside_footprint(self):
-        inv = at_most("x", 1)
-        assert frame_allows_skip(inv, [Event(1, "y"), Event(2, "z")])
-
-    def test_no_skip_when_delta_touches_footprint(self):
-        inv = at_most("x", 1)
-        assert not frame_allows_skip(inv, [Event(1, "y"), Event(1, "x")])
-
-    def test_no_skip_without_declared_footprint(self):
-        bare = LogInvariant("bare", lambda log: True)
-        assert not frame_allows_skip(bare, [Event(1, "y")])
-
-
-class TestWeakenRely:
-    """The longest-prefix fast path is boolean-equivalent to the walk."""
-
-    def _logs(self):
-        x = lambda: Event(2, "x")
-        own = Event(1, "bump")
-        return [
-            Log([]),
-            Log([x()]),
-            Log([x(), own, x()]),
-            Log([x(), x(), x()]),          # violates ≤2 at the third x
-            Log([x(), x(), x(), x()]),
-            Log([own, x(), own]),
-        ]
-
-    def _check(self, rely, log):
-        return env_events_valid(log, rely, {2})
-
-    def test_prefix_closed_rely_equivalent(self):
-        rely = Rely({2: at_most("x", 2)})
-        for log in self._logs():
-            with reduce_active(frozenset()):
-                exact = self._check(rely, log)
-            with reduce_active({RG_SIMPLIFY}):
-                fast = self._check(rely, log)
-            assert fast == exact, log.events
-
-    def test_unconstrained_rely_equivalent(self):
-        rely = Rely({})
-        for log in self._logs():
-            with reduce_active(frozenset()):
-                exact = self._check(rely, log)
-            with reduce_active({RG_SIMPLIFY}):
-                fast = self._check(rely, log)
-            assert fast is True and exact is True
-
-    def test_undeclared_invariant_keeps_exact_walk(self):
-        # Not prefix-closed and not declared as such: a log whose last
-        # event is "bad" fails, but extending it succeeds again.
-        flaky = LogInvariant(
-            "no-trailing-bad",
-            lambda log: not (log.events and log.events[-1].name == "bad"),
-        )
-        rely = Rely({2: flaky})
-        bad_mid = Log([Event(2, "bad"), Event(2, "x")])
-        for log in [bad_mid, Log([Event(2, "x")])]:
-            with reduce_active(frozenset()):
-                exact = self._check(rely, log)
-            with reduce_active({RG_SIMPLIFY}):
-                fast = self._check(rely, log)
-            assert fast == exact
