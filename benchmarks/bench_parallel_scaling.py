@@ -9,8 +9,8 @@ under four configurations:
   (:func:`repro.parallel.cpu_budget`): on a single-core runner the
   engine keeps the run serial instead of paying fork overhead for
   cores that do not exist, so this leg must never lose to serial.
-* ``forced jobs=2``   — ``REPRO_JOBS=2`` with ``REPRO_JOBS_FORCE=1``:
-  real fork-batch workers regardless of core count.  This measures the
+* ``forced jobs=2``   — under ``repro.envflags.pinned(jobs=2)``: real
+  fork-batch workers regardless of core count.  This measures the
   true process-boundary cost of the snapshot-fork engine (work-stealing
   chunks, batched result shipping); its speedup is core-count-dependent
   and only recorded.
@@ -38,32 +38,30 @@ import time
 from conftest import print_table, record_bench
 from bench_fig5_pipeline import run_pipeline
 
+from repro.envflags import pinned
 from repro.parallel import cpu_budget, get_jobs
 
 
-def _run_once(env_jobs: str | None, cache_dir: str | None, force: bool = False):
-    """One pipeline run under explicit env; returns (seconds, cert, workers)."""
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_JOBS", "REPRO_JOBS_FORCE", "REPRO_CACHE_DIR")
-    }
+def _run_once(
+    env_jobs: str | None, cache_dir: str | None, pin_jobs: int | None = None
+):
+    """One pipeline run under explicit env, with ``pin_jobs`` workers
+    pinned when given; returns (seconds, cert, workers)."""
+    saved = {key: os.environ.get(key) for key in ("REPRO_JOBS", "REPRO_CACHE_DIR")}
     try:
         if env_jobs is None:
             os.environ.pop("REPRO_JOBS", None)
         else:
             os.environ["REPRO_JOBS"] = env_jobs
-        if force:
-            os.environ["REPRO_JOBS_FORCE"] = "1"
-        else:
-            os.environ.pop("REPRO_JOBS_FORCE", None)
         if cache_dir is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
             os.environ["REPRO_CACHE_DIR"] = cache_dir
-        workers = get_jobs()
-        start = time.perf_counter()
-        _stages, _stack, _queue, _compile_cert, soundness = run_pipeline()
-        return time.perf_counter() - start, soundness, workers
+        with pinned(jobs=pin_jobs):
+            workers = get_jobs()
+            start = time.perf_counter()
+            _stages, _stack, _queue, _compile_cert, soundness = run_pipeline()
+            return time.perf_counter() - start, soundness, workers
     finally:
         for key, value in saved.items():
             if value is None:
@@ -82,7 +80,7 @@ def test_parallel_scaling(benchmark):
             phases = []
             phases.append(("serial cold", *_run_once(None, None)))
             phases.append(("env jobs=2 (clamped)", *_run_once("2", None)))
-            phases.append(("forced jobs=2", *_run_once("2", None, force=True)))
+            phases.append(("forced jobs=2", *_run_once(None, None, pin_jobs=2)))
             # Populate the cache, then measure the warm rerun.
             _run_once(None, cache_dir)
             phases.append(("warm cache", *_run_once(None, cache_dir)))

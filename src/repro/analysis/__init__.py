@@ -33,7 +33,7 @@ from .findings import (
     sort_findings,
     suppressed_rules,
 )
-from .linter import lint_namespace, lint_rule_inputs, resolve_mode
+from .linter import lint_namespace, lint_rule_inputs
 from .replay_lint import lint_replay_fn
 from .rules import ERROR, RULES, RULESET_VERSION, WARNING, LintRule, rule_table
 
@@ -54,7 +54,6 @@ __all__ = [
     "lint_replay_fn",
     "lint_rule_inputs",
     "may_emit",
-    "resolve_mode",
     "rule_table",
     "sort_findings",
     "suppressed_rules",

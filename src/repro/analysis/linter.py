@@ -1,28 +1,28 @@
-"""Lint orchestration: modes, rule-application lint, module scanning.
+"""Lint orchestration: rule-application lint, module scanning.
 
-Three entry points:
+Two entry points:
 
 * :func:`lint_rule_inputs` — called by the Fig. 9 rule constructors in
   :mod:`repro.core.calculus` before a judgment is discharged.  Returns
   a :class:`~repro.analysis.findings.LintReport`; the caller decides
-  what to do with it based on the resolved mode.
+  what to do with it based on the mode.
 * :func:`lint_namespace` — used by the CLI to sweep a Python module's
   namespace for lintable objects (primitives, interfaces, modules,
   replay functions, player-shaped functions).
-* :func:`resolve_mode` — mode resolution: an explicit ``lint=`` argument
-  wins, then the ``REPRO_LINT`` environment variable
-  (``strict`` | ``record`` | ``off``), then the default ``record``.
 
+The mode is a field of the pinned engine configuration
+(:func:`repro.envflags.engine_config`): the ``REPRO_LINT`` environment
+variable (``strict`` | ``record`` | ``off``, default ``record``), or
+``repro.envflags.pinned(lint=...)`` for the extent of a block.
 ``strict`` turns unsuppressed ERROR findings into refused certificates;
-``record`` (default) only stamps findings into certificate provenance
-when observability is on; ``off`` skips the pass entirely.
+``record`` only stamps findings into certificate provenance when
+observability is on; ``off`` skips the pass entirely.
 """
 
 from __future__ import annotations
 
-import os
 import types
-from typing import Any, Iterable, List, Optional, Set
+from typing import Any, Iterable, List, Set
 
 from . import discipline, replay_lint
 from .effects import analyze_function
@@ -33,28 +33,6 @@ from .findings import (
     sort_findings,
     suppressed_rules,
 )
-
-MODES = ("strict", "record", "off")
-
-
-def resolve_mode(override: Optional[str] = None) -> str:
-    """Resolve the lint mode from an explicit override or ``REPRO_LINT``."""
-    if override is not None:
-        mode = override.strip().lower()
-        if mode not in MODES:
-            raise ValueError(
-                f"unknown lint mode {override!r}; expected one of {MODES}"
-            )
-        return mode
-    env = os.environ.get("REPRO_LINT", "").strip().lower()
-    if not env:
-        return "record"
-    if env not in MODES:
-        raise ValueError(
-            f"unknown REPRO_LINT mode {env!r}; expected one of {MODES}"
-        )
-    return env
-
 
 def lint_rule_inputs(
     *,

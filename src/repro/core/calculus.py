@@ -22,12 +22,13 @@ from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
 )
 
+from ..envflags import pinned
 from ..obs import obs_enabled, span
 from ..obs.coverage import CoverageBuilder
 from ..obs.metrics import MetricsWindow, inc, observe
 from ..parallel.cache import cache_enabled, cached_certificate
 from ..parallel.pool import get_jobs
-from ..reduce import current_axes, reduce_active, reduction_collector
+from ..reduce import reduction_collector
 from .certificate import (
     Certificate,
     CertifiedLayer,
@@ -67,43 +68,23 @@ def _stamp_rule(cert: Certificate, rule: str, started: float,
     stamp_provenance(cert, elapsed, window, **extra)
 
 
-def _lint_gate(
-    rule: str,
-    judgment: str,
-    lint: Optional[str],
-    *,
-    underlay=None,
-    module=None,
-    overlay=None,
-    relation=None,
-    interfaces=(),
-):
-    """Run the static pre-pass over the rule's inputs (ISSUE 5).
+def _lint_gate(rule: str, judgment: str, mode: str, inputs: Dict[str, Any]):
+    """Run the static pre-pass in lint ``mode`` over ``inputs``, the
+    keyword arguments of :func:`~repro.analysis.linter.lint_rule_inputs`.
 
-    Mode resolution (explicit ``lint=`` argument, then the
-    ``REPRO_LINT`` env var, then ``record``) lives in
-    :mod:`repro.analysis.linter`.  In ``strict`` mode, unsuppressed
-    ERROR findings refuse the judgment up front: a failing certificate
-    carrying one obligation per finding is raised via
-    :class:`~repro.core.errors.VerificationError` *before* the
-    certificate cache is consulted, so a statically ill-formed
+    In ``strict`` mode, unsuppressed ERROR findings refuse the judgment
+    up front: a failing certificate carrying one obligation per finding
+    is raised via :class:`~repro.core.errors.VerificationError` *before*
+    the certificate cache is consulted, so a statically ill-formed
     application is refused cold and warm alike.  In ``record`` mode the
     report is returned for provenance stamping; ``off`` skips the pass.
     """
-    from ..analysis.linter import lint_rule_inputs, resolve_mode
+    from ..analysis.linter import lint_rule_inputs
     from ..analysis.rules import RULESET_VERSION
 
-    mode = resolve_mode(lint)
     if mode == "off":
         return None
-    report = lint_rule_inputs(
-        mode=mode,
-        underlay=underlay,
-        module=module,
-        overlay=overlay,
-        relation=relation,
-        interfaces=interfaces,
-    )
+    report = lint_rule_inputs(mode=mode, **inputs)
     inc("lint.runs")
     if report.findings:
         inc("lint.findings", len(report.findings))
@@ -128,40 +109,38 @@ def _lint_gate(
 def _sim_rule(
     rule: str,
     judgment: str,
-    lint: Optional[str],
     lint_inputs: Dict[str, Any],
     cache_parts: Tuple[Any, ...],
     obligation_key: Callable[[FrozenSet[str]], Callable[[Any], Any]],
     check: Callable[[Optional[Callable[[Any], Any]]], Certificate],
-    jobs: Optional[int],
     started: float,
     window: MetricsWindow,
     **extra: Any,
 ) -> Certificate:
     """The body shared by the rules that discharge Def. 2.1 obligations.
 
-    Runs the lint gate (before the certificate cache, so a refused
-    application is refused cold and warm alike), reads the active
-    reduction axes once and pins them for the check, keys the rule-level
-    cache on ``cache_parts`` plus those axes, and stamps rule and lint
-    provenance.  ``obligation_key(axes)`` builds the per-obligation key
-    function, consulted only while the cache is enabled; ``check(key)``
-    runs the simulation checker.
+    Pins the engine configuration for the whole application, runs the
+    lint gate (before the certificate cache, so a refused application is
+    refused cold and warm alike), keys the rule-level cache on
+    ``cache_parts`` plus the pinned reduction axes, and stamps rule and
+    lint provenance.  ``obligation_key(axes)`` builds the per-obligation
+    key function, consulted only while the cache is enabled;
+    ``check(key)`` runs the simulation checker.
     """
-    lint_report = _lint_gate(rule, judgment, lint, **lint_inputs)
-    axes = current_axes()
-    key = obligation_key(axes) if cache_enabled() else None
+    with pinned() as config:
+        lint_report = _lint_gate(rule, judgment, config.lint, lint_inputs)
+        axes = config.axes
+        key = obligation_key(axes) if cache_enabled() else None
 
-    def compute() -> Certificate:
-        with reduce_active(axes):
+        def compute() -> Certificate:
             cert = check(key)
-        _stamp_rule(cert, rule, started, window, **extra, workers=get_jobs(jobs))
-        return cert
+            _stamp_rule(cert, rule, started, window, **extra, workers=get_jobs())
+            return cert
 
-    cert = cached_certificate(
-        rule, cache_parts + (("reduce", tuple(sorted(axes))),), compute, jobs=jobs
-    )
-    stamp_lint(cert, lint_report)
+        cert = cached_certificate(
+            rule, cache_parts + (("reduce", tuple(sorted(axes))),), compute
+        )
+        stamp_lint(cert, lint_report)
     return cert
 
 
@@ -172,8 +151,6 @@ def module_rule(
     relation: SimRel,
     tid: int,
     scenarios: Sequence[Scenario],
-    jobs: Optional[int] = None,
-    lint: Optional[str] = None,
 ) -> CertifiedLayer:
     """``Fun`` generalized to a whole module via protocol scenarios.
 
@@ -214,7 +191,7 @@ def module_rule(
             )
 
         cert = _sim_rule(
-            "Fun*", judgment, lint,
+            "Fun*", judgment,
             dict(underlay=underlay, module=module, overlay=overlay,
                  relation=relation, interfaces=(underlay, overlay)),
             (underlay, module, overlay, relation, tid, tuple(scenarios)),
@@ -222,9 +199,9 @@ def module_rule(
             lambda key: check_scenarios(
                 underlay, lambda scenario: scenario_impl_player(module, scenario),
                 overlay, relation, tid, scenarios, judgment=judgment,
-                rule="Fun*", jobs=jobs, obligation_key=key,
+                rule="Fun*", obligation_key=key,
             ),
-            jobs, started, window,
+            started, window,
             module=module.name,
             functions=sorted(module.names()),
             scenarios=len(scenarios),
@@ -239,8 +216,6 @@ def interface_sim_rule(
     relation: SimRel,
     tid: int,
     scenarios: Sequence[Scenario],
-    jobs: Optional[int] = None,
-    lint: Optional[str] = None,
 ) -> InterfaceSim:
     """Establish ``L ≤_R L'`` via protocol scenarios (a ``Wk`` premise).
 
@@ -268,17 +243,16 @@ def interface_sim_rule(
             )
 
         cert = _sim_rule(
-            "interface-sim", judgment, lint,
+            "interface-sim", judgment,
             dict(relation=relation, interfaces=(low, high)),
             (low, high, relation, tid, tuple(scenarios)),
             obligation_key,
             # The low side also just calls its primitives.
             lambda key: check_scenarios(
                 low, scenario_spec_player, high, relation, tid, scenarios,
-                judgment=judgment, rule="interface-sim", jobs=jobs,
-                obligation_key=key,
+                judgment=judgment, rule="interface-sim", obligation_key=key,
             ),
-            jobs, started, window,
+            started, window,
             scenarios=len(scenarios),
         )
         sim = InterfaceSim(low, high, relation, cert)
@@ -309,8 +283,6 @@ def fun_rule(
     relation: SimRel,
     tid: int,
     config: SimConfig,
-    jobs: Optional[int] = None,
-    lint: Optional[str] = None,
 ) -> CertifiedLayer:
     """``Fun``: certify one function against its overlay specification.
 
@@ -345,7 +317,7 @@ def fun_rule(
             )
 
         cert = _sim_rule(
-            "Fun", judgment, lint,
+            "Fun", judgment,
             dict(underlay=underlay, module=Module.single(impl), overlay=overlay,
                  relation=relation, interfaces=(underlay, overlay)),
             (underlay, impl, overlay, relation, tid, config),
@@ -353,9 +325,9 @@ def fun_rule(
             lambda key: check_sim(
                 underlay, impl.player, overlay, prim_player(impl.name),
                 relation, tid, config, judgment=judgment, rule="Fun",
-                jobs=jobs, obligation_key=key,
+                obligation_key=key,
             ),
-            jobs, started, window,
+            started, window,
             function=impl.name, lang=impl.lang,
         )
         layer = CertifiedLayer(
@@ -537,53 +509,54 @@ def check_compat_interfaces(
     tids_a = sorted(set(tids_a))
     tids_b = sorted(set(tids_b))
     universe = list(universe)
-    axes = current_axes()
+    with pinned() as config:
+        axes = config.axes
 
-    def compute() -> Certificate:
-        cert = Certificate(
-            judgment=f"compat({iface.name}[{tids_a}], {iface.name}[{tids_b}])",
-            rule="Compat",
-            bounds={"universe_size": len(universe)},
-        )
-        with _rule_span(
-            "Compat", interface=iface.name, universe=len(universe)
-        ), reduce_active(axes), reduction_collector(axes) as red_stats:
-            if set(tids_a) & set(tids_b):
-                cert.add("A ⊥ B", False, f"overlap: {set(tids_a) & set(tids_b)}")
-                return cert
-            cert.add("A ⊥ B", True)
-            inc("compat.logs_checked", len(universe))
-            failures = check_compat(
-                iface.rely, iface.guar, tids_a, iface.rely, iface.guar, tids_b,
-                universe,
+        def compute() -> Certificate:
+            cert = Certificate(
+                judgment=f"compat({iface.name}[{tids_a}], {iface.name}[{tids_b}])",
+                rule="Compat",
+                bounds={"universe_size": len(universe)},
             )
-            if failures:
-                for failure in failures:
-                    cert.add("G ⊇ R implication", False, failure)
-            else:
-                cert.add("G ⊇ R implications on universe", True)
-        extra = dict(
-            universe_size=len(universe), tids_a=tids_a, tids_b=tids_b,
-            reduction=red_stats.as_dict(),
-        )
-        if obs_enabled():
-            # The Compat rule's enumeration axis is the log universe itself:
-            # the rely/guarantee cross-implication is only checked on logs
-            # actually encountered while certifying the premises (DESIGN.md
-            # §4's coverage caveat, now stated in the certificate).
-            cov = CoverageBuilder("compat.log_universe", budget=len(universe))
-            cov.visit(n=len(universe))
-            cov.distinct = len(set(universe))
-            extra["coverage"] = {"compat.log_universe": cov.record()}
-        _stamp_rule(cert, "Compat", started, window, **extra)
-        return cert
+            with _rule_span(
+                "Compat", interface=iface.name, universe=len(universe)
+            ), reduction_collector(axes) as red_stats:
+                if set(tids_a) & set(tids_b):
+                    cert.add("A ⊥ B", False, f"overlap: {set(tids_a) & set(tids_b)}")
+                    return cert
+                cert.add("A ⊥ B", True)
+                inc("compat.logs_checked", len(universe))
+                failures = check_compat(
+                    iface.rely, iface.guar, tids_a, iface.rely, iface.guar, tids_b,
+                    universe,
+                )
+                if failures:
+                    for failure in failures:
+                        cert.add("G ⊇ R implication", False, failure)
+                else:
+                    cert.add("G ⊇ R implications on universe", True)
+            extra = dict(
+                universe_size=len(universe), tids_a=tids_a, tids_b=tids_b,
+                reduction=red_stats.as_dict(),
+            )
+            if obs_enabled():
+                # The Compat rule's enumeration axis is the log universe itself:
+                # the rely/guarantee cross-implication is only checked on logs
+                # actually encountered while certifying the premises (DESIGN.md
+                # §4's coverage caveat, now stated in the certificate).
+                cov = CoverageBuilder("compat.log_universe", budget=len(universe))
+                cov.visit(n=len(universe))
+                cov.distinct = len(set(universe))
+                extra["coverage"] = {"compat.log_universe": cov.record()}
+            _stamp_rule(cert, "Compat", started, window, **extra)
+            return cert
 
-    return cached_certificate(
-        "Compat",
-        (iface, tuple(tids_a), tuple(tids_b), tuple(universe),
-         ("reduce", tuple(sorted(axes)))),
-        compute,
-    )
+        return cached_certificate(
+            "Compat",
+            (iface, tuple(tids_a), tuple(tids_b), tuple(universe),
+             ("reduce", tuple(sorted(axes)))),
+            compute,
+        )
 
 
 def pcomp(

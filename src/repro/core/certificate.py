@@ -209,7 +209,7 @@ class Certificate:
 
         Canonical JSON — sorted keys, no ASCII escaping, UTF-8 — of
         :meth:`to_json`.  This is the byte string the determinism
-        contract quantifies over: serial, ``jobs=N``, cache-warm and
+        contract quantifies over: serial, N-worker, cache-warm and
         ``repro.serve``-served runs of the same judgment must produce
         *these exact bytes* (observability off).  Benchmarks, the
         equivalence suites and the serve daemon's content-addressed

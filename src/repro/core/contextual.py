@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..envflags import pinned
 from ..obs import obs_enabled, span
 from ..obs.blocks import fold_blocks
 from ..obs.coverage import CoverageBuilder
@@ -34,12 +35,7 @@ from ..parallel.cache import (
     cached_obligation_payload,
 )
 from ..parallel.pool import get_jobs, parallel_map
-from ..reduce import (
-    RG_SIMPLIFY,
-    current_axes,
-    reduce_active,
-    reduction_collector,
-)
+from ..reduce import RG_SIMPLIFY, current_axes, reduction_collector
 from ..reduce.laws import MERGE_COMPATIBLE
 from ..reduce.stats import tally_law
 from .certificate import Certificate, CertifiedLayer, stamp_provenance
@@ -69,15 +65,14 @@ def behaviors_of(
     max_rounds: int = 64,
     max_runs: int = 100_000,
     coverage: Optional[CoverageBuilder] = None,
-    jobs: Optional[int] = None,
     redundancy: Optional[RedundancyBuilder] = None,
 ) -> List[GameResult]:
     """``[[P ⊕ M]]_{L[D]}`` (or ``[[P]]_{L[D]}`` when ``module`` is None).
 
     Links the module's functions into the interface, instantiates each
     participant's call sequence as a player, and enumerates every bounded
-    scheduling of the game (splitting the scheduler tree across ``jobs``
-    workers when asked — see :func:`enumerate_game_logs`).
+    scheduling of the game (splitting the scheduler tree across the
+    pool's workers — see :func:`enumerate_game_logs`).
     """
     machine = link(interface, module) if module and len(module) else interface
     players = {
@@ -92,8 +87,7 @@ def behaviors_of(
     ):
         results = enumerate_game_logs(
             machine, players, fuel=fuel, max_rounds=max_rounds,
-            max_runs=max_runs, coverage=coverage, jobs=jobs,
-            redundancy=redundancy,
+            max_runs=max_runs, coverage=coverage, redundancy=redundancy,
         )
     inc("contextual.behaviors_enumerated", len(results))
     return results
@@ -263,7 +257,6 @@ def check_soundness(
     max_rounds: int = 64,
     max_runs: int = 100_000,
     require_progress: bool = True,
-    jobs: Optional[int] = None,
 ) -> Certificate:
     """Thm 2.2: contextual refinement for a family of client programs.
 
@@ -273,7 +266,7 @@ def check_soundness(
     set (participants outside ``layer.focused`` would not be covered by
     the premise).
 
-    With ``jobs > 1`` (or ``REPRO_JOBS`` set) clients are checked in
+    With more than one worker (``REPRO_JOBS``) clients are checked in
     worker processes and their obligations merged in client order; with
     a single client the workers split the scheduler tree instead.  The
     whole judgment is memoized in the content-addressed certificate
@@ -281,51 +274,48 @@ def check_soundness(
     relation, premise certificate, the clients, the bounds and the
     active reduction axes (``REPRO_REDUCE``, see :mod:`repro.reduce`).
     """
-    n_jobs = get_jobs(jobs)
-    axes = current_axes()
     for index, client in enumerate(clients):
         extra = set(client) - set(layer.focused)
         if extra:
             raise ComposeError(
                 f"client {index} uses uncertified participants {sorted(extra)}"
             )
+    with pinned() as config:
+        axes = config.axes
+        client_key = None
+        if cache_enabled():
+            from ..analysis.slices import client_obligation_key
 
-    client_key = None
-    if cache_enabled():
-        from ..analysis.slices import client_obligation_key
+            def client_key(client: ClientProgram) -> Any:
+                return client_obligation_key(
+                    underlay=layer.underlay,
+                    module=layer.module,
+                    overlay=layer.overlay,
+                    relation=layer.relation,
+                    client=client,
+                    fuel=fuel,
+                    max_rounds=max_rounds,
+                    max_runs=max_runs,
+                    require_progress=require_progress,
+                    axes=axes,
+                )
 
-        def client_key(client: ClientProgram) -> Any:
-            return client_obligation_key(
-                underlay=layer.underlay,
-                module=layer.module,
-                overlay=layer.overlay,
-                relation=layer.relation,
-                client=client,
-                fuel=fuel,
-                max_rounds=max_rounds,
-                max_runs=max_runs,
-                require_progress=require_progress,
-                axes=axes,
-            )
-
-    def compute() -> Certificate:
-        with reduce_active(axes):
+        def compute() -> Certificate:
             return _check_soundness_uncached(
                 layer, clients, fuel, max_rounds, max_runs, require_progress,
-                n_jobs, obligation_key=client_key,
+                obligation_key=client_key,
             )
 
-    return cached_certificate(
-        "Soundness",
-        (
-            layer.underlay, layer.module, layer.overlay, layer.relation,
-            tuple(sorted(layer.focused)), layer.certificate,
-            tuple(clients), fuel, max_rounds, max_runs, require_progress,
-            ("reduce", tuple(sorted(axes))),
-        ),
-        compute,
-        jobs=n_jobs,
-    )
+        return cached_certificate(
+            "Soundness",
+            (
+                layer.underlay, layer.module, layer.overlay, layer.relation,
+                tuple(sorted(layer.focused)), layer.certificate,
+                tuple(clients), fuel, max_rounds, max_runs, require_progress,
+                ("reduce", tuple(sorted(axes))),
+            ),
+            compute,
+        )
 
 
 def _check_soundness_uncached(
@@ -335,7 +325,6 @@ def _check_soundness_uncached(
     max_rounds: int,
     max_runs: int,
     require_progress: bool,
-    n_jobs: int,
     obligation_key: Optional[Any] = None,
 ) -> Certificate:
     started = time.perf_counter()
@@ -352,9 +341,6 @@ def _check_soundness_uncached(
         children=[layer.certificate],
     )
     behaviors = {"low": 0, "high": 0}
-    # With several clients the fan-out is per client; with one client the
-    # workers are spent inside the scheduler-tree exploration instead.
-    inner_jobs = n_jobs if len(clients) == 1 else 1
 
     def check_client(item) -> Dict[str, Any]:
         index, client = item
@@ -387,12 +373,12 @@ def _check_soundness_uncached(
             low = behaviors_of(
                 layer.underlay, client, layer.module,
                 fuel=fuel, max_rounds=max_rounds, max_runs=max_runs,
-                coverage=cov_low, jobs=inner_jobs, redundancy=red_low,
+                coverage=cov_low, redundancy=red_low,
             )
             high = behaviors_of(
                 layer.overlay, client, None,
                 fuel=fuel, max_rounds=max_rounds, max_runs=max_runs,
-                coverage=cov_high, jobs=inner_jobs, redundancy=red_high,
+                coverage=cov_high, redundancy=red_high,
             )
             # Obligations land in a shadow certificate with the same
             # judgment (counterexamples embed it); the parent splices
@@ -438,9 +424,7 @@ def _check_soundness_uncached(
         )
 
     with span("check_soundness", module=layer.module.name, clients=len(clients)):
-        outputs = parallel_map(
-            checked_client, list(enumerate(clients)), jobs=n_jobs
-        )
+        outputs = parallel_map(checked_client, list(enumerate(clients)))
         for output in outputs:
             cert.obligations.extend(output["obligations"])
             behaviors["low"] += output["low"]
@@ -451,6 +435,6 @@ def _check_soundness_uncached(
         clients=len(clients),
         low_behaviors=behaviors["low"],
         high_behaviors=behaviors["high"],
-        workers=n_jobs,
+        workers=get_jobs(),
     )
     return cert

@@ -517,7 +517,6 @@ def enumerate_game_logs(
     init_log: Optional[Iterable] = None,
     fine_grained: bool = False,
     coverage: Optional[CoverageBuilder] = None,
-    jobs: Optional[int] = None,
     redundancy: Optional[RedundancyBuilder] = None,
 ) -> List[GameResult]:
     """Exhaustively enumerate game outcomes over all schedulers.
@@ -537,8 +536,8 @@ def enumerate_game_logs(
 
     With two or more participants the tree is split at a fixed frontier
     depth: the parent explores shallow decisions; subtrees rooted at the
-    frontier are explored inline or, with ``jobs > 1`` (or
-    ``REPRO_JOBS`` set), in worker processes, and their results spliced
+    frontier are explored inline or, with more than one worker
+    (``REPRO_JOBS``), in worker processes, and their results spliced
     back at the positions serial DFS would have produced them.  The
     split is the same for every worker count, so the result list, run
     count, reduction tallies and an eventual :class:`OutOfFuel` are too.
@@ -564,8 +563,7 @@ def enumerate_game_logs(
             fine_grained=fine_grained,
         )
 
-    n_jobs = get_jobs(jobs)
-    axes = frozenset(current_axes())
+    axes = current_axes()
     stats = ReductionStats(axes)
     invisible: FrozenSet[int] = frozenset()
     if STATIC_INDEP in axes and len(players) > 1:
@@ -622,12 +620,10 @@ def enumerate_game_logs(
                         ))
                     return out
 
-                chunks = chunk_evenly(frontier, n_jobs * CHUNKS_PER_WORKER)
+                chunks = chunk_evenly(frontier, get_jobs() * CHUNKS_PER_WORKER)
                 subtree_outputs = [
                     entry
-                    for chunk_out in parallel_map(
-                        explore_subtrees, chunks, jobs=n_jobs
-                    )
+                    for chunk_out in parallel_map(explore_subtrees, chunks)
                     for entry in chunk_out
                 ]
                 cursor = 0

@@ -578,11 +578,11 @@ def _discharge(ob: _Obligation, records: Sequence[RunRecord]) -> Dict[str, Any]:
     return {"obligations": cert.obligations, "logs": logs}
 
 
-def _check_obligation(ob: _Obligation, jobs: int) -> Dict[str, Any]:
+def _check_obligation(ob: _Obligation) -> Dict[str, Any]:
     """Enumerate the spec's environment contexts for ``ob`` and discharge
     each one.
 
-    With ``jobs > 1`` the contexts are chunked across worker processes
+    With more than one worker the contexts are chunked across processes
     (records hold live execution contexts and reach workers via fork
     inheritance, never the pickle pipe); every chunk has its own
     counterexample budget and the merged obligations are trimmed back to
@@ -610,12 +610,13 @@ def _check_obligation(ob: _Obligation, jobs: int) -> Dict[str, Any]:
             ob.high_iface, ob.tid, ob.high_player, ob.args, config,
             coverage=env_cov, redundancy=env_red,
         )
+        jobs = get_jobs()
         chunks = (
             chunk_evenly(records, jobs * CHUNKS_PER_WORKER)
             if jobs > 1 else [records]
         )
         for chunk_output in parallel_map(
-            lambda chunk: _discharge(ob, chunk), chunks, jobs=jobs
+            lambda chunk: _discharge(ob, chunk), chunks
         ):
             obligations.extend(chunk_output["obligations"])
             logs.extend(chunk_output["logs"])
@@ -652,7 +653,6 @@ def check_sim(
     config: SimConfig,
     judgment: str,
     rule: str = "sim",
-    jobs: Optional[int] = None,
     obligation_key: Optional[Callable[[Tuple[Any, ...]], Any]] = None,
 ) -> Certificate:
     """Check ``low_player ≤_R high_player`` per Def. 2.1 (spec-first).
@@ -662,7 +662,7 @@ def check_sim(
     R-mapped environment (delivered per query) must finish safely with
     an R-related log and return value.
 
-    With ``jobs > 1`` (or ``REPRO_JOBS`` set) the argument vectors are
+    With more than one worker (``REPRO_JOBS``) the argument vectors are
     checked in worker processes; with a single argument vector the
     enumerated environment contexts are chunked across workers instead.
     Obligations and logs merge in serial order and the counterexample
@@ -678,10 +678,8 @@ def check_sim(
     """
     started = time.perf_counter()
     window = MetricsWindow()
-    n_jobs = get_jobs(jobs)
     cert = Certificate(judgment=judgment, rule=rule, bounds=config.describe())
     args_vectors = [tuple(args) for args in config.args_list]
-    inner_jobs = n_jobs if len(args_vectors) == 1 else 1
     args_cov = (
         CoverageBuilder("args_vectors", budget=len(args_vectors))
         if obs_enabled() else None
@@ -697,7 +695,7 @@ def check_sim(
         )
         key = obligation_key(args) if obligation_key is not None else None
         return cached_obligation_payload(
-            "sim-args", key, lambda: _check_obligation(ob, inner_jobs),
+            "sim-args", key, lambda: _check_obligation(ob),
             ("obligations", "logs", "env_contexts"),
         )
 
@@ -706,7 +704,7 @@ def check_sim(
             Log(low_iface.init_log), Log(high_iface.init_log)
         )
         cert.add("initial logs related", init_ok)
-        outputs = parallel_map(checked_args_vector, args_vectors, jobs=n_jobs)
+        outputs = parallel_map(checked_args_vector, args_vectors)
         logs: List[Log] = []
         for output in outputs:
             cert.obligations.extend(output["obligations"])
@@ -719,7 +717,7 @@ def check_sim(
     extra: Dict[str, Any] = dict(
         env_contexts=sum(output["env_contexts"] for output in outputs),
         args_vectors=len(args_vectors),
-        workers=n_jobs,
+        workers=get_jobs(),
     )
     if obs_enabled():
         extra["replay_cache"] = replay_cache_info()
@@ -823,7 +821,6 @@ def _check_scenario(
     tid: int,
     judgment: str,
     rule: str,
-    jobs: int,
 ) -> Certificate:
     """One scenario as a Def. 2.1 obligation: the spec player calls the
     scenario's primitives, the witness environment delivers per the
@@ -832,7 +829,6 @@ def _check_scenario(
     sequences" for multi-call protocols."""
     started = time.perf_counter()
     window = MetricsWindow()
-    n_jobs = get_jobs(jobs)
     config = scenario.config
     cert = Certificate(judgment=judgment, rule=rule, bounds=config.describe())
     ob = _Obligation(
@@ -851,7 +847,7 @@ def _check_scenario(
             Log(low_iface.init_log), Log(high_iface.init_log)
         )
         cert.add("initial logs related", init_ok)
-        output = _check_obligation(ob, n_jobs)
+        output = _check_obligation(ob)
     cert.obligations.extend(output["obligations"])
     cert.log_universe = tuple(output["logs"])
     elapsed = time.perf_counter() - started
@@ -862,7 +858,7 @@ def _check_scenario(
         env_contexts=output["env_contexts"],
         scenario=scenario.label,
         calls=len(scenario.calls),
-        workers=n_jobs,
+        workers=get_jobs(),
     )
     return cert
 
@@ -876,16 +872,16 @@ def check_scenarios(
     scenarios: Sequence[Scenario],
     judgment: str,
     rule: str = "sim",
-    jobs: Optional[int] = None,
     obligation_key: Optional[Callable[[Scenario], Any]] = None,
 ) -> Certificate:
     """Check a family of scenarios; one sub-certificate per scenario.
 
     ``impl_player_for(scenario)`` builds the low-level player (module
     bodies, or low-interface primitive calls when checking an interface
-    simulation).  With ``jobs > 1`` and multiple scenarios each scenario
-    is checked in its own worker process; with a single scenario the
-    worker budget goes to the per-environment-context fan-out instead.
+    simulation).  With more than one worker and multiple scenarios each
+    scenario is checked in its own worker process; with a single
+    scenario the workers go to the per-environment-context fan-out
+    instead.
 
     ``obligation_key(scenario)`` (an
     :data:`~repro.analysis.slices.ObligationKey` builder) enables the
@@ -894,11 +890,8 @@ def check_scenarios(
     """
     started = time.perf_counter()
     window = MetricsWindow()
-    n_jobs = get_jobs(jobs)
     cert = Certificate(judgment=judgment, rule=rule)
     with span("check_scenarios", judgment=judgment, scenarios=len(scenarios)):
-        inner_jobs = n_jobs if len(scenarios) == 1 else 1
-
         def check_one(scenario: Scenario) -> Certificate:
             key = obligation_key(scenario) if obligation_key is not None else None
             return cached_obligation(
@@ -913,14 +906,13 @@ def check_scenarios(
                     tid,
                     judgment=f"{judgment} :: {scenario.label}",
                     rule=rule,
-                    jobs=inner_jobs,
                 ),
             )
 
-        cert.children.extend(parallel_map(check_one, list(scenarios), jobs=n_jobs))
+        cert.children.extend(parallel_map(check_one, list(scenarios)))
     stamp_provenance(
         cert, time.perf_counter() - started, window,
         scenarios=[s.label for s in scenarios],
-        workers=n_jobs,
+        workers=get_jobs(),
     )
     return cert

@@ -25,8 +25,8 @@ on top of :mod:`repro.obs`:
 * **Pool observability** (:class:`ProfileCollector`) — the fork pool
   records one timeline entry per worker task (queue wait, execution,
   result-ship overhead, worker pid) and one entry per batch (pool
-  setup cost, queue depth), enough to explain exactly where a
-  ``jobs=N`` regression comes from.
+  setup cost, queue depth), enough to explain exactly where an
+  N-worker regression comes from.
 
 Profiling is **off by default** and strictly additive: with profiling
 off, every hook is a flag test, no new spans/metrics/provenance are
@@ -145,7 +145,7 @@ class ProfileCollector:
     def pool_utilization(self) -> Dict[str, Any]:
         """Worker utilization + overhead rollup of every pool batch.
 
-        Explains the ``jobs=N`` ledger: per-worker busy seconds over the
+        Explains an N-worker ledger: per-worker busy seconds over the
         batch wall-clock envelope, total queue wait, total result-ship
         overhead, and total pool setup (fork) cost.
         """

@@ -54,6 +54,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..cas import ContentStore
+from ..envflags import engine_config
 from .blocks import ledger_fields, register_sink
 from .heartbeat import stream_path as _heartbeat_stream_path
 from .metrics import snapshot as _metrics_snapshot
@@ -107,16 +108,16 @@ def certificate_digest(cert: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: What run records state about the checker: its versions, whether its
-#: cache is on, and its canonical fingerprint function.  The engine
-#: module that owns these facts registers them at import
-#: (:mod:`repro.parallel.cache`, loaded by ``import repro``), so the
-#: ledger imports nothing above :mod:`repro.obs`.
+#: What run records state about the checker: its versions and its
+#: canonical fingerprint function.  The engine module that owns these
+#: facts registers them at import (:mod:`repro.parallel.cache`, loaded
+#: by ``import repro``), so the ledger imports nothing above
+#: :mod:`repro.obs`.
 _ENGINE: Dict[str, Any] = {}
 
 
 def register_engine(**facts: Any) -> None:
-    """Declare engine facts (``versions``, ``cache_enabled``, ``fingerprint``)."""
+    """Declare engine facts (``versions``, ``fingerprint``)."""
     _ENGINE.update(facts)
 
 
@@ -473,12 +474,13 @@ def _host_info() -> Dict[str, Any]:
 
 
 def _env_info() -> Dict[str, Any]:
+    config = engine_config()
     return {
-        "jobs": os.environ.get("REPRO_JOBS", "").strip() or None,
+        "jobs": config.jobs,
         "obs": obs_enabled(),
         "profile": profile_enabled(),
-        "lint": os.environ.get("REPRO_LINT", "").strip() or None,
-        "cache": _ENGINE["cache_enabled"](),
+        "lint": config.lint,
+        "cache": config.cache_dir is not None,
     }
 
 

@@ -26,6 +26,7 @@ provenance additionally records ``workers`` and ``cache`` fields and
 wall times, which legitimately differ run to run.
 """
 
+from ..envflags import cpu_budget
 from .cache import (
     ENGINE_VERSION,
     cache_dir,
@@ -35,7 +36,7 @@ from .cache import (
 )
 from .canonical import canonical_fingerprint
 from .partition import chunk_evenly
-from .pool import cpu_budget, get_jobs, in_worker, parallel_map
+from .pool import get_jobs, in_worker, parallel_map
 from .workers import PersistentPool, fork_batch_map
 
 __all__ = [

@@ -17,8 +17,10 @@ are recursively stripped of provenance, so a warm run's
 observability off, regardless of the observability state of the run
 that populated the cache.
 
-Location: ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``.  The cache is
-off unless ``REPRO_CACHE_DIR`` is set or ``REPRO_CACHE`` is truthy.
+Location and switch come from the pinned engine configuration
+(:func:`repro.envflags.engine_config`): ``$REPRO_CACHE_DIR``, else
+``~/.cache/repro``, and the cache is off unless ``REPRO_CACHE_DIR`` is
+set or ``REPRO_CACHE`` is truthy.
 Entries live in a :class:`repro.cas.ContentStore`: writes are atomic,
 so concurrent runs sharing a cache directory at worst both compute,
 and every read is digest-checked, so a damaged entry is reported as a
@@ -27,7 +29,6 @@ and every read is digest-checked, so a damaged entry is reported as a
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from contextlib import contextmanager
@@ -35,7 +36,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from ..analysis.rules import RULESET_VERSION
 from ..cas import ContentStore
-from ..envflags import env_flag
+from ..envflags import default_cache_dir, engine_config
 from ..obs.blocks import register_block, register_stack_sink
 from ..obs.metrics import inc, observe
 from ..obs.profile import profile_enabled
@@ -61,23 +62,18 @@ _SCHEMA = "repro.cache/v1"
 
 def cache_enabled() -> bool:
     """Whether the on-disk certificate cache is active."""
-    enabled = env_flag("REPRO_CACHE")  # parsed first: a typo raises either way
-    return enabled or bool(os.environ.get("REPRO_CACHE_DIR", "").strip())
+    return engine_config().cache_dir is not None
 
 
 register_engine(
     versions={"engine": ENGINE_VERSION, "ruleset": RULESET_VERSION},
-    cache_enabled=cache_enabled,
     fingerprint=canonical_fingerprint,
 )
 
 
 def cache_dir() -> str:
     """The cache root (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``)."""
-    configured = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if configured:
-        return configured
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro")
+    return engine_config().cache_dir or default_cache_dir()
 
 
 def _content_store() -> ContentStore:
@@ -137,7 +133,6 @@ def cached_certificate(
     kind: str,
     parts: Tuple[Any, ...],
     compute: Callable[[], Any],
-    jobs: Optional[int] = None,
 ) -> Any:
     """Look up the certificate for one rule application, or compute it.
 
@@ -162,7 +157,7 @@ def cached_certificate(
         if prof:
             observe("cache.hit_latency_s", hit_latency)
         note_cache_event("hit", hit_latency)
-        return stamp_cache_status(cert, "hit", key=key, workers=get_jobs(jobs))
+        return stamp_cache_status(cert, "hit", key=key, workers=get_jobs())
     inc("cache.misses")
     t_missed = time.perf_counter() if timed else 0.0
     cert = compute()
@@ -177,7 +172,7 @@ def cached_certificate(
     if prof:
         observe("cache.miss_latency_s", miss_latency)
     note_cache_event("miss", miss_latency)
-    return stamp_cache_status(cert, "miss", key=key, workers=get_jobs(jobs))
+    return stamp_cache_status(cert, "miss", key=key, workers=get_jobs())
 
 
 # --- obligation-granular entries --------------------------------------------

@@ -26,16 +26,13 @@ Two implementation constraints drive the design:
   task order.
 
 Worker processes run with ``in_worker()`` true, which forces
-:func:`get_jobs` to 1 — nested fan-out points inside a task degrade to
-serial instead of forking grandchildren.
-
-Pool sizing is hardware-aware: ``REPRO_JOBS=N`` in the environment is a
-*cap*, clamped to the CPUs actually available — forking more CPU-bound
-enumeration workers than cores only adds overhead, the measured reason
-``REPRO_JOBS`` used to lose on the 1-CPU reference container.  An
-explicit ``jobs=`` argument, or ``REPRO_JOBS_FORCE=1``, is binding: the
-byte-identity suites use it to exercise real process boundaries
-regardless of the host.
+:func:`get_jobs` to 1: an outer fan-out takes the workers, and the
+fan-out points inside its tasks run serially instead of forking
+grandchildren.  A one-item batch runs inline, so the workers go to the
+fan-out inside it.  The worker count is the pinned engine
+configuration's (:mod:`repro.envflags`): ``REPRO_JOBS`` is a cap,
+clamped to the CPUs, and ``pinned(jobs=N)`` binds, so the byte-identity
+suites cross real process boundaries on any host.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..envflags import env_flag
+from ..envflags import engine_config
 from ..obs.blocks import absorb_records, sink_marks, sink_records
 from ..obs.profile import PROFILER, profile_enabled
 from .workers import fork_batch_map
@@ -64,48 +61,12 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def cpu_budget() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def get_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve the *effective* worker count for a fan-out point.
-
-    Precedence: inside a worker always 1 (no nested pools); an explicit
-    ``jobs=`` argument (binding — callers that pass it mean it); the
-    ``REPRO_JOBS`` environment variable.  ``REPRO_JOBS=0`` means "one
-    worker per CPU"; ``REPRO_JOBS=N`` is a cap, clamped to
-    :func:`cpu_budget` — on hardware with fewer cores than requested
-    workers the pool sizes itself down rather than paying fork and
-    context-switch overhead for no parallelism.  ``REPRO_JOBS_FORCE``
-    truthy makes the environment request binding (the process-boundary
-    test knob).  Absent all of these, the engine runs serial.
-    """
+def get_jobs() -> int:
+    """The worker count for a fan-out point: 1 inside a pool worker (no
+    nested pools), else the pinned configuration's ``jobs``."""
     if _IN_WORKER:
         return 1
-    if jobs is not None:
-        if jobs <= 0:
-            return cpu_budget()
-        return max(1, int(jobs))
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS={raw!r} is not an integer; expected a worker "
-            "count N (0 means one worker per CPU)"
-        ) from None
-    if requested <= 0:
-        return cpu_budget()
-    if env_flag("REPRO_JOBS_FORCE"):
-        return requested
-    return max(1, min(requested, cpu_budget()))
+    return engine_config().jobs
 
 
 def _worker_init() -> None:
@@ -133,7 +94,6 @@ def _run_task(index: int) -> Tuple[Any, list, Optional[Tuple[int, float, float]]
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
-    jobs: Optional[int] = None,
 ) -> List[Any]:
     """Run ``fn`` over ``items`` and return results in item order.
 
@@ -149,7 +109,7 @@ def parallel_map(
     """
     global _TASK
     items = list(items)
-    n = get_jobs(jobs)
+    n = get_jobs()
     if n <= 1 or len(items) <= 1 or _IN_WORKER or _TASK is not None:
         return [fn(item) for item in items]
     if not hasattr(os, "fork"):  # pragma: no cover - non-fork platforms

@@ -55,9 +55,10 @@ redundancy without changing any verdict, through four techniques:
 
 Gating: the ``REPRO_REDUCE`` boolean environment variable.  Unset or
 on enables all four techniques; off disables them all, and the game
-enumerator then explores every schedule unpruned.  The rule
-constructors pin the selected axes for their extent
-(:func:`reduce_active`), which is also the only way to select a
+enumerator then explores every schedule unpruned.  The axes are a field
+of the engine configuration (:mod:`repro.envflags`), which the rule
+constructors pin for their extent; :func:`current_axes` reads the pinned
+value.  ``repro.envflags.pinned(axes=...)`` is the only way to select a
 subset, for ablation tests.
 
 Accounting stays honest: every pruned-as-equivalent class, law
@@ -69,10 +70,9 @@ in ledger run records.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import FrozenSet, Iterable, List
+from typing import FrozenSet
 
-from ..envflags import env_flag
+from ..envflags import ALL_AXES, DPOR, RG_SIMPLIFY, STATIC_INDEP, TRANSPO, engine_config
 from .fingerprint import state_fingerprint
 from .stats import (
     ReductionStats,
@@ -83,62 +83,24 @@ from .stats import (
     tally_prune,
 )
 
-#: Axis names.
-DPOR = "dpor"
-TRANSPO = "transpo"
-RG_SIMPLIFY = "rg-simplify"
-STATIC_INDEP = "static-indep"
-ALL_AXES: FrozenSet[str] = frozenset({DPOR, TRANSPO, RG_SIMPLIFY, STATIC_INDEP})
-
-REDUCE_ENV = "REPRO_REDUCE"
-
-
-def axes_from_env() -> FrozenSet[str]:
-    """The axes selected by ``REPRO_REDUCE``: all four unless it is off."""
-    return ALL_AXES if env_flag(REDUCE_ENV, default=True) else frozenset()
-
-
-_ACTIVE: List[FrozenSet[str]] = []
-
 
 def current_axes() -> FrozenSet[str]:
-    """The axes in effect for the innermost active rule application.
-
-    Falls back to the environment when no rule has pushed an explicit
-    configuration, so standalone enumeration calls are reduced too.
-    """
-    if _ACTIVE:
-        return _ACTIVE[-1]
-    return axes_from_env()
-
-
-@contextmanager
-def reduce_active(axes: Iterable[str]):
-    """Pin the active axes for the duration of a rule application.
-
-    Rule constructors pin :func:`current_axes` so inner lookups never
-    re-read the environment; tests pin a subset to ablate one axis.
-    """
-    _ACTIVE.append(frozenset(axes))
-    try:
-        yield
-    finally:
-        _ACTIVE.pop()
+    """The axes of the pinned engine configuration (parsed from the
+    environment when no rule application has pinned one, so standalone
+    enumeration calls are reduced too)."""
+    return engine_config().axes
 
 
 __all__ = [
     "ALL_AXES",
     "DPOR",
-    "REDUCE_ENV",
     "RG_SIMPLIFY",
     "STATIC_INDEP",
     "TRANSPO",
     "ReductionStats",
-    "axes_from_env",
     "contribute",
     "current_axes",
     "merge_reduction_maps",
-    "reduce_active",
     "reduction_collector",
     "state_fingerprint",
     "tally_law",

@@ -19,6 +19,7 @@ import pytest
 from repro.analysis.rules import RULESET_VERSION
 from repro.cas import ContentStore, StoreWarning
 from repro.core import FuncImpl, SimConfig, fun_rule
+from repro.envflags import pinned
 from repro.parallel.cache import ENGINE_VERSION, cache_key
 
 from lint_players import atomic_bump2_impl
@@ -30,12 +31,13 @@ def cert_bytes(cert):
     ).encode()
 
 
-def _certify(counter_base, counter_overlay, ret_only_rel, **kwargs):
+def _certify(counter_base, counter_overlay, ret_only_rel, **pins):
     config = SimConfig(env_alphabet=[()], env_depth=1, compare_rets=False)
-    return fun_rule(
-        counter_base, FuncImpl("bump2", atomic_bump2_impl),
-        counter_overlay, ret_only_rel, 1, config, **kwargs,
-    )
+    with pinned(**pins):
+        return fun_rule(
+            counter_base, FuncImpl("bump2", atomic_bump2_impl),
+            counter_overlay, ret_only_rel, 1, config,
+        )
 
 
 class TestRulesetVersioning:

@@ -22,6 +22,7 @@ from repro.core.errors import VerificationError
 from repro.core.events import ACQ, REL
 from repro.core.module import Module
 from repro.core.relation import ID_REL
+from repro.envflags import engine_config, pinned
 from repro.machine.atomics import FAI
 from repro.objects.ticket_lock import (
     acq_impl,
@@ -80,8 +81,8 @@ class TestStrictMode:
     def test_broken_ticket_lock_refused_statically(self):
         """Strict mode refuses the Fun* application up front (L104)."""
         base, module, low, scenarios = _broken_lock_inputs()
-        with pytest.raises(VerificationError) as excinfo:
-            module_rule(base, module, low, ID_REL, 1, scenarios, lint="strict")
+        with pytest.raises(VerificationError) as excinfo, pinned(lint="strict"):
+            module_rule(base, module, low, ID_REL, 1, scenarios)
         cert = excinfo.value.certificate
         assert not cert.ok
         assert cert.bounds["lint_ruleset"] == RULESET_VERSION
@@ -93,10 +94,10 @@ class TestStrictMode:
         self, counter_base, counter_overlay, ret_only_rel
     ):
         config = SimConfig(env_alphabet=[()], env_depth=1, compare_rets=False)
-        with pytest.raises(VerificationError) as excinfo:
+        with pytest.raises(VerificationError) as excinfo, pinned(lint="strict"):
             fun_rule(
                 counter_base, FuncImpl("bump2", non_atomic_bump2_impl),
-                counter_overlay, ret_only_rel, 1, config, lint="strict",
+                counter_overlay, ret_only_rel, 1, config,
             )
         cert = excinfo.value.certificate
         assert any("REPRO-L105" in o.description for o in cert.failures)
@@ -107,10 +108,11 @@ class TestStrictMode:
         from lint_players import atomic_bump2_impl
 
         config = SimConfig(env_alphabet=[()], env_depth=1, compare_rets=False)
-        layer = fun_rule(
-            counter_base, FuncImpl("bump2", atomic_bump2_impl),
-            counter_overlay, ret_only_rel, 1, config, lint="strict",
-        )
+        with pinned(lint="strict"):
+            layer = fun_rule(
+                counter_base, FuncImpl("bump2", atomic_bump2_impl),
+                counter_overlay, ret_only_rel, 1, config,
+            )
         assert layer.certificate.ok
 
     def test_env_var_selects_mode(self, monkeypatch):
@@ -185,15 +187,14 @@ class TestRecordMode:
         from lint_players import atomic_bump2_impl
 
         config = SimConfig(env_alphabet=[()], env_depth=1, compare_rets=False)
-        with pytest.raises(ValueError):
-            fun_rule(
-                counter_base, FuncImpl("bump2", atomic_bump2_impl),
-                counter_overlay, ret_only_rel, 1, config, lint="pedantic",
-            )
+        with pytest.raises(ValueError, match="unknown lint mode 'pedantic'"):
+            with pinned(lint="pedantic"):
+                fun_rule(
+                    counter_base, FuncImpl("bump2", atomic_bump2_impl),
+                    counter_overlay, ret_only_rel, 1, config,
+                )
 
     def test_env_typo_rejected(self, monkeypatch):
-        from repro.analysis.linter import resolve_mode
-
         monkeypatch.setenv("REPRO_LINT", "strcit")
         with pytest.raises(ValueError, match="REPRO_LINT.*'strcit'.*strict"):
-            resolve_mode()
+            engine_config()

@@ -333,16 +333,17 @@ def test_reference_interpreter_game_reexecutes(monkeypatch, obs_off):
     # and a sibling starts every player afresh.)
     from repro import obs
     from repro.core import behaviors_of, machine
+    from repro.envflags import pinned
     from repro.obs.metrics import MetricsWindow
 
     client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
 
     def game():
         layer = certify_ticket_lock([1, 2], lock="q0").composed
-        with obs.observing(reset=False):
+        with obs.observing(reset=False), pinned(jobs=1):
             window = MetricsWindow()
             results = behaviors_of(
-                layer.underlay, client, layer.module, max_rounds=14, jobs=1
+                layer.underlay, client, layer.module, max_rounds=14
             )
             delta = window.delta()
         return (

@@ -28,6 +28,7 @@ from repro.core import (
 from repro.core.errors import Stuck
 from repro.core.log import Log
 from repro.core.module import FuncImpl, Module
+from repro.envflags import pinned
 
 from count_invariants import count_inv
 
@@ -300,29 +301,31 @@ NOISY_DIGESTS = {
 @pytest.mark.usefixtures("obs_off")
 class TestNonIdentityConcretizationBytes:
     """``check_sim`` certificate bytes under a relation whose
-    concretization is not its event map: serial and ``jobs=2`` agree,
+    concretization is not its event map: serial and 2-worker runs agree,
     and both match the pinned digests."""
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "jobs2"])
     def test_certificates_match_pinned_digests(self, jobs):
-        certificates = {
-            "noisy_args_vectors": check_sim(
-                counter_iface("Low"), bump_n_times,
-                counter_iface("High"), bump_n_times,
-                NOISY_REL, 1,
-                SimConfig(
-                    env_alphabet=[(), ENV_BUMP], env_depth=2,
-                    args_list=[(1,), (2,)],
+        with pinned(jobs=jobs):
+            certificates = {
+                "noisy_args_vectors": check_sim(
+                    counter_iface("Low"), bump_n_times,
+                    counter_iface("High"), bump_n_times,
+                    NOISY_REL, 1,
+                    SimConfig(
+                        env_alphabet=[(), ENV_BUMP], env_depth=2,
+                        args_list=[(1,), (2,)],
+                    ),
+                    judgment="bump^n ≤_noisy bump^n",
                 ),
-                judgment="bump^n ≤_noisy bump^n", jobs=jobs,
-            ),
-            "noisy_impl_stuck": check_sim(
-                counter_iface("Low"), noise_intolerant_bump,
-                counter_iface("High"), prim_player("bump"),
-                NOISY_REL, 1, SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
-                judgment="intolerant ≤_noisy bump", jobs=jobs,
-            ),
-        }
+                "noisy_impl_stuck": check_sim(
+                    counter_iface("Low"), noise_intolerant_bump,
+                    counter_iface("High"), prim_player("bump"),
+                    NOISY_REL, 1,
+                    SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
+                    judgment="intolerant ≤_noisy bump",
+                ),
+            }
         assert certificates["noisy_args_vectors"].ok
         assert not certificates["noisy_impl_stuck"].ok
         digests = {

@@ -5,7 +5,7 @@ game with observability and profiling on and a fresh certificate cache,
 so every provenance block (``coverage``, ``profile``, ``reduction``,
 ``incremental``) appears somewhere in the tree.  Wall-clock and
 worker-count fields are stripped; everything else must equal the
-committed golden file, serially and with two forced workers.  The
+committed golden file, serially and with two pinned workers.  The
 golden file is the serial run's text; a change that means to alter
 provenance rewrites it from ``_certify`` and says so.
 """
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.envflags import pinned
 
 GOLDEN = Path(__file__).with_name("golden_provenance.json")
 
@@ -44,14 +45,12 @@ def _certify(tmp_path, monkeypatch, jobs):
     from repro.objects.ticket_lock import certify_ticket_lock
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache-{jobs}"))
-    monkeypatch.setenv("REPRO_JOBS", str(jobs))
-    monkeypatch.setenv("REPRO_JOBS_FORCE", "1")
     monkeypatch.setenv("REPRO_REDUCE", "on")
-    with obs.profiling():
+    with obs.profiling(), pinned(jobs=jobs):
         stack = certify_ticket_lock([1, 2], use_c_source=False)
         soundness = check_soundness(
             stack.composed, clients=CLIENTS, max_rounds=12,
-            require_progress=False, jobs=jobs,
+            require_progress=False,
         )
     document = {
         "lock_stack": stack.composed.certificate.to_json(),

@@ -210,14 +210,14 @@ class TestScheduleRounds:
     def c_ticket_game_counters(jobs=None):
         """Counters of the C-source ticket game alone (``[[P ⊕ M]]``)."""
         from repro.core import behaviors_of
+        from repro.envflags import pinned
         from repro.objects.ticket_lock import certify_ticket_lock
 
         layer = certify_ticket_lock([1, 2], lock="q0").composed
         client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
         obs.enable()
-        behaviors_of(
-            layer.underlay, client, layer.module, max_rounds=14, jobs=jobs
-        )
+        with pinned(jobs=jobs):
+            behaviors_of(layer.underlay, client, layer.module, max_rounds=14)
         return obs.snapshot()["counters"]
 
     @pytest.mark.parametrize("reduce", ["on", "off"])

@@ -32,6 +32,7 @@ from repro.core import (
     scenario_impl_player,
     shared_prim,
 )
+from repro.envflags import pinned
 from repro.obs.profile import NOOP_SPAN
 
 
@@ -50,12 +51,13 @@ ENV_BUMP = (Event(2, "bump"),)
 
 def run_check_sim(jobs=1):
     iface = counter_iface()
-    return check_sim(
-        iface, prim_player("bump"), iface, prim_player("bump"),
-        ID_REL, 1,
-        SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
-        judgment="bump ≤ bump", jobs=jobs,
-    )
+    with pinned(jobs=jobs):
+        return check_sim(
+            iface, prim_player("bump"), iface, prim_player("bump"),
+            ID_REL, 1,
+            SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
+            judgment="bump ≤ bump",
+        )
 
 
 def cert_bytes(cert) -> bytes:

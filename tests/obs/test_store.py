@@ -251,6 +251,23 @@ class TestRunCapture:
         assert record["ok"] is False
         assert record["obligations"]["failed"] == 1
 
+    def test_record_states_the_configuration_that_ran(
+        self, tmp_path, monkeypatch
+    ):
+        # The resolved engine configuration, not the raw strings: a
+        # request for 64 workers is clamped to the CPUs, and an unset
+        # lint mode is the default it resolves to.
+        from repro.parallel import cpu_budget
+
+        monkeypatch.setenv("REPRO_JOBS", "64")
+        monkeypatch.delenv("REPRO_LINT", raising=False)
+        path = str(tmp_path / "ledger")
+        with obs.ledger(path, object="unit"):
+            stamp_provenance(_cert(), 0.1)
+        env = store.RunLedger(path).runs()[0]["env"]
+        assert env["jobs"] == cpu_budget()
+        assert env["lint"] == "record"
+
     def test_disable_without_flush_writes_nothing(self, tmp_path):
         path = str(tmp_path / "ledger")
         store.enable_ledger(path, object="unit")

@@ -1,7 +1,7 @@
 """Serial / parallel / cached equivalence of the verification engine.
 
 The determinism contract (DESIGN.md): with observability off, a run
-with ``jobs=N`` or against a warm certificate cache produces a
+with N workers or against a warm certificate cache produces a
 ``Certificate`` whose ``to_json()`` is byte-identical to the serial
 cold run — same obligations in the same order, same counterexamples
 (captured across the process boundary), same log universes, same
@@ -36,6 +36,7 @@ from repro.core import (
     scenario_impl_player,
     shared_prim,
 )
+from repro.envflags import pinned
 from repro.obs.forensics import MAX_COUNTEREXAMPLES
 
 
@@ -99,12 +100,13 @@ def bump_spec_v2(ctx):
 class TestCheckSimEquivalence:
     def _run(self, jobs):
         iface = counter_iface()
-        return check_sim(
-            iface, prim_player("bump"), iface, prim_player("bump"),
-            ID_REL, 1,
-            SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
-            judgment="bump ≤ bump", jobs=jobs,
-        )
+        with pinned(jobs=jobs):
+            return check_sim(
+                iface, prim_player("bump"), iface, prim_player("bump"),
+                ID_REL, 1,
+                SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
+                judgment="bump ≤ bump",
+            )
 
     @pytest.mark.usefixtures("obs_off")
     def test_parallel_matches_serial(self):
@@ -117,12 +119,13 @@ class TestCheckSimEquivalence:
             yield from ctx.call("bump")
             return 999
 
-        return check_sim(
-            iface, lying_bump, iface, prim_player("bump"),
-            ID_REL, 1,
-            SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
-            judgment="lie ≤ bump", jobs=jobs,
-        )
+        with pinned(jobs=jobs):
+            return check_sim(
+                iface, lying_bump, iface, prim_player("bump"),
+                ID_REL, 1,
+                SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
+                judgment="lie ≤ bump",
+            )
 
     @pytest.mark.usefixtures("obs_off")
     def test_failing_obligations_cross_process(self):
@@ -155,16 +158,16 @@ class TestScenarioEquivalence:
             Scenario("twice", [("bump", ()), ("bump", ())],
                      SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2)),
         ]
-        return check_scenarios(
-            iface,
-            lambda s: scenario_impl_player(module, s),
-            iface,
-            ID_REL,
-            1,
-            scenarios,
-            judgment="module ≤ iface",
-            jobs=jobs,
-        )
+        with pinned(jobs=jobs):
+            return check_scenarios(
+                iface,
+                lambda s: scenario_impl_player(module, s),
+                iface,
+                ID_REL,
+                1,
+                scenarios,
+                judgment="module ≤ iface",
+            )
 
     @pytest.mark.usefixtures("obs_off")
     def test_per_scenario_fanout_matches_serial(self):
@@ -178,9 +181,9 @@ class TestSoundnessEquivalence:
     ]
 
     def _run(self, jobs):
-        return check_soundness(
-            certified_stack(), clients=self.CLIENTS, max_rounds=24, jobs=jobs,
-        )
+        layer = certified_stack()
+        with pinned(jobs=jobs):
+            return check_soundness(layer, clients=self.CLIENTS, max_rounds=24)
 
     @pytest.mark.usefixtures("obs_off")
     def test_per_client_fanout_matches_serial(self):
@@ -201,10 +204,11 @@ class TestGameEnumerationEquivalence:
                 stack.module, Scenario("c2", [("bump2", ())], None)
             ), ()),
         }
-        return enumerate_game_logs(
-            stack.underlay, players, max_rounds=max_rounds,
-            max_runs=max_runs, jobs=jobs,
-        )
+        with pinned(jobs=jobs):
+            return enumerate_game_logs(
+                stack.underlay, players, max_rounds=max_rounds,
+                max_runs=max_runs,
+            )
 
     def test_results_match_serial(self):
         serial = self._enumerate(jobs=1)

@@ -23,6 +23,7 @@ import sys
 import pytest
 
 import repro.objects.ticket_lock as tl
+from repro.envflags import pinned
 from repro.objects.ticket_lock import FAI, PUSH, n_cell
 from repro.parallel.cache import incremental_collector
 
@@ -114,10 +115,10 @@ class TestWorkerCountsReachTheParent:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"jobs{jobs}"))
         layer = tl.certify_ticket_lock([0, 1], use_c_source=False).composed
-        with incremental_collector() as counts:
+        with incremental_collector() as counts, pinned(jobs=jobs):
             check_soundness(
                 layer, clients=self.CLIENTS, max_rounds=12,
-                require_progress=False, jobs=jobs,
+                require_progress=False,
             )
         return counts
 
@@ -137,10 +138,10 @@ class TestWorkerCountsReachTheParent:
         def tallies(jobs):
             # The game's schedules are chunked across workers, whose
             # pruning tallies must reach this collector.
-            with reduction_collector(["dpor"]) as outer:
+            with reduction_collector(["dpor"]) as outer, pinned(jobs=jobs):
                 check_soundness(
                     layer, clients=self.CLIENTS, max_rounds=12,
-                    require_progress=False, jobs=jobs,
+                    require_progress=False,
                 )
             return outer.as_dict()
 
@@ -195,7 +196,7 @@ class TestFiveModeByteIdentity:
         import repro.core.calculus as calculus
         import repro.core.contextual as contextual
 
-        def rule_miss(kind, parts, compute, jobs=None):
+        def rule_miss(kind, parts, compute):
             return compute()
 
         monkeypatch.setattr(calculus, "cached_certificate", rule_miss)

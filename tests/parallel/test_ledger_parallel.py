@@ -4,7 +4,7 @@ Three contracts from DESIGN.md:
 
 - ledger notes produced inside fork-pool workers (cache hits/misses)
   ship back in plan order, so the merged run record is deterministic —
-  a ``jobs=2`` record matches the serial one modulo wall-clock fields;
+  a 2-worker record matches the serial one modulo wall-clock fields;
 - the record store survives concurrent appenders: one writer per
   process, one atomically renamed file per record, damaged records
   skipped on read with a warning;
@@ -25,6 +25,7 @@ from repro.obs import store
 from tests.parallel.test_equivalence import cert_bytes, certified_stack
 
 from repro.core import check_soundness
+from repro.envflags import pinned
 
 
 CLIENTS = [
@@ -34,9 +35,9 @@ CLIENTS = [
 
 
 def _soundness(jobs):
-    return check_soundness(
-        certified_stack(), clients=CLIENTS, max_rounds=24, jobs=jobs
-    )
+    layer = certified_stack()
+    with pinned(jobs=jobs):
+        return check_soundness(layer, clients=CLIENTS, max_rounds=24)
 
 
 @pytest.fixture(autouse=True)

@@ -13,6 +13,7 @@ import pytest
 from repro.core import Event
 from repro.core.certificate import Certificate
 from repro.core.log import Log
+from repro.envflags import pinned
 from repro.parallel import (
     ENGINE_VERSION,
     cache_dir,
@@ -21,6 +22,7 @@ from repro.parallel import (
     canonical_fingerprint,
     chunk_evenly,
     clear_cache,
+    cpu_budget,
     get_jobs,
     parallel_map,
 )
@@ -29,49 +31,59 @@ from repro.parallel.cache import cache_key
 
 class TestPool:
     def test_results_in_submission_order(self):
-        assert parallel_map(lambda x: x * x, [3, 1, 2], jobs=2) == [9, 1, 4]
+        with pinned(jobs=2):
+            assert parallel_map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
 
     def test_serial_fallback_single_item(self):
-        assert parallel_map(lambda x: x + 1, [41], jobs=4) == [42]
+        with pinned(jobs=4):
+            assert parallel_map(lambda x: x + 1, [41]) == [42]
 
     def test_jobs_env_resolution(self, monkeypatch):
-        from repro.parallel import cpu_budget
-
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_JOBS_FORCE", raising=False)
         assert get_jobs() == 1
         # The environment request is a cap, clamped to the hardware:
         # extra CPU-bound enumeration workers beyond the core count only
         # add fork and context-switch overhead.
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert get_jobs() == min(3, cpu_budget())
-        monkeypatch.setenv("REPRO_JOBS_FORCE", "1")
-        assert get_jobs() == 3  # the process-boundary test knob binds
-        monkeypatch.delenv("REPRO_JOBS_FORCE", raising=False)
-        assert get_jobs(jobs=2) == 2  # explicit beats env, unclamped
+        with pinned(jobs=3):
+            assert get_jobs() == 3  # the process-boundary test pin binds
+        with pinned(jobs=2):
+            assert get_jobs() == 2  # the pin beats the env, unclamped
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert get_jobs() == cpu_budget()
+        monkeypatch.delenv("REPRO_JOBS")
+        with pinned(jobs=0):
+            assert get_jobs() == cpu_budget()
 
     def test_jobs_env_typo_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
         with pytest.raises(ValueError, match="REPRO_JOBS='abc'.*worker count"):
             get_jobs()
 
-    def test_jobs_force_is_a_strict_boolean(self, monkeypatch):
-        from repro.parallel import cpu_budget
+    def test_negative_jobs_env_raises(self, monkeypatch):
+        # Not "one worker per CPU": only 0 means that.
+        monkeypatch.setenv("REPRO_JOBS", "-3")
+        with pytest.raises(ValueError, match="REPRO_JOBS='-3' is negative"):
+            get_jobs()
 
+    def test_negative_pinned_jobs_raise(self):
+        with pytest.raises(ValueError, match="jobs=-3 is negative"):
+            with pinned(jobs=-3):
+                pytest.fail("a negative pin must not take effect")
+
+    def test_leftover_jobs_force_raises(self, monkeypatch):
+        # The retired force switch would silently clamp a run its user
+        # meant to force, so it is rejected as an unknown name.
         monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setenv("REPRO_JOBS_FORCE", " On ")
-        assert get_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS_FORCE", "no")
-        assert get_jobs() == min(3, cpu_budget())
-        monkeypatch.setenv("REPRO_JOBS_FORCE", "ture")
-        with pytest.raises(ValueError, match="REPRO_JOBS_FORCE='ture'.*yes"):
+        monkeypatch.setenv("REPRO_JOBS_FORCE", "1")
+        with pytest.raises(ValueError, match="REPRO_JOBS_FORCE.*REPRO_JOBS,"):
             get_jobs()
 
     def test_no_nested_pools_in_workers(self):
         # A task asking for workers must be told 1 inside a worker.
-        results = parallel_map(lambda _: get_jobs(jobs=8), [0, 1], jobs=2)
+        with pinned(jobs=8):
+            results = parallel_map(lambda _: get_jobs(), [0, 1])
         assert results == [1, 1]
 
     def test_first_failing_index_raises(self):
@@ -80,15 +92,16 @@ class TestPool:
                 raise ValueError(f"bad {x}")
             return x
 
-        with pytest.raises(ValueError, match="bad 1"):
-            parallel_map(boom, [0, 1, 2, 3], jobs=2)
+        with pytest.raises(ValueError, match="bad 1"), pinned(jobs=2):
+            parallel_map(boom, [0, 1, 2, 3])
 
     def test_unpicklable_items_via_fork_inheritance(self):
         # Closures and lambdas never cross the pickle boundary: only
         # indices are submitted, so unpicklable items are fine.
         captured = {"base": 10}
         items = [lambda: captured["base"] + 1, lambda: captured["base"] + 2]
-        assert parallel_map(lambda f: f(), items, jobs=2) == [11, 12]
+        with pinned(jobs=2):
+            assert parallel_map(lambda f: f(), items) == [11, 12]
 
 
 class TestPartition:
@@ -159,7 +172,8 @@ class TestCanonical:
         # same fingerprint as the parent.
         payload = {"bounds": (1, 2), "spec": lambda log: log.count("x") == 0}
         here = canonical_fingerprint(payload)
-        there = parallel_map(canonical_fingerprint, [payload, payload], jobs=2)
+        with pinned(jobs=2):
+            there = parallel_map(canonical_fingerprint, [payload, payload])
         assert there == [here, here]
 
 

@@ -1,7 +1,7 @@
 """Profile/span merging across fork-pool workers.
 
 Extends the determinism contract to the profiling tier: with profiling
-on, a ``jobs=N`` run must produce the same *profile provenance* as the
+on, an N-worker run must produce the same *profile provenance* as the
 serial run (modulo wall-clock fields), worker span frames must adopt
 into the parent trace in serial plan order under the span that was open
 at the fan-out point, and shipped redundancy/metric records must merge
@@ -27,6 +27,7 @@ from repro.core import (
     scenario_impl_player,
     shared_prim,
 )
+from repro.envflags import pinned
 
 
 @pytest.fixture(autouse=True)
@@ -68,20 +69,22 @@ def run_scenarios(jobs):
         Scenario("twice", [("bump", ()), ("bump", ())],
                  SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2)),
     ]
-    return check_scenarios(
-        iface, lambda s: scenario_impl_player(module, s), iface,
-        ID_REL, 1, scenarios, judgment="module ≤ iface", jobs=jobs,
-    )
+    with pinned(jobs=jobs):
+        return check_scenarios(
+            iface, lambda s: scenario_impl_player(module, s), iface,
+            ID_REL, 1, scenarios, judgment="module ≤ iface",
+        )
 
 
 def run_check_sim(jobs):
     iface = counter_iface()
-    return check_sim(
-        iface, prim_player("bump"), iface, prim_player("bump"),
-        ID_REL, 1,
-        SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
-        judgment="bump ≤ bump", jobs=jobs,
-    )
+    with pinned(jobs=jobs):
+        return check_sim(
+            iface, prim_player("bump"), iface, prim_player("bump"),
+            ID_REL, 1,
+            SimConfig(env_alphabet=[(), ENV_BUMP], env_depth=2),
+            judgment="bump ≤ bump",
+        )
 
 
 def strip_wall(profile):

@@ -34,6 +34,7 @@ from repro.core.machine import (
     ScriptScheduler,
     run_game,
 )
+from repro.envflags import pinned
 from repro.obs.heartbeat import heartbeat
 from repro.obs.metrics import inc
 from repro.obs.profile import RedundancyBuilder
@@ -415,7 +416,8 @@ def drive(
         return [r for r, _ in sub_plan], sub_runs, sub_pruned
 
     frontier = [entry for result, entry in plan if result is None]
-    subtrees = iter(parallel_map(explore_subtree, frontier, jobs=jobs))
+    with pinned(jobs=jobs):
+        subtrees = iter(parallel_map(explore_subtree, frontier))
     results: List[GameResult] = []
     for result, _entry in plan:
         if result is not None:

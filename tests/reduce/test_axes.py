@@ -1,29 +1,25 @@
-"""Gating: REPRO_REDUCE is on/off; subsets come only from the test hook."""
+"""Gating: REPRO_REDUCE is on/off; subsets come only from the test pin."""
 
 import pytest
 
-import repro.reduce
+import repro.envflags
 from repro.core import check_soundness
-from repro.reduce import (
-    ALL_AXES,
-    DPOR,
-    REDUCE_ENV,
-    axes_from_env,
-    current_axes,
-    reduce_active,
-)
+from repro.envflags import config_from_env, pinned
+from repro.reduce import ALL_AXES, DPOR, current_axes
 from test_parity import atomic_bump2_impl, bump2_layer
+
+REDUCE_ENV = "REPRO_REDUCE"
 
 
 def env_axes(monkeypatch, value):
     monkeypatch.setenv(REDUCE_ENV, value)
-    return axes_from_env()
+    return config_from_env().axes
 
 
 def assert_rejected(monkeypatch, value):
     monkeypatch.setenv(REDUCE_ENV, value)
     with pytest.raises(ValueError) as info:
-        axes_from_env()
+        config_from_env()
     assert f"REPRO_REDUCE={value!r} is not a boolean" in str(info.value)
     assert "on" in str(info.value) and "off" in str(info.value)
 
@@ -31,7 +27,7 @@ def assert_rejected(monkeypatch, value):
 class TestParseAxes:
     def test_default_is_all(self, monkeypatch):
         monkeypatch.delenv(REDUCE_ENV, raising=False)
-        assert axes_from_env() == ALL_AXES
+        assert config_from_env().axes == ALL_AXES
 
     @pytest.mark.parametrize("text", ["", "on", "1", "true", "yes"])
     def test_all_spellings(self, text, monkeypatch):
@@ -69,9 +65,9 @@ class TestResolution:
         assert current_axes() == ALL_AXES
 
     def test_explicit_beats_env(self, monkeypatch):
-        # The ablation hook pins a subset over whatever the env says.
+        # The ablation pin selects a subset over whatever the env says.
         monkeypatch.setenv(REDUCE_ENV, "off")
-        with reduce_active({DPOR}):
+        with pinned(axes={DPOR}):
             assert current_axes() == {DPOR}
 
     def test_unset_env_means_all(self, monkeypatch):
@@ -81,29 +77,37 @@ class TestResolution:
     def test_current_axes_tracks_active_stack(self, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
         assert current_axes() == frozenset()
-        with reduce_active({DPOR}):
+        with pinned(axes={DPOR}):
             assert current_axes() == {DPOR}
-            with reduce_active(ALL_AXES):
+            with pinned(axes=ALL_AXES):
                 assert current_axes() == ALL_AXES
             assert current_axes() == {DPOR}
         assert current_axes() == frozenset()
 
     def test_rule_constructors_read_the_env_once(self, monkeypatch):
-        # A rule pins the axes at its entry; every lookup under it is a
-        # stack read, not another parse of the environment.
+        # A rule pins the engine configuration at its entry; every
+        # lookup under it is a stack read, not another parse of the
+        # environment.  Under an outer pin the rule parses nothing.
         monkeypatch.delenv(REDUCE_ENV, raising=False)
         layer = bump2_layer(atomic_bump2_impl)
         reads = []
-        parse = repro.reduce.axes_from_env
+        parse = repro.envflags.config_from_env
 
         def counted():
             reads.append(1)
             return parse()
 
-        monkeypatch.setattr(repro.reduce, "axes_from_env", counted)
-        cert = check_soundness(
-            layer, clients=[{1: [("bump2", ())], 2: [("bump2", ())]}],
-            max_rounds=24,
-        )
-        assert cert.ok
+        monkeypatch.setattr(repro.envflags, "config_from_env", counted)
+
+        def soundness():
+            return check_soundness(
+                layer, clients=[{1: [("bump2", ())], 2: [("bump2", ())]}],
+                max_rounds=24,
+            )
+
+        assert soundness().ok
         assert len(reads) == 1
+        with pinned():
+            assert len(reads) == 2  # the outer pin's own parse
+            assert soundness().ok
+        assert len(reads) == 2

@@ -9,10 +9,10 @@ from repro.core import (
     seq_player,
     shared_prim,
 )
+from repro.envflags import pinned
 from repro.reduce import (
     DPOR,
     TRANSPO,
-    reduce_active,
     reduction_collector,
 )
 from repro.reduce.fingerprint import extend_chain, state_fingerprint
@@ -45,10 +45,8 @@ def game_interface():
 
 def enumerate_with(axes, players, jobs=None):
     """Enumerate under explicit axes, returning (results, stats)."""
-    with reduce_active(axes), reduction_collector(axes) as stats:
-        results = enumerate_game_logs(
-            game_interface(), players, max_rounds=12, jobs=jobs
-        )
+    with pinned(jobs=jobs, axes=axes), reduction_collector(axes) as stats:
+        results = enumerate_game_logs(game_interface(), players, max_rounds=12)
     return results, stats
 
 

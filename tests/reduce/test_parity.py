@@ -2,11 +2,11 @@
 
 Three contracts:
 
-* every axis subset (pinned with the ``reduce_active`` ablation hook)
+* every axis subset (selected with ``pinned(axes=...)``)
   produces the same verdicts and the same failing behaviors
   (counterexample logs) as reduction off, on both forensics fixtures
   (the broken ticket lock and the non-atomic bump2);
-* with reduction on, serial / ``jobs=2`` / warm-cache certificates are
+* with reduction on, serial / 2-worker / warm-cache certificates are
   byte-identical;
 * with reduction off no ``reduction`` provenance block appears anywhere
   in the tree.
@@ -44,7 +44,10 @@ from repro.objects.ticket_lock import (
     lx86_like_interface,
     n_cell,
 )
-from repro.reduce import DPOR, REDUCE_ENV, RG_SIMPLIFY, TRANSPO, reduce_active
+from repro.envflags import pinned
+from repro.reduce import DPOR, RG_SIMPLIFY, TRANSPO
+
+REDUCE_ENV = "REPRO_REDUCE"
 
 MODES = {
     "off": frozenset(),
@@ -150,12 +153,13 @@ def bump2_layer(impl):
 
 
 def soundness_certificate(impl=non_atomic_bump2_impl, jobs=None):
-    return check_soundness(
-        bump2_layer(impl),
-        clients=[{1: [("bump2", ())], 2: [("bump2", ())]}],
-        max_rounds=24,
-        jobs=jobs,
-    )
+    layer = bump2_layer(impl)
+    with pinned(jobs=jobs):
+        return check_soundness(
+            layer,
+            clients=[{1: [("bump2", ())], 2: [("bump2", ())]}],
+            max_rounds=24,
+        )
 
 
 class TestForensicsParity:
@@ -163,7 +167,7 @@ class TestForensicsParity:
     def test_broken_lock_counterexamples_identical(self, mode, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
         baseline = broken_lock_certificate()
-        with reduce_active(MODES[mode]):
+        with pinned(axes=MODES[mode]):
             cert = broken_lock_certificate()
         assert cert.ok == baseline.ok is False
         # Env-choice schedules are untouched by machine-level reduction,
@@ -178,7 +182,7 @@ class TestForensicsParity:
     def test_soundness_failing_behaviors_identical(self, mode, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
         baseline = soundness_certificate()
-        with reduce_active(MODES[mode]):
+        with pinned(axes=MODES[mode]):
             cert = soundness_certificate()
         assert cert.ok == baseline.ok is False
         # Machine reduction may pick a different representative schedule
@@ -189,7 +193,7 @@ class TestForensicsParity:
 
     @pytest.mark.parametrize("mode", list(MODES))
     def test_soundness_passing_verdict_identical(self, mode):
-        with reduce_active(MODES[mode]):
+        with pinned(axes=MODES[mode]):
             cert = soundness_certificate(impl=atomic_bump2_impl)
         assert cert.ok
 
@@ -278,19 +282,20 @@ class TestReductionOffBytes:
         from repro.objects.ticket_lock import certify_ticket_lock
 
         monkeypatch.setenv(REDUCE_ENV, "off")
-        monkeypatch.setenv("REPRO_JOBS", str(jobs))
-        monkeypatch.setenv("REPRO_JOBS_FORCE", "1")
-        stack = certify_ticket_lock([1, 2], lock="q0")
-        client = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
-        certificates = {
-            "ticket_stack": stack.composed.certificate,
-            "ticket_soundness": check_soundness(
-                stack.composed, clients=[client], max_rounds=14,
-                require_progress=False,
-            ),
-            "broken_lock": broken_lock_certificate(),
-            "bump2_soundness": soundness_certificate(),
-        }
+        with pinned(jobs=jobs):
+            stack = certify_ticket_lock([1, 2], lock="q0")
+            client = {
+                tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)
+            }
+            certificates = {
+                "ticket_stack": stack.composed.certificate,
+                "ticket_soundness": check_soundness(
+                    stack.composed, clients=[client], max_rounds=14,
+                    require_progress=False,
+                ),
+                "broken_lock": broken_lock_certificate(),
+                "bump2_soundness": soundness_certificate(),
+            }
         digests = {
             name: hashlib.sha256(cert.canonical_bytes()).hexdigest()
             for name, cert in certificates.items()

@@ -74,13 +74,13 @@ from repro.core.module import Module, link
 from repro.machine import lx86_interface
 from repro.obs.coverage import CoverageBuilder
 from repro.obs.metrics import MetricsWindow
+from repro.envflags import pinned
 from repro.reduce import (
     DPOR,
     STATIC_INDEP,
     TRANSPO,
     ReductionStats,
     current_axes,
-    reduce_active,
     reduction_collector,
 )
 from repro.reduce.dpor import (
@@ -181,7 +181,7 @@ def games():
 
 def tallied(axes, run):
     """``run()`` under ``axes``: (results, runs, pruned, tallies)."""
-    with reduce_active(axes), reduction_collector(axes) as stats:
+    with pinned(axes=axes), reduction_collector(axes) as stats:
         results, runs, pruned = run()
     return results, runs, pruned, stats.as_dict()
 
@@ -198,11 +198,10 @@ def reference(interface, players, max_rounds, axes):
 def resumed(interface, players, max_rounds, axes, jobs):
     def run():
         coverage = CoverageBuilder("machine.schedules")
-        with obs.observing(reset=False):
+        with obs.observing(reset=False), pinned(jobs=jobs):
             window = MetricsWindow()
             results = enumerate_game_logs(
-                interface, players, max_rounds=max_rounds,
-                coverage=coverage, jobs=jobs,
+                interface, players, max_rounds=max_rounds, coverage=coverage,
             )
             runs = window.delta()["machine.schedules_explored"]
         return results, runs, coverage.pruned
@@ -268,7 +267,7 @@ def flaky(first, later):
 class TestDivergence:
     def enumerate(self, player1, axes=MACHINE_AXES):
         players = {1: (player1, ()), 2: (emitter("x", "y"), ())}
-        with reduce_active(axes):
+        with pinned(axes=axes):
             return enumerate_game_logs(emit_interface(), players, max_rounds=12)
 
     def test_different_event_on_a_later_run(self):
@@ -513,11 +512,10 @@ class TestRestoredRuns:
         for jobs in (1, 2):
             oracle = RestoreOracle(axes)
             monkeypatch.setattr(machine, "run_game", oracle.run_game)
-            with reduce_active(axes), obs.observing(reset=False):
+            with pinned(jobs=jobs, axes=axes), obs.observing(reset=False):
                 window = MetricsWindow()
                 enumerate_game_logs(
                     interface, players, max_rounds=max_rounds, fuel=fuel,
-                    jobs=jobs,
                 )
                 delta = window.delta()
             monkeypatch.setattr(machine, "run_game", oracle.real_run_game)
@@ -668,11 +666,9 @@ class TestFallback:
 
         monkeypatch.setattr(machine, "run_game", oracle.run_game)
         monkeypatch.setattr(machine, "capture_game", capture_game)
-        with reduce_active(axes), obs.observing(reset=False):
+        with pinned(jobs=1, axes=axes), obs.observing(reset=False):
             window = MetricsWindow()
-            results = enumerate_game_logs(
-                interface, players, max_rounds=12, jobs=1
-            )
+            results = enumerate_game_logs(interface, players, max_rounds=12)
             delta = window.delta()
         monkeypatch.setattr(machine, "run_game", oracle.real_run_game)
         assert not all(captured)
@@ -725,7 +721,7 @@ class TestFallback:
         interface, players, _max_rounds, _fuel = c_games("ticket")
         # Unreduced, this many rounds of the fine-grained game exceed the
         # run budget.
-        with reduce_active(MACHINE_AXES):
+        with pinned(axes=MACHINE_AXES):
             results, replayed, restored = enumerated(
                 interface, players, max_rounds=20, fine_grained=True
             )

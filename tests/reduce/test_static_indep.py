@@ -23,12 +23,12 @@ from repro.analysis.independence import (
     prim_invisible,
     static_invisible_tids,
 )
+from repro.envflags import pinned
 from repro.reduce import (
     ALL_AXES,
     DPOR,
     STATIC_INDEP,
     TRANSPO,
-    reduce_active,
     reduction_collector,
 )
 
@@ -65,12 +65,10 @@ def players():
 
 
 def enumerate_with(axes, jobs=None):
-    with reduce_active(frozenset(axes)), reduction_collector(
+    with pinned(jobs=jobs, axes=axes), reduction_collector(
         frozenset(axes)
     ) as stats:
-        results = enumerate_game_logs(
-            game_interface(), players(), max_rounds=12, jobs=jobs
-        )
+        results = enumerate_game_logs(game_interface(), players(), max_rounds=12)
     return results, stats
 
 
@@ -130,11 +128,11 @@ class TestPruningAndParity:
             1: (call_player("ping"), ()),
             2: (call_player("ping"), ()),
         }
-        with reduce_active(frozenset()):
+        with pinned(axes=frozenset()):
             base = enumerate_game_logs(
                 game_interface(), dict(visible), max_rounds=12
             )
-        with reduce_active(frozenset({STATIC_INDEP})), reduction_collector(
+        with pinned(axes={STATIC_INDEP}), reduction_collector(
             frozenset({STATIC_INDEP})
         ) as stats:
             reduced = enumerate_game_logs(
