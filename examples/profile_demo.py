@@ -10,8 +10,8 @@ deep state-space profiler (:mod:`repro.obs.profile`) enabled, then
 2. exports the span tree as a flamegraph — ``profile.collapsed`` for
    ``flamegraph.pl`` and ``profile.speedscope.json`` to drop onto
    https://www.speedscope.app,
-3. prints the measured redundancy per enumeration axis (the DPOR /
-   transposition-table headroom), the per-obligation attribution from
+3. prints the measured redundancy per enumeration axis (the headroom
+   left for reduction), the per-obligation attribution from
    certificate provenance, and the fork-pool utilization rollup.
 
 Profiling is *off by default* and changes nothing about what is

@@ -13,14 +13,14 @@ closes those summaries transitively.  Starting from a set of roots
 * directly referenced Python functions (helpers, wrapped payloads),
 
 and accumulates the *slice*: every primitive, implementation, and helper
-function the obligation can possibly execute, plus the union of their
-effect footprints.  Two consumers sit on top:
+function the obligation can possibly execute, plus the event names they
+emit and whether any opens a critical bracket.  Two consumers sit on
+top:
 
 * :mod:`repro.analysis.slices` fingerprints the slice to key the
   obligation-granular certificate cache, and
-* :mod:`repro.analysis.independence` classifies whole slices as
-  *invisible* (no shared-state interaction at all) to seed the DPOR
-  scheduler with statically independent players.
+* :mod:`repro.analysis.independence` compares the emit footprints of
+  primitives for the lint catalog's may-race warnings.
 
 ``exact`` degrades to ``False`` the moment any callee, emit name, or
 referenced object resists resolution; consumers must then fall back to
@@ -30,27 +30,14 @@ argument).
 
 from __future__ import annotations
 
-import dis
 from dataclasses import dataclass, field
-from types import CodeType
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .effects import (
     OP_CALL,
     OP_ENTER,
     OP_EXIT,
     OP_LOCAL_CALL,
-    OP_QUERY,
     EffectSummary,
     analyze_ast_function,
     analyze_function,
@@ -61,64 +48,6 @@ from .effects import (
 #: Resolves a called name to a ``Prim``, ``FuncImpl``, or ``None``.
 Resolver = Callable[[str], Any]
 
-#: ``ctx`` attributes a specification may touch while remaining purely
-#: local: thread-private state, its own tid, fuel/cycle bookkeeping, and
-#: further ``ctx.call`` edges (those are resolved separately).  Anything
-#: else — ``log``, ``buffer``, ``query``, ``emit``, critical brackets,
-#: the interface itself — is shared-state interaction.
-PURE_CTX_ATTRS: FrozenSet[str] = frozenset(
-    {"priv", "tid", "call", "consume_fuel", "charge_cycles", "cycles"}
-)
-
-_CTX_LOADS = (
-    "LOAD_FAST",
-    "LOAD_FAST_CHECK",
-    "LOAD_FAST_AND_CLEAR",
-    "LOAD_DEREF",
-    "LOAD_CLASSDEREF",
-)
-_CTX_ATTRS = ("LOAD_ATTR", "LOAD_METHOD")
-
-
-def ctx_usage(fn: Any) -> Tuple[FrozenSet[str], bool]:
-    """``(attrs, escapes)`` — how a player touches its ``ctx`` argument.
-
-    ``attrs`` is every attribute name read off the first parameter (when
-    it is named ``ctx``), including inside nested code objects where
-    ``ctx`` is a free variable.  ``escapes`` is True when ``ctx`` is
-    used any other way — stored, passed to a helper, written to — or
-    when the function cannot be analyzed at all; escape analysis is
-    deliberately all-or-nothing because an escaped context can reach
-    shared state through code we cannot see.
-    """
-    fn = getattr(fn, "__wrapped__", fn)
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return frozenset(), True
-    if code.co_argcount < 1 or code.co_varnames[0] != "ctx":
-        return frozenset(), True
-    attrs: Set[str] = set()
-    escapes = False
-    stack: List[CodeType] = [code]
-    seen: Set[int] = set()
-    while stack:
-        co = stack.pop()
-        if id(co) in seen:
-            continue
-        seen.add(id(co))
-        instrs = list(dis.get_instructions(co))
-        for i, ins in enumerate(instrs):
-            if ins.opname in _CTX_LOADS and ins.argval == "ctx":
-                nxt = instrs[i + 1] if i + 1 < len(instrs) else None
-                if nxt is not None and nxt.opname in _CTX_ATTRS:
-                    attrs.add(str(nxt.argval))
-                else:
-                    escapes = True
-        for const in co.co_consts:
-            if isinstance(const, CodeType):
-                stack.append(const)
-    return frozenset(attrs), escapes
-
 
 @dataclass
 class DepClosure:
@@ -126,22 +55,16 @@ class DepClosure:
 
     ``entries`` maps ``(role, name)`` — role one of ``"prim"``,
     ``"impl"``, ``"fn"`` — to the live object, so consumers can
-    fingerprint exactly the code the obligation can reach.  The
-    remaining fields are the union of effect footprints over the whole
-    slice; they drive the invisibility classification.
+    fingerprint exactly the code the obligation can reach.  ``emits``
+    is the union of the slice's emitted event names, ``critical``
+    whether any part opens a critical bracket, and ``exact`` whether
+    every edge and emit name resolved.
     """
 
     entries: Dict[Tuple[str, str], Any] = field(default_factory=dict)
     emits: Set[str] = field(default_factory=set)
-    ctx_attrs: Set[str] = field(default_factory=set)
     exact: bool = True
-    queries: bool = False
-    nondet: bool = False
-    buffer_access: bool = False
-    dynamic: bool = False
     critical: bool = False
-    set_iteration: bool = False
-    ctx_escapes: bool = False
 
     def sorted_entries(self) -> Tuple[Tuple[str, str, Any], ...]:
         """Deterministic ``(role, name, object)`` listing for keying."""
@@ -202,10 +125,6 @@ def _reach(
             local = bound.get
         summary = analyze_impl(target)
         _absorb(summary, resolve, local, closure, seen)
-        if getattr(target, "lang", "spec") == "spec":
-            attrs, escapes = ctx_usage(target.player)
-            closure.ctx_attrs |= attrs
-            closure.ctx_escapes |= escapes
         return
     if callable(target):
         qualname = getattr(target, "__qualname__", getattr(target, "__name__", name))
@@ -229,9 +148,6 @@ def _reach_function(
 ) -> None:
     summary = analyze_function(fn)
     _absorb(summary, resolve, local, closure, seen)
-    attrs, escapes = ctx_usage(fn)
-    closure.ctx_attrs |= attrs
-    closure.ctx_escapes |= escapes
 
 
 def _absorb(
@@ -242,15 +158,9 @@ def _absorb(
     seen: Set[int],
 ) -> None:
     closure.emits |= set(summary.emits)
-    closure.dynamic |= summary.dynamic_emit or summary.dynamic_call
     closure.exact &= not (summary.dynamic_emit or summary.dynamic_call)
-    closure.nondet |= bool(summary.nondet)
-    closure.buffer_access |= bool(summary.buffer_access)
-    closure.set_iteration |= bool(summary.set_iterations)
     for kind, callee, _nargs, _line in summary.ops:
-        if kind == OP_QUERY:
-            closure.queries = True
-        elif kind in (OP_ENTER, OP_EXIT):
+        if kind in (OP_ENTER, OP_EXIT):
             closure.critical = True
         elif kind == OP_CALL:
             if callee is None:

@@ -1,112 +1,25 @@
-"""Static independence: invisible players and may-race primitive pairs.
+"""Static independence: may-race primitive pairs.
 
-Two relations, both derived from :mod:`repro.analysis.deps` closures:
-
-**Invisibility** (sound, feeds the DPOR scheduler).  A primitive is
-*invisible* when its transitive slice provably never interacts with
-shared state: it appends no events, queries nothing, reads neither the
-log nor the buffer, opens no critical bracket, is deterministic, and
-touches ``ctx`` only through thread-private attributes.  A game player
-all of whose statically declared calls are invisible executes as one
-purely local step — its position in a schedule cannot affect the shared
-log, any other player's behaviour, or its own return value.  Such
-players commute with *everything*, which is strictly stronger than the
-dynamic silent-step heuristic of ``reduce/dpor.py`` (that one must keep
-finishing steps, and an invisible player's single step always finishes
-it).  :func:`static_invisible_tids` hands the scheduler the set of such
-players as persistent-set seeds under the ``static-indep`` axis.
-
-**May-race** (advisory, feeds the lint catalog).  Two primitives may
-race when their exact emit footprints overlap — they can append the
-same event names, so their interleaving order is observable in the log.
-This relation is deliberately *not* used for pruning (overlap absence
-does not justify commuting appends in a sequence-valued log); it drives
-the L106/I204 warnings, which flag racy-looking interfaces for human
-review.  Inexact footprints never fire either rule.
+Derived from :mod:`repro.analysis.deps` closures, and advisory: it
+feeds the lint catalog, never the scheduler.  Two primitives may race
+when their exact emit footprints overlap — they can append the same
+event names, so their interleaving order is observable in the log.
+Overlap absence does not justify commuting appends in a sequence-valued
+log, so this relation prunes nothing; it drives the L106/I204 warnings,
+which flag racy-looking interfaces for human review.  Inexact
+footprints never fire either rule.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Tuple
 
-from .deps import PURE_CTX_ATTRS, DepClosure, dependency_closure
+from .deps import dependency_closure
 
-_INVISIBLE_MEMO: "weakref.WeakKeyDictionary[Any, Dict[str, bool]]" = (
-    weakref.WeakKeyDictionary()
-)
 _FOOTPRINT_MEMO: (
     "weakref.WeakKeyDictionary[Any, Dict[str, Tuple[FrozenSet[str], bool, bool]]]"
 ) = weakref.WeakKeyDictionary()
-
-
-def closure_invisible(closure: DepClosure) -> bool:
-    """Whether a whole slice is free of shared-state interaction."""
-    return (
-        closure.exact
-        and not closure.emits
-        and not closure.queries
-        and not closure.nondet
-        and not closure.buffer_access
-        and not closure.dynamic
-        and not closure.critical
-        and not closure.set_iteration
-        and not closure.ctx_escapes
-        and closure.ctx_attrs <= PURE_CTX_ATTRS
-    )
-
-
-def prim_invisible(interface: Any, name: str) -> bool:
-    """Whether calling ``interface.prims[name]`` is a purely local step.
-
-    Memoized per interface (weakly, so throwaway test interfaces do not
-    pin memory); the closure is taken over the same interface, which for
-    game machines is the *linked* interface — module functions resolve
-    like the machine resolves them.
-    """
-    try:
-        memo = _INVISIBLE_MEMO.setdefault(interface, {})
-    except TypeError:  # unhashable / non-weakrefable duck
-        memo = {}
-    cached = memo.get(name)
-    if cached is not None:
-        return cached
-    prims = getattr(interface, "prims", None)
-    prim = prims.get(name) if isinstance(prims, dict) else None
-    if prim is None:
-        result = False
-    else:
-        closure = dependency_closure(
-            [(name, prim)],
-            resolve=prims.get if isinstance(prims, dict) else None,
-        )
-        result = closure_invisible(closure)
-    memo[name] = result
-    return result
-
-
-def static_invisible_tids(
-    interface: Any, players: Mapping[int, Tuple[Any, Tuple[Any, ...]]]
-) -> FrozenSet[int]:
-    """The tids whose players are statically invisible.
-
-    Only players carrying a ``__static_calls__`` annotation (attached by
-    the ``seq_player``/``call_player``/``prim_player`` constructors) are
-    classified; a hand-written player generator is conservatively
-    visible because its calls cannot be resolved from bytecode alone —
-    ``ctx.call(name)`` on a loop variable has no static name.
-    """
-    out: Set[int] = set()
-    for tid, (player, _args) in players.items():
-        calls = getattr(player, "__static_calls__", None)
-        if calls is None:
-            continue
-        if all(prim_invisible(interface, name) for name in calls):
-            out.add(tid)
-    return frozenset(out)
-
-
-# --- may-race relation (lint-facing) ----------------------------------------
 
 
 def prim_footprint(interface: Any, name: str) -> Tuple[FrozenSet[str], bool, bool]:

@@ -7,14 +7,14 @@ per scenario, per argument vector, per client game — keyed on the
 *slice* of code the obligation can actually reach (computed by
 :mod:`repro.analysis.deps`) plus the environment the game runs in
 (domain, rely/guarantee, initial log and private state, the scenario or
-client itself, the reduction axes).  Editing a primitive then only
-changes the keys of obligations whose slice contains it; everything
-else re-loads warm.
+client itself, and for a Thm 2.2 game whether reduction ran).  Editing
+a primitive then only changes the keys of obligations whose slice
+contains it; everything else re-loads warm.
 
 Each builder returns an :class:`ObligationKey` — ``(parts, exact)``.
 ``parts`` is a tuple fed to ``canonical_fingerprint`` by the cache
 layer; ``exact`` is False when the slice had to over-approximate
-(dynamic call, unresolvable name, escaped context), in which case the
+(dynamic call or emit name, unresolvable name), in which case the
 parts embed the *whole* interfaces and module instead of the slice.
 That fallback is still per-obligation keyed (so it caches correctly)
 but degrades incrementality to rule-level for that obligation; the
@@ -28,7 +28,7 @@ not the *values* of non-function module globals a spec might read.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from .deps import DepClosure, dependency_closure, module_resolver
 
@@ -96,7 +96,6 @@ def scenario_obligation_key(
     relation: Any,
     tid: int,
     scenario: Any,
-    axes: FrozenSet[str],
     module: Any = None,
 ) -> ObligationKey:
     """Key one scenario of a ``Fun*``/interface-sim rule application.
@@ -128,7 +127,6 @@ def scenario_obligation_key(
         interface_env(low),
         interface_env(high),
         slice_part,
-        ("reduce", tuple(sorted(axes))),
     )
     return parts, exact
 
@@ -144,7 +142,6 @@ def sim_args_obligation_key(
     tid: int,
     config: Any,
     args: Tuple[Any, ...],
-    axes: FrozenSet[str],
     impl: Any,
 ) -> ObligationKey:
     """Key one argument vector of a ``Fun`` lift's ``check_sim``
@@ -171,7 +168,6 @@ def sim_args_obligation_key(
         interface_env(low),
         interface_env(high),
         slice_part,
-        ("reduce", tuple(sorted(axes))),
     )
     return parts, exact
 
@@ -187,7 +183,7 @@ def client_obligation_key(
     max_rounds: int,
     max_runs: int,
     require_progress: bool,
-    axes: FrozenSet[str],
+    reduce: bool,
 ) -> ObligationKey:
     """Key one client program of a Thm 2.2 soundness check.
 
@@ -220,6 +216,6 @@ def client_obligation_key(
         interface_env(underlay),
         interface_env(overlay),
         slice_part,
-        ("reduce", tuple(sorted(axes))),
+        ("reduce", reduce),
     )
     return parts, exact

@@ -34,6 +34,7 @@ from ..core.interface import LayerInterface
 from ..core.module import FuncImpl, Module
 from ..core.relation import ID_REL
 from ..core.simulation import SimConfig, check_sim
+from ..envflags import pinned
 from ..obs import span
 from ..obs.metrics import MetricsWindow, inc
 from .codegen import CompileError, compile_unit
@@ -99,7 +100,9 @@ def compile_and_validate(
 
     started = time.perf_counter()
     window = MetricsWindow()
-    with span(
+    # One engine configuration for every check_sim below, as a rule
+    # application pins one for its obligations.
+    with pinned(), span(
         "compcertx.compile_and_validate",
         unit=c_unit.name,
         scenarios=len(scenarios),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from ..envflags import pinned
@@ -28,7 +28,6 @@ from ..obs.coverage import CoverageBuilder
 from ..obs.metrics import MetricsWindow, inc, observe
 from ..parallel.cache import cache_enabled, cached_certificate
 from ..parallel.pool import get_jobs
-from ..reduce import reduction_collector
 from .certificate import (
     Certificate,
     CertifiedLayer,
@@ -111,7 +110,7 @@ def _sim_rule(
     judgment: str,
     lint_inputs: Dict[str, Any],
     cache_parts: Tuple[Any, ...],
-    obligation_key: Callable[[FrozenSet[str]], Callable[[Any], Any]],
+    obligation_key: Callable[[], Callable[[Any], Any]],
     check: Callable[[Optional[Callable[[Any], Any]]], Certificate],
     started: float,
     window: MetricsWindow,
@@ -122,24 +121,21 @@ def _sim_rule(
     Pins the engine configuration for the whole application, runs the
     lint gate (before the certificate cache, so a refused application is
     refused cold and warm alike), keys the rule-level cache on
-    ``cache_parts`` plus the pinned reduction axes, and stamps rule and
-    lint provenance.  ``obligation_key(axes)`` builds the per-obligation
-    key function, consulted only while the cache is enabled;
-    ``check(key)`` runs the simulation checker.
+    ``cache_parts``, and stamps rule and lint provenance.
+    ``obligation_key()`` builds the per-obligation key function,
+    consulted only while the cache is enabled; ``check(key)`` runs the
+    simulation checker.
     """
     with pinned() as config:
         lint_report = _lint_gate(rule, judgment, config.lint, lint_inputs)
-        axes = config.axes
-        key = obligation_key(axes) if cache_enabled() else None
+        key = obligation_key() if cache_enabled() else None
 
         def compute() -> Certificate:
             cert = check(key)
             _stamp_rule(cert, rule, started, window, **extra, workers=get_jobs())
             return cert
 
-        cert = cached_certificate(
-            rule, cache_parts + (("reduce", tuple(sorted(axes))),), compute
-        )
+        cert = cached_certificate(rule, cache_parts, compute)
         stamp_lint(cert, lint_report)
     return cert
 
@@ -181,13 +177,13 @@ def module_rule(
             f"{overlay.name}[{tid}]"
         )
 
-        def obligation_key(axes: FrozenSet[str]) -> Callable[[Any], Any]:
+        def obligation_key() -> Callable[[Any], Any]:
             from ..analysis.slices import scenario_obligation_key
 
             return lambda scenario: scenario_obligation_key(
                 kind="Fun*", rule="Fun*", judgment=judgment,
                 low=underlay, high=overlay, relation=relation, tid=tid,
-                scenario=scenario, axes=axes, module=module,
+                scenario=scenario, module=module,
             )
 
         cert = _sim_rule(
@@ -233,13 +229,13 @@ def interface_sim_rule(
     with _rule_span("interface-sim", low=low.name, high=high.name):
         judgment = f"{low.name} ≤_{relation.name} {high.name}"
 
-        def obligation_key(axes: FrozenSet[str]) -> Callable[[Any], Any]:
+        def obligation_key() -> Callable[[Any], Any]:
             from ..analysis.slices import scenario_obligation_key
 
             return lambda scenario: scenario_obligation_key(
                 kind="interface-sim", rule="interface-sim",
                 judgment=judgment, low=low, high=high, relation=relation,
-                tid=tid, scenario=scenario, axes=axes,
+                tid=tid, scenario=scenario,
             )
 
         cert = _sim_rule(
@@ -306,14 +302,14 @@ def fun_rule(
             f"{impl.name} : {overlay.name}.{impl.name}"
         )
 
-        def obligation_key(axes: FrozenSet[str]) -> Callable[[Any], Any]:
+        def obligation_key() -> Callable[[Any], Any]:
             from ..analysis.slices import sim_args_obligation_key
 
             return lambda args: sim_args_obligation_key(
                 kind="Fun", judgment=judgment,
                 low=underlay, high=overlay, name=impl.name,
                 relation=relation, tid=tid, config=config, args=args,
-                axes=axes, impl=impl,
+                impl=impl,
             )
 
         cert = _sim_rule(
@@ -509,8 +505,7 @@ def check_compat_interfaces(
     tids_a = sorted(set(tids_a))
     tids_b = sorted(set(tids_b))
     universe = list(universe)
-    with pinned() as config:
-        axes = config.axes
+    with pinned():
 
         def compute() -> Certificate:
             cert = Certificate(
@@ -520,7 +515,7 @@ def check_compat_interfaces(
             )
             with _rule_span(
                 "Compat", interface=iface.name, universe=len(universe)
-            ), reduction_collector(axes) as red_stats:
+            ):
                 if set(tids_a) & set(tids_b):
                     cert.add("A ⊥ B", False, f"overlap: {set(tids_a) & set(tids_b)}")
                     return cert
@@ -537,7 +532,6 @@ def check_compat_interfaces(
                     cert.add("G ⊇ R implications on universe", True)
             extra = dict(
                 universe_size=len(universe), tids_a=tids_a, tids_b=tids_b,
-                reduction=red_stats.as_dict(),
             )
             if obs_enabled():
                 # The Compat rule's enumeration axis is the log universe itself:
@@ -553,8 +547,7 @@ def check_compat_interfaces(
 
         return cached_certificate(
             "Compat",
-            (iface, tuple(tids_a), tuple(tids_b), tuple(universe),
-             ("reduce", tuple(sorted(axes)))),
+            (iface, tuple(tids_a), tuple(tids_b), tuple(universe)),
             compute,
         )
 

@@ -35,9 +35,7 @@ from ..parallel.cache import (
     cached_obligation_payload,
 )
 from ..parallel.pool import get_jobs, parallel_map
-from ..reduce import RG_SIMPLIFY, current_axes, reduction_collector
-from ..reduce.laws import MERGE_COMPATIBLE
-from ..reduce.stats import tally_law
+from ..reduce import reduction_collector
 from .certificate import Certificate, CertifiedLayer, stamp_provenance
 from .errors import ComposeError
 from .interface import LayerInterface
@@ -147,20 +145,17 @@ def check_refinement(
     scheduler-decision script is minimized while the same failure —
     no-progress, or no R-related high log — keeps reproducing.
 
-    With ``rg-simplify`` active, witness searches are shared between low
-    runs whose sched-erased logs are identical (the
-    *merge-compatible-obligations* law): the relation is a function of
-    the erased log, so the first search's verdict stands for all of
-    them.  Obligations and counters are unchanged — only the repeated
+    Witness searches are shared between low runs whose sched-erased logs
+    are identical: the relation is a function of the erased log, so the
+    first search's verdict stands for all of them.  The obligations and
+    counters are those of one search per run; only the repeated
     ``relate_logs`` scans are skipped.
     """
     low_results = list(low_results)
     high_logs = [r.log.without_sched() for r in high_results if r.ok]
     matched = 0
     captured = 0
-    memo_witnesses = RG_SIMPLIFY in current_axes()
     witness_memo: Dict[Log, Optional[Log]] = {}
-    _MISS = object()
 
     def capture(failure, obligation, status, result):
         nonlocal captured
@@ -222,16 +217,13 @@ def check_refinement(
                 )
             continue
         low_log = result.log.without_sched()
-        witness = witness_memo.get(low_log, _MISS) if memo_witnesses else _MISS
-        if witness is not _MISS:
-            tally_law(MERGE_COMPATIBLE)
+        if low_log in witness_memo:
+            witness = witness_memo[low_log]
         else:
-            witness = next(
+            witness = witness_memo[low_log] = next(
                 (hl for hl in high_logs if relation.relate_logs(low_log, hl)),
                 None,
             )
-            if memo_witnesses:
-                witness_memo[low_log] = witness
         if witness is None:
             inc("contextual.low_logs_unmatched")
             desc = f"low log has high witness {label}[sched={result.schedule}]"
@@ -271,8 +263,8 @@ def check_soundness(
     a single client the workers split the scheduler tree instead.  The
     whole judgment is memoized in the content-addressed certificate
     cache when enabled — keyed by the layer's interfaces, module,
-    relation, premise certificate, the clients, the bounds and the
-    active reduction axes (``REPRO_REDUCE``, see :mod:`repro.reduce`).
+    relation, premise certificate, the clients, the bounds and whether
+    reduction ran (``REPRO_REDUCE``, see :mod:`repro.reduce`).
     """
     for index, client in enumerate(clients):
         extra = set(client) - set(layer.focused)
@@ -281,7 +273,6 @@ def check_soundness(
                 f"client {index} uses uncertified participants {sorted(extra)}"
             )
     with pinned() as config:
-        axes = config.axes
         client_key = None
         if cache_enabled():
             from ..analysis.slices import client_obligation_key
@@ -297,7 +288,7 @@ def check_soundness(
                     max_rounds=max_rounds,
                     max_runs=max_runs,
                     require_progress=require_progress,
-                    axes=axes,
+                    reduce=config.reduce,
                 )
 
         def compute() -> Certificate:
@@ -312,7 +303,7 @@ def check_soundness(
                 layer.underlay, layer.module, layer.overlay, layer.relation,
                 tuple(sorted(layer.focused)), layer.certificate,
                 tuple(clients), fuel, max_rounds, max_runs, require_progress,
-                ("reduce", tuple(sorted(axes))),
+                ("reduce", config.reduce),
             ),
             compute,
         )
@@ -355,7 +346,7 @@ def _check_soundness_uncached(
             if prof else (None, None)
         )
         with span("soundness.client", client=index), \
-                reduction_collector(current_axes()) as red_stats, \
+                reduction_collector() as red_stats, \
                 profile_span(f"obligation[P{index}]"):
             cov_low, cov_high = (
                 (

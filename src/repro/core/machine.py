@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..envflags import engine_config
 from ..obs import obs_enabled, span
 from ..obs.coverage import SAMPLED, CoverageBuilder
 from ..obs.heartbeat import heartbeat
@@ -33,14 +34,8 @@ from ..obs.metrics import inc
 from ..obs.profile import RedundancyBuilder, profile_enabled, state_fingerprint
 from ..parallel.partition import CHUNKS_PER_WORKER, chunk_evenly
 from ..parallel.pool import get_jobs, parallel_map
-from ..reduce import STATIC_INDEP, ReductionStats, contribute, current_axes
-from ..reduce.dpor import (
-    DeferRun,
-    PruneRun,
-    ReducingScheduler,
-    Resume,
-    TranspositionTable,
-)
+from ..reduce import ReductionStats, contribute
+from ..reduce.dpor import DeferRun, PruneRun, ReducingScheduler, Resume
 from .context import QUERY, ExecutionContext
 from .environment import EnvContext, NullEnv
 from .errors import OutOfFuel, Stuck
@@ -72,11 +67,6 @@ def call_player(name: str, *args):
         return ret
 
     player.__name__ = f"call_{name}"
-    # Static call footprint for the dependency analysis: the call target
-    # is a loop-free literal here, so declare it (bytecode alone cannot
-    # resolve a dynamic ``ctx.call(name)``).  Function attributes do not
-    # participate in canonical fingerprints.
-    player.__static_calls__ = (name,)
     return player
 
 
@@ -95,7 +85,6 @@ def seq_player(calls: Sequence[Tuple[str, Tuple[Any, ...]]]):
         return rets
 
     player.__name__ = "seq_" + "_".join(name for name, _ in calls)
-    player.__static_calls__ = tuple(name for name, _ in calls)
     # The call list lets a game restore a suspended run of this player
     # (:mod:`repro.core.playerstate`).
     player.__seq_calls__ = calls
@@ -435,16 +424,15 @@ _FRONTIER_DEPTH = 2
 
 def _explore_reduced(
     run_one: Callable[[ReducingScheduler], GameResult],
-    axes: FrozenSet[str],
+    reduce: bool,
     max_rounds: int,
     max_runs: int,
     stack: List[Resume],
     stats: ReductionStats,
     frontier_depth: Optional[int] = None,
     redundancy: Optional[RedundancyBuilder] = None,
-    invisible: FrozenSet[int] = frozenset(),
 ) -> Tuple[List[Tuple[Optional[GameResult], Resume]], int, int]:
-    """The game DFS: path extension, resumption and the active axes.
+    """The game DFS: path extension, resumption and, with ``reduce``, DPOR.
 
     The :class:`~repro.reduce.dpor.ReducingScheduler` extends each run
     past its branch round and records every multi-candidate round it
@@ -457,26 +445,21 @@ def _explore_reduced(
     which makes the stack pop the deepest node's smallest sibling next —
     depth-first order, every subtree contiguous in ``plan``, so splicing
     a deferred subtree's results at its entry reproduces the serial
-    result order.  A run cut by the transposition table or by an
-    all-asleep sleep set counts as ``pruned`` (its continuation was
-    already explored); a run cut at the frontier defers its last pick,
-    as a ``(None, (point, pick))`` plan entry, for a worker to resume
-    exactly as a sibling is resumed.  With no axis active nothing is
-    cut: every ready participant is branched on, and the plan is the
-    exhaustive enumeration.
+    result order.  A run cut by an all-asleep sleep set counts as
+    ``pruned`` (its continuation was already explored); a run cut at the
+    frontier defers its last pick, as a ``(None, (point, pick))`` plan
+    entry, for a worker to resume exactly as a sibling is resumed.
+    Without ``reduce`` nothing is cut: every ready participant is
+    branched on, and the plan is the exhaustive enumeration.
 
-    The transposition table is scoped to this call — one table per
-    explored subtree, serial and parallel alike, which is what keeps
-    reduced enumeration independent of the worker count.  Cut runs are
-    *not* reported to ``redundancy`` as replays: the redundancy ratio
-    deliberately keeps measuring the residual duplicates among the
-    completed runs (the headroom reduction has not yet removed), while
-    the cuts land in ``stats`` (see DESIGN.md).
+    Cut runs are *not* reported to ``redundancy`` as replays: the
+    redundancy ratio deliberately keeps measuring the residual
+    duplicates among the completed runs (the headroom reduction has not
+    yet removed), while the cuts land in ``stats`` (see DESIGN.md).
     """
     plan: List[Tuple[Optional[GameResult], Resume]] = []
     runs = 0
     pruned = 0
-    table = TranspositionTable(stats) if "transpo" in axes else None
     while stack:
         entry = stack.pop()
         runs += 1
@@ -487,15 +470,13 @@ def _explore_reduced(
                 f"(max_rounds={max_rounds})"
             )
         scheduler = ReducingScheduler(
-            entry, axes, stats, table=table,
+            entry, reduce, stats,
             frontier_depth=frontier_depth, redundancy=redundancy,
-            invisible=invisible,
         )
         try:
             result = run_one(scheduler)
         except PruneRun:
-            # The scheduler already tallied the cut under its axis
-            # (transposition hit or all-asleep sleep-set cut).
+            # The scheduler already tallied the all-asleep cut.
             pruned += 1
         except DeferRun:
             plan.append((None, scheduler.last))
@@ -521,12 +502,13 @@ def enumerate_game_logs(
 ) -> List[GameResult]:
     """Exhaustively enumerate game outcomes over all schedulers.
 
-    One DFS (:func:`_explore_reduced`) under the active reduction axes:
-    each run extends past its last decision and records its branch
-    points, and each sibling resumes at its recorded branch point.  With
-    no axis active every ready participant is branched on.  The result
-    is the bounded behaviour set ``[[P]]_{L[D]}`` — "the set of logs
-    generated by playing the game under all possible schedulers" (§2).
+    One DFS (:func:`_explore_reduced`), with DPOR while the pinned
+    engine configuration's ``reduce`` is on: each run extends past its
+    last decision and records its branch points, and each sibling
+    resumes at its recorded branch point.  With reduction off every
+    ready participant is branched on.  The result is the bounded
+    behaviour set ``[[P]]_{L[D]}`` — "the set of logs generated by
+    playing the game under all possible schedulers" (§2).
 
     ``coverage`` (optional) accumulates the explored schedule-prefix
     counts and depth histogram; when omitted and observability is on, a
@@ -563,17 +545,11 @@ def enumerate_game_logs(
             fine_grained=fine_grained,
         )
 
-    axes = current_axes()
-    stats = ReductionStats(axes)
-    invisible: FrozenSet[int] = frozenset()
-    if STATIC_INDEP in axes and len(players) > 1:
-        from ..analysis.independence import static_invisible_tids
-
-        invisible = static_invisible_tids(interface, players)
+    reduce = engine_config().reduce
+    stats = ReductionStats()
     # Enumeration always routes through the frontier-split code path (a
     # 1-job parallel_map is a plain inline loop), so the subtree
-    # partitioning — and with it the transposition table scope — is
-    # identical serially and under REPRO_JOBS.
+    # partitioning is identical serially and under REPRO_JOBS.
     split = (
         _FRONTIER_DEPTH
         if len(players) > 1 and max_rounds > _FRONTIER_DEPTH
@@ -588,9 +564,8 @@ def enumerate_game_logs(
     ):
         try:
             plan, runs, pruned = _explore_reduced(
-                run_one, axes, max_rounds, max_runs, [None], stats,
+                run_one, reduce, max_rounds, max_runs, [None], stats,
                 frontier_depth=split, redundancy=redundancy,
-                invisible=invisible,
             )
             if split is not None:
                 # A deferred subtree is a (branch point, pick) resume entry.
@@ -605,11 +580,10 @@ def enumerate_game_logs(
                         )
                         # Subtree tallies go straight to the ambient
                         # collectors (a pool sink in workers).
-                        sub_stats = ReductionStats(axes)
+                        sub_stats = ReductionStats()
                         sub_plan, sub_runs, sub_pruned = _explore_reduced(
-                            run_one, axes, max_rounds, max_runs, [entry],
+                            run_one, reduce, max_rounds, max_runs, [entry],
                             sub_stats, redundancy=sub_red,
-                            invisible=invisible,
                         )
                         contribute(sub_stats)
                         out.append((

@@ -26,9 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..reduce import RG_SIMPLIFY, current_axes
-from ..reduce.laws import MERGE_COMPATIBLE, structurally_implies
-from ..reduce.stats import tally_law
 from .errors import Stuck
 from .log import Log
 
@@ -145,6 +142,19 @@ def any_of(name: str, parts: Iterable[LogInvariant]) -> LogInvariant:
 TRUE_INV = all_of("true", ())
 #: The empty disjunction, which no log satisfies.
 FALSE_INV = any_of("false", ())
+
+
+def structurally_implies(antecedent: LogInvariant, consequent: LogInvariant) -> bool:
+    """``antecedent ⊆ consequent`` by structure, without a universe scan.
+
+    True when every conjunct of the consequent equals some conjunct of
+    the antecedent.  Leaves are equal when they fold the same replay
+    function with equal parameters under the same verdict; names play
+    no part.  The empty conjunction (``TRUE_INV``) is implied by
+    anything.
+    """
+    parts = antecedent.conjuncts()
+    return all(part in parts for part in consequent.conjuncts())
 
 
 class Rely:
@@ -273,19 +283,16 @@ def check_compat(
     ``∀i ∈ A, L[B].R(i) ⊆ L[A].G(i)`` and symmetrically.  Returns a list
     of failure descriptions (empty = compatible on the universe).
 
-    With ``rg-simplify`` active, implications that hold *structurally*
-    (every conjunct of the guarantee is a conjunct of the rely —
-    :func:`repro.reduce.laws.structurally_implies`) are discharged
-    without scanning the universe; a structural implication holds on
-    every universe, so the result is identical.
+    Implications that hold *structurally* (every conjunct of the
+    guarantee is a conjunct of the rely — :func:`structurally_implies`)
+    are discharged without scanning the universe; a structural
+    implication holds on every universe, so the result is the scan's.
     """
     universe = list(universe)
-    structural = RG_SIMPLIFY in current_axes()
     failures: List[str] = []
 
     def implies(antecedent: LogInvariant, consequent: LogInvariant):
-        if structural and structurally_implies(antecedent, consequent):
-            tally_law(MERGE_COMPATIBLE)
+        if structurally_implies(antecedent, consequent):
             return True, None
         return antecedent.implies_on(consequent, universe)
 

@@ -46,7 +46,6 @@ from ..obs.profile import (
 from ..parallel.cache import cached_obligation, cached_obligation_payload
 from ..parallel.partition import CHUNKS_PER_WORKER, chunk_evenly
 from ..parallel.pool import get_jobs, parallel_map
-from ..reduce import current_axes, reduction_collector
 from .certificate import Certificate, Obligation, stamp_provenance
 from .environment import (
     Batch,
@@ -74,7 +73,6 @@ def prim_player(name: str) -> Callable:
         return ret
 
     player.__name__ = f"prim_{name}"
-    player.__static_calls__ = (name,)
     return player
 
 
@@ -587,8 +585,8 @@ def _check_obligation(ob: _Obligation) -> Dict[str, Any]:
     inheritance, never the pickle pipe); every chunk has its own
     counterexample budget and the merged obligations are trimmed back to
     the serial capture set.  Returns the obligations, logs and
-    environment-context count plus the coverage, reduction and (while
-    profiling) profile blocks.
+    environment-context count plus the coverage and (while profiling)
+    profile blocks.
     """
     config = ob.config
     prof = profile_enabled()
@@ -604,8 +602,7 @@ def _check_obligation(ob: _Obligation) -> Dict[str, Any]:
     )
     obligations: List[Obligation] = []
     logs: List[Log] = []
-    with reduction_collector(current_axes()) as red_stats, \
-            profile_span(f"obligation[{ob.label}]"):
+    with profile_span(f"obligation[{ob.label}]"):
         records = enumerate_local_runs(
             ob.high_iface, ob.tid, ob.high_player, ob.args, config,
             coverage=env_cov, redundancy=env_red,
@@ -629,7 +626,6 @@ def _check_obligation(ob: _Obligation) -> Dict[str, Any]:
             {"env_contexts": env_cov.record()}
             if env_cov is not None else None
         ),
-        "reduction": red_stats.as_dict(),
     }
     if env_red is not None:
         # One log per spec run plus one per executed implementation run:

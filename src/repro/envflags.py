@@ -3,7 +3,7 @@
 :func:`config_from_env` parses the four engine settings into one frozen
 :class:`EngineConfig`: ``REPRO_JOBS`` (a worker cap clamped to the CPUs,
 ``0`` for one worker per CPU, unset for serial), ``REPRO_REDUCE`` (a
-boolean, default on: every reduction axis or none), ``REPRO_LINT``
+boolean, default on: whether the game enumerator runs DPOR), ``REPRO_LINT``
 (``strict`` | ``record`` | ``off``, default ``record``) and the
 certificate cache (on when ``REPRO_CACHE`` is truthy or
 ``REPRO_CACHE_DIR`` is set).  Each rule application pins that config
@@ -22,17 +22,10 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 _ON = frozenset({"1", "true", "yes", "on"})
 _OFF = frozenset({"0", "false", "no", "off"})
-
-#: Reduction axis names (described in :mod:`repro.reduce`).
-DPOR = "dpor"
-TRANSPO = "transpo"
-RG_SIMPLIFY = "rg-simplify"
-STATIC_INDEP = "static-indep"
-ALL_AXES: FrozenSet[str] = frozenset({DPOR, TRANSPO, RG_SIMPLIFY, STATIC_INDEP})
 
 LINT_MODES = ("strict", "record", "off")
 
@@ -87,11 +80,12 @@ def default_cache_dir() -> str:
 @dataclass(frozen=True)
 class EngineConfig:
     """The settings of one rule application.  ``jobs`` is the worker
-    count outside a pool worker; ``cache_dir`` is ``None`` while the
-    certificate cache is off."""
+    count outside a pool worker; ``reduce`` says whether the game
+    enumerator runs DPOR (:mod:`repro.reduce`); ``cache_dir`` is
+    ``None`` while the certificate cache is off."""
 
     jobs: int
-    axes: FrozenSet[str]
+    reduce: bool
     lint: str
     cache_dir: Optional[str]
 
@@ -133,14 +127,14 @@ def config_from_env() -> EngineConfig:
         # context-switch overhead to CPU-bound enumeration.
         jobs = min(_worker_count(requested, f"REPRO_JOBS={raw_jobs!r}"),
                    cpu_budget())
-    axes = ALL_AXES if env_flag("REPRO_REDUCE", default=True) else frozenset()
+    reduce = env_flag("REPRO_REDUCE", default=True)
     raw_lint = os.environ.get("REPRO_LINT", "").strip().lower()
     lint = _lint_mode(raw_lint, "REPRO_LINT mode") if raw_lint else "record"
     cache_on = env_flag("REPRO_CACHE")  # parsed first: a typo raises either way
     cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip() or None
     if cache_dir is None and cache_on:
         cache_dir = default_cache_dir()
-    return EngineConfig(jobs=jobs, axes=axes, lint=lint, cache_dir=cache_dir)
+    return EngineConfig(jobs=jobs, reduce=reduce, lint=lint, cache_dir=cache_dir)
 
 
 _PINS: List[EngineConfig] = []
@@ -155,28 +149,24 @@ def engine_config() -> EngineConfig:
 def pinned(
     *,
     jobs: Optional[int] = None,
-    axes: Optional[Iterable[str]] = None,
+    reduce: Optional[bool] = None,
     lint: Optional[str] = None,
 ) -> Iterator[EngineConfig]:
     """Pin :func:`engine_config`, with any overrides, for the block.
 
     ``jobs`` binds, unclamped (``0`` means one worker per CPU), so a
-    test crosses real process boundaries on any host; ``axes`` is a
-    subset of :data:`ALL_AXES`; ``lint`` one of :data:`LINT_MODES`.
+    test crosses real process boundaries on any host; ``reduce`` is a
+    bool; ``lint`` one of :data:`LINT_MODES`.
     """
     changes: Dict[str, Any] = {}
     if jobs is not None:
         if isinstance(jobs, bool) or not isinstance(jobs, int):
             raise ValueError(f"jobs={jobs!r} is not an integer; {_JOBS_HINT}")
         changes["jobs"] = _worker_count(jobs, f"jobs={jobs!r}")
-    if axes is not None:
-        changes["axes"] = frozenset(axes)
-        unknown = sorted(changes["axes"] - ALL_AXES)
-        if unknown:
-            raise ValueError(
-                f"unknown reduction axes {unknown}; expected a subset of "
-                f"{sorted(ALL_AXES)}"
-            )
+    if reduce is not None:
+        if not isinstance(reduce, bool):
+            raise ValueError(f"reduce={reduce!r} is not a bool")
+        changes["reduce"] = reduce
     if lint is not None:
         changes["lint"] = _lint_mode(lint, "lint mode")
     _PINS.append(replace(engine_config(), **changes))

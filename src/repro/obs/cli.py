@@ -149,36 +149,14 @@ def _render_profile(profile: Dict[str, Any]) -> List[str]:
 
 
 def _render_reduction(reduction: Dict[str, Any]) -> List[str]:
-    """Render a certificate's ``reduction`` provenance annotation.
-
-    One line summarizing the active axes and pruned equivalence
-    classes, one for the transposition table, one for the law tally.
-    """
-    lines: List[str] = []
-    axes = reduction.get("axes") or []
+    """Render a certificate's ``reduction`` provenance annotation: what
+    DPOR pruned, by reason."""
     pruned = reduction.get("pruned") or {}
-    pruned_note = (
-        " pruned=" + ",".join(
-            f"{axis}:{count}" for axis, count in sorted(pruned.items())
-        )
-        if pruned else ""
-    )
-    lines.append(f"reduction[{','.join(axes) or '?'}]:{pruned_note or ' (no prunes)'}")
-    table = reduction.get("table")
-    if table:
-        lines.append(
-            f"  transposition table: {table.get('hits', 0)} hit(s), "
-            f"{table.get('misses', 0)} miss(es), "
-            f"hit rate {table.get('hit_rate', 0.0):.1%}"
-        )
-    laws = reduction.get("laws") or {}
-    if laws:
-        lines.append(
-            "  laws applied: " + ", ".join(
-                f"{name}×{count}" for name, count in sorted(laws.items())
-            )
-        )
-    return lines
+    if not pruned:
+        return ["reduction: (no prunes)"]
+    return ["reduction: pruned=" + ",".join(
+        f"{reason}:{count}" for reason, count in sorted(pruned.items())
+    )]
 
 
 def _render_incremental(incremental: Dict[str, Any]) -> List[str]:

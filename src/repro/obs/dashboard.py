@@ -380,12 +380,9 @@ def _reduction_panel(runs: List[Dict[str, Any]]) -> str:
     if not latest:
         return ""
     pruned = latest.get("pruned") or {}
-    laws = latest.get("laws") or {}
-    total_cut = sum(pruned.values()) + sum(laws.values())
+    total_cut = sum(pruned.values())
     rows = []
-    for name, count in sorted(
-        list(pruned.items()) + list(laws.items()), key=lambda kv: -kv[1]
-    )[:10]:
+    for name, count in sorted(pruned.items(), key=lambda kv: -kv[1]):
         share = count / total_cut if total_cut else 0.0
         rows.append(
             '<div class="barrow">'
@@ -395,26 +392,11 @@ def _reduction_panel(runs: List[Dict[str, Any]]) -> str:
             f'<div class="val">{count}</div>'
             "</div>"
         )
-    caption = f"axes {_esc(','.join(latest.get('axes') or []))}"
-    table = latest.get("table") or {}
-    if table:
-        caption += (
-            f" · transposition {table.get('hits', 0)}/"
-            f"{table.get('hits', 0) + table.get('misses', 0)} hits "
-            f"({(table.get('hit_rate') or 0.0) * 100:.1f}%)"
-        )
-    hit_rates = [v for _, v in _series(runs, "reduction_table_hit_rate")]
-    spark = (
-        sparkline_svg(
-            hit_rates, title=f"transposition hit rate, {len(hit_rates)} runs"
-        )
-        if len(hit_rates) >= 2 else ""
-    )
     return (
         "<h2>State-space reduction</h2>"
-        f'<div class="panel">{spark}{"".join(rows)}'
-        f'<div class="spark-caption">schedules pruned and obligations '
-        f"discharged per law, latest run · {caption}</div></div>"
+        f'<div class="panel">{"".join(rows)}'
+        '<div class="spark-caption">schedules and branches DPOR pruned, '
+        "by reason, latest run</div></div>"
     )
 
 

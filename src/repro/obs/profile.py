@@ -12,7 +12,7 @@ on top of :mod:`repro.obs`:
   pure prefix re-executions of the DFS (``replayed``), and the
   per-decision-point branching factors.  The resulting *redundancy
   ratio* — the fraction of execution work that discovered nothing new —
-  is the measured DPOR / transposition-table headroom, recorded into
+  is the measured headroom left for reduction, recorded into
   certificate provenance next to the coverage map.
 
 * **Enumeration-frame spans** (:func:`profile_span`) — obligation
@@ -254,13 +254,10 @@ def profile_span(name: str, **args: Any):
     return span(name, category="profile", **args)
 
 
-# One shared hash-consing helper serves the redundancy accounting here
-# and the transposition table in :mod:`repro.reduce.dpor`, so profiler
-# redundancy numbers and table hits are computed from the same
-# fingerprints.  Plain ``hash`` over the part tuple: cheap, and stable
-# across the fork boundary (workers inherit the parent's hash seed),
-# which is all either use needs — fingerprints are only ever compared
-# within one run.
+# The hash-consing helper of the redundancy accounting.  Plain ``hash``
+# over the part tuple: cheap, and stable across the fork boundary
+# (workers inherit the parent's hash seed), which is all it needs —
+# fingerprints are only ever compared within one run.
 from ..reduce.fingerprint import state_fingerprint  # noqa: E402,F401
 
 

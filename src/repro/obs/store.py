@@ -477,6 +477,7 @@ def _env_info() -> Dict[str, Any]:
     config = engine_config()
     return {
         "jobs": config.jobs,
+        "reduce": config.reduce,
         "obs": obs_enabled(),
         "profile": profile_enabled(),
         "lint": config.lint,
@@ -678,9 +679,6 @@ def run_metrics(record: Dict[str, Any]) -> Dict[str, float]:
     pruned = reduction.get("pruned") or {}
     if pruned:
         out["reduction_pruned"] = float(sum(pruned.values()))
-    table = reduction.get("table") or {}
-    if "hit_rate" in table:
-        out["reduction_table_hit_rate"] = float(table["hit_rate"])
     cache = record.get("cache") or {}
     lookups = (cache.get("hits") or 0) + (cache.get("misses") or 0)
     if lookups:
@@ -739,19 +737,16 @@ def series_stats(values: List[float]) -> Dict[str, float]:
     }
 
 
-#: Reduction-effectiveness metrics gate in the *opposite* direction: a
-#: drop in pruned classes or transposition hit rate means the state-space
-#: reduction engine stopped earning its keep, so *smaller is worse*.
-_LOWER_IS_WORSE = frozenset({"reduction_pruned", "reduction_table_hit_rate"})
+#: The reduction-effectiveness metric gates in the *opposite* direction:
+#: a drop in pruned classes means the state-space reduction engine
+#: stopped earning its keep, so *smaller is worse*.
+_LOWER_IS_WORSE = frozenset({"reduction_pruned"})
 
 #: Per-metric noise floors (fraction of the baseline median).  Reduction
-#: counters are step functions of the checked workload, so they get wider
-#: floors than wall times; everything else uses the ``noise_floor``
+#: counters are step functions of the checked workload, so they get a
+#: wider floor than wall times; everything else uses the ``noise_floor``
 #: argument.
-_NOISE_FLOORS = {
-    "reduction_pruned": 0.10,
-    "reduction_table_hit_rate": 0.05,
-}
+_NOISE_FLOORS = {"reduction_pruned": 0.10}
 
 
 def _timing(metric: str) -> bool:
@@ -759,7 +754,7 @@ def _timing(metric: str) -> bool:
 
 
 #: Metrics the ``regress`` gate inspects.  Larger-is-worse timings, plus
-#: the smaller-is-worse reduction metrics.  Everything else (obligation
+#: the smaller-is-worse reduction metric.  Everything else (obligation
 #: counts, cache hit rates) is informational.
 def _gateable(metric: str) -> bool:
     return _timing(metric) or metric in _LOWER_IS_WORSE
@@ -788,12 +783,11 @@ def detect_regressions(
     Timing metrics whose baseline median is under ``min_seconds`` never
     gate — they are noise-dominated, mirroring ``compare``.
 
-    Reduction metrics (``reduction_pruned``,
-    ``reduction_table_hit_rate``) gate *downward*: the z-score and ratio
-    measure how far the candidate fell below the baseline median, and
-    each carries its own noise floor (:data:`_NOISE_FLOORS`) since
-    pruning counts step with the workload rather than jitter like
-    timers.
+    The reduction metric (``reduction_pruned``) gates *downward*: the
+    z-score and ratio measure how far the candidate fell below the
+    baseline median, and it carries its own noise floor
+    (:data:`_NOISE_FLOORS`) since pruning counts step with the workload
+    rather than jitter like timers.
     """
     findings: List[Dict[str, Any]] = []
     status = "ok"

@@ -55,7 +55,7 @@ from .pool import get_jobs
 #: in so certificates produced under an older rule set are invalidated —
 #: both through the content address and through ``_load``'s engine
 #: check on existing entries.
-ENGINE_VERSION = "repro-engine/2+" + RULESET_VERSION
+ENGINE_VERSION = "repro-engine/3+" + RULESET_VERSION
 
 _SCHEMA = "repro.cache/v1"
 

@@ -1,13 +1,13 @@
-"""DPOR path extension, branch-point resumption, sleep sets, transposition.
+"""DPOR path extension, branch-point resumption and sleep sets.
 
 The exhaustive game enumerator (:func:`repro.core.machine.enumerate_game_logs`)
 explores scheduling decisions with the scheduler of this module.  It
 *extends* the path at each decision point (recording the sibling
 branches for later) and resumes each sibling at the recorded branch
-point.  With the reduction axes on it also keeps sleep sets that
-suppress schedules equivalent to already-explored ones, and cuts runs
-whose state was already explored; with every axis off it branches on
-every ready participant.
+point.  With reduction on it also prunes sibling branches that are
+equivalent to explored ones and keeps sleep sets that suppress
+schedules equivalent to already-explored ones; with reduction off it
+branches on every ready participant.
 
 Branch-point resumption
     At every multi-candidate round the scheduler records a
@@ -29,15 +29,17 @@ Branch-point resumption
     presumes players are deterministic functions of the log, and that
     premise is checked on the log and ready set, not on private state.
 
-Independence relation (``dpor``)
-    A scheduling step is *silent* when it appends no non-sched event.
-    Under the lint discipline (I201: every shared observation emits an
-    event; I202: private primitives touch only ``ctx.priv``) a silent
-    step neither reads nor writes shared state, so it commutes with
-    every adjacent step modulo hardware-scheduling events.  Silence is
-    the only independence oracle the scheduler can observe (a step's
-    footprint is known only after it executes), which shapes both
-    pruning rules below.
+Independence relation
+    A scheduling step is *silent* when it appends no non-sched event;
+    the scheduler counts the non-sched events each step appended, so
+    silence is decided exactly, with no fingerprint standing in for
+    the log.  Under the lint discipline (I201: every shared observation
+    emits an event; I202: private primitives touch only ``ctx.priv``) a
+    silent step neither reads nor writes shared state, so it commutes
+    with every adjacent step modulo hardware-scheduling events.
+    Silence is the only independence oracle the scheduler can observe
+    (a step's footprint is known only after it executes), which shapes
+    both pruning rules below.
 
     *First-branch dominance*: when the chosen step at a decision turns
     out silent, its siblings are pruned — every schedule in a sibling
@@ -59,65 +61,21 @@ Independence relation (``dpor``)
     is cut.  Commuting adjacent steps preserves schedule length, so
     sleep pruning is exact even at the ``max_rounds`` boundary.
 
-State key (``transpo``)
-    At every scheduling point past the branch round the scheduler
-    fingerprints ``(non-sched log, per-participant step counts, ready
-    set, sleep set)`` with the profiler's own hash-consing helper.
-    Deterministic lint-clean players are a function of exactly that
-    state: the log *is* the shared state in the push/pull model, each
-    player's observations are replay-determined by its events'
-    positions in the log, and the step counts pin down program points
-    that silent steps do not surface in the log.  The sleep set is part
-    of the key because a revisit carrying a *smaller* sleep set owes
-    schedules the first visit suppressed — the classic unsound
-    interaction between sleep sets and state caching — so only a state
-    revisited with an identical sleep set is cut.  Replayed rounds and
-    the branch round are never looked up (replaying a recorded prefix
-    must not cut itself), and the table is scoped to one explored
-    subtree — the same scope serially and under ``REPRO_JOBS``, which
-    is what keeps reduced enumeration byte-stable across worker counts.
-
-Static independence seeds (``static-indep``)
-    The interprocedural dependency analysis
-    (:mod:`repro.analysis.independence`) classifies whole players as
-    *invisible*: every primitive in their transitive slice appends no
-    event, queries nothing, reads neither log nor buffer, opens no
-    critical bracket, and touches ``ctx`` only through thread-private
-    state.  Such a player's single step commutes with **every** other
-    step — including the finishing step the dynamic rule must keep,
-    because the static argument shows the return value is deterministic
-    and position-independent.  The scheduler therefore *defers* an
-    invisible participant instead of branching on it: at a
-    multi-candidate decision, invisible siblings are dropped (their
-    subtrees map, by delaying the invisible step, onto schedules inside
-    the kept subtrees), while the participant itself stays schedulable
-    and still runs at later forced or first-candidate rounds, so every
-    completion is preserved.  Invisible participants never enter sleep
-    sets — sleep suppresses a participant outright, deferral only
-    refuses to branch on it.  One honest caveat, recorded in DESIGN.md
-    §5: a run that hits the ``max_rounds`` bound with a deferred
-    invisible step in its final round is merged with its bound-hitting
-    siblings; verdicts are unaffected (the truncated runs differ only
-    in the invisible player's private return), and passing stacks never
-    truncate.
+    Tallies (:mod:`repro.reduce.stats`): ``dpor`` counts the pruned
+    siblings and the all-asleep cuts; ``sleep`` counts, at every pick
+    that does not cut, the ready participants asleep there.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, NamedTuple, NoReturn, Optional, Set,
-    Tuple,
+    Any, Callable, FrozenSet, List, NamedTuple, NoReturn, Optional, Tuple,
 )
 
 from ..core.errors import ReplayDivergence
 from ..obs.metrics import inc
 from ..obs.trace import obs_enabled
-from .fingerprint import extend_chain, state_fingerprint
 from .stats import ReductionStats
-
-DPOR = "dpor"
-TRANSPO = "transpo"
-STATIC_INDEP = "static-indep"
 
 
 class PruneRun(Exception):
@@ -128,43 +86,22 @@ class DeferRun(Exception):
     """Cut the current subtree at the frontier for a worker process."""
 
 
-class TranspositionTable:
-    """Hash-consed set of explored state fingerprints (one subtree)."""
-
-    __slots__ = ("keys", "stats")
-
-    def __init__(self, stats: ReductionStats):
-        self.keys: Set[int] = set()
-        self.stats = stats
-
-    def seen(self, key: int) -> bool:
-        if key in self.keys:
-            self.stats.table(hit=True)
-            return True
-        self.keys.add(key)
-        self.stats.table(hit=False)
-        return False
-
-
 class BranchPoint(NamedTuple):
     """A multi-candidate decision round, recorded for its sibling runs.
 
     ``history`` is the tid of every earlier round; ``events`` and
     ``ready`` are the log and the ready set at this round, held by
     reference.  Then comes the scheduler's state after this round's
-    sleep update: the sleep set, the per-participant step counts, the
-    non-sched event chain and the decision depth (picks made at earlier
-    branch points).  ``state`` is the players' state at this round, as
-    the game's ``capture`` returned it, or None when the game captures
-    none and siblings re-execute the recorded rounds.
+    sleep update: the sleep set and the decision depth (picks made at
+    earlier branch points).  ``state`` is the players' state at this
+    round, as the game's ``capture`` returned it, or None when the game
+    captures none and siblings re-execute the recorded rounds.
     """
 
     history: Tuple[int, ...]
     events: Tuple[Any, ...]
     ready: FrozenSet[int]
     sleep: FrozenSet[int]
-    counts: Dict[int, int]
-    chain: int
     depth: int
     state: Any = None
 
@@ -175,7 +112,7 @@ Resume = Optional[Tuple[BranchPoint, int]]
 
 
 class ReducingScheduler:
-    """Resuming scheduler with path extension, sleep sets, transposition.
+    """Resuming scheduler with path extension, dominance and sleep sets.
 
     A run resumed at ``(point, sibling)`` exposes ``history``: the tids
     of the rounds before the branch round, which
@@ -189,7 +126,8 @@ class ReducingScheduler:
     first round of the root run) the scheduler keeps choosing the
     smallest awake ready participant, recording a :class:`BranchPoint`
     at each multi-candidate round and the sibling groups it leaves in
-    ``branches`` as ``(point, siblings)`` pairs.
+    ``branches`` as ``(point, siblings)`` pairs.  ``reduce`` switches
+    DPOR on; off, every ready participant is branched on.
     ``last`` is the latest pick with the point it was made at: a run
     cut at the frontier defers that subtree as this entry.
 
@@ -198,21 +136,18 @@ class ReducingScheduler:
     """
 
     __slots__ = (
-        "history", "restore", "capture", "dpor", "table", "stats",
-        "frontier_depth", "redundancy", "invisible", "depth", "counts",
-        "branches", "sleep", "last", "_resume", "_rounds", "_sleep_next",
-        "_pending", "_scanned", "_chain",
+        "history", "restore", "capture", "dpor", "stats", "frontier_depth",
+        "redundancy", "depth", "branches", "sleep", "last", "_resume",
+        "_rounds", "_sleep_next", "_pending", "_scanned",
     )
 
     def __init__(
         self,
         resume: Resume,
-        axes: FrozenSet[str],
+        reduce: bool,
         stats: ReductionStats,
-        table: Optional[TranspositionTable] = None,
         frontier_depth: Optional[int] = None,
         redundancy=None,
-        invisible: FrozenSet[int] = frozenset(),
     ):
         self._resume = resume
         #: Tids of the recorded rounds the game replays before a pick.
@@ -223,18 +158,12 @@ class ReducingScheduler:
         )
         #: Set by the game: returns its players' state, for new points.
         self.capture: Optional[Callable[[], Any]] = None
-        self.dpor = DPOR in axes
-        self.table = table if TRANSPO in axes else None
-        #: Statically invisible participants (``static-indep`` seeds):
-        #: never branched on as siblings, still schedulable.
-        self.invisible = invisible if STATIC_INDEP in axes else frozenset()
+        self.dpor = reduce
         self.stats = stats
         self.frontier_depth = frontier_depth
         self.redundancy = redundancy
         #: Decision picks made so far (the resumed pick included).
         self.depth = 0
-        #: Per-participant scheduled-step counts (every round).
-        self.counts: Dict[int, int] = {}
         #: Resolved sibling groups: ``(branch point, [sibling tids])``.
         self.branches: List[Tuple[BranchPoint, List[int]]] = []
         #: Participants whose pending step commutes into an explored
@@ -248,7 +177,6 @@ class ReducingScheduler:
         #: Unresolved last decision: ``(chosen, siblings, point)``.
         self._pending: Optional[Tuple[int, List[int], BranchPoint]] = None
         self._scanned = 0
-        self._chain = 0
 
     def pick(self, log, ready: FrozenSet[int]) -> int:
         if self._resume is not None:
@@ -256,12 +184,10 @@ class ReducingScheduler:
         if obs_enabled():
             inc("machine.schedule_rounds")
         events = log.events
-        chain = self._chain
-        for event in events[self._scanned:]:
-            if not event.is_sched():
-                chain = extend_chain(chain, event)
-        silent = chain == self._chain and self._scanned
-        self._chain = chain
+        # Whether the step since the last pick appended no non-sched
+        # event.  A step taken from an empty log keeps no sleep set.
+        quiet = all(event.is_sched() for event in events[self._scanned:])
+        silent = quiet and self._scanned
         self._scanned = len(events)
         if self.dpor:
             if self._sleep_next is not None:
@@ -269,21 +195,16 @@ class ReducingScheduler:
                 self._sleep_next = None
             if self.sleep:
                 self.sleep = self.sleep & ready
-        self._resolve(ready)
+            self._resolve(ready, quiet)
         candidates = sorted(ready - self.sleep) if self.sleep else sorted(ready)
         if not candidates:
             # Every ready participant is asleep: each continuation
             # commutes, transposition by transposition, into a subtree
             # explored under an earlier sibling.
-            self.stats.prune(DPOR)
+            self.stats.prune("dpor")
             raise PruneRun()
-        if self.table is not None and self.table.seen(
-            state_fingerprint(
-                chain, tuple(sorted(self.counts.items())), ready, self.sleep
-            )
-        ):
-            self.stats.prune(TRANSPO)
-            raise PruneRun()
+        if self.sleep:
+            self.stats.prune("sleep", len(self.sleep))
         if len(candidates) == 1:
             tid = candidates[0]
             self._sleep_next = self.sleep
@@ -297,34 +218,18 @@ class ReducingScheduler:
                 self.redundancy.branch(len(candidates))
             tid = candidates[0]
             siblings = candidates[1:]
-            if self.invisible:
-                # Static deferral: an invisible sibling's subtree maps,
-                # by delaying its purely local step, onto schedules in
-                # the kept subtrees; the participant itself stays
-                # schedulable at later rounds.
-                kept = [s for s in siblings if s not in self.invisible]
-                if len(kept) != len(siblings):
-                    self.stats.prune(STATIC_INDEP, len(siblings) - len(kept))
-                siblings = kept
-            # A point is resumed only for its siblings, or as the entry
-            # of a subtree cut at the frontier.
-            state = None
-            if self.capture is not None and (
-                siblings or self.frontier_depth is not None
-            ):
-                state = self.capture()
+            state = self.capture() if self.capture is not None else None
             point = BranchPoint(
-                tuple(self._rounds), events, ready, self.sleep,
-                dict(self.counts), chain, self.depth, state,
+                tuple(self._rounds), events, ready, self.sleep, self.depth,
+                state,
             )
             if self.dpor:
                 self._pending = (tid, siblings, point)
                 self._sleep_next = self.sleep
-            elif siblings:
+            else:
                 self.branches.append((point, siblings))
             self.depth += 1
             self.last = (point, tid)
-        self.counts[tid] = self.counts.get(tid, 0) + 1
         self._rounds.append(tid)
         return tid
 
@@ -350,20 +255,14 @@ class ReducingScheduler:
             )
         self._resume = None
         self.sleep = point.sleep
-        self.counts = dict(point.counts)
-        self._chain = point.chain
         self._scanned = len(events)
         self.depth = point.depth + 1
         if self.dpor:
             # Siblings explored before ``tid`` go (or stay) asleep while
-            # its step is silent.  Invisible participants were never
-            # explored as siblings (deferral dropped them), so they must
-            # stay awake — their completion happens inside this subtree.
+            # its step is silent.
             self._sleep_next = point.sleep | frozenset(
-                t for t in ready - point.sleep
-                if t < tid and t not in self.invisible
+                t for t in ready - point.sleep if t < tid
             )
-        self.counts[tid] = self.counts.get(tid, 0) + 1
         self._rounds.append(tid)
         return tid
 
@@ -390,21 +289,21 @@ class ReducingScheduler:
             index = min(len(replayed), len(recorded))
         raise ReplayDivergence(round_index, index, reason)
 
-    def _resolve(self, ready: Optional[FrozenSet[int]]) -> None:
+    def _resolve(self, ready: FrozenSet[int], silent: bool) -> None:
+        """Resolve the last decision; ``silent``: its step appended no
+        non-sched event."""
         pending = self._pending
         if pending is None:
             return
         self._pending = None
         chosen, siblings, point = pending
-        silent = self._chain == point.chain
-        still_running = ready is not None and chosen in ready
-        if silent and still_running:
+        if silent and chosen in ready:
             # First-branch dominance: the chosen step touched no shared
             # state, so every sibling schedule commutes into the chosen
             # subtree.  (A finishing step left the ready set, so it is
             # conservatively kept.)
-            self.stats.prune(DPOR, len(siblings))
-        elif siblings:
+            self.stats.prune("dpor", len(siblings))
+        else:
             self.branches.append((point, siblings))
 
     def finalize(self) -> None:
@@ -413,8 +312,7 @@ class ReducingScheduler:
         if pending is not None:
             self._pending = None
             _chosen, siblings, point = pending
-            if siblings:
-                self.branches.append((point, siblings))
+            self.branches.append((point, siblings))
 
     def fresh(self) -> "ReducingScheduler":  # pragma: no cover - protocol
         raise TypeError("ReducingScheduler instances are single-use")

@@ -1,15 +1,13 @@
 """The shared state-fingerprint (hash-consing) helper.
 
-One definition serves both the profiler's redundancy accounting
-(:mod:`repro.obs.profile`) and the transposition table
-(:mod:`repro.reduce.dpor`), so "replay-equivalent" means exactly the
-same thing to the instrument that measures redundancy and to the engine
-that removes it.
+The profiler's redundancy accounting (:mod:`repro.obs.profile`) counts
+distinct enumeration states with it, so "replay-equivalent" has one
+definition.  It lives here, beside the reducer the profiler measures.
 
 Fingerprints are Python hashes of immutable part tuples.  They are used
-as identities (hash-consing), never dereferenced back to states; the
-negligible collision probability is the same one the profiler has
-always accepted for its distinct-state counts.
+as identities (hash-consing), never dereferenced back to states, and
+they decide nothing the engine explores: a collision can only make a
+redundancy count smaller.
 """
 
 from __future__ import annotations
@@ -25,13 +23,3 @@ def state_fingerprint(*parts: Any) -> int:
     collide only with ordinary ``hash`` probability.
     """
     return hash(parts)
-
-
-def extend_chain(chain: int, part: Any) -> int:
-    """Extend an incremental fingerprint chain by one part.
-
-    ``extend_chain`` lets hot loops fingerprint a growing sequence in
-    O(1) per element instead of re-hashing the whole prefix: two equal
-    sequences fold to equal chains.  Seed with any constant (0).
-    """
-    return hash((chain, part))

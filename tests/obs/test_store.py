@@ -261,12 +261,20 @@ class TestRunCapture:
 
         monkeypatch.setenv("REPRO_JOBS", "64")
         monkeypatch.delenv("REPRO_LINT", raising=False)
+        monkeypatch.delenv("REPRO_REDUCE", raising=False)
         path = str(tmp_path / "ledger")
         with obs.ledger(path, object="unit"):
             stamp_provenance(_cert(), 0.1)
         env = store.RunLedger(path).runs()[0]["env"]
         assert env["jobs"] == cpu_budget()
         assert env["lint"] == "record"
+        assert env["reduce"] is True
+
+        monkeypatch.setenv("REPRO_REDUCE", "off")
+        path = str(tmp_path / "ledger-off")
+        with obs.ledger(path, object="unit"):
+            stamp_provenance(_cert(), 0.1)
+        assert store.RunLedger(path).runs()[0]["env"]["reduce"] is False
 
     def test_disable_without_flush_writes_nothing(self, tmp_path):
         path = str(tmp_path / "ledger")

@@ -98,7 +98,7 @@ client = {0: (("acq", ("L",)), ("rel", ("L",))), 1: (("acq", ("L",)),)}
 parts, exact = client_obligation_key(
     underlay=layer.underlay, module=layer.module, overlay=layer.overlay,
     relation=layer.relation, client=client, fuel=100, max_rounds=8,
-    max_runs=1000, require_progress=False, axes=frozenset({"dpor"}),
+    max_runs=1000, require_progress=False, reduce=True,
 )
 print(json.dumps({"exact": exact, "key": cache_key("obligation:x", parts)}))
 """
@@ -138,7 +138,7 @@ class TestWorkerCountsReachTheParent:
         def tallies(jobs):
             # The game's schedules are chunked across workers, whose
             # pruning tallies must reach this collector.
-            with reduction_collector(["dpor"]) as outer, pinned(jobs=jobs):
+            with reduction_collector() as outer, pinned(jobs=jobs):
                 check_soundness(
                     layer, clients=self.CLIENTS, max_rounds=12,
                     require_progress=False,
@@ -146,7 +146,10 @@ class TestWorkerCountsReachTheParent:
             return outer.as_dict()
 
         serial = tallies(1)
-        assert serial.get("pruned")
+        # Pruned branches and the participants sleep sets kept out of
+        # branching are both tallied.
+        assert serial["pruned"].get("dpor")
+        assert serial["pruned"].get("sleep")
         assert tallies(2) == serial
 
 

@@ -11,20 +11,22 @@ Before branch-point resumption, a sibling run of the reduced DFS was a
 sibling's.  The scheduler was asked at every round, re-decided the
 replayed rounds from the script, and rebuilt the sleep sets along the
 path.  :class:`ReducingScheduler` and :func:`_explore_reduced` below are
-that engine, verbatim.  :func:`drive` runs either reduced DFS the way
+that engine, with only the DPOR axis left.  It decides silence as that
+engine did, by comparing an incremental hash chain of the non-sched
+events, where the engine now counts the non-sched events a step
+appended.  :func:`drive` runs either reduced DFS the way
 :func:`repro.core.machine.enumerate_game_logs` runs the engine's (frontier
 split at the same depth, subtree tallies contributed to the ambient
 collectors, results spliced in serial order); :func:`reference_enumerate`
 drives this one.  ``tests/reduce/test_resume.py`` checks that the
-resuming engine enumerates exactly what this one does and, with no axis
-active, exactly what the seed DFS did.
+resuming engine enumerates exactly what this one does and, with
+reduction off, exactly what the seed DFS did.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.independence import static_invisible_tids
 from repro.core.errors import OutOfFuel
 from repro.core.machine import (
     _FRONTIER_DEPTH,
@@ -40,15 +42,8 @@ from repro.obs.metrics import inc
 from repro.obs.profile import RedundancyBuilder
 from repro.obs.trace import obs_enabled
 from repro.parallel.pool import parallel_map
-from repro.reduce import STATIC_INDEP, ReductionStats, contribute
-from repro.reduce.dpor import (
-    DPOR,
-    TRANSPO,
-    DeferRun,
-    PruneRun,
-    TranspositionTable,
-)
-from repro.reduce.fingerprint import extend_chain, state_fingerprint
+from repro.reduce import ReductionStats, contribute
+from repro.reduce.dpor import DeferRun, PruneRun
 
 
 def _explore_prefixes(
@@ -119,7 +114,7 @@ def seed_enumerate(interface, players, max_rounds) -> List[GameResult]:
 
 
 class ReducingScheduler:
-    """Scripted scheduler with path extension, sleep sets, transposition.
+    """Scripted scheduler with path extension, dominance and sleep sets.
 
     Follows ``script`` exactly (the recorded decision prefix), then
     keeps choosing the smallest awake ready participant instead of
@@ -135,35 +130,27 @@ class ReducingScheduler:
     """
 
     __slots__ = (
-        "script", "cursor", "dpor", "table", "stats", "frontier_depth",
-        "redundancy", "picks", "counts", "branches", "sleep", "invisible",
-        "_sleep_next", "_pending", "_scanned", "_chain",
+        "script", "cursor", "dpor", "stats", "frontier_depth", "redundancy",
+        "picks", "branches", "sleep", "_sleep_next", "_pending", "_scanned",
+        "_chain",
     )
 
     def __init__(
         self,
         script: Tuple[int, ...],
-        axes: FrozenSet[str],
+        reduce: bool,
         stats: ReductionStats,
-        table: Optional[TranspositionTable] = None,
         frontier_depth: Optional[int] = None,
         redundancy=None,
-        invisible: FrozenSet[int] = frozenset(),
     ):
         self.script = tuple(script)
         self.cursor = 0
-        self.dpor = DPOR in axes
-        self.table = table if TRANSPO in axes else None
-        #: Statically invisible participants (``static-indep`` seeds):
-        #: never branched on as siblings, still schedulable.
-        self.invisible = invisible if STATIC_INDEP in axes else frozenset()
+        self.dpor = reduce
         self.stats = stats
         self.frontier_depth = frontier_depth
         self.redundancy = redundancy
         #: Decision picks made so far (script + extensions).
         self.picks: List[int] = list(script)
-        #: Per-participant scheduled-step counts (every round).
-        self.counts: Dict[int, int] = {}
         #: Resolved sibling groups: ``(depth, [sibling tids])``.
         self.branches: List[Tuple[int, List[int]]] = []
         #: Participants whose pending step commutes into an explored
@@ -187,7 +174,7 @@ class ReducingScheduler:
         chain = self._chain
         for event in events[self._scanned:]:
             if not event.is_sched():
-                chain = extend_chain(chain, event)
+                chain = hash((chain, event))
         silent = chain == self._chain and self._scanned
         self._chain = chain
         self._scanned = len(events)
@@ -203,7 +190,7 @@ class ReducingScheduler:
             # Every ready participant is asleep: each continuation
             # commutes, transposition by transposition, into a subtree
             # explored under an earlier sibling.
-            self.stats.prune(DPOR)
+            self.stats.prune("dpor")
             raise PruneRun()
         if self.cursor < len(self.script):
             if len(candidates) == 1:
@@ -222,23 +209,13 @@ class ReducingScheduler:
                 else:
                     # Rebuild the sleep set along the recorded path:
                     # siblings explored before ``tid`` go (or stay)
-                    # asleep while its step is silent.  Invisible
-                    # participants were never explored as siblings
-                    # (deferral dropped them), so they must stay awake —
-                    # their completion happens inside this subtree.
+                    # asleep while its step is silent.
                     self._sleep_next = self.sleep | frozenset(
-                        t for t in candidates
-                        if t < tid and t not in self.invisible
+                        t for t in candidates if t < tid
                     )
-            self.counts[tid] = self.counts.get(tid, 0) + 1
             return tid
-        if self.table is not None and self.table.seen(
-            state_fingerprint(
-                chain, tuple(sorted(self.counts.items())), ready, self.sleep
-            )
-        ):
-            self.stats.prune(TRANSPO)
-            raise PruneRun()
+        if self.sleep:
+            self.stats.prune("sleep", len(self.sleep))
         if len(candidates) == 1:
             tid = candidates[0]
             self._sleep_next = self.sleep
@@ -252,22 +229,12 @@ class ReducingScheduler:
                 self.redundancy.branch(len(candidates))
             tid = candidates[0]
             siblings = candidates[1:]
-            if self.invisible:
-                # Static deferral: an invisible sibling's subtree maps,
-                # by delaying its purely local step, onto schedules in
-                # the kept subtrees; the participant itself stays
-                # schedulable at later rounds.
-                kept = [s for s in siblings if s not in self.invisible]
-                if len(kept) != len(siblings):
-                    self.stats.prune(STATIC_INDEP, len(siblings) - len(kept))
-                siblings = kept
             if self.dpor:
                 self._pending = (tid, siblings, len(self.picks), chain)
                 self._sleep_next = self.sleep
-            elif siblings:
+            else:
                 self.branches.append((len(self.picks), siblings))
             self.picks.append(tid)
-        self.counts[tid] = self.counts.get(tid, 0) + 1
         return tid
 
     def _resolve(self, ready: Optional[FrozenSet[int]]) -> None:
@@ -283,8 +250,8 @@ class ReducingScheduler:
             # state, so every sibling schedule commutes into the chosen
             # subtree.  (A finishing step left the ready set, so it is
             # conservatively kept.)
-            self.stats.prune(DPOR, len(siblings))
-        elif siblings:
+            self.stats.prune("dpor", len(siblings))
+        else:
             self.branches.append((depth, siblings))
 
     def finalize(self) -> None:
@@ -293,8 +260,7 @@ class ReducingScheduler:
         if pending is not None:
             self._pending = None
             _chosen, siblings, depth, _chain = pending
-            if siblings:
-                self.branches.append((depth, siblings))
+            self.branches.append((depth, siblings))
 
     def fresh(self) -> "ReducingScheduler":  # pragma: no cover - protocol
         raise TypeError("ReducingScheduler instances are single-use")
@@ -302,16 +268,15 @@ class ReducingScheduler:
 
 def _explore_reduced(
     run_one: Callable[[ReducingScheduler], GameResult],
-    axes: FrozenSet[str],
+    reduce: bool,
     max_rounds: int,
     max_runs: int,
     stack: List[Tuple[int, ...]],
     stats: ReductionStats,
     frontier_depth: Optional[int] = None,
     redundancy: Optional[RedundancyBuilder] = None,
-    invisible: FrozenSet[int] = frozenset(),
 ) -> Tuple[List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]], int, int]:
-    """The reduced DFS: path extension + sleep-set dominance + transposition.
+    """The reduced DFS: path extension + dominance + sleep sets.
 
     The :class:`~repro.reduce.dpor.ReducingScheduler` extends each run
     past its decision script instead of raising :class:`NeedChoice`, so
@@ -319,24 +284,14 @@ def _explore_reduced(
     pushed shallowest-group-first with each group reverse-sorted, which
     makes the stack pop the deepest node's smallest sibling next —
     depth-first order, every subtree contiguous in ``plan`` (the same
-    splice discipline as :func:`_explore_prefixes`).  A run cut by the
-    transposition table or by an all-asleep sleep set counts as
-    ``pruned`` (its continuation was already explored); a run cut at
-    the frontier defers its current decision path as a ``(None,
-    prefix)`` plan entry for a worker.
-
-    The transposition table is scoped to this call — one table per
-    explored subtree, serial and parallel alike, which is what keeps
-    reduced enumeration independent of the worker count.  Cut runs are
-    *not* reported to ``redundancy`` as replays: the redundancy ratio
-    deliberately keeps measuring the residual duplicates among the
-    completed runs (the headroom reduction has not yet removed), while
-    the cuts land in ``stats`` (see DESIGN.md).
+    splice discipline as :func:`_explore_prefixes`).  A run cut by an
+    all-asleep sleep set counts as ``pruned`` (its continuation was
+    already explored); a run cut at the frontier defers its current
+    decision path as a ``(None, prefix)`` plan entry for a worker.
     """
     plan: List[Tuple[Optional[GameResult], Optional[Tuple[int, ...]]]] = []
     runs = 0
     pruned = 0
-    table = TranspositionTable(stats) if "transpo" in axes else None
     while stack:
         prefix = stack.pop()
         runs += 1
@@ -347,15 +302,13 @@ def _explore_reduced(
                 f"(max_rounds={max_rounds})"
             )
         scheduler = ReducingScheduler(
-            prefix, axes, stats, table=table,
+            prefix, reduce, stats,
             frontier_depth=frontier_depth, redundancy=redundancy,
-            invisible=invisible,
         )
         try:
             result = run_one(scheduler)
         except PruneRun:
-            # The scheduler already tallied the cut under its axis
-            # (transposition hit or all-asleep sleep-set cut).
+            # The scheduler already tallied the all-asleep cut.
             pruned += 1
         except DeferRun:
             plan.append((None, tuple(scheduler.picks)))
@@ -375,7 +328,7 @@ def drive(
     root,
     interface,
     players,
-    axes: FrozenSet[str],
+    reduce: bool,
     max_rounds: int,
     jobs: int = 1,
 ) -> Tuple[List[GameResult], int, int]:
@@ -386,31 +339,26 @@ def drive(
     ``(results, runs, pruned)``; the reduction tallies reach the ambient
     collectors.
     """
-    axes = frozenset(axes)
     max_runs = 100_000  # enumerate_game_logs' default
 
     def run_one(scheduler):
         return run_game(interface, players, scheduler, max_rounds=max_rounds)
 
-    invisible: FrozenSet[int] = frozenset()
-    if STATIC_INDEP in axes and len(players) > 1:
-        invisible = static_invisible_tids(interface, players)
     split = (
         _FRONTIER_DEPTH
         if len(players) > 1 and max_rounds > _FRONTIER_DEPTH
         else None
     )
-    stats = ReductionStats(axes)
+    stats = ReductionStats()
     plan, runs, pruned = explore(
-        run_one, axes, max_rounds, max_runs, [root], stats,
-        frontier_depth=split, invisible=invisible,
+        run_one, reduce, max_rounds, max_runs, [root], stats,
+        frontier_depth=split,
     )
 
     def explore_subtree(entry):
-        sub_stats = ReductionStats(axes)
+        sub_stats = ReductionStats()
         sub_plan, sub_runs, sub_pruned = explore(
-            run_one, axes, max_rounds, max_runs, [entry], sub_stats,
-            invisible=invisible,
+            run_one, reduce, max_rounds, max_runs, [entry], sub_stats,
         )
         contribute(sub_stats)
         return [r for r, _ in sub_plan], sub_runs, sub_pruned
@@ -431,6 +379,6 @@ def drive(
     return results, runs, pruned
 
 
-def reference_enumerate(interface, players, axes, max_rounds):
+def reference_enumerate(interface, players, reduce, max_rounds):
     """:func:`drive` on the script-following reference DFS, serially."""
-    return drive(_explore_reduced, (), interface, players, axes, max_rounds)
+    return drive(_explore_reduced, (), interface, players, reduce, max_rounds)

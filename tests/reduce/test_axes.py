@@ -1,19 +1,18 @@
-"""Gating: REPRO_REDUCE is on/off; subsets come only from the test pin."""
+"""Gating: REPRO_REDUCE switches DPOR on or off; axis names are refused."""
 
 import pytest
 
 import repro.envflags
 from repro.core import check_soundness
-from repro.envflags import config_from_env, pinned
-from repro.reduce import ALL_AXES, DPOR, current_axes
+from repro.envflags import config_from_env, engine_config, pinned
 from test_parity import atomic_bump2_impl, bump2_layer
 
 REDUCE_ENV = "REPRO_REDUCE"
 
 
-def env_axes(monkeypatch, value):
+def env_reduce(monkeypatch, value):
     monkeypatch.setenv(REDUCE_ENV, value)
-    return config_from_env().axes
+    return config_from_env().reduce
 
 
 def assert_rejected(monkeypatch, value):
@@ -27,23 +26,22 @@ def assert_rejected(monkeypatch, value):
 class TestParseAxes:
     def test_default_is_all(self, monkeypatch):
         monkeypatch.delenv(REDUCE_ENV, raising=False)
-        assert config_from_env().axes == ALL_AXES
+        assert config_from_env().reduce is True
 
     @pytest.mark.parametrize("text", ["", "on", "1", "true", "yes"])
     def test_all_spellings(self, text, monkeypatch):
-        assert env_axes(monkeypatch, text) == ALL_AXES
+        assert env_reduce(monkeypatch, text) is True
 
     @pytest.mark.parametrize("text", ["off", "0", "false", "no"])
     def test_off_spellings(self, text, monkeypatch):
-        assert env_axes(monkeypatch, text) == frozenset()
+        assert env_reduce(monkeypatch, text) is False
 
     def test_whitespace_and_case(self, monkeypatch):
-        assert env_axes(monkeypatch, " On ") == ALL_AXES
-        assert env_axes(monkeypatch, " OFF ") == frozenset()
+        assert env_reduce(monkeypatch, " On ") is True
+        assert env_reduce(monkeypatch, " OFF ") is False
 
     def test_single_axis(self, monkeypatch):
-        # An axis name is not a value of the switch: subsets are not
-        # selectable from the environment.
+        # An axis name is not a value of the switch.
         assert_rejected(monkeypatch, "dpor")
 
     def test_csv_subset(self, monkeypatch):
@@ -60,29 +58,29 @@ class TestParseAxes:
 class TestResolution:
     def test_env_selects_axes(self, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
-        assert current_axes() == frozenset()
+        assert engine_config().reduce is False
         monkeypatch.setenv(REDUCE_ENV, "on")
-        assert current_axes() == ALL_AXES
+        assert engine_config().reduce is True
 
     def test_explicit_beats_env(self, monkeypatch):
-        # The ablation pin selects a subset over whatever the env says.
+        # The pin overrides whatever the env says.
         monkeypatch.setenv(REDUCE_ENV, "off")
-        with pinned(axes={DPOR}):
-            assert current_axes() == {DPOR}
+        with pinned(reduce=True):
+            assert engine_config().reduce is True
 
     def test_unset_env_means_all(self, monkeypatch):
         monkeypatch.delenv(REDUCE_ENV, raising=False)
-        assert current_axes() == ALL_AXES
+        assert engine_config().reduce is True
 
-    def test_current_axes_tracks_active_stack(self, monkeypatch):
+    def test_pinned_reduce_tracks_active_stack(self, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
-        assert current_axes() == frozenset()
-        with pinned(axes={DPOR}):
-            assert current_axes() == {DPOR}
-            with pinned(axes=ALL_AXES):
-                assert current_axes() == ALL_AXES
-            assert current_axes() == {DPOR}
-        assert current_axes() == frozenset()
+        assert engine_config().reduce is False
+        with pinned(reduce=True):
+            assert engine_config().reduce is True
+            with pinned(reduce=False):
+                assert engine_config().reduce is False
+            assert engine_config().reduce is True
+        assert engine_config().reduce is False
 
     def test_rule_constructors_read_the_env_once(self, monkeypatch):
         # A rule pins the engine configuration at its entry; every
@@ -111,3 +109,35 @@ class TestResolution:
             assert len(reads) == 2  # the outer pin's own parse
             assert soundness().ok
         assert len(reads) == 2
+
+    def test_compile_and_validate_reads_the_env_once(self, monkeypatch):
+        # Translation validation runs one check_sim per scenario outside
+        # any rule; it pins the configuration for all of them.
+        from repro.compiler import compile_and_validate
+        from repro.core import SimConfig
+        from repro.machine import lx86_interface
+        from repro.objects.ticket_lock import ticket_lock_unit
+
+        reads = []
+        parse = repro.envflags.config_from_env
+
+        def counted():
+            reads.append(1)
+            return parse()
+
+        monkeypatch.setattr(repro.envflags, "config_from_env", counted)
+        config = SimConfig(env_alphabet=[()], env_depth=0, fuel=500)
+        scenarios = [
+            ("acq", [("acq", ("q0",))], config),
+            ("acq_rel", [("acq", ("q0",)), ("rel", ("q0",))], config),
+        ]
+        _asm, cert = compile_and_validate(
+            lx86_interface([1]), ticket_lock_unit(), 1, scenarios
+        )
+        assert cert.ok
+        assert len(reads) == 1
+        with pinned():
+            compile_and_validate(
+                lx86_interface([1]), ticket_lock_unit(), 1, scenarios
+            )
+        assert len(reads) == 2  # the outer pin's own parse

@@ -1,4 +1,4 @@
-"""The reducing scheduler: dominance, sleep sets, transposition table."""
+"""The reducing scheduler: dominance and sleep sets."""
 
 import pytest
 
@@ -10,12 +10,8 @@ from repro.core import (
     shared_prim,
 )
 from repro.envflags import pinned
-from repro.reduce import (
-    DPOR,
-    TRANSPO,
-    reduction_collector,
-)
-from repro.reduce.fingerprint import extend_chain, state_fingerprint
+from repro.reduce import reduction_collector
+from repro.reduce.fingerprint import state_fingerprint
 
 
 def bump_spec(ctx):
@@ -43,9 +39,9 @@ def game_interface():
     )
 
 
-def enumerate_with(axes, players, jobs=None):
-    """Enumerate under explicit axes, returning (results, stats)."""
-    with pinned(jobs=jobs, axes=axes), reduction_collector(axes) as stats:
+def enumerate_with(reduce, players, jobs=None):
+    """Enumerate with reduction on or off, returning (results, stats)."""
+    with pinned(jobs=jobs, reduce=reduce), reduction_collector() as stats:
         results = enumerate_game_logs(game_interface(), players, max_rounds=12)
     return results, stats
 
@@ -70,14 +66,14 @@ class TestDominance:
         }
 
     def test_behaviors_preserved(self):
-        off, _ = enumerate_with(frozenset(), self.players())
-        on, stats = enumerate_with({DPOR}, self.players())
+        off, _ = enumerate_with(False, self.players())
+        on, stats = enumerate_with(True, self.players())
         assert set(behaviors(on)) == set(behaviors(off))
-        assert stats.pruned.get(DPOR)
+        assert stats.pruned.get("dpor")
 
     def test_fewer_runs(self):
-        off, _ = enumerate_with(frozenset(), self.players())
-        on, _ = enumerate_with({DPOR}, self.players())
+        off, _ = enumerate_with(False, self.players())
+        on, _ = enumerate_with(True, self.players())
         assert len(on) < len(off)
 
 
@@ -92,33 +88,16 @@ class TestSleepSets:
         }
 
     def test_duplicates_eliminated(self):
-        off, _ = enumerate_with(frozenset(), self.players())
-        on, _ = enumerate_with({DPOR}, self.players())
+        off, _ = enumerate_with(False, self.players())
+        on, stats = enumerate_with(True, self.players())
         distinct = set(behaviors(off))
         assert set(behaviors(on)) == distinct
         # Off-mode explores one run per schedule (3: the silent step
         # commutes); sleep sets explore exactly one per behavior.
         assert len(off) > len(distinct)
         assert len(on) == len(distinct)
-
-
-class TestTransposition:
-    """Runs converging on an already-visited state are cut."""
-
-    def players(self):
-        return {
-            1: (seq_player([("skip", ()), ("bump", ())]), ()),
-            2: (seq_player([("bump", ())]), ()),
-        }
-
-    def test_behaviors_preserved_and_table_hit(self):
-        off, _ = enumerate_with(frozenset(), self.players())
-        on, stats = enumerate_with({TRANSPO}, self.players())
-        assert set(behaviors(on)) == set(behaviors(off))
-        assert stats.table_hits >= 1
-        # The table is scoped per frontier subtree, so cross-subtree
-        # duplicates survive — but within-subtree convergence is cut.
-        assert len(on) < len(off)
+        # The participant kept asleep across the silent step is tallied.
+        assert stats.pruned.get("sleep")
 
 
 class TestDeterminism:
@@ -128,45 +107,35 @@ class TestDeterminism:
             2: (seq_player([("skip", ()), ("bump", ())]), ()),
         }
 
-    @pytest.mark.parametrize("axes", [{DPOR}, {TRANSPO}, {DPOR, TRANSPO}])
-    def test_repeat_runs_identical(self, axes):
-        first, _ = enumerate_with(axes, self.players())
-        second, _ = enumerate_with(axes, self.players())
+    @pytest.mark.parametrize("reduce", [True, False], ids=["on", "off"])
+    def test_repeat_runs_identical(self, reduce):
+        first, _ = enumerate_with(reduce, self.players())
+        second, _ = enumerate_with(reduce, self.players())
         assert [r.schedule for r in first] == [r.schedule for r in second]
         assert [r.log for r in first] == [r.log for r in second]
         assert [r.rets for r in first] == [r.rets for r in second]
 
-    @pytest.mark.parametrize("axes", [{DPOR}, {TRANSPO}, {DPOR, TRANSPO}])
-    def test_worker_count_invariant(self, axes):
-        serial, _ = enumerate_with(axes, self.players(), jobs=1)
-        parallel, _ = enumerate_with(axes, self.players(), jobs=2)
+    @pytest.mark.parametrize("reduce", [True, False], ids=["on", "off"])
+    def test_worker_count_invariant(self, reduce):
+        serial, serial_stats = enumerate_with(reduce, self.players(), jobs=1)
+        parallel, parallel_stats = enumerate_with(
+            reduce, self.players(), jobs=2
+        )
         assert [r.schedule for r in parallel] == [r.schedule for r in serial]
         assert [r.log for r in parallel] == [r.log for r in serial]
         assert [r.rets for r in parallel] == [r.rets for r in serial]
+        assert parallel_stats.as_dict() == serial_stats.as_dict()
 
     def test_distinct_behavior_count_matches_seed(self):
-        off, _ = enumerate_with(frozenset(), self.players())
-        on, _ = enumerate_with({DPOR, TRANSPO}, self.players())
+        off, _ = enumerate_with(False, self.players())
+        on, _ = enumerate_with(True, self.players())
         assert len(behavior_logs(on)) == len(behavior_logs(off))
 
 
 class TestFingerprint:
-    def test_equal_sequences_equal_chains(self):
-        a = extend_chain(extend_chain(0, "x"), "y")
-        b = extend_chain(extend_chain(0, "x"), "y")
-        assert a == b
-
-    def test_order_sensitive(self):
-        ab = extend_chain(extend_chain(0, "a"), "b")
-        ba = extend_chain(extend_chain(0, "b"), "a")
-        assert ab != ba
-
     def test_state_fingerprint_components(self):
         key = state_fingerprint(1, ((1, 2),), frozenset({1}))
         assert key == state_fingerprint(1, ((1, 2),), frozenset({1}))
         assert key != state_fingerprint(1, ((1, 3),), frozenset({1}))
-        # The sleep set is part of the transposition key: a revisit
-        # with a smaller sleep set owes schedules the first visit
-        # suppressed, so it must not be cut.
         assert state_fingerprint(1, (), frozenset(), frozenset({2})) != \
             state_fingerprint(1, (), frozenset(), frozenset())

@@ -2,10 +2,10 @@
 
 Three contracts:
 
-* every axis subset (selected with ``pinned(axes=...)``)
-  produces the same verdicts and the same failing behaviors
-  (counterexample logs) as reduction off, on both forensics fixtures
-  (the broken ticket lock and the non-atomic bump2);
+* reduction on (``pinned(reduce=True)``) produces the same verdicts and
+  the same failing behaviors (counterexample logs) as reduction off, on
+  both forensics fixtures (the broken ticket lock and the non-atomic
+  bump2);
 * with reduction on, serial / 2-worker / warm-cache certificates are
   byte-identical;
 * with reduction off no ``reduction`` provenance block appears anywhere
@@ -45,17 +45,10 @@ from repro.objects.ticket_lock import (
     n_cell,
 )
 from repro.envflags import pinned
-from repro.reduce import DPOR, RG_SIMPLIFY, TRANSPO
 
 REDUCE_ENV = "REPRO_REDUCE"
 
-MODES = {
-    "off": frozenset(),
-    "dpor": frozenset({DPOR}),
-    "transpo": frozenset({TRANSPO}),
-    "rg-simplify": frozenset({RG_SIMPLIFY}),
-    "dpor,transpo,rg-simplify": frozenset({DPOR, TRANSPO, RG_SIMPLIFY}),
-}
+MODES = {"off": False, "dpor": True}
 
 
 def cert_bytes(cert) -> bytes:
@@ -167,7 +160,7 @@ class TestForensicsParity:
     def test_broken_lock_counterexamples_identical(self, mode, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
         baseline = broken_lock_certificate()
-        with pinned(axes=MODES[mode]):
+        with pinned(reduce=MODES[mode]):
             cert = broken_lock_certificate()
         assert cert.ok == baseline.ok is False
         # Env-choice schedules are untouched by machine-level reduction,
@@ -182,7 +175,7 @@ class TestForensicsParity:
     def test_soundness_failing_behaviors_identical(self, mode, monkeypatch):
         monkeypatch.setenv(REDUCE_ENV, "off")
         baseline = soundness_certificate()
-        with pinned(axes=MODES[mode]):
+        with pinned(reduce=MODES[mode]):
             cert = soundness_certificate()
         assert cert.ok == baseline.ok is False
         # Machine reduction may pick a different representative schedule
@@ -193,7 +186,7 @@ class TestForensicsParity:
 
     @pytest.mark.parametrize("mode", list(MODES))
     def test_soundness_passing_verdict_identical(self, mode):
-        with pinned(axes=MODES[mode]):
+        with pinned(reduce=MODES[mode]):
             cert = soundness_certificate(impl=atomic_bump2_impl)
         assert cert.ok
 
@@ -202,7 +195,7 @@ class TestByteParity:
     def test_serial_parallel_cached_identical_reduced(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.delenv(REDUCE_ENV, raising=False)  # all axes on
+        monkeypatch.delenv(REDUCE_ENV, raising=False)  # reduction on
         serial = soundness_certificate(jobs=1)
         parallel = soundness_certificate(jobs=2)
         assert cert_bytes(parallel) == cert_bytes(serial)
@@ -253,10 +246,7 @@ class TestProvenanceGating:
             obs.disable()
         blocks = self._reduction_blocks(cert)
         assert blocks, "reduced run produced no reduction provenance"
-        merged_axes = set()
-        for block in blocks:
-            merged_axes.update(block.get("axes", ()))
-        assert {"dpor", "transpo", "rg-simplify"} <= merged_axes
+        assert any(block["pruned"].get("dpor") for block in blocks)
 
 
 #: SHA-256 of each certificate's ``canonical_bytes()`` with

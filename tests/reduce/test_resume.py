@@ -6,9 +6,11 @@ Four contracts:
   script-following DFS it replaced (``reference_dpor.py``) enumerated:
   every ``GameResult`` in order, the run and pruned counts and the
   reduction tallies, on the 2-client ticket and MCS Thm 2.2 games and
-  on a 3-participant toy game, under every subset of the machine axes,
-  serially and with two forced workers.  With no axis active it also
-  returns the seed prefix-replay DFS's ``GameResult`` list, in order.
+  on a 3-participant toy game, with reduction on and off, serially and
+  with two forced workers.  The reference decides silence by a hash
+  chain of the non-sched events, the engine by counting them.  With
+  reduction off it also returns the seed prefix-replay DFS's
+  ``GameResult`` list, in order.
   (Run counts are not compared with the seed DFS: it counted every
   prefix re-execution as a run.)
 * *Divergence fails loudly.*  A sibling run replays recorded rounds
@@ -30,7 +32,6 @@ Four contracts:
 
 from __future__ import annotations
 
-import itertools
 import pickle
 
 import pytest
@@ -57,7 +58,6 @@ from repro.clight import (
     c_func_impl,
 )
 from repro.core import machine, playerstate
-from repro.analysis.independence import static_invisible_tids
 from repro.core import (
     LayerInterface,
     ReplayDivergence,
@@ -74,30 +74,14 @@ from repro.core.module import Module, link
 from repro.machine import lx86_interface
 from repro.obs.coverage import CoverageBuilder
 from repro.obs.metrics import MetricsWindow
-from repro.envflags import pinned
-from repro.reduce import (
-    DPOR,
-    STATIC_INDEP,
-    TRANSPO,
-    ReductionStats,
-    current_axes,
-    reduction_collector,
-)
-from repro.reduce.dpor import (
-    DeferRun,
-    PruneRun,
-    ReducingScheduler,
-    TranspositionTable,
-)
+from repro.envflags import engine_config, pinned
+from repro.reduce import ReductionStats, reduction_collector
+from repro.reduce.dpor import DeferRun, PruneRun, ReducingScheduler
 
-#: The axes that change which game runs execute.
-MACHINE_AXES = frozenset({DPOR, TRANSPO, STATIC_INDEP})
-
-SUBSETS = [
-    frozenset(axes)
-    for size in range(len(MACHINE_AXES) + 1)
-    for axes in itertools.combinations(sorted(MACHINE_AXES), size)
-]
+#: Reduction off and on, with the parameter ids the tests print.
+REDUCE = pytest.mark.parametrize(
+    "reduce", [False, True], ids=["none", "dpor"]
+)
 
 CLIENT = {tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}
 
@@ -122,7 +106,7 @@ def skip_spec(ctx):
 
 
 def local_step(ctx):
-    # Purely private: the dependency analysis classifies it invisible.
+    # Purely private: a single step that appends no event.
     return len(ctx.priv)
 
 
@@ -179,23 +163,23 @@ def games():
     return get
 
 
-def tallied(axes, run):
-    """``run()`` under ``axes``: (results, runs, pruned, tallies)."""
-    with pinned(axes=axes), reduction_collector(axes) as stats:
+def tallied(reduce, run):
+    """``run()`` with reduction on or off: (results, runs, pruned, tallies)."""
+    with pinned(reduce=reduce), reduction_collector() as stats:
         results, runs, pruned = run()
     return results, runs, pruned, stats.as_dict()
 
 
-def reference(interface, players, max_rounds, axes):
+def reference(interface, players, max_rounds, reduce):
     return tallied(
-        axes,
+        reduce,
         lambda: reference_dpor.reference_enumerate(
-            interface, players, axes, max_rounds
+            interface, players, reduce, max_rounds
         ),
     )
 
 
-def resumed(interface, players, max_rounds, axes, jobs):
+def resumed(interface, players, max_rounds, reduce, jobs):
     def run():
         coverage = CoverageBuilder("machine.schedules")
         with obs.observing(reset=False), pinned(jobs=jobs):
@@ -206,31 +190,25 @@ def resumed(interface, players, max_rounds, axes, jobs):
             runs = window.delta()["machine.schedules_explored"]
         return results, runs, coverage.pruned
 
-    return tallied(axes, run)
+    return tallied(reduce, run)
 
 
 class TestDifferentialOracle:
-    @pytest.mark.parametrize(
-        "axes", SUBSETS, ids=["+".join(sorted(a)) or "none" for a in SUBSETS]
-    )
+    @REDUCE
     @pytest.mark.parametrize("name", sorted(GAMES))
-    def test_same_enumeration(self, name, axes, games):
+    def test_same_enumeration(self, name, reduce, games):
         for interface, players, max_rounds in games(name):
-            expected = reference(interface, players, max_rounds, axes)
+            expected = reference(interface, players, max_rounds, reduce)
             assert expected[1] > 1
-            if not axes:
+            if not reduce:
                 seed = reference_dpor.seed_enumerate(
                     interface, players, max_rounds
                 )
                 assert expected[0] == seed
             for jobs in (1, 2):
-                got = resumed(interface, players, max_rounds, axes, jobs)
+                got = resumed(interface, players, max_rounds, reduce, jobs)
                 assert got[0] == expected[0], f"jobs={jobs}"
                 assert got[1:] == expected[1:], f"jobs={jobs}"
-
-    def test_toy_game_has_an_invisible_player(self, games):
-        interface, players, _ = games("toy")[0]
-        assert static_invisible_tids(interface, players) == frozenset({3})
 
 
 # --- divergence ----------------------------------------------------------------
@@ -265,20 +243,20 @@ def flaky(first, later):
 
 
 class TestDivergence:
-    def enumerate(self, player1, axes=MACHINE_AXES):
+    def enumerate(self, player1, reduce=True):
         players = {1: (player1, ()), 2: (emitter("x", "y"), ())}
-        with pinned(axes=axes):
+        with pinned(reduce=reduce):
             return enumerate_game_logs(emit_interface(), players, max_rounds=12)
 
     def test_different_event_on_a_later_run(self):
         # The first sibling resumes at round 1 after replaying round 0,
         # where player 1 now emits ``b`` (log index 1) instead of ``a``.
-        # The check does not depend on the axes: with none active the
-        # unpruned enumeration must fail loudly too.
-        for axes in (MACHINE_AXES, frozenset()):
+        # The check does not depend on reduction: the unpruned
+        # enumeration must fail loudly too.
+        for reduce in (True, False):
             with pytest.raises(ReplayDivergence) as info:
                 self.enumerate(
-                    flaky(emitter("a", "c"), emitter("b", "c")), axes
+                    flaky(emitter("a", "c"), emitter("b", "c")), reduce
                 )
             assert (info.value.round, info.value.index) == (1, 1)
             assert "round 1" in str(info.value)
@@ -291,18 +269,13 @@ class TestDivergence:
     def record(self, player1):
         """The branch points of a root run, deepest last."""
         players = {1: (player1, ()), 2: (emitter("x"), ())}
-        scheduler = ReducingScheduler(
-            None, frozenset({DPOR}), ReductionStats(frozenset({DPOR}))
-        )
+        scheduler = ReducingScheduler(None, True, ReductionStats())
         run_game(emit_interface(), players, scheduler)
         scheduler.finalize()
         return players, [point for point, _siblings in scheduler.branches]
 
     def resume(self, players, point, sibling=2):
-        scheduler = ReducingScheduler(
-            (point, sibling), frozenset({DPOR}),
-            ReductionStats(frozenset({DPOR})),
-        )
+        scheduler = ReducingScheduler((point, sibling), True, ReductionStats())
         return run_game(emit_interface(), players, scheduler)
 
     def test_replay_schedules_a_finished_participant(self):
@@ -450,12 +423,12 @@ class RestoreOracle:
     """Runs each restored sibling a second time, re-executing its prefix.
 
     The second run is the same stack entry with the branch point's
-    player state removed, on a copy of the transposition table, so it
-    cuts where the restored run cuts and takes the same branches.
+    player state removed, so it cuts where the restored run cuts and
+    takes the same branches.
     """
 
-    def __init__(self, axes):
-        self.axes = axes
+    def __init__(self, reduce):
+        self.reduce = reduce
         self.checked = 0
         self.stuck = set()
         self.real_run_game = machine.run_game
@@ -472,16 +445,9 @@ class RestoreOracle:
         self.restores.setdefault(id(point), [point, 0])[1] += 1
         for part in point.state.players.values():
             self.holders.setdefault(id(part), [part, set()])[1].add(id(point))
-        table = scheduler.table
-        twin_table = None
-        if table is not None:
-            twin_table = TranspositionTable(ReductionStats(self.axes))
-            twin_table.keys = set(table.keys)
         twin = ReducingScheduler(
-            (point._replace(state=None), scheduler.last[1]), self.axes,
-            ReductionStats(self.axes), table=twin_table,
-            frontier_depth=scheduler.frontier_depth,
-            invisible=scheduler.invisible,
+            (point._replace(state=None), scheduler.last[1]), self.reduce,
+            ReductionStats(), frontier_depth=scheduler.frontier_depth,
         )
         assert twin.restore is None
 
@@ -491,8 +457,6 @@ class RestoreOracle:
         expected = outcome(run, twin)
         got = outcome(run, scheduler)
         assert got == expected
-        if table is not None:
-            assert table.keys == twin_table.keys
         self.checked += 1
         kind, result = got[0]
         if kind == "result":
@@ -503,16 +467,14 @@ class RestoreOracle:
 
 
 class TestRestoredRuns:
-    @pytest.mark.parametrize(
-        "axes", SUBSETS, ids=["+".join(sorted(a)) or "none" for a in SUBSETS]
-    )
+    @REDUCE
     @pytest.mark.parametrize("name", sorted(C_GAMES))
-    def test_restored_equals_reexecuted(self, name, axes, c_games, monkeypatch):
+    def test_restored_equals_reexecuted(self, name, reduce, c_games, monkeypatch):
         interface, players, max_rounds, fuel = c_games(name)
         for jobs in (1, 2):
-            oracle = RestoreOracle(axes)
+            oracle = RestoreOracle(reduce)
             monkeypatch.setattr(machine, "run_game", oracle.run_game)
-            with pinned(jobs=jobs, axes=axes), obs.observing(reset=False):
+            with pinned(jobs=jobs, reduce=reduce), obs.observing(reset=False):
                 window = MetricsWindow()
                 enumerate_game_logs(
                     interface, players, max_rounds=max_rounds, fuel=fuel,
@@ -645,18 +607,16 @@ class TestFallback:
     """See also ``tests/clight/test_compiled.py`` for an interpreter that
     keeps no activation records."""
 
-    @pytest.mark.parametrize(
-        "axes", [frozenset(), MACHINE_AXES], ids=["none", "all"]
-    )
+    @pytest.mark.parametrize("reduce", [False, True], ids=["none", "all"])
     @pytest.mark.parametrize(
         "holder", ["local", "global", "argument", "returned", "aliased"]
     )
-    def test_unfreezable_state_reexecutes(self, holder, axes, monkeypatch):
+    def test_unfreezable_state_reexecutes(self, holder, reduce, monkeypatch):
         # A branch point at which a participant holds such a value stores
         # no state, so its siblings re-execute the recorded rounds.  Runs
         # restored from the points before it are checked as usual.
         interface, players = mutable_state_game(holder)
-        oracle = RestoreOracle(axes)
+        oracle = RestoreOracle(reduce)
         captured = []
 
         def capture_game(*args):
@@ -666,7 +626,7 @@ class TestFallback:
 
         monkeypatch.setattr(machine, "run_game", oracle.run_game)
         monkeypatch.setattr(machine, "capture_game", capture_game)
-        with pinned(jobs=1, axes=axes), obs.observing(reset=False):
+        with pinned(jobs=1, reduce=reduce), obs.observing(reset=False):
             window = MetricsWindow()
             results = enumerate_game_logs(interface, players, max_rounds=12)
             delta = window.delta()
@@ -676,7 +636,7 @@ class TestFallback:
         assert delta["machine.schedule_rounds_replayed"] > 2 * restored
         assert all(result.ok for result in results)
         assert results == reference_dpor.reference_enumerate(
-            interface, players, axes, 12
+            interface, players, reduce, 12
         )[0]
 
     def test_python_spec_functions_reexecute(self):
@@ -689,9 +649,8 @@ class TestFallback:
             interface, players, max_rounds=max_rounds
         )
         assert replayed > 0 and restored == 0
-        axes = frozenset(current_axes())
         assert results == reference_dpor.reference_enumerate(
-            interface, players, axes, max_rounds
+            interface, players, engine_config().reduce, max_rounds
         )[0]
 
     def test_uncopyable_private_state_reexecutes(self):
@@ -712,16 +671,15 @@ class TestFallback:
             interface, players, max_rounds=12
         )
         assert replayed > restored
-        axes = frozenset(current_axes())
         assert results == reference_dpor.reference_enumerate(
-            interface, players, axes, 12
+            interface, players, engine_config().reduce, 12
         )[0]
 
     def test_fine_grained_game_reexecutes(self, c_games):
         interface, players, _max_rounds, _fuel = c_games("ticket")
         # Unreduced, this many rounds of the fine-grained game exceed the
         # run budget.
-        with pinned(axes=MACHINE_AXES):
+        with pinned(reduce=True):
             results, replayed, restored = enumerated(
                 interface, players, max_rounds=20, fine_grained=True
             )

@@ -10,7 +10,6 @@ import pytest
 import repro
 from repro.envflags import KNOWN_VARS, config_from_env, engine_config, pinned
 from repro.parallel import in_worker, parallel_map
-from repro.reduce import ALL_AXES, DPOR, current_axes
 
 
 class TestUnknownNames:
@@ -35,24 +34,26 @@ class TestPinned:
     def test_pin_reaches_pool_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_REDUCE", "off")
         monkeypatch.delenv("REPRO_LINT", raising=False)
-        assert current_axes() == frozenset()
-        with pinned(jobs=2, axes={DPOR}, lint="off"):
+        assert engine_config().reduce is False
+        with pinned(jobs=2, reduce=True, lint="off"):
             seen = parallel_map(
-                lambda _: (in_worker(), current_axes(), engine_config().lint),
+                lambda _: (
+                    in_worker(), engine_config().reduce, engine_config().lint
+                ),
                 [0, 1],
             )
-        assert seen == [(True, {DPOR}, "off")] * 2
+        assert seen == [(True, True, "off")] * 2
 
     def test_pin_ends_with_its_block(self, monkeypatch):
         monkeypatch.delenv("REPRO_REDUCE", raising=False)
-        with pinned(axes=()):
-            assert current_axes() == frozenset()
-        assert current_axes() == ALL_AXES
+        with pinned(reduce=False):
+            assert engine_config().reduce is False
+        assert engine_config().reduce is True
 
     def test_overrides_are_validated(self):
-        with pytest.raises(ValueError, match="unknown reduction axes"):
-            with pinned(axes={DPOR, "dpro"}):
-                pytest.fail("an unknown axis must not take effect")
+        with pytest.raises(ValueError, match="reduce='dpor' is not a bool"):
+            with pinned(reduce="dpor"):
+                pytest.fail("an axis name must not take effect")
         with pytest.raises(ValueError, match="jobs='2' is not an integer"):
             with pinned(jobs="2"):
                 pytest.fail("a string worker count must not take effect")
