@@ -9,9 +9,10 @@ digest by emitting a canonical token stream:
 
 * Functions fingerprint by their compiled code: bytecode, constants
   (recursively, including nested code objects), names, argument
-  defaults, and the *contents* of closure cells.  Editing a spec or an
-  invariant therefore changes the fingerprint; renaming a local does
-  too (bytecode-level identity is deliberately conservative).
+  defaults (keyword-only ones too), and the *contents* of closure
+  cells.  Editing a spec or an invariant therefore changes the
+  fingerprint; renaming a local does too (bytecode-level identity is
+  deliberately conservative).
 * Objects fingerprint by type qualname plus their ``__dict__`` (sorted),
   excluding per-instance caches (``_memo``, ``_hash``, ...) and
   certificate ``provenance`` — run-dependent state never reaches the key.
@@ -20,9 +21,20 @@ digest by emitting a canonical token stream:
 * Cycles are cut with ``ref:<n>`` back-references to the visitation
   index of an *ancestor on the current path*, so recursive structures
   (interfaces referring to each other) terminate deterministically.
-  Acyclic sharing is deliberately re-expanded: whether two equal
-  subobjects are one aliased object or two copies (event interning
+  Acyclic sharing is deliberately re-expanded in the stream: whether two
+  equal subobjects are one aliased object or two copies (event interning
   makes this run-dependent) must not change the fingerprint.
+
+The encoder is one recursive pass that appends tokens to a buffer and
+feeds it to the hasher once :data:`_FLUSH_TOKENS` tokens are waiting, so
+no fingerprint holds its whole stream in memory.  An :class:`~repro.core.events.Event`
+whose fields are atoms or tuples of atoms cannot hold a back-reference,
+so its tokens do not depend on where it occurs: within one fingerprint
+each such event object is encoded once, and its joined tokens are
+spliced in at every later occurrence, advancing the visitation index by
+the nodes they span.  The stream is the one a plain walk would emit;
+only the work is shared.  A log universe holds thousands of occurrences
+of a few hundred interned events.
 
 **What the fingerprint does not cover:** module-level globals referenced
 by name from inside a function body (the walk follows closures and
@@ -38,7 +50,9 @@ from __future__ import annotations
 
 import hashlib
 import types
-from typing import Any, Dict
+from typing import Any, Dict, List, Optional, Tuple
+
+from ..core.events import Event
 
 #: Per-instance caches and run-dependent attributes that must never
 #: influence a content address.
@@ -53,153 +67,207 @@ _EXCLUDED_ATTRS = {
     "provenance",  # Certificate provenance: wall times, metrics, workers
 }
 
+#: Types whose values are one token and never a node of the walk.
+_ATOM_KINDS = frozenset({type(None), bool, int, float, str, bytes})
+
+#: Tokens buffered before the next node joins them and feeds the hasher.
+_FLUSH_TOKENS = 2048
+
+#: ``id(event) -> (event, chunk, span)``: an event's tokens joined by
+#: the separator (``None`` when the event holds a non-atom) and the
+#: number of nodes they span.  The entry keeps the event alive, so its
+#: id is not reused while the fingerprint runs.
+_Chunks = Dict[int, Tuple[Event, Optional[bytes], int]]
+
 
 def canonical_fingerprint(obj: Any) -> str:
     """The SHA-256 hex digest of ``obj``'s canonical token stream."""
+    return _digest(obj, {}, 0, {}).hexdigest()
+
+
+def _digest(obj: Any, seen: Dict[int, int], base: int, chunks: _Chunks):
+    """The hasher fed ``obj``'s tokens, each followed by ``b"\\x00"``,
+    with visitation indices starting at ``base``."""
     hasher = hashlib.sha256()
-    for token in _tokens(obj, {}, [0]):
-        hasher.update(token)
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    out: List[bytes] = []
+    _encode(obj, base, out, hasher, seen, chunks)
+    if out:
+        _flush(out, hasher)
+    return hasher
 
 
-def _sub_digest(obj: Any, seen: Dict[int, int], counter) -> bytes:
-    """Digest of one element, used to order sets and dict items."""
-    hasher = hashlib.sha256()
-    for token in _tokens(obj, seen, counter):
-        hasher.update(token)
-        hasher.update(b"\x00")
-    return hasher.digest()
+def _flush(out: List[bytes], hasher) -> None:
+    hasher.update(b"\x00".join(out))
+    hasher.update(b"\x00")
+    out.clear()
 
 
-def _tokens(obj: Any, seen: Dict[int, int], counter):
-    """Yield the canonical byte tokens of ``obj`` (depth-first)."""
-    if obj is None or obj is True or obj is False:
-        yield f"atom:{obj!r}".encode()
-        return
+def _encode(
+    obj: Any, n: int, out: List[bytes], hasher, seen: Dict[int, int],
+    chunks: _Chunks,
+) -> int:
+    """Append ``obj``'s tokens to ``out``; return the next visitation index.
+
+    ``hasher`` is ``None`` while an event's chunk is being built: the
+    chunk's tokens must stay in ``out``.
+    """
     kind = type(obj)
-    if kind is int:
-        yield f"int:{obj}".encode()
-        return
-    if kind is float:
-        yield f"float:{obj!r}".encode()
-        return
     if kind is str:
-        yield b"str:" + obj.encode("utf-8", "surrogatepass")
-        return
+        out.append(b"str:" + obj.encode("utf-8", "surrogatepass"))
+        return n
+    if kind is int:
+        out.append(b"int:%d" % obj)
+        return n
+    if obj is None or obj is True or obj is False:
+        out.append(b"atom:%a" % (obj,))
+        return n
+    if kind is float:
+        out.append(b"float:%a" % obj)
+        return n
     if kind is bytes:
-        yield b"bytes:" + obj
-        return
+        out.append(b"bytes:" + obj)
+        return n
+    if kind is Event:
+        entry = chunks.get(id(obj))
+        if entry is None:
+            entry = chunks[id(obj)] = _event_chunk(obj)
+        if entry[1] is not None:
+            out.append(entry[1])
+            return n + entry[2]
 
+    if len(out) >= _FLUSH_TOKENS and hasher is not None:
+        _flush(out, hasher)
     # Everything below may recurse.  ``seen`` holds only the ancestors
     # of the *current path* (entries are removed on exit), so ``ref``
     # fires for true cycles while shared acyclic objects re-expand —
     # aliasing (object identity) never influences the fingerprint.
     oid = id(obj)
-    if oid in seen:
-        yield f"ref:{seen[oid]}".encode()
-        return
-    seen[oid] = counter[0]
-    counter[0] += 1
-    try:
-        yield from _structure_tokens(obj, kind, seen, counter)
-    finally:
-        del seen[oid]
+    ref = seen.get(oid)
+    if ref is not None:
+        out.append(b"ref:%d" % ref)
+        return n
+    seen[oid] = n
+    n = _structure(obj, kind, n + 1, out, hasher, seen, chunks)
+    del seen[oid]
+    return n
 
 
-def _structure_tokens(obj: Any, kind: type, seen: Dict[int, int], counter):
-    if kind in (tuple, list):
-        yield f"seq:{len(obj)}".encode()
+def _event_chunk(event: Event) -> Tuple[Event, Optional[bytes], int]:
+    """The cache entry of one event (see :data:`_Chunks`).
+
+    With atoms and tuples of atoms only, no token of the event is a
+    ``ref`` or depends on the visitation index, so one encoding serves
+    every occurrence.
+    """
+    for name, value in event.__dict__.items():
+        if name not in _EXCLUDED_ATTRS and not _atoms_only(value):
+            return event, None, 0
+    out: List[bytes] = []
+    span = _structure(event, Event, 1, out, None, {id(event): 0}, {})
+    return event, b"\x00".join(out), span
+
+
+def _atoms_only(value: Any) -> bool:
+    """Whether ``value`` is an atom or a tuple of such values."""
+    if type(value) is tuple:
+        return all(_atoms_only(item) for item in value)
+    return type(value) in _ATOM_KINDS
+
+
+def _structure(
+    obj: Any, kind: type, n: int, out: List[bytes], hasher,
+    seen: Dict[int, int], chunks: _Chunks,
+) -> int:
+    if kind is tuple or kind is list:
+        out.append(b"seq:%d" % len(obj))
         for item in obj:
-            yield from _tokens(item, seen, counter)
-        return
-    if kind in (set, frozenset):
-        # Each element digests against a *copy* of the visited map, so
-        # iteration order cannot leak into back-reference indices; equal
-        # sets therefore digest equally regardless of build order.
-        yield f"set:{len(obj)}".encode()
-        base = counter[0]
-        for digest in sorted(
-            _sub_digest(item, dict(seen), [base]) for item in obj
-        ):
-            yield digest
-        return
+            n = _encode(item, n, out, hasher, seen, chunks)
+        return n
+    if kind is set or kind is frozenset:
+        # Each element digests from the same index, so iteration order
+        # cannot leak into back-reference indices; equal sets therefore
+        # digest equally regardless of build order.  An element's walk
+        # leaves ``seen`` as it found it.
+        out.append(b"set:%d" % len(obj))
+        out.extend(sorted(_digest(item, seen, n, chunks).digest() for item in obj))
+        return n
     if kind is dict:
-        yield f"dict:{len(obj)}".encode()
-        base = counter[0]
+        out.append(b"dict:%d" % len(obj))
         entries = sorted(
-            (_sub_digest(key, dict(seen), [base]), key, value)
+            (_digest(key, seen, n, chunks).digest(), key, value)
             for key, value in obj.items()
         )
         for key_digest, _key, value in entries:
-            yield key_digest
-            yield from _tokens(value, seen, counter)
-        return
+            out.append(key_digest)
+            n = _encode(value, n, out, hasher, seen, chunks)
+        return n
 
-    if isinstance(obj, types.FunctionType):
-        yield f"fn:{obj.__qualname__}".encode()
-        yield from _tokens(obj.__defaults__, seen, counter)
+    if kind is types.FunctionType:
+        out.append(b"fn:" + obj.__qualname__.encode())
+        n = _encode(obj.__defaults__, n, out, hasher, seen, chunks)
+        if obj.__kwdefaults__:
+            out.append(b"kwdefaults")
+            n = _encode(obj.__kwdefaults__, n, out, hasher, seen, chunks)
         if obj.__closure__:
-            yield f"closure:{len(obj.__closure__)}".encode()
+            out.append(b"closure:%d" % len(obj.__closure__))
             for cell in obj.__closure__:
                 try:
                     contents = cell.cell_contents
                 except ValueError:  # empty cell (recursive def)
                     contents = "<empty-cell>"
-                yield from _tokens(contents, seen, counter)
-        yield from _code_tokens(obj.__code__, seen, counter)
-        return
-    if isinstance(obj, types.CodeType):
-        yield from _code_tokens(obj, seen, counter)
-        return
-    if isinstance(obj, types.MethodType):
-        yield f"method:{obj.__func__.__qualname__}".encode()
-        yield from _tokens(obj.__self__, seen, counter)
-        return
+                n = _encode(contents, n, out, hasher, seen, chunks)
+        return _code(obj.__code__, n, out, hasher, seen, chunks)
+    if kind is types.CodeType:
+        return _code(obj, n, out, hasher, seen, chunks)
+    if kind is types.MethodType:
+        out.append(f"method:{obj.__func__.__qualname__}".encode())
+        return _encode(obj.__self__, n, out, hasher, seen, chunks)
     if isinstance(obj, type):
-        yield f"type:{obj.__module__}.{obj.__qualname__}".encode()
-        return
+        out.append(f"type:{obj.__module__}.{obj.__qualname__}".encode())
+        return n
 
     type_tag = f"{kind.__module__}.{kind.__qualname__}"
 
     # Log is a __slots__ class; its content is exactly its event tuple.
     if type_tag == "repro.core.log.Log":
-        yield b"Log"
-        yield from _tokens(obj.events, seen, counter)
-        return
+        out.append(b"Log")
+        return _encode(obj.events, n, out, hasher, seen, chunks)
 
     state = getattr(obj, "__dict__", None)
     if state is not None:
-        items = sorted(
-            (name, value)
-            for name, value in state.items()
-            if name not in _EXCLUDED_ATTRS
-        )
-        yield f"obj:{type_tag}:{len(items)}".encode()
-        for name, value in items:
-            yield b"attr:" + name.encode()
-            yield from _tokens(value, seen, counter)
-        return
+        names = sorted(name for name in state if name not in _EXCLUDED_ATTRS)
+        out.append(f"obj:{type_tag}:{len(names)}".encode())
+        for name in names:
+            out.append(b"attr:" + name.encode())
+            n = _encode(state[name], n, out, hasher, seen, chunks)
+        return n
 
     slots = getattr(kind, "__slots__", None)
     if slots is not None:
-        names = sorted(n for n in slots if n not in _EXCLUDED_ATTRS)
-        yield f"slots:{type_tag}:{len(names)}".encode()
+        names = sorted(name for name in slots if name not in _EXCLUDED_ATTRS)
+        out.append(f"slots:{type_tag}:{len(names)}".encode())
         for name in names:
-            yield b"attr:" + name.encode()
-            yield from _tokens(getattr(obj, name, None), seen, counter)
-        return
+            out.append(b"attr:" + name.encode())
+            n = _encode(getattr(obj, name, None), n, out, hasher, seen, chunks)
+        return n
 
     # Last resort: the type alone.  Never repr() — it embeds addresses.
-    yield f"opaque:{type_tag}".encode()
+    out.append(f"opaque:{type_tag}".encode())
+    return n
 
 
-def _code_tokens(code: types.CodeType, seen: Dict[int, int], counter):
-    yield f"code:{code.co_name}:{code.co_argcount}:{code.co_kwonlyargcount}".encode()
-    yield b"bytecode:" + code.co_code
-    yield from _tokens(code.co_names, seen, counter)
-    yield from _tokens(code.co_varnames, seen, counter)
-    yield from _tokens(code.co_freevars, seen, counter)
-    yield f"consts:{len(code.co_consts)}".encode()
+def _code(
+    code: types.CodeType, n: int, out: List[bytes], hasher,
+    seen: Dict[int, int], chunks: _Chunks,
+) -> int:
+    out.append(
+        f"code:{code.co_name}:{code.co_argcount}:{code.co_kwonlyargcount}".encode()
+    )
+    out.append(b"bytecode:" + code.co_code)
+    n = _encode(code.co_names, n, out, hasher, seen, chunks)
+    n = _encode(code.co_varnames, n, out, hasher, seen, chunks)
+    n = _encode(code.co_freevars, n, out, hasher, seen, chunks)
+    out.append(b"consts:%d" % len(code.co_consts))
     for const in code.co_consts:
-        yield from _tokens(const, seen, counter)
+        n = _encode(const, n, out, hasher, seen, chunks)
+    return n

@@ -160,6 +160,26 @@ class TestCanonical:
         assert canonical_fingerprint(make(1)) != canonical_fingerprint(make(2))
         assert canonical_fingerprint(make(1)) == canonical_fingerprint(make(1))
 
+    def test_keyword_only_defaults_sensitivity(self):
+        # A keyword-only default lives in ``__kwdefaults__``, not in
+        # ``__defaults__``: two specs differing only there must not share
+        # a cache key, just as the positional twins do not.
+        def make_keyword(limit):
+            def spec(ctx, lock, *, limit=limit):
+                return limit
+
+            return spec
+
+        def make_positional(limit):
+            def spec(ctx, lock, limit=limit):
+                return limit
+
+            return spec
+
+        for make in (make_keyword, make_positional):
+            assert canonical_fingerprint(make(1)) != canonical_fingerprint(make(2))
+            assert canonical_fingerprint(make(1)) == canonical_fingerprint(make(1))
+
     def test_log_content_addressed(self):
         a = Log([Event(1, "bump"), Event(2, "bump")])
         b = Log([Event(1, "bump"), Event(2, "bump")])
