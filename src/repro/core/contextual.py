@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..envflags import pinned
 from ..obs import obs_enabled, span
-from ..obs.blocks import fold_blocks
+from ..obs.blocks import fold_blocks, tallies
 from ..obs.coverage import CoverageBuilder
 from ..obs.forensics import MAX_COUNTEREXAMPLES, build_counterexample
 from ..obs.metrics import MetricsWindow, inc
@@ -35,7 +35,6 @@ from ..parallel.cache import (
     cached_obligation_payload,
 )
 from ..parallel.pool import get_jobs, parallel_map
-from ..reduce import reduction_collector
 from .certificate import Certificate, CertifiedLayer, stamp_provenance
 from .errors import ComposeError
 from .interface import LayerInterface
@@ -346,7 +345,7 @@ def _check_soundness_uncached(
             if prof else (None, None)
         )
         with span("soundness.client", client=index), \
-                reduction_collector() as red_stats, \
+                tallies("dpor", "sleep") as cuts, \
                 profile_span(f"obligation[P{index}]"):
             cov_low, cov_high = (
                 (
@@ -388,7 +387,7 @@ def _check_soundness_uncached(
             "low": len(low),
             "high": len(high),
             "logs": tuple(r.log for r in low) + tuple(r.log for r in high),
-            "reduction": red_stats.as_dict(),
+            "reduction": {"pruned": cuts},
         }
         if track_cov:
             output.update(fold_blocks([

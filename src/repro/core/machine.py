@@ -578,8 +578,8 @@ def enumerate_game_logs(
                             RedundancyBuilder("machine.schedules")
                             if profile_enabled() else None
                         )
-                        # Subtree tallies go straight to the ambient
-                        # collectors (a pool sink in workers).
+                        # Subtree tallies go straight to the open
+                        # tally scopes (a pool sink in workers).
                         sub_stats = ReductionStats()
                         sub_plan, sub_runs, sub_pruned = _explore_reduced(
                             run_one, reduce, max_rounds, max_runs, [entry],
@@ -649,9 +649,9 @@ def enumerate_game_logs(
             )
         if own_redundancy:
             redundancy.record()
-    # Surface the tallies to whichever checker opened a collector
-    # (check_sim / check_soundness attach them to certificate provenance
-    # as the ``reduction`` block; an empty tally contributes nothing).
+    # Surface the tallies to whichever checker opened a scope
+    # (check_soundness attaches them to certificate provenance as the
+    # ``reduction`` block; an empty tally contributes nothing).
     contribute(stats)
     if obs_enabled():
         inc("machine.schedules_explored", runs)

@@ -21,11 +21,21 @@ since that mark after it, and an absorb that replays the delta in the
 parent.  :mod:`repro.parallel.pool` ships one ``[(sink, delta), ...]``
 list per task and replays the lists in plan order.  A sink whose
 ``mark`` returns ``None`` is inactive for that task and ships nothing.
+
+A **tally** is the one scoped counter for plain counts that must be
+summed over premises and workers (DPOR's cuts, obligation-cache reuse,
+the run ledger's cache lookups).  :func:`tallies` opens a scope over
+the names it counts, :func:`tally` adds to every open scope that counts
+a name, and the ``tallies`` sink gives each worker task a scope of its
+own whose counts the parent adds to its open scopes in plan order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 Value = Optional[Dict[str, Any]]
 
@@ -123,37 +133,6 @@ def ledger_fields(provenances: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return fields
 
 
-def register_stack_sink(
-    name: str,
-    stack: List[Any],
-    fresh: Callable[[], Any],
-    record: Callable[[Any], Any],
-    absorb: Callable[[Any, Any], None],
-) -> None:
-    """A sink over a stack of ambient collectors (every tally goes to
-    every open collector).  A worker task tallies into a ``fresh``
-    collector pushed for its duration; the parent absorbs that
-    collector's ``record`` into each collector it has open.  Inactive
-    while the stack is empty."""
-
-    def mark() -> Any:
-        if not stack:
-            return None
-        collector = fresh()
-        stack.append(collector)
-        return collector
-
-    def since(collector: Any) -> Any:
-        stack.pop()  # the task left the stack as it found it
-        return record(collector)
-
-    def absorb_all(delta: Any) -> None:
-        for collector in stack:
-            absorb(collector, delta)
-
-    register_sink(name, mark, since, absorb_all)
-
-
 def sink_marks() -> List[Tuple[Sink, Any]]:
     """Mark every active sink before a worker task runs."""
     marks = []
@@ -178,3 +157,52 @@ def absorb_records(records: Iterable[Tuple[str, Any]]) -> None:
     """Replay one task's shipped deltas into this process's sinks."""
     for name, delta in records:
         SINKS[name].absorb(delta)
+
+
+# --- tallies -----------------------------------------------------------------
+
+#: The open tally scopes by ``id``, in opening order; each maps the
+#: names it counts to their running totals.
+_SCOPES: Dict[int, Dict[str, Any]] = {}
+
+
+@contextmanager
+def tallies(*names: str) -> Iterator[Dict[str, Any]]:
+    """Count ``names`` while the block runs; yields the live counts,
+    each starting at 0."""
+    counts = dict.fromkeys(names, 0)
+    _SCOPES[id(counts)] = counts
+    try:
+        yield counts
+    finally:
+        del _SCOPES[id(counts)]
+
+
+def tally(name: str, n: Any = 1) -> None:
+    """Add ``n`` to ``name`` in every open scope that counts it."""
+    for counts in _SCOPES.values():
+        if name in counts:
+            counts[name] += n
+
+
+def _task_scope() -> Optional[Dict[str, Any]]:
+    """A worker task's own scope over every name an open scope counts
+    (``None``, inactive, while no scope is open)."""
+    if not _SCOPES:
+        return None
+    counts = {name: 0 for scope in _SCOPES.values() for name in scope}
+    _SCOPES[id(counts)] = counts
+    return counts
+
+
+def _task_counts(counts: Dict[str, Any]) -> Dict[str, Any]:
+    del _SCOPES[id(counts)]
+    return {name: n for name, n in counts.items() if n}
+
+
+def _absorb_counts(delta: Dict[str, Any]) -> None:
+    for name, n in delta.items():
+        tally(name, n)
+
+
+register_sink("tallies", _task_scope, _task_counts, _absorb_counts)

@@ -32,9 +32,10 @@ certificates not contained in any other) are rolled into one record and
 appended.  The hooks never touch the certificates themselves, so
 obs-off certificate bytes stay byte-identical with the ledger enabled
 (asserted by ``tests/parallel/test_ledger_parallel.py``).  Fork-pool
-workers inherit the armed run but never write records; their
-ledger-relevant counters ship back through the pool payload and merge
-in serial plan order (the PR 3 contract).
+workers inherit the armed run but never write records; the run's cache
+counts are a tally scope (:func:`repro.obs.blocks.tallies`), so counts
+made in workers ship back through the ``tallies`` pool sink and merge
+in serial plan order.
 
 Nothing here imports :mod:`repro.core` at module level, so the
 read-side (history / trends / regress / dashboard) stays usable on
@@ -50,12 +51,12 @@ import os
 import platform
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..cas import ContentStore
 from ..envflags import engine_config
-from .blocks import ledger_fields, register_sink
+from .blocks import ledger_fields, tallies
 from .heartbeat import stream_path as _heartbeat_stream_path
 from .metrics import snapshot as _metrics_snapshot
 from .profile import PROFILER, profile_enabled
@@ -270,15 +271,23 @@ def _matches_fingerprint(record: Dict[str, Any], prefix: str) -> bool:
 # Run capture
 # ---------------------------------------------------------------------------
 
+#: The tally names an armed run counts: rule-cache lookups and their
+#: latencies, and obligation-cache events.
+_RUN_TALLIES = (
+    "hits", "misses", "hit_latency_s", "miss_latency_s",
+    "reused", "rechecked", "slice_misses",
+)
+
+
 class LedgerRun:
-    """One armed capture: accumulates certificates and counters, then
+    """One armed capture: accumulates certificates and counts, then
     rolls them into a single run record at :meth:`flush`.
 
     Only the arming process (by pid) collects certificates and writes
-    the record; forked pool workers inherit the object but their
-    contributions travel back through the pool payload
-    (:func:`worker_notes_since` / :func:`absorb_worker_notes`) and are
-    merged in serial plan order.
+    the record.  ``counts`` is a tally scope open from arming until
+    :meth:`disarm`; forked pool workers inherit it, and the counts they
+    make travel back through the ``tallies`` pool sink, merged in serial
+    plan order.
     """
 
     def __init__(self, path: str, object: Optional[str] = None):
@@ -289,12 +298,15 @@ class LedgerRun:
         self._t0 = time.monotonic()
         self._certs: List[Tuple[Any, Optional[float]]] = []
         self._child_ids: set = set()
-        self._cache: Dict[str, float] = {
-            "hits": 0, "misses": 0, "hit_latency_s": 0.0, "miss_latency_s": 0.0,
-            "obligation_reused": 0, "obligation_rechecked": 0,
-            "obligation_slice_misses": 0,
-        }
+        self._scope = ExitStack()
+        self.counts: Dict[str, Any] = self._scope.enter_context(
+            tallies(*_RUN_TALLIES)
+        )
         self._flushed: Optional[str] = None
+
+    def disarm(self) -> None:
+        """Stop counting (idempotent)."""
+        self._scope.close()
 
     # -- capture hooks ------------------------------------------------------
 
@@ -316,31 +328,11 @@ class LedgerRun:
         for child in getattr(cert, "children", ()) or ():
             self._mark_children(child)
 
-    def note_cache(self, status: str, latency_s: float = 0.0) -> None:
-        if status == "hit":
-            self._cache["hits"] += 1
-            self._cache["hit_latency_s"] += latency_s
-        else:
-            self._cache["misses"] += 1
-            self._cache["miss_latency_s"] += latency_s
-
-    def note_obligation(self, field: str) -> None:
-        key = "obligation_" + field
-        if key in self._cache:
-            self._cache[key] += 1
-
-    def cache_notes(self) -> Dict[str, float]:
-        return dict(self._cache)
-
-    def absorb_cache_notes(self, delta: Dict[str, float]) -> None:
-        for key, value in (delta or {}).items():
-            if key in self._cache and value:
-                self._cache[key] += value
-
     # -- record assembly ----------------------------------------------------
 
     def build_record(self) -> Dict[str, Any]:
         wall_s = time.monotonic() - self._t0
+        counts = self.counts
         roots = [
             (cert, wall)
             for cert, wall in self._certs
@@ -393,19 +385,18 @@ class LedgerRun:
             },
             "rules": {name: rules[name] for name in sorted(rules)},
             "cache": {
-                "hits": int(self._cache["hits"]),
-                "misses": int(self._cache["misses"]),
-                "hit_latency_s": round(self._cache["hit_latency_s"], 6),
-                "miss_latency_s": round(self._cache["miss_latency_s"], 6),
+                "hits": int(counts["hits"]),
+                "misses": int(counts["misses"]),
+                "hit_latency_s": round(float(counts["hit_latency_s"]), 6),
+                "miss_latency_s": round(float(counts["miss_latency_s"]), 6),
             },
             "versions": _versions(),
             "host": _host_info(),
             "env": _env_info(),
         }
         incremental = {
-            "reused": int(self._cache["obligation_reused"]),
-            "rechecked": int(self._cache["obligation_rechecked"]),
-            "slice_misses": int(self._cache["obligation_slice_misses"]),
+            field: int(counts[field])
+            for field in ("reused", "rechecked", "slice_misses")
         }
         if any(incremental.values()):
             record["incremental"] = incremental
@@ -517,8 +508,7 @@ def ledger_armed() -> bool:
 def enable_ledger(path: str, object: Optional[str] = None) -> LedgerRun:
     """Arm the ledger: capture every certificate until :func:`disable_ledger`."""
     global _RUN
-    if _RUN is not None and _RUN.pid == os.getpid():
-        _RUN.flush()
+    disable_ledger()  # a run armed before is flushed (by its own process)
     _RUN = LedgerRun(path, object=object)
     return _RUN
 
@@ -529,6 +519,7 @@ def disable_ledger(flush: bool = True) -> Optional[str]:
     run, _RUN = _RUN, None
     if run is None:
         return None
+    run.disarm()
     return run.flush() if flush else None
 
 
@@ -555,48 +546,6 @@ def note_certificate(cert: Any, wall_s: Optional[float] = None) -> None:
     """
     if _RUN is not None:
         _RUN.note_certificate(cert, wall_s)
-
-
-def note_cache_event(status: str, latency_s: float = 0.0) -> None:
-    """Cache hook: count a hit/miss (+latency) into the armed run."""
-    if _RUN is not None:
-        _RUN.note_cache(status, latency_s)
-
-
-def note_obligation_event(field: str) -> None:
-    """Obligation-cache hook: count a reuse/recheck/slice-miss event."""
-    if _RUN is not None:
-        _RUN.note_obligation(field)
-
-
-def worker_notes_mark() -> Optional[Dict[str, float]]:
-    """Snapshot of the run counters, taken by a pool worker per task."""
-    if _RUN is None:
-        return None
-    return _RUN.cache_notes()
-
-
-def worker_notes_since(mark: Optional[Dict[str, float]]) -> Optional[Dict[str, float]]:
-    """The counter delta a worker ships back with its task result."""
-    if _RUN is None or mark is None:
-        return None
-    delta = {
-        key: value - mark.get(key, 0)
-        for key, value in _RUN.cache_notes().items()
-        if value - mark.get(key, 0)
-    }
-    return delta or None
-
-
-def absorb_worker_notes(delta: Optional[Dict[str, float]]) -> None:
-    """Merge a worker's shipped counter delta (parent side, plan order)."""
-    if _RUN is not None and delta:
-        _RUN.absorb_cache_notes(delta)
-
-
-register_sink(
-    "ledger", worker_notes_mark, worker_notes_since, absorb_worker_notes,
-)
 
 
 # ---------------------------------------------------------------------------

@@ -31,21 +31,15 @@ from __future__ import annotations
 
 import pickle
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterable, Optional, Tuple
 
 from ..analysis.rules import RULESET_VERSION
 from ..cas import ContentStore
 from ..envflags import default_cache_dir, engine_config
-from ..obs.blocks import register_block, register_stack_sink
+from ..obs.blocks import register_block, tallies, tally
 from ..obs.metrics import inc, observe
 from ..obs.profile import profile_enabled
-from ..obs.store import (
-    ledger_armed,
-    note_cache_event,
-    note_obligation_event,
-    register_engine,
-)
+from ..obs.store import ledger_armed, register_engine
 from .canonical import canonical_fingerprint
 from .pool import get_jobs
 
@@ -156,7 +150,8 @@ def cached_certificate(
         hit_latency = (time.perf_counter() - t_lookup) if timed else 0.0
         if prof:
             observe("cache.hit_latency_s", hit_latency)
-        note_cache_event("hit", hit_latency)
+        tally("hits")
+        tally("hit_latency_s", hit_latency)
         return stamp_cache_status(cert, "hit", key=key, workers=get_jobs())
     inc("cache.misses")
     t_missed = time.perf_counter() if timed else 0.0
@@ -171,7 +166,8 @@ def cached_certificate(
     )
     if prof:
         observe("cache.miss_latency_s", miss_latency)
-    note_cache_event("miss", miss_latency)
+    tally("misses")
+    tally("miss_latency_s", miss_latency)
     return stamp_cache_status(cert, "miss", key=key, workers=get_jobs())
 
 
@@ -190,33 +186,25 @@ def cached_certificate(
 # observability-independent fields), so a warm assembly is byte-identical
 # to a cold serial run with observability off.
 
-#: Ambient counters for one verification request (``repro.serve`` wraps
-#: each job in a collector so /metrics can report incremental reuse even
-#: with observability forced off).  A stack, like the reduction-stats
-#: collectors, so nested requests tally independently; and a pool sink
-#: like them, so counts made in fork-pool workers reach the parent.
-_INC_COLLECTORS: List[Dict[str, int]] = []
-
+#: Ambient counts for one verification request (``repro.serve`` opens
+#: one scope per job so /metrics can report incremental reuse even with
+#: observability forced off).  Each event is one
+#: :func:`~repro.obs.blocks.tally`, so it reaches every open scope that
+#: counts it, the armed run ledger's too, and counts made in fork-pool
+#: workers reach the parent through the ``tallies`` pool sink.
 _INC_FIELDS = ("reused", "rechecked", "slice_misses")
 
 
-@contextmanager
-def incremental_collector() -> Iterator[Dict[str, int]]:
-    """Collect obligation-cache reuse counts for one request."""
-    counts = {field: 0 for field in _INC_FIELDS}
-    _INC_COLLECTORS.append(counts)
-    try:
-        yield counts
-    finally:
-        _INC_COLLECTORS.pop()
+def incremental_collector() -> ContextManager[Dict[str, int]]:
+    """Collect obligation-cache reuse counts for one request: a
+    ``tallies("reused", "rechecked", "slice_misses")`` scope."""
+    return tallies(*_INC_FIELDS)
 
 
 def note_incremental(field: str) -> None:
-    """Tally one obligation-cache event into every active collector."""
-    for counts in _INC_COLLECTORS:
-        counts[field] = counts.get(field, 0) + 1
+    """Tally one obligation-cache event into every open scope."""
+    tally(field)
     inc("cache.obligation_" + field)
-    note_obligation_event(field)
 
 
 def merge_incremental_records(records: Iterable[Any]) -> Optional[Dict[str, int]]:
@@ -246,18 +234,7 @@ def merge_incremental_records(records: Iterable[Any]) -> Optional[Dict[str, int]
     return totals if saw else None
 
 
-def _add_counts(counts: Dict[str, int], delta: Dict[str, int]) -> None:
-    for field, value in delta.items():
-        counts[field] = counts.get(field, 0) + value
-
-
 register_block("incremental", merge_incremental_records)
-register_stack_sink(
-    "incremental", _INC_COLLECTORS,
-    fresh=lambda: dict.fromkeys(_INC_FIELDS, 0),
-    record=lambda counts: {f: n for f, n in counts.items() if n},
-    absorb=_add_counts,
-)
 
 
 def cached_obligation(

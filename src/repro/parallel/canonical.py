@@ -17,7 +17,10 @@ digest by emitting a canonical token stream:
   excluding per-instance caches (``_memo``, ``_hash``, ...) and
   certificate ``provenance`` — run-dependent state never reaches the key.
 * Containers fingerprint structurally; sets and dict items are ordered
-  by element digest, so iteration order is irrelevant.
+  by element digest, so iteration order is irrelevant.  A subclass of a
+  builtin container (a named tuple, say) adds its type before its items
+  and its attributes after them, and slots are read from every class
+  in the MRO.
 * Cycles are cut with ``ref:<n>`` back-references to the visitation
   index of an *ancestor on the current path*, so recursive structures
   (interfaces referring to each other) terminate deterministically.
@@ -69,6 +72,9 @@ _EXCLUDED_ATTRS = {
 
 #: Types whose values are one token and never a node of the walk.
 _ATOM_KINDS = frozenset({type(None), bool, int, float, str, bytes})
+
+#: The builtin containers, encoded by their items.
+_CONTAINERS = (tuple, list, set, frozenset, dict)
 
 #: Tokens buffered before the next node joins them and feeds the hasher.
 _FLUSH_TOKENS = 2048
@@ -233,6 +239,14 @@ def _structure(
         out.append(b"Log")
         return _encode(obj.events, n, out, hasher, seen, chunks)
 
+    subclass = isinstance(obj, _CONTAINERS)
+    if subclass:
+        # A subclass (the exact types returned above): its type, its
+        # items as its builtin base encodes them, then its attributes.
+        out.append(f"sub:{type_tag}".encode())
+        base = next(cls for cls in kind.__mro__ if cls in _CONTAINERS)
+        n = _structure(obj, base, n, out, hasher, seen, chunks)
+
     state = getattr(obj, "__dict__", None)
     if state is not None:
         names = sorted(name for name in state if name not in _EXCLUDED_ATTRS)
@@ -242,7 +256,7 @@ def _structure(
             n = _encode(state[name], n, out, hasher, seen, chunks)
         return n
 
-    slots = getattr(kind, "__slots__", None)
+    slots = _slot_names(kind)
     if slots is not None:
         names = sorted(name for name in slots if name not in _EXCLUDED_ATTRS)
         out.append(f"slots:{type_tag}:{len(names)}".encode())
@@ -251,9 +265,21 @@ def _structure(
             n = _encode(getattr(obj, name, None), n, out, hasher, seen, chunks)
         return n
 
-    # Last resort: the type alone.  Never repr() — it embeds addresses.
-    out.append(f"opaque:{type_tag}".encode())
+    if not subclass:
+        # Last resort: the type alone.  Never repr() — it embeds addresses.
+        out.append(f"opaque:{type_tag}".encode())
     return n
+
+
+def _slot_names(kind: type) -> Optional[set]:
+    """The ``__slots__`` declared across ``kind``'s MRO (``None`` when
+    no class declares any)."""
+    declared = [cls.__dict__["__slots__"] for cls in kind.__mro__
+                if "__slots__" in cls.__dict__]
+    if not declared:
+        return None
+    return {name for slots in declared
+            for name in ((slots,) if isinstance(slots, str) else slots)}
 
 
 def _code(

@@ -19,11 +19,10 @@ Two implementation constraints drive the design:
   replacement for the executor-per-batch model, whose per-item IPC and
   spin-up made ``REPRO_JOBS`` lose against serial).
 * Observability must aggregate across processes.  Every ambient sink
-  (:mod:`repro.obs.blocks`: metrics, spans, coverage, redundancy, the
-  run ledger, reduction and incremental collectors) is marked before a
-  task runs; the worker ships the deltas since those marks back with
-  the result as one record list, and the parent replays the lists in
-  task order.
+  (:mod:`repro.obs.blocks`: metrics, spans, coverage, redundancy and
+  the tally scopes) is marked before a task runs; the worker ships the
+  deltas since those marks back with the result as one record list,
+  and the parent replays the lists in task order.
 
 Worker processes run with ``in_worker()`` true, which forces
 :func:`get_jobs` to 1: an outer fan-out takes the workers, and the

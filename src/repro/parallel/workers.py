@@ -33,6 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
 import struct
 import sys
 import time
@@ -190,17 +191,32 @@ def fork_batch_map(
             continue
         for index, outcome in frame:
             merged[index] = outcome
+    deaths: List[str] = []
     for pid in pids:
         _, wait_status = os.waitpid(pid, 0)
         if wait_status != 0:
             broken = True
+            deaths.append(_describe_exit(wait_status))
     if broken and len(merged) < n_items:
         missing = sorted(set(range(n_items)) - set(merged))
         raise RuntimeError(
             f"fork-batch worker died before shipping results "
-            f"(missing task indices {missing[:5]}{'…' if len(missing) > 5 else ''})"
+            f"(missing task indices {missing[:5]}{'…' if len(missing) > 5 else ''}; "
+            f"{', '.join(deaths) or 'no worker exited non-zero'})"
         )
     return [merged[index] for index in range(n_items)]
+
+
+def _describe_exit(wait_status: int) -> str:
+    """How a worker ended, from its ``waitpid`` status."""
+    if os.WIFSIGNALED(wait_status):
+        signum = os.WTERMSIG(wait_status)
+        try:
+            name = signal.Signals(signum).name
+        except ValueError:
+            name = f"signal {signum}"
+        return f"worker killed by {name}"
+    return f"worker exit status {os.WEXITSTATUS(wait_status)}"
 
 
 # ---------------------------------------------------------------------------

@@ -28,26 +28,23 @@ configuration (:mod:`repro.envflags`), which the rule constructors pin
 for their extent; ``repro.envflags.pinned(reduce=...)`` overrides it
 for a block.
 
-Accounting stays honest: every pruned class is tallied into a
-``reduction`` provenance block (:mod:`repro.reduce.stats`) merged
-through re-stamping like coverage, rendered by ``repro.obs
-explain``/``dashboard`` and recorded in ledger run records.
+Accounting stays honest: every pruned class is tallied
+(:func:`repro.obs.blocks.tally`, through :func:`contribute`) into the
+open ``tallies("dpor", "sleep")`` scopes, and ``check_soundness`` turns
+its scope into a ``reduction`` provenance block
+(:mod:`repro.reduce.stats`) merged through re-stamping like coverage,
+rendered by ``repro.obs explain``/``dashboard`` and recorded in ledger
+run records.
 """
 
 from __future__ import annotations
 
 from .fingerprint import state_fingerprint
-from .stats import (
-    ReductionStats,
-    contribute,
-    merge_reduction_maps,
-    reduction_collector,
-)
+from .stats import ReductionStats, contribute, merge_reduction_maps
 
 __all__ = [
     "ReductionStats",
     "contribute",
     "merge_reduction_maps",
-    "reduction_collector",
     "state_fingerprint",
 ]

@@ -16,24 +16,24 @@ sleep sets excluded from branching.  An empty block is dropped
 entirely, so certificates verified with reduction off gain no new
 provenance fields.
 
-:func:`~repro.core.contextual.check_soundness` opens a
-:func:`reduction_collector` around each client's games; the enumeration
-core reports through :func:`contribute`.  The collector stack is a pool
-sink (:mod:`repro.obs.blocks`): a worker task tallies into a fresh
-collector whose record the parent absorbs into every collector it has
-open, in plan order, exactly like coverage and redundancy records.
+The enumeration core counts into a local :class:`ReductionStats` and
+flushes it once per enumeration through :func:`contribute`, which
+tallies each reason (:func:`repro.obs.blocks.tally`).
+:func:`~repro.core.contextual.check_soundness` counts each client's
+cuts in a ``tallies("dpor", "sleep")`` scope; counts made in fork-pool
+workers reach it through the ``tallies`` pool sink, in plan order.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
-from ..obs.blocks import register_block, register_stack_sink
+from ..obs.blocks import register_block, tally
 
 
 class ReductionStats:
-    """Counters for one collection scope (one obligation / subtree)."""
+    """DPOR's local counter for one enumeration or subtree, flushed by
+    :func:`contribute`; also the accumulator of block merges."""
 
     __slots__ = ("pruned",)
 
@@ -46,7 +46,7 @@ class ReductionStats:
             self.pruned[reason] = self.pruned.get(reason, 0) + count
 
     def absorb(self, record: Optional[Dict[str, Any]]) -> None:
-        """Fold a worker's ``as_dict()`` record into this collector."""
+        """Fold a ``reduction`` block (an ``as_dict()`` record) in."""
         for reason, count in ((record or {}).get("pruned") or {}).items():
             self.prune(reason, count)
 
@@ -65,35 +65,13 @@ def merge_reduction_maps(
     return merged.as_dict() or None
 
 
-#: Ambient collector stack.  A checker pushes a collector around one
-#: obligation's games; the enumeration core contributes to every active
-#: collector (nesting is not expected but is harmless).
-_COLLECTORS: List[ReductionStats] = []
-
-
-@contextmanager
-def reduction_collector():
-    """Collect reduction tallies for one scope; yields the stats."""
-    stats = ReductionStats()
-    _COLLECTORS.append(stats)
-    try:
-        yield stats
-    finally:
-        _COLLECTORS.pop()
-
-
 def contribute(stats: ReductionStats) -> None:
-    """Fold a locally built stats object into the ambient collectors."""
-    record = stats.as_dict()
-    for collector in _COLLECTORS:
-        collector.absorb(record)
+    """Tally a locally built stats object into the open scopes."""
+    for reason, count in stats.pruned.items():
+        tally(reason, count)
 
 
 register_block(
     "reduction", merge_reduction_maps,
     ledger=lambda merged: {"reduction": merged},
-)
-register_stack_sink(
-    "reduction", _COLLECTORS, ReductionStats, ReductionStats.as_dict,
-    ReductionStats.absorb,
 )

@@ -275,6 +275,32 @@ class TestExplain:
         assert "P0: 10634 state(s) explored" in out
         assert "wall 5.502s" in out
 
+    def test_renders_reduction_and_incremental_provenance(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core import check_soundness
+        from repro.envflags import pinned
+        from repro.objects.ticket_lock import certify_ticket_lock
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        obs.enable()
+        client = {1: [("acq", ("q0",)), ("rel", ("q0",))], 2: [("acq", ("q0",))]}
+        with pinned(reduce=True):
+            layer = certify_ticket_lock([1, 2], lock="q0").composed
+            cert = check_soundness(
+                layer, clients=[client], max_rounds=12,
+                require_progress=False,
+            )
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert.to_json()))
+        assert cli.main(["explain", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  reduction: pruned=dpor:2,sleep:6" in lines
+        assert (
+            "  incremental: 0 reused, 1 rechecked, 0 slice miss(es), "
+            "reuse rate 0.0%"
+        ) in lines
+
 
 def heartbeat_stream(path, records):
     path.write_text(

@@ -19,6 +19,7 @@ from repro.core.certificate import (
     stamp_provenance,
 )
 from repro.obs import store
+from repro.obs.blocks import SINKS, tally
 
 
 def _cert(judgment="A ⊢ x", rule="Fun", ok=True, children=()):
@@ -234,8 +235,10 @@ class TestRunCapture:
         with obs.ledger(path, object="unit"):
             cert = _cert()
             stamp_cache_status(cert, "hit")
-            store.note_cache_event("hit", 0.002)
-            store.note_cache_event("miss", 0.004)
+            tally("hits")
+            tally("hit_latency_s", 0.002)
+            tally("misses")
+            tally("miss_latency_s", 0.004)
         record = store.RunLedger(path).runs()[0]
         # the hit-stamped cert still counts as a root certificate
         assert len(record["certificates"]) == 1
@@ -308,15 +311,17 @@ class TestRunCapture:
         assert runs[0]["certificates"][0]["rule"] == "Fun"
 
     def test_worker_note_shipping_merges_deltas(self, tmp_path):
+        sink = SINKS["tallies"]
         with obs.ledger(str(tmp_path / "ledger"), object="unit") as run:
-            mark = store.worker_notes_mark()
-            store.note_cache_event("hit", 0.001)
-            store.note_cache_event("hit", 0.001)
-            delta = store.worker_notes_since(mark)
+            mark = sink.mark()
+            for _ in range(2):
+                tally("hits")
+                tally("hit_latency_s", 0.001)
+            delta = sink.since(mark)
             assert delta == {"hits": 2, "hit_latency_s": pytest.approx(0.002)}
             # the parent absorbing the shipped delta doubles the counts
-            store.absorb_worker_notes(delta)
-            assert run.cache_notes()["hits"] == 4
+            sink.absorb(delta)
+            assert run.counts["hits"] == 4
 
 
 class TestStatistics:

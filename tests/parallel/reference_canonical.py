@@ -3,10 +3,11 @@
 :func:`canonical_fingerprint` below is
 :func:`repro.parallel.canonical.canonical_fingerprint` as it was before
 the encoder became one pass over a token buffer, verbatim except for
-the ``kwdefaults`` token (a function's keyword-only defaults), which
-both encoders emit.  Each node is a generator that passes every token
-up a ``yield from`` chain as deep as the object graph, and every event
-is re-encoded at each of its occurrences.
+the ``kwdefaults`` token (a function's keyword-only defaults) and the
+encoding of builtin-container subclasses and of slots declared across
+an MRO, which both encoders emit.  Each node is a generator that
+passes every token up a ``yield from`` chain as deep as the object
+graph, and every event is re-encoded at each of its occurrences.
 ``tests/parallel/test_canonical.py`` checks that the engine's encoder
 produces the same digest as this one on the keys the shipped stacks
 compute and on generated values.
@@ -30,6 +31,8 @@ _EXCLUDED_ATTRS = {
     "_compiled",   # mini-C closures, built on a function's first run
     "provenance",  # Certificate provenance: wall times, metrics, workers
 }
+
+_CONTAINERS = (tuple, list, set, frozenset, dict)
 
 
 def canonical_fingerprint(obj: Any) -> str:
@@ -149,6 +152,12 @@ def _structure_tokens(obj: Any, kind: type, seen: Dict[int, int], counter):
         yield from _tokens(obj.events, seen, counter)
         return
 
+    subclass = isinstance(obj, _CONTAINERS)
+    if subclass:
+        yield f"sub:{type_tag}".encode()
+        base = next(cls for cls in kind.__mro__ if cls in _CONTAINERS)
+        yield from _structure_tokens(obj, base, seen, counter)
+
     state = getattr(obj, "__dict__", None)
     if state is not None:
         items = sorted(
@@ -162,8 +171,11 @@ def _structure_tokens(obj: Any, kind: type, seen: Dict[int, int], counter):
             yield from _tokens(value, seen, counter)
         return
 
-    slots = getattr(kind, "__slots__", None)
-    if slots is not None:
+    declared = [cls.__dict__["__slots__"] for cls in kind.__mro__
+                if "__slots__" in cls.__dict__]
+    if declared:
+        slots = {name for names in declared
+                 for name in ((names,) if isinstance(names, str) else names)}
         names = sorted(n for n in slots if n not in _EXCLUDED_ATTRS)
         yield f"slots:{type_tag}:{len(names)}".encode()
         for name in names:
@@ -171,8 +183,9 @@ def _structure_tokens(obj: Any, kind: type, seen: Dict[int, int], counter):
             yield from _tokens(getattr(obj, name, None), seen, counter)
         return
 
-    # Last resort: the type alone.  Never repr() — it embeds addresses.
-    yield f"opaque:{type_tag}".encode()
+    if not subclass:
+        # Last resort: the type alone.  Never repr() — it embeds addresses.
+        yield f"opaque:{type_tag}".encode()
 
 
 def _code_tokens(code: types.CodeType, seen: Dict[int, int], counter):

@@ -15,10 +15,14 @@ encoder to produce the reference's digest:
   that take the plain path, logs, and values longer than one flush;
 
 and pin the digests of a few fixed values, so that any later change to
-the stream fails by name.
+the stream fails by name.  Values that differ only inside a container
+subclass or an inherited slot must not share a digest.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -244,6 +248,80 @@ def fixed_values():
 @pytest.mark.parametrize("name", sorted(fixed_values()))
 def test_fixed_values_match_reference(name):
     assert_same_digest(fixed_values()[name])
+
+
+# --- container subclasses and inherited slots -------------------------------
+
+Pair = namedtuple("Pair", "left right")
+
+
+class TypedPair(NamedTuple):
+    left: int
+    right: int
+
+
+class Bounds(dict):
+    pass
+
+
+class Trace(list):
+    pass
+
+
+class Args(tuple):
+    pass
+
+
+class Tids(frozenset):
+    pass
+
+
+class Slotted(dict):
+    __slots__ = ("label",)
+
+    def __init__(self, label):
+        super().__init__(a=1)
+        self.label = label
+
+
+class Cell:
+    __slots__ = ("x",)
+
+
+class Cell2(Cell):
+    __slots__ = ("y",)
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+
+
+def subclass_pairs():
+    """Two values a key must tell apart: of one type and differing only
+    in content, or a subclass value and its builtin-base twin."""
+    named = Bounds(a=1)
+    named.label = "mine"
+    return {
+        "namedtuple": (Pair(1, 2), Pair(3, 4)),
+        "NamedTuple": (TypedPair(1, 2), TypedPair(3, 4)),
+        "dict-subclass": (Bounds(a=1), Bounds(a=2)),
+        "list-subclass": (Trace([1]), Trace([2])),
+        "tuple-subclass": (Args((1,)), Args((2,))),
+        "frozenset-subclass": (Tids({1}), Tids({2})),
+        "subclass-attribute": (named, Bounds(a=1)),
+        "subclass-slot": (Slotted("mine"), Slotted("yours")),
+        "inherited-slot": (Cell2(1, 2), Cell2(3, 2)),
+        "namedtuple-and-tuple": (Pair(1, 2), (1, 2)),
+        "dict-subclass-and-dict": (Bounds(a=1), {"a": 1}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(subclass_pairs()))
+def test_subclass_contents_reach_the_digest(name):
+    first, second = subclass_pairs()[name]
+    assert canonical_fingerprint(first) != canonical_fingerprint(second)
+    assert_same_digest(first)
+    assert_same_digest(second)
 
 
 # --- pinned digests ---------------------------------------------------------

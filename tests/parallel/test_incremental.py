@@ -129,28 +129,28 @@ class TestWorkerCountsReachTheParent:
 
     def test_reduction_tallies_equal_serial(self, monkeypatch):
         from repro.core import check_soundness
-        from repro.reduce import reduction_collector
+        from repro.obs.blocks import tallies
 
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("REPRO_REDUCE", "on")
         layer = tl.certify_ticket_lock([0, 1], use_c_source=False).composed
 
-        def tallies(jobs):
+        def cuts(jobs):
             # The game's schedules are chunked across workers, whose
-            # pruning tallies must reach this collector.
-            with reduction_collector() as outer, pinned(jobs=jobs):
+            # pruning tallies must reach this scope.
+            with tallies("dpor", "sleep") as outer, pinned(jobs=jobs):
                 check_soundness(
                     layer, clients=self.CLIENTS, max_rounds=12,
                     require_progress=False,
                 )
-            return outer.as_dict()
+            return outer
 
-        serial = tallies(1)
+        serial = cuts(1)
         # Pruned branches and the participants sleep sets kept out of
         # branching are both tallied.
-        assert serial["pruned"].get("dpor")
-        assert serial["pruned"].get("sleep")
-        assert tallies(2) == serial
+        assert serial["dpor"]
+        assert serial["sleep"]
+        assert cuts(2) == serial
 
 
 class TestCrossProcessStability:

@@ -2,9 +2,10 @@
 
 Three contracts from DESIGN.md:
 
-- ledger notes produced inside fork-pool workers (cache hits/misses)
-  ship back in plan order, so the merged run record is deterministic —
-  a 2-worker record matches the serial one modulo wall-clock fields;
+- cache counts made inside fork-pool workers (rule-cache misses,
+  obligation-cache rechecks) ship back in plan order, so the merged run
+  record is deterministic — a 2-worker record matches the serial one
+  modulo wall-clock fields;
 - the record store survives concurrent appenders: one writer per
   process, one atomically renamed file per record, damaged records
   skipped on read with a warning;
@@ -92,9 +93,9 @@ class TestWorkerMergeDeterminism:
         second = self._record(tmp_path, "second", jobs=2)
         assert _stable_view(first) == _stable_view(second)
 
-    def test_worker_cache_hits_merge_into_record(
-        self, tmp_path, monkeypatch
-    ):
+    def test_warm_rule_hits_reach_record(self, tmp_path, monkeypatch):
+        """A warm run hits at rule level, in the parent, before any
+        fan-out: the record counts those hits and no miss."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_JOBS", "2")
         _soundness(jobs=2)  # cold: populate the cache, no ledger armed
@@ -103,6 +104,28 @@ class TestWorkerMergeDeterminism:
         assert cache["hits"] > 0
         # warm run: every rule lookup hits, nothing recomputes
         assert cache["misses"] == 0
+
+    def test_worker_cache_counts_merge_into_record(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold cached run checks each client in a worker, where half
+        of its obligation-cache rechecks are counted; the record holds
+        the serial counts."""
+        counts = []
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache{jobs}"))
+            record = self._record(tmp_path, f"jobs{jobs}", jobs=jobs)
+            cache = {
+                key: value for key, value in record["cache"].items()
+                if not key.endswith("_latency_s")
+            }
+            counts.append((cache, record.get("incremental")))
+        serial, parallel = counts
+        assert serial == (
+            {"hits": 0, "misses": 5},
+            {"reused": 0, "rechecked": 4, "slice_misses": 0},
+        )
+        assert parallel == serial
 
 
 def _append_worker(ledger_path, worker, count):

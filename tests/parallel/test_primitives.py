@@ -14,6 +14,7 @@ from repro.core import Event
 from repro.core.certificate import Certificate
 from repro.core.log import Log
 from repro.envflags import pinned
+from repro.obs.blocks import tallies, tally
 from repro.parallel import (
     ENGINE_VERSION,
     cache_dir,
@@ -94,6 +95,41 @@ class TestPool:
 
         with pytest.raises(ValueError, match="bad 1"), pinned(jobs=2):
             parallel_map(boom, [0, 1, 2, 3])
+
+    def test_worker_tallies_reach_every_open_scope_once(self):
+        # More workers than cores and several tasks per worker: each
+        # task's counts arrive once, in every open scope that counts the
+        # name, and a scope a task opens itself keeps only its own.
+        def task(x):
+            with tallies("rechecked") as own:
+                tally("reused", x)
+                tally("rechecked")
+            return own["rechecked"]
+
+        with tallies("reused", "rechecked") as outer, pinned(jobs=4):
+            with tallies("reused") as inner:
+                assert parallel_map(task, range(64)) == [1] * 64
+        assert outer == {"reused": sum(range(64)), "rechecked": 64}
+        assert inner == {"reused": sum(range(64))}
+
+    def test_dead_worker_names_its_tasks_and_exit_status(self):
+        # A task that ends its worker takes the worker's unshipped
+        # results with it: the batch fails naming the lost tasks and how
+        # the worker ended, and an open tally scope takes nothing from
+        # the tasks that did finish.
+        def task(x):
+            tally("reused")
+            if x == 1:
+                os._exit(3)
+            return x
+
+        with tallies("reused") as counts, pinned(jobs=2):
+            with pytest.raises(
+                RuntimeError,
+                match=r"missing task indices \[(0, )?1\]; worker exit status 3\)",
+            ):
+                parallel_map(task, [0, 1])
+        assert counts == {"reused": 0}
 
     def test_unpicklable_items_via_fork_inheritance(self):
         # Closures and lambdas never cross the pickle boundary: only

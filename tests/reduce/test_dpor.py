@@ -10,7 +10,7 @@ from repro.core import (
     shared_prim,
 )
 from repro.envflags import pinned
-from repro.reduce import reduction_collector
+from repro.obs.blocks import tallies
 from repro.reduce.fingerprint import state_fingerprint
 
 
@@ -40,8 +40,8 @@ def game_interface():
 
 
 def enumerate_with(reduce, players, jobs=None):
-    """Enumerate with reduction on or off, returning (results, stats)."""
-    with pinned(jobs=jobs, reduce=reduce), reduction_collector() as stats:
+    """Enumerate with reduction on or off, returning (results, cuts)."""
+    with pinned(jobs=jobs, reduce=reduce), tallies("dpor", "sleep") as stats:
         results = enumerate_game_logs(game_interface(), players, max_rounds=12)
     return results, stats
 
@@ -69,7 +69,7 @@ class TestDominance:
         off, _ = enumerate_with(False, self.players())
         on, stats = enumerate_with(True, self.players())
         assert set(behaviors(on)) == set(behaviors(off))
-        assert stats.pruned.get("dpor")
+        assert stats["dpor"]
 
     def test_fewer_runs(self):
         off, _ = enumerate_with(False, self.players())
@@ -97,7 +97,7 @@ class TestSleepSets:
         assert len(off) > len(distinct)
         assert len(on) == len(distinct)
         # The participant kept asleep across the silent step is tallied.
-        assert stats.pruned.get("sleep")
+        assert stats["sleep"]
 
 
 class TestDeterminism:
@@ -124,7 +124,7 @@ class TestDeterminism:
         assert [r.schedule for r in parallel] == [r.schedule for r in serial]
         assert [r.log for r in parallel] == [r.log for r in serial]
         assert [r.rets for r in parallel] == [r.rets for r in serial]
-        assert parallel_stats.as_dict() == serial_stats.as_dict()
+        assert parallel_stats == serial_stats
 
     def test_distinct_behavior_count_matches_seed(self):
         off, _ = enumerate_with(False, self.players())

@@ -75,7 +75,8 @@ from repro.machine import lx86_interface
 from repro.obs.coverage import CoverageBuilder
 from repro.obs.metrics import MetricsWindow
 from repro.envflags import engine_config, pinned
-from repro.reduce import ReductionStats, reduction_collector
+from repro.obs.blocks import tallies
+from repro.reduce import ReductionStats
 from repro.reduce.dpor import DeferRun, PruneRun, ReducingScheduler
 
 #: Reduction off and on, with the parameter ids the tests print.
@@ -165,9 +166,9 @@ def games():
 
 def tallied(reduce, run):
     """``run()`` with reduction on or off: (results, runs, pruned, tallies)."""
-    with pinned(reduce=reduce), reduction_collector() as stats:
+    with pinned(reduce=reduce), tallies("dpor", "sleep") as cuts:
         results, runs, pruned = run()
-    return results, runs, pruned, stats.as_dict()
+    return results, runs, pruned, cuts
 
 
 def reference(interface, players, max_rounds, reduce):
