@@ -43,7 +43,8 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from contextlib import closing
+from typing import Any, Dict, Iterator, List, Optional
 
 from .coverage import CoverageRegistry
 from .forensics import Counterexample
@@ -382,17 +383,57 @@ def _render_heartbeat_line(record: Dict[str, Any]) -> Optional[str]:
     return "  ".join(parts)
 
 
-def _watch_url(args: argparse.Namespace) -> int:
-    """Follow a ``repro.serve`` job's event stream over HTTP.
+class _WatchStop(Exception):
+    """A stream source that cannot go on: ``(exit code, message)``."""
 
-    Same wire format (``repro.obs/heartbeat/v1`` JSONL, chunked) and
-    same tolerance rules as the file path: torn or foreign lines are
-    skipped, unknown record types are not rendered, the ``end`` record
-    stops the watch.  The daemon closes the stream once the job is
-    terminal, so EOF after at least one record is a clean exit; an
-    empty one-shot stream keeps the exit-2 usage diagnostic.
+
+_TIMED_OUT = "watch: timed out waiting for heartbeats"
+
+
+def _file_lines(args: argparse.Namespace) -> Iterator[str]:
+    """Complete lines of a stream file as they are appended.
+
+    Follows by default, waiting for the file to appear if the run has
+    not started yet; ``--no-follow`` ends at the current end of file.
     """
-    import socket
+    deadline = (
+        time.monotonic() + args.timeout if args.timeout is not None else None
+    )
+
+    def wait(code: int, message: str) -> None:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _WatchStop(code, message)
+        time.sleep(args.interval)
+
+    while not args.no_follow and not os.path.exists(args.stream):
+        wait(2, f"error: heartbeat stream {args.stream!r} did not appear")
+    try:
+        handle = open(args.stream, "r", encoding="utf-8")
+    except OSError as err:
+        raise _WatchStop(
+            2, f"error: cannot read heartbeat stream {args.stream!r}: {err}"
+        ) from None
+    with handle:
+        buffered = ""
+        while True:
+            chunk = handle.readline()
+            if not chunk:
+                if args.no_follow:
+                    return
+                wait(3, _TIMED_OUT)
+                continue
+            buffered += chunk
+            if buffered.endswith("\n"):  # else a producer is mid-append
+                yield buffered
+                buffered = ""
+
+
+def _url_lines(args: argparse.Namespace) -> Iterator[bytes]:
+    """Complete lines of a ``repro.serve`` job's event stream over HTTP.
+
+    The daemon closes the stream once the job is terminal (or at once
+    with ``--no-follow``), which ends the lines.
+    """
     from urllib.error import URLError
     from urllib.parse import urlsplit
     from urllib.request import urlopen
@@ -403,33 +444,41 @@ def _watch_url(args: argparse.Namespace) -> int:
     try:
         response = urlopen(url, timeout=args.timeout)
     except (URLError, OSError, ValueError) as err:
-        print(f"error: cannot watch {args.url!r}: {err}", file=sys.stderr)
-        return 2
-    records_seen = 0
-    buffered = b""
+        raise _WatchStop(2, f"error: cannot watch {args.url!r}: {err}") from None
     with response:
         while True:
             try:
-                chunk = response.read(4096)
-            except (socket.timeout, TimeoutError):
-                print("watch: timed out waiting for heartbeats",
-                      file=sys.stderr)
-                return 3
-            if not chunk:
-                if records_seen == 0:
-                    print(
-                        f"error: heartbeat stream {args.url!r} "
-                        "is empty (no records)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                return 0
-            buffered += chunk
-            while b"\n" in buffered:
-                line, _sep, buffered = buffered.partition(b"\n")
+                line = response.readline()
+            except TimeoutError:
+                raise _WatchStop(3, _TIMED_OUT) from None
+            if not line.endswith(b"\n"):
+                return
+            yield line
+
+
+def cmd_watch(args: argparse.Namespace) -> int:
+    """Follow a heartbeat stream and render progress lines.
+
+    The stream is a ``repro.obs/heartbeat/v1`` file or, with ``--url``,
+    a ``repro.serve`` job's event stream; both read the same way.  Follows
+    by default (like ``tail -f``) until the ``end`` record; ``--no-follow``
+    renders what the stream holds now.  Torn or foreign lines are skipped.
+    A stream that ends with no record is a usage error (exit 2), like a
+    missing file: the run asked about never wrote anything.
+    """
+    if (args.stream is None) == (args.url is None):
+        print("error: watch needs a stream path or --url (not both)",
+              file=sys.stderr)
+        return 2
+    name = args.stream if args.url is None else args.url
+    lines = _file_lines(args) if args.url is None else _url_lines(args)
+    records_seen = 0
+    try:
+        with closing(lines):
+            for line in lines:
                 try:
-                    record = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
+                    record = json.loads(line)
+                except ValueError:
                     continue  # torn or foreign line: skip, keep following
                 if not isinstance(record, dict):
                     continue
@@ -439,86 +488,15 @@ def _watch_url(args: argparse.Namespace) -> int:
                     print(rendered, flush=True)
                 if record.get("type") == "end":
                     return 0
-
-
-def cmd_watch(args: argparse.Namespace) -> int:
-    """Follow a heartbeat stream and render progress lines.
-
-    Follows by default (like ``tail -f``), waiting for the stream file
-    to appear if the run has not started yet, and exits when the run
-    appends its ``end`` record.  ``--no-follow`` renders whatever is
-    already in the file and exits — the mode tests and scripts use.
-    With ``--url`` the stream is a live ``repro.serve`` job instead of
-    a file, same format and exit codes.
-    """
-    if (args.stream is None) == (args.url is None):
-        print("error: watch needs a stream path or --url (not both)",
+    except _WatchStop as stop:
+        code, message = stop.args
+        print(message, file=sys.stderr)
+        return code
+    if records_seen == 0:
+        print(f"error: heartbeat stream {name!r} is empty (no records)",
               file=sys.stderr)
         return 2
-    if args.url is not None:
-        return _watch_url(args)
-    deadline = (
-        time.monotonic() + args.timeout if args.timeout is not None else None
-    )
-    while not args.no_follow:
-        try:
-            with open(args.stream, "r", encoding="utf-8"):
-                pass
-            break
-        except OSError:
-            if deadline is not None and time.monotonic() >= deadline:
-                print(
-                    f"error: heartbeat stream {args.stream!r} did not appear",
-                    file=sys.stderr,
-                )
-                return 2
-            time.sleep(args.interval)
-    try:
-        handle = open(args.stream, "r", encoding="utf-8")
-    except OSError as err:
-        print(f"error: cannot read heartbeat stream {args.stream!r}: {err}",
-              file=sys.stderr)
-        return 2
-    with handle:
-        buffered = ""
-        records_seen = 0
-        while True:
-            chunk = handle.readline()
-            if not chunk:
-                if args.no_follow:
-                    if records_seen == 0:
-                        # An empty (or all-torn) stream in one-shot mode
-                        # is a usage error, like a missing file: the run
-                        # being asked about never wrote anything.
-                        print(
-                            f"error: heartbeat stream {args.stream!r} "
-                            "is empty (no records)",
-                            file=sys.stderr,
-                        )
-                        return 2
-                    return 0
-                if deadline is not None and time.monotonic() >= deadline:
-                    print("watch: timed out waiting for heartbeats",
-                          file=sys.stderr)
-                    return 3
-                time.sleep(args.interval)
-                continue
-            buffered += chunk
-            if not buffered.endswith("\n"):
-                continue  # a producer is mid-append; wait for the rest
-            line, buffered = buffered.strip(), ""
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn or foreign line: skip, keep following
-            records_seen += 1
-            rendered = _render_heartbeat_line(record)
-            if rendered is not None:
-                print(rendered, flush=True)
-            if record.get("type") == "end":
-                return 0
+    return 0
 
 
 def _load_bench(path: str) -> Dict[str, Dict[str, Any]]:

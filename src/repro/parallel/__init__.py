@@ -37,11 +37,10 @@ from .cache import (
 from .canonical import canonical_fingerprint
 from .partition import chunk_evenly
 from .pool import get_jobs, in_worker, parallel_map
-from .workers import PersistentPool, fork_batch_map
+from .workers import fork_batch_map
 
 __all__ = [
     "ENGINE_VERSION",
-    "PersistentPool",
     "cache_dir",
     "cache_enabled",
     "cached_certificate",

@@ -202,7 +202,8 @@ def incremental_collector() -> ContextManager[Dict[str, int]]:
 
 
 def note_incremental(field: str) -> None:
-    """Tally one obligation-cache event into every open scope."""
+    """Tally one obligation-cache event into every open scope, and count
+    it once as the ``cache.obligation_<field>`` metric."""
     tally(field)
     inc("cache.obligation_" + field)
 
@@ -262,12 +263,10 @@ def cached_obligation(
     cert = _load(entry_key)
     if isinstance(cert, Certificate):
         note_incremental("reused")
-        inc("cache.obligation_hits")
         return stamp_incremental(cert, "reused", key=entry_key, exact=exact)
     cert = compute()
     _store(entry_key, _strip_provenance(cert))
     note_incremental("rechecked")
-    inc("cache.obligation_misses")
     return stamp_incremental(cert, "rechecked", key=entry_key, exact=exact)
 
 
@@ -293,7 +292,6 @@ def cached_obligation_payload(
     entry = _load(entry_key)
     if isinstance(entry, dict):
         note_incremental("reused")
-        inc("cache.obligation_hits")
         output = dict(entry)
         output["incremental"] = {
             "status": "reused", "exact": exact, "key": entry_key[:16],
@@ -302,7 +300,6 @@ def cached_obligation_payload(
     output = compute()
     _store(entry_key, {field: output[field] for field in fields})
     note_incremental("rechecked")
-    inc("cache.obligation_misses")
     output = dict(output)
     output["incremental"] = {
         "status": "rechecked", "exact": exact, "key": entry_key[:16],

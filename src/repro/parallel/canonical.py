@@ -13,14 +13,14 @@ digest by emitting a canonical token stream:
   cells.  Editing a spec or an invariant therefore changes the
   fingerprint; renaming a local does too (bytecode-level identity is
   deliberately conservative).
-* Objects fingerprint by type qualname plus their ``__dict__`` (sorted),
-  excluding per-instance caches (``_memo``, ``_hash``, ...) and
-  certificate ``provenance`` — run-dependent state never reaches the key.
+* Objects fingerprint by type qualname plus their ``__dict__`` (sorted)
+  and the slots of every class in the MRO, excluding per-instance caches
+  (``_memo``, ``_hash``, ...) and certificate ``provenance`` —
+  run-dependent state never reaches the key.
 * Containers fingerprint structurally; sets and dict items are ordered
   by element digest, so iteration order is irrelevant.  A subclass of a
-  builtin container (a named tuple, say) adds its type before its items
-  and its attributes after them, and slots are read from every class
-  in the MRO.
+  builtin container (a named tuple, say) or scalar (not an ``enum``
+  member) adds its type before its builtin value, attributes after it.
 * Cycles are cut with ``ref:<n>`` back-references to the visitation
   index of an *ancestor on the current path*, so recursive structures
   (interfaces referring to each other) terminate deterministically.
@@ -51,8 +51,10 @@ Determinism notes: SHA-256 over explicit byte tokens — no ``hash()``
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import types
+from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.events import Event
@@ -75,6 +77,12 @@ _ATOM_KINDS = frozenset({type(None), bool, int, float, str, bytes})
 
 #: The builtin containers, encoded by their items.
 _CONTAINERS = (tuple, list, set, frozenset, dict)
+
+#: The builtin value of a scalar subclass instance, whatever the
+#: subclass overrides (``bytes.__bytes__`` is new in Python 3.11; a full
+#: slice copies the bytes themselves).
+_SCALARS = {str: str.__str__, int: int.__int__, float: float.__float__,
+            bytes: lambda value: bytes.__getitem__(value, slice(None))}
 
 #: Tokens buffered before the next node joins them and feeds the hasher.
 _FLUSH_TOKENS = 2048
@@ -239,13 +247,15 @@ def _structure(
         out.append(b"Log")
         return _encode(obj.events, n, out, hasher, seen, chunks)
 
-    subclass = isinstance(obj, _CONTAINERS)
-    if subclass:
-        # A subclass (the exact types returned above): its type, its
-        # items as its builtin base encodes them, then its attributes.
+    # A subclass (the exact types returned above): its type, its value as
+    # its builtin base encodes it, then its attributes.
+    base, slots, slots_beside_dict = _layout(kind)
+    if base is not None:
         out.append(f"sub:{type_tag}".encode())
-        base = next(cls for cls in kind.__mro__ if cls in _CONTAINERS)
-        n = _structure(obj, base, n, out, hasher, seen, chunks)
+        if base in _SCALARS:
+            n = _encode(_SCALARS[base](obj), n, out, hasher, seen, chunks)
+        else:
+            n = _structure(obj, base, n, out, hasher, seen, chunks)
 
     state = getattr(obj, "__dict__", None)
     if state is not None:
@@ -254,32 +264,48 @@ def _structure(
         for name in names:
             out.append(b"attr:" + name.encode())
             n = _encode(state[name], n, out, hasher, seen, chunks)
-        return n
+        slots = slots_beside_dict
 
-    slots = _slot_names(kind)
     if slots is not None:
-        names = sorted(name for name in slots if name not in _EXCLUDED_ATTRS)
-        out.append(f"slots:{type_tag}:{len(names)}".encode())
-        for name in names:
+        out.append(f"slots:{type_tag}:{len(slots)}".encode())
+        for name in slots:
             out.append(b"attr:" + name.encode())
             n = _encode(getattr(obj, name, None), n, out, hasher, seen, chunks)
-        return n
-
-    if not subclass:
+    elif state is None and base is None:
         # Last resort: the type alone.  Never repr() — it embeds addresses.
         out.append(f"opaque:{type_tag}".encode())
     return n
 
 
-def _slot_names(kind: type) -> Optional[set]:
-    """The ``__slots__`` declared across ``kind``'s MRO (``None`` when
-    no class declares any)."""
-    declared = [cls.__dict__["__slots__"] for cls in kind.__mro__
+@functools.lru_cache(maxsize=None)
+def _layout(kind: type) -> Tuple[Optional[type], Optional[tuple], Optional[tuple]]:
+    """How an instance of ``kind`` encodes after its type tag, worked out
+    once per type: the builtin container or scalar base whose value a
+    subclass adds (an ``enum`` member has none: ``_value_`` is among its
+    attributes), then the sorted slot names read without a ``__dict__``
+    and those read beside one (not ``__dict__`` nor ``__weakref__``),
+    each ``None`` when none is read.  A private ``__x`` of class ``C`` is
+    read as ``_C__x``."""
+    base = next((cls for cls in kind.__mro__
+                 if cls in _CONTAINERS or cls in _SCALARS), None)
+    if base in _SCALARS and issubclass(kind, Enum):
+        base = None
+    declared = [(cls, cls.__dict__["__slots__"]) for cls in kind.__mro__
                 if "__slots__" in cls.__dict__]
-    if not declared:
-        return None
-    return {name for slots in declared
-            for name in ((slots,) if isinstance(slots, str) else slots)}
+    slots = sorted({
+        _mangled(cls, name) for cls, names in declared
+        for name in ((names,) if isinstance(names, str) else names)
+    } - _EXCLUDED_ATTRS)
+    beside = [name for name in slots if name not in ("__dict__", "__weakref__")]
+    return base, tuple(slots) if declared else None, tuple(beside) or None
+
+
+def _mangled(cls: type, name: str) -> str:
+    """``name`` as ``cls``'s body stores it: ``__x`` is ``_Cls__x``."""
+    owner = cls.__name__.lstrip("_")
+    if name.startswith("__") and not name.endswith("__") and owner:
+        return f"_{owner}{name}"
+    return name
 
 
 def _code(

@@ -21,11 +21,12 @@ minimal fork engine shaped around how the engine actually fans out:
   a single stream at exit; the parent reads the pipes to EOF, merges by
   index, and replays observability payloads in serial plan order.
 
-The long-lived variant of this design — workers forked once and kept
-alive, fed *picklable* job descriptors through shared queues — lives in
-:class:`PersistentPool` below and powers the ``repro.serve`` daemon;
-engine fan-outs keep the snapshot-fork transport because their task
-closures cannot cross a pickle boundary.
+The serve daemon's workers are the long-lived variant
+(:class:`ResidentWorker`): forked once, each with its own job and result
+pipe, they run picklable job descriptors one at a time and answer each
+with one frame in the same codec, until their job pipe closes.  Both
+kinds are forked by one guard (:func:`_fork_child`), and a dead worker
+of either kind is described by :func:`_describe_exit`.
 """
 
 from __future__ import annotations
@@ -120,60 +121,47 @@ def fork_batch_map(
     # multiprocessing.Value lock serializes chunk claims across workers.
     cursor = multiprocessing.get_context("fork").Value("l", 0)
 
+    def work(read_fd: int, write_fd: int) -> None:
+        os.close(read_fd)
+        if on_worker_start is not None:
+            on_worker_start()
+        outcomes: List[Tuple[int, Tuple[str, Any]]] = []
+        while True:
+            with cursor.get_lock():
+                start = cursor.value
+                cursor.value = start + chunk
+            if start >= n_items:
+                break
+            for index in range(start, min(start + chunk, n_items)):
+                try:
+                    outcomes.append((index, ("ok", run_index(index))))
+                except BaseException as error:  # noqa: BLE001
+                    outcomes.append((index, _ship_outcome(error)))
+        try:
+            _write_frame(write_fd, outcomes)
+        except Exception:
+            # An unpicklable *result* poisons the whole blob; retry item
+            # by item so only the offending task is reported opaque.
+            salvaged = []
+            for index, outcome in outcomes:
+                try:
+                    pickle.dumps(outcome)
+                    salvaged.append((index, outcome))
+                except Exception:
+                    salvaged.append(
+                        (index, ("err-opaque", "task result does not pickle"))
+                    )
+            _write_frame(write_fd, salvaged)
+        os.close(write_fd)
+
     t_setup = time.perf_counter()
     readers: List[int] = []
     pids: List[int] = []
     for _ in range(workers):
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # --- child ---------------------------------------------------
-            status = 1
-            try:
-                os.close(read_fd)
-                if on_worker_start is not None:
-                    on_worker_start()
-                outcomes: List[Tuple[int, Tuple[str, Any]]] = []
-                while True:
-                    with cursor.get_lock():
-                        start = cursor.value
-                        cursor.value = start + chunk
-                    if start >= n_items:
-                        break
-                    for index in range(start, min(start + chunk, n_items)):
-                        try:
-                            outcomes.append((index, ("ok", run_index(index))))
-                        except BaseException as error:  # noqa: BLE001
-                            outcomes.append((index, _ship_outcome(error)))
-                try:
-                    _write_frame(write_fd, outcomes)
-                except Exception:
-                    # An unpicklable *result* poisons the whole blob;
-                    # retry item by item so only the offending task is
-                    # reported opaque.
-                    salvaged = []
-                    for index, outcome in outcomes:
-                        try:
-                            pickle.dumps(outcome)
-                            salvaged.append((index, outcome))
-                        except Exception:
-                            salvaged.append(
-                                (index, ("err-opaque",
-                                         "task result does not pickle"))
-                            )
-                    _write_frame(write_fd, salvaged)
-                os.close(write_fd)
-                status = 0
-            except BaseException:  # pragma: no cover - child never raises out
-                status = 1
-            finally:
-                sys.stdout.flush()
-                sys.stderr.flush()
-                os._exit(status)
-        # --- parent -------------------------------------------------------
+        pids.append(_fork_child(work, read_fd, write_fd))
         os.close(write_fd)
         readers.append(read_fd)
-        pids.append(pid)
     if stats is not None:
         stats["setup_s"] = time.perf_counter() - t_setup
         stats["workers"] = workers
@@ -219,123 +207,100 @@ def _describe_exit(wait_status: int) -> str:
     return f"worker exit status {os.WEXITSTATUS(wait_status)}"
 
 
-# ---------------------------------------------------------------------------
-# The long-lived pre-forked pool (picklable job descriptors)
-# ---------------------------------------------------------------------------
+def _fork_child(body: Callable[..., None], *args: Any) -> int:
+    """Fork a worker that runs ``body(*args)`` and exits, with status 0
+    once it returns and 1 if it raises; returns the worker's pid.  The
+    child never returns into its parent's code."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            body(*args)
+            status = 0
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(status)
+    return pid
 
-#: Queue sentinel asking a worker to exit its loop.
-_SHUTDOWN = ("__shutdown__",)
 
+class ResidentWorker:
+    """A long-lived forked worker that applies ``run`` to each job sent.
 
-class PersistentPool:
-    """Long-lived pre-forked workers fed through shared stealing queues.
-
-    The transport the snapshot engine cannot offer: workers are forked
-    **once**, stay resident, and pull *chunks* of picklable job
-    descriptors from one shared inbound queue — any idle worker steals
-    the next chunk, so there is no parent-side assignment.  Results ship
-    back batched (one message per chunk) on a shared outbound queue.
-
-    The executor function is fixed at construction (workers resolve it
-    at fork time), so descriptors stay plain data — this is what lets
-    ``repro.serve`` keep verification jobs off the fork-per-request
-    path entirely.  Messages on the outbound queue:
-
-    * ``("start", worker_id, tag)`` — a worker picked up ``tag``;
-    * ``("done", worker_id, [(tag, outcome), ...])`` — one finished
-      chunk, outcomes in chunk order (``("ok", value)`` or
-      ``("err", exception)`` / ``("err-opaque", message)``);
-    * ``("exit", worker_id)`` — the worker left its loop (drain).
+    Each job frame written by :meth:`send` is answered by one outcome
+    frame, read by :meth:`receive` once :attr:`result_fd` is readable.
+    The child closes ``inherited`` (the parent's ends of earlier
+    workers' pipes), so the parent is the only writer of its job pipe:
+    :meth:`close`, or the parent's death, ends the worker.
     """
 
-    def __init__(
-        self,
-        executor: Callable[[Any], Any],
-        workers: int,
-        initializer: Optional[Callable[[int], None]] = None,
-    ):
-        self._ctx = multiprocessing.get_context("fork")
-        self.workers = max(1, int(workers))
-        self._executor = executor
-        self._initializer = initializer
-        self._inbound: multiprocessing.SimpleQueue = self._ctx.SimpleQueue()
-        self.outbound: multiprocessing.SimpleQueue = self._ctx.SimpleQueue()
-        self._processes: List[Any] = []
-        self._closed = False
-        for worker_id in range(self.workers):
-            process = self._ctx.Process(
-                target=self._worker_loop,
-                args=(worker_id,),
-                daemon=True,
-                name=f"repro-serve-worker-{worker_id}",
-            )
-            process.start()
-            self._processes.append(process)
+    def __init__(self, run: Callable[[Any], Any], inherited: Sequence[int] = ()):
+        job_read, self.job_fd = os.pipe()
+        self.result_fd, result_write = os.pipe()
+        self.pid = _fork_child(
+            _serve_jobs, run, job_read, result_write,
+            (*inherited, self.job_fd, self.result_fd),
+        )
+        os.close(job_read)
+        os.close(result_write)
+        #: How the worker ended, once :meth:`receive` met its death.
+        self.death: Optional[str] = None
 
-    # -- worker side --------------------------------------------------------
+    def send(self, job: Any) -> None:
+        """Hand the worker one job."""
+        try:
+            _write_frame(self.job_fd, job)
+        except BrokenPipeError:
+            pass  # it just died: receive() reports how
 
-    def _worker_loop(self, worker_id: int) -> None:
-        from . import pool as engine_pool
+    def receive(self) -> Tuple[str, Any]:
+        """The outcome of the job in hand.  EOF means the worker is
+        gone: it is reaped, :attr:`death` says how it ended, and the
+        outcome is ``("err-opaque", death)``."""
+        outcome = _read_frame(self.result_fd)
+        if outcome is None:
+            _pid, status = os.waitpid(self.pid, 0)
+            self.death = f"{_describe_exit(status)} (pid {self.pid})"
+            outcome = ("err-opaque", self.death)
+        return outcome
 
-        # A pool worker must not fork grandchildren through parallel_map:
-        # job-level parallelism across workers is the scaling axis here.
-        engine_pool._IN_WORKER = True
-        if self._initializer is not None:
-            self._initializer(worker_id)
-        while True:
-            chunk = self._inbound.get()
-            if chunk == _SHUTDOWN:
-                self.outbound.put(("exit", worker_id))
-                return
-            results: List[Tuple[Any, Tuple[str, Any]]] = []
-            for tag, descriptor in chunk:
-                self.outbound.put(("start", worker_id, tag))
-                try:
-                    outcome: Tuple[str, Any] = ("ok", self._executor(descriptor))
-                except BaseException as error:  # noqa: BLE001
-                    outcome = _ship_outcome(error)
-                try:
-                    pickle.dumps(outcome)
-                except Exception:
-                    outcome = ("err-opaque", "job result does not pickle")
-                results.append((tag, outcome))
-            self.outbound.put(("done", worker_id, results))
+    def close(self) -> None:
+        """Close both pipes: the worker leaves its loop after the job in
+        hand, if any, and exits."""
+        os.close(self.job_fd)
+        os.close(self.result_fd)
 
-    # -- parent side --------------------------------------------------------
+    def join(self) -> None:
+        """Reap the worker once it has exited."""
+        os.waitpid(self.pid, 0)
 
-    def submit_chunk(self, chunk: Sequence[Tuple[Any, Any]]) -> None:
-        """Enqueue one ``[(tag, descriptor), ...]`` chunk for stealing."""
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        self._inbound.put(list(chunk))
 
-    def submit(self, tag: Any, descriptor: Any) -> None:
-        self.submit_chunk([(tag, descriptor)])
+def _serve_jobs(
+    run: Callable[[Any], Any], job_read: int, result_write: int,
+    inherited: Sequence[int],
+) -> None:
+    """A resident worker's loop: one outcome frame per job frame."""
+    for fd in inherited:
+        os.close(fd)
+    # A signal to the whole process group (a terminal's Ctrl-C, a service
+    # stop) reaches the worker too: the parent drains on it, and the job
+    # in hand must still finish.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_IGN)
+    from .pool import _worker_init
 
-    def alive(self) -> List[bool]:
-        return [process.is_alive() for process in self._processes]
-
-    def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Drain: stop the loops, join the workers, close the queues."""
-        if self._closed:
+    _worker_init()
+    while True:
+        job = _read_frame(job_read)
+        if job is None:
             return
-        self._closed = True
-        for _ in self._processes:
-            self._inbound.put(_SHUTDOWN)
-        deadline = time.monotonic() + timeout_s
-        for process in self._processes:
-            process.join(max(0.1, deadline - time.monotonic()))
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(1.0)
-        self._inbound.close()
-
-    def kill(self) -> None:
-        """Hard stop (worker replacement path and test teardown)."""
-        self._closed = True
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self._processes:
-            process.join(1.0)
-        self._inbound.close()
+        try:
+            outcome: Tuple[str, Any] = ("ok", run(job))
+        except BaseException as error:  # noqa: BLE001
+            outcome = _ship_outcome(error)
+        try:
+            _write_frame(result_write, outcome)
+        except OSError:
+            return  # the parent is gone
+        except Exception:
+            _write_frame(result_write, ("err-opaque", "job result does not pickle"))

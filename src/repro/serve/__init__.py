@@ -3,12 +3,13 @@
 CCAL's promise is that certificates compose and cache like build
 artifacts; this package serves them like build artifacts too.  A
 persistent daemon (``python -m repro.serve``) accepts layer-check jobs
-over HTTP/JSON, fans them across a **pre-forked persistent worker
-pool** (:class:`repro.parallel.PersistentPool` — forked once at boot,
-fed picklable job descriptors, no per-request interpreter or import
+over HTTP/JSON, runs them on **resident fork workers**
+(:mod:`repro.serve.pool` — forked once at boot, fed picklable job
+descriptors over a pipe each, no per-request interpreter or import
 cost), dedupes identical in-flight work by content fingerprint, and
 serves completed certificates from a sharded per-tenant
-content-addressed store with LRU eviction.
+content-addressed store with LRU eviction.  A dead worker fails its job
+and shows on ``/healthz``; it is not replaced.
 
 Determinism across the wire: a served certificate's bytes are exactly
 the bytes a serial obs-off CLI run of the same stack produces
@@ -22,7 +23,7 @@ record so service traffic participates in ``repro.obs history`` /
 Modules: :mod:`~repro.serve.protocol` (wire schemas, stack registry,
 worker-side execution), :mod:`~repro.serve.store` (CAS + metrics),
 :mod:`~repro.serve.jobs` (records, dedup index, admission),
-:mod:`~repro.serve.pool` (asyncio bridge over the persistent pool),
+:mod:`~repro.serve.pool` (the resident workers, read on the event loop),
 :mod:`~repro.serve.app` (the HTTP application), :mod:`~repro.serve.cli`
 (the daemon entry point), :mod:`~repro.serve.client` (stdlib client),
 :mod:`~repro.serve.smoke` (the CI end-to-end smoke harness).

@@ -1,13 +1,13 @@
 """The verification daemon: a hand-rolled asyncio HTTP/1.1 application.
 
 Stdlib only.  One event-loop thread owns every piece of daemon state
-(job table, admission queue, certificate store, metrics); the only
-other threads are the pool's result pump (which trampolines onto the
-loop) and the workers themselves, in separate processes.
+(job table, admission queue, certificate store, metrics) and reads the
+workers' result pipes; the workers are separate processes.
 
 Endpoints::
 
-    GET  /healthz                      liveness + worker census
+    GET  /healthz                      liveness + worker census (503
+                                       once a worker has died)
     GET  /metrics                      repro.serve/metrics/v1 document
     POST /jobs                         submit one job (repro.serve/job/v1)
     POST /jobs/batch                   {"jobs": [...]} — submit many
@@ -20,7 +20,8 @@ Submission walks warm-store → in-flight dedup → admission, in that
 order: a stored certificate is served in microseconds with no queueing,
 an identical in-flight job is joined as a follower (one verification,
 one certificate per requesting tenant), and only genuinely new work
-competes for the bounded queue (full → 429 with ``Retry-After``).
+competes for the bounded queue (full → 429 with ``Retry-After``; no
+live worker → 503 naming how the workers died).
 
 The progress stream is the ``repro.obs/heartbeat/v1`` wire format —
 the daemon writes admission records, the worker beats into the same
@@ -109,9 +110,9 @@ class ServeApp:
         # was verified, never on the tenant.
         self._result_ok: Dict[str, bool] = {}
         if workers <= 0 or not hasattr(os, "fork"):
-            self.pool: Any = SerialPool(loop, self._on_start, self._on_done)
+            self.pool: Any = SerialPool(loop, self._on_done)
         else:
-            self.pool = ServePool(workers, loop, self._on_start, self._on_done)
+            self.pool = ServePool(workers, loop, self._on_done)
 
     # ------------------------------------------------------------------
     # Submission pipeline (loop thread)
@@ -147,7 +148,11 @@ class ServeApp:
             self.metrics.jobs_deduped += 1
             return 202, job.to_json()
 
-        # 3. Admission: genuinely new work competes for the bounded queue.
+        # 3. Admission: genuinely new work competes for the bounded queue,
+        # if a worker is left to run it.
+        if not self.pool.alive():
+            self._reject(job, self._no_worker())
+            return 503, job.to_json()
         try:
             self.queue.push(job.id, spec["priority"])
         except QueueFull as full:
@@ -230,11 +235,6 @@ class ServeApp:
         self.table.release(job)
         self._finish(job)
 
-    def _on_start(self, job_id: str) -> None:
-        job = self.table.get(job_id)
-        if job is not None and job.started_at is None:
-            job.started_at = time.time()
-
     def _on_done(self, job_id: str, outcome: Tuple[str, Any]) -> None:
         job = self.table.get(job_id)
         if job is None:  # pragma: no cover - table never forgets
@@ -263,8 +263,14 @@ class ServeApp:
             }
             if len(unstored) < len(tenants):
                 self._result_ok[job.fingerprint] = bool(payload["ok"])
-        else:
-            failure = payload.get("error", "worker error") if payload else str(value)
+        elif payload is not None:
+            failure = payload.get("error", "worker error")
+        else:  # the job never returned (its worker died): close its stream
+            failure = str(value)
+            self._event(job, {"type": "end", "status": "failed",
+                              "error": failure, "job": job.id,
+                              "pid": os.getpid(),
+                              "t_s": round(time.time() - job.started_at, 3)})
         for member in [job] + followers:
             if member.terminal:
                 continue
@@ -296,8 +302,15 @@ class ServeApp:
         if waiter is not None:
             waiter.set()
 
+    def _no_worker(self) -> str:
+        return "no live worker: " + "; ".join(self.pool.deaths)
+
     def _pump(self) -> None:
-        """Dispatch queued jobs onto free worker slots."""
+        """Dispatch queued jobs onto free worker slots; with no worker
+        left, reject them."""
+        if not self.pool.alive():
+            self._reject_queued(self._no_worker())
+            return
         while not self.draining and self.pool.free_slots > 0:
             job_id = self.queue.pop()
             if job_id is None:
@@ -306,6 +319,7 @@ class ServeApp:
             if job is None or job.terminal:  # pragma: no cover
                 continue
             job.state = RUNNING
+            job.started_at = time.time()
             for follower in self.table.followers_of(job):
                 if not follower.terminal:
                     follower.state = RUNNING
@@ -319,6 +333,12 @@ class ServeApp:
                     "ledger_dir": self.ledger_dir,
                 },
             )
+
+    def _reject_queued(self, reason: str) -> None:
+        for job_id in self.queue.drain():
+            job = self.table.get(job_id)
+            if job is not None and not job.terminal:
+                self._reject(job, reason)
 
     def _event(self, job: JobRecord, *records: Dict[str, Any]) -> None:
         """Append ``records`` to the job's event file in one write."""
@@ -342,10 +362,7 @@ class ServeApp:
         if self.draining:
             return
         self.draining = True
-        for job_id in self.queue.drain():
-            job = self.table.get(job_id)
-            if job is not None and not job.terminal:
-                self._reject(job, "daemon is draining")
+        self._reject_queued("daemon is draining")
         if self.pool.in_flight == 0:
             self.drained.set()
 
@@ -403,11 +420,12 @@ class ServeApp:
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
 
         if method == "GET" and parts == ["healthz"]:
-            await _respond(writer, 200, {
-                "ok": True,
+            await _respond(writer, 503 if self.pool.deaths else 200, {
+                "ok": not self.pool.deaths,
                 "draining": self.draining,
                 "workers": {"configured": self.pool.workers,
-                            "alive": self.pool.alive()},
+                            "alive": self.pool.alive(),
+                            "dead": self.pool.deaths},
             })
             return
         if method == "GET" and parts == ["metrics"]:

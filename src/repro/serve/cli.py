@@ -1,11 +1,12 @@
 """``python -m repro.serve`` — boot the verification daemon.
 
-Binds, pre-forks the worker pool, prints one machine-parsable ready
+Forks the resident workers, binds, prints one machine-parsable ready
 line (and optionally writes a ready file with the bound URL — the way
 tests and the smoke harness discover an ephemeral ``--port 0``), then
 serves until SIGTERM/SIGINT.  Shutdown is a graceful drain: queued
 jobs are rejected, in-flight verifications run to completion and their
-certificates land in the store, then the workers exit.
+certificates land in the store, then the workers exit and are reaped.
+A worker that dies is not replaced (see :mod:`repro.serve.pool`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="persistent pool size; 0 = in-process serial fallback",
+        help="resident worker processes, forked at boot and not replaced "
+             "if they die; 0 = in-process serial fallback",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=16,

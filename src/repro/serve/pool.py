@@ -1,96 +1,105 @@
-"""The daemon's verification pool: ``PersistentPool`` bridged to asyncio.
+"""The daemon's verification pool: resident fork workers read on the loop.
 
-Workers are pre-forked **once**, at daemon boot, with
-:func:`repro.serve.protocol.execute_job` as the fixed executor — no
-fork, import, or interpreter warm-up on any request path.  The bridge
-is one daemon thread that blocks on the pool's outbound queue and
-trampolines every message onto the event loop with
-``call_soon_threadsafe``; all job-state mutation therefore stays on the
-loop thread, which is what keeps the daemon lock-free.
+Workers are :class:`repro.parallel.workers.ResidentWorker` children with
+:func:`repro.serve.protocol.execute_job` as their job function, forked
+**once**, at daemon boot — no fork, import, or interpreter warm-up on
+any request path.  A job goes to an idle worker, and the event loop
+reads its outcome when that worker's result pipe turns readable
+(``loop.add_reader``), so all job state stays on the loop thread and
+the daemon runs no other thread.
+
+EOF on a result pipe is a death, idle or busy: the worker is reaped,
+the pool records how it ended, and the job it held fails through
+``on_done``.  No replacement is forked, since a job that kills its
+worker would kill the replacement too.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-from typing import Any, Callable, Dict, Optional
+import os
+import signal
+from typing import Any, Callable, Dict, List, Optional
 
-from ..parallel.workers import PersistentPool
+from ..parallel.workers import ResidentWorker
 from .protocol import execute_job
 
 
 class ServePool:
-    """Job-granular façade over the persistent worker pool."""
+    """Resident fork workers, one job each at a time."""
 
     def __init__(
         self,
         workers: int,
         loop: asyncio.AbstractEventLoop,
-        on_start: Callable[[Any], None],
         on_done: Callable[[Any, Any], None],
     ):
         self._loop = loop
-        self._on_start = on_start
         self._on_done = on_done
-        self._pool = PersistentPool(execute_job, workers)
-        self.workers = self._pool.workers
-        self.in_flight = 0
-        self._exited = 0
-        self._drained = threading.Event()
-        self._reader = threading.Thread(
-            target=self._pump, name="repro-serve-results", daemon=True
-        )
-        self._reader.start()
+        self.workers = max(1, int(workers))
+        #: Each live worker and the job it runs (``None`` while idle).
+        self._jobs: Dict[ResidentWorker, Optional[str]] = {}
+        #: How each dead worker ended, in order of death.
+        self.deaths: List[str] = []
+        inherited: List[int] = []
+        for _ in range(self.workers):
+            worker = ResidentWorker(execute_job, inherited)
+            inherited += (worker.job_fd, worker.result_fd)
+            self._jobs[worker] = None
+            loop.add_reader(worker.result_fd, self._receive, worker)
+
+    @property
+    def in_flight(self) -> int:
+        return sum(job_id is not None for job_id in self._jobs.values())
 
     @property
     def free_slots(self) -> int:
-        return max(0, self.workers - self.in_flight)
+        return len(self._jobs) - self.in_flight
+
+    def alive(self) -> int:
+        return len(self._jobs)
 
     def dispatch(self, job_id: str, descriptor: Dict[str, Any]) -> None:
-        """Hand one job to the pool (caller checked ``free_slots``)."""
-        self.in_flight += 1
-        self._pool.submit(job_id, descriptor)
+        """Hand one job to an idle worker (caller checked ``free_slots``)."""
+        worker = next(w for w, held in self._jobs.items() if held is None)
+        self._jobs[worker] = job_id
+        worker.send(descriptor)
 
-    # -- reader thread ------------------------------------------------------
+    def _receive(self, worker: ResidentWorker) -> None:
+        outcome = worker.receive()
+        job_id = self._jobs[worker]
+        if worker.death is None:
+            self._jobs[worker] = None
+        else:
+            del self._jobs[worker]
+            self._close(worker)
+            self.deaths.append(worker.death)
+        if job_id is not None:
+            self._on_done(job_id, outcome)
 
-    def _pump(self) -> None:
-        """Forward pool messages onto the event loop until all workers exit."""
-        while self._exited < self.workers:
-            try:
-                message = self._pool.outbound.get()
-            except (OSError, EOFError):  # queue torn down underneath us
-                break
-            if message[0] == "exit":
-                self._exited += 1
-                continue
-            try:
-                self._loop.call_soon_threadsafe(self._deliver, message)
-            except RuntimeError:  # loop already closed (hard shutdown)
-                break
-        self._drained.set()
-
-    def _deliver(self, message: Any) -> None:
-        kind = message[0]
-        if kind == "start":
-            self._on_start(message[2])
-        elif kind == "done":
-            for tag, outcome in message[2]:
-                self.in_flight -= 1
-                self._on_done(tag, outcome)
+    def _close(self, worker: ResidentWorker) -> None:
+        self._loop.remove_reader(worker.result_fd)
+        worker.close()
 
     # -- lifecycle ----------------------------------------------------------
 
-    def alive(self) -> int:
-        return sum(self._pool.alive())
+    def shutdown(self) -> None:
+        """Close every worker's pipes, so each leaves its loop, and reap it.
 
-    def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Graceful drain: in-flight jobs finish, then the workers exit."""
-        self._pool.shutdown(timeout_s=timeout_s)
-        self._drained.wait(timeout=timeout_s)
+        A busy worker finishes its job first, then fails to ship it and
+        exits; the daemon calls this once the drain has none left.
+        """
+        for worker in self._jobs:
+            self._close(worker)
+        for worker in self._jobs:
+            worker.join()
+        self._jobs.clear()
 
     def kill(self) -> None:
-        self._pool.kill()
-        self._drained.set()
+        """SIGKILL and reap every worker (a drain that timed out)."""
+        for worker in self._jobs:
+            os.kill(worker.pid, signal.SIGKILL)
+        self.shutdown()
 
 
 class SerialPool:
@@ -105,14 +114,13 @@ class SerialPool:
     def __init__(
         self,
         loop: asyncio.AbstractEventLoop,
-        on_start: Callable[[Any], None],
         on_done: Callable[[Any, Any], None],
     ):
         self._loop = loop
-        self._on_start = on_start
         self._on_done = on_done
         self.workers = 1
         self.in_flight = 0
+        self.deaths: List[str] = []
         self._task: Optional[asyncio.Future] = None
 
     @property
@@ -121,7 +129,6 @@ class SerialPool:
 
     def dispatch(self, job_id: str, descriptor: Dict[str, Any]) -> None:
         self.in_flight += 1
-        self._on_start(job_id)
 
         def run() -> Any:
             try:
@@ -142,7 +149,7 @@ class SerialPool:
     def alive(self) -> int:
         return 1
 
-    def shutdown(self, timeout_s: float = 10.0) -> None:
+    def shutdown(self) -> None:
         return None
 
     def kill(self) -> None:

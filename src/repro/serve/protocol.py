@@ -16,10 +16,11 @@ discipline as the CLI certificate cache, so in-flight dedup and the
 served certificate store key on *what is being verified*, never on who
 asked or when.
 
-Execution (:func:`execute_job`) happens inside a persistent pool worker
-and upholds the determinism contract across the wire: observability is
-forced off, the run is serial from the engine's point of view (nested
-fan-outs degrade inside pool workers), and the result document's
+Execution (:func:`execute_job`) happens inside a resident worker
+(:mod:`repro.serve.pool`) and upholds the determinism contract across
+the wire: observability is forced off, the run is serial from the
+engine's point of view (nested fan-outs degrade inside the worker),
+and the result document's
 canonical bytes are exactly what a ``run_stack`` call in a fresh CLI
 process produces.  Progress streams through the job's heartbeat file
 (``repro.obs/heartbeat/v1``) and a completed verification appends one
@@ -329,7 +330,7 @@ def _jsonable(value: Any) -> Any:
 
 
 def execute_job(descriptor: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one job inside a pool worker; returns the shippable payload.
+    """Run one job inside a resident worker; returns the shippable payload.
 
     ``descriptor`` carries ``{"job", "stack", "params", "events_path",
     "ledger_dir"}`` — plain data, which is what lets jobs reach

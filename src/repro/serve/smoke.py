@@ -2,7 +2,7 @@
 
 Used by the CI ``serve-smoke`` job (and runnable locally): boots a real
 daemon subprocess on an ephemeral port, pushes a cold ticket/MCS/queue
-batch through the persistent pool, replays the batch to hit the warm
+batch through the resident worker, replays the batch to hit the warm
 store, asserts the service-level objectives from the metrics endpoint
 (warm p50 under 100 ms, at least one store hit), saves a job's progress
 stream as an artifact, then SIGTERMs the daemon and checks it drains
@@ -76,7 +76,7 @@ def run_smoke(out_dir: str, spool: Optional[str] = None) -> int:
         health = client.healthz()
         check(health.get("ok") is True, "healthz reports ok")
 
-        # Cold pass: three distinct stacks through the persistent pool.
+        # Cold pass: three distinct stacks through the resident worker.
         t0 = time.perf_counter()
         cold = client.submit_batch(list(BATCH))
         cold = [client.job(doc["id"], wait=True) for doc in cold]

@@ -3,9 +3,10 @@
 :func:`canonical_fingerprint` below is
 :func:`repro.parallel.canonical.canonical_fingerprint` as it was before
 the encoder became one pass over a token buffer, verbatim except for
-the ``kwdefaults`` token (a function's keyword-only defaults) and the
-encoding of builtin-container subclasses and of slots declared across
-an MRO, which both encoders emit.  Each node is a generator that
+the ``kwdefaults`` token (a function's keyword-only defaults), the
+encoding of builtin-container and builtin-scalar subclasses, and slots
+declared across an MRO (beside a ``__dict__`` too, with private names
+mangled), which both encoders emit.  Each node is a generator that
 passes every token up a ``yield from`` chain as deep as the object
 graph, and every event is re-encoded at each of its occurrences.
 ``tests/parallel/test_canonical.py`` checks that the engine's encoder
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import types
+from enum import Enum
 from typing import Any, Dict
 
 #: Per-instance caches and run-dependent attributes that must never
@@ -33,6 +35,9 @@ _EXCLUDED_ATTRS = {
 }
 
 _CONTAINERS = (tuple, list, set, frozenset, dict)
+
+_SCALARS = {str: str.__str__, int: int.__int__, float: float.__float__,
+            bytes: lambda value: bytes.__getitem__(value, slice(None))}
 
 
 def canonical_fingerprint(obj: Any) -> str:
@@ -157,7 +162,16 @@ def _structure_tokens(obj: Any, kind: type, seen: Dict[int, int], counter):
         yield f"sub:{type_tag}".encode()
         base = next(cls for cls in kind.__mro__ if cls in _CONTAINERS)
         yield from _structure_tokens(obj, base, seen, counter)
+    elif isinstance(obj, tuple(_SCALARS)) and not isinstance(obj, Enum):
+        subclass = True
+        yield f"sub:{type_tag}".encode()
+        base = next(cls for cls in kind.__mro__ if cls in _SCALARS)
+        yield from _tokens(_SCALARS[base](obj), seen, counter)
 
+    declared = [(cls, cls.__dict__["__slots__"]) for cls in kind.__mro__
+                if "__slots__" in cls.__dict__]
+    slots = {_mangled(cls, name) for cls, names in declared
+             for name in ((names,) if isinstance(names, str) else names)}
     state = getattr(obj, "__dict__", None)
     if state is not None:
         items = sorted(
@@ -169,23 +183,28 @@ def _structure_tokens(obj: Any, kind: type, seen: Dict[int, int], counter):
         for name, value in items:
             yield b"attr:" + name.encode()
             yield from _tokens(value, seen, counter)
-        return
+        # Beside a __dict__, only slots with content: not the dict
+        # itself, not weak references.
+        slots -= {"__dict__", "__weakref__"} | _EXCLUDED_ATTRS
+        declared = declared if slots else []
 
-    declared = [cls.__dict__["__slots__"] for cls in kind.__mro__
-                if "__slots__" in cls.__dict__]
     if declared:
-        slots = {name for names in declared
-                 for name in ((names,) if isinstance(names, str) else names)}
         names = sorted(n for n in slots if n not in _EXCLUDED_ATTRS)
         yield f"slots:{type_tag}:{len(names)}".encode()
         for name in names:
             yield b"attr:" + name.encode()
             yield from _tokens(getattr(obj, name, None), seen, counter)
-        return
-
-    if not subclass:
+    elif state is None and not subclass:
         # Last resort: the type alone.  Never repr() — it embeds addresses.
         yield f"opaque:{type_tag}".encode()
+
+
+def _mangled(cls: type, name: str) -> str:
+    """``name`` as ``cls``'s body stores it: ``__x`` is ``_Cls__x``."""
+    owner = cls.__name__.lstrip("_")
+    if name.startswith("__") and not name.endswith("__") and owner:
+        return f"_{owner}{name}"
+    return name
 
 
 def _code_tokens(code: types.CodeType, seen: Dict[int, int], counter):

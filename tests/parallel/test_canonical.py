@@ -296,6 +296,50 @@ class Cell2(Cell):
         self.y = y
 
 
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Blob(bytes):
+    pass
+
+
+class MaskedBlob(bytes):
+    """Its own conversions hide its content."""
+
+    def __bytes__(self):
+        return b""
+
+    def __getitem__(self, index):
+        return b""
+
+
+class Plain:
+    pass
+
+
+class SlotOverDict(Plain):
+    __slots__ = ("y",)
+
+    def __init__(self, y):
+        self.y = y
+
+
+class Private:
+    __slots__ = ("__x",)
+
+    def __init__(self, x):
+        self.__x = x
+
+
 def subclass_pairs():
     """Two values a key must tell apart: of one type and differing only
     in content, or a subclass value and its builtin-base twin."""
@@ -313,6 +357,13 @@ def subclass_pairs():
         "inherited-slot": (Cell2(1, 2), Cell2(3, 2)),
         "namedtuple-and-tuple": (Pair(1, 2), (1, 2)),
         "dict-subclass-and-dict": (Bounds(a=1), {"a": 1}),
+        "str-subclass": (Name("a"), Name("b")),
+        "int-subclass": (Count(1), Count(2)),
+        "float-subclass": (Ratio(1.0), Ratio(2.0)),
+        "bytes-subclass": (Blob(b"a"), Blob(b"b")),
+        "masked-bytes-subclass": (MaskedBlob(b"a"), MaskedBlob(b"b")),
+        "slot-beside-dict": (SlotOverDict(1), SlotOverDict(2)),
+        "mangled-slot": (Private(1), Private(2)),
     }
 
 
