@@ -6,11 +6,12 @@ stack.  Three pieces:
 - :mod:`repro.obs.trace` — hierarchical :func:`span`\\ s gathered by a
   thread-safe collector, exportable as Chrome ``trace_event`` JSON
   (open in ``chrome://tracing`` / Perfetto);
-- :mod:`repro.obs.metrics` — counters, gauges and histograms (runs
+- :mod:`repro.obs.metrics` — counters and histograms (runs
   enumerated, env contexts, obligations, replay-cache hits, scheduler
   picks, per-rule wall time);
 - :mod:`repro.obs.report` — per-run text/JSON reports, a JSONL event
-  stream export, and a certificate-provenance pretty printer;
+  stream export, and the certificate renderer behind ``explain`` and
+  :func:`render_provenance`;
 - :mod:`repro.obs.forensics` — structured counterexamples with a
   delta-debugging shrinker, attached to failed certificate obligations;
 - :mod:`repro.obs.coverage` — exploration-coverage accounting for every
@@ -32,8 +33,9 @@ stack.  Three pieces:
 - :mod:`repro.obs.dashboard` — a self-contained HTML dashboard
   rendered from the ledger;
 - :mod:`repro.obs.blocks` — the provenance-block registry (one
-  associative merge per block, folded over the derivation tree) and the
-  ambient sinks fork-pool workers ship back per task;
+  associative merge per block, folded over the derivation tree, plus
+  the block's own rendering and run metrics) and the ambient sinks
+  fork-pool workers ship back per task;
 - :mod:`repro.obs.cli` — ``python -m repro.obs`` with ``report`` /
   ``explain`` / ``watch`` / ``history`` / ``trends`` / ``regress`` /
   ``diff`` / ``record`` / ``dashboard`` subcommands.
@@ -68,14 +70,12 @@ from .trace import (
 )
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsWindow,
     REGISTRY,
     inc,
     observe,
-    set_gauge,
     snapshot,
 )
 from .coverage import (
@@ -87,6 +87,7 @@ from .coverage import (
     coverage_map,
     merge_coverage_maps,
     record_coverage,
+    render_coverage_map,
 )
 from .forensics import (
     Counterexample,
@@ -102,7 +103,6 @@ from .report import (
     EVENTS_SCHEMA,
     ReplayCollector,
     read_jsonl,
-    render_coverage_map,
     render_provenance,
     render_report,
     report_json,
@@ -192,14 +192,12 @@ __all__ = [
     "span",
     "write_chrome_trace",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsWindow",
     "REGISTRY",
     "inc",
     "observe",
-    "set_gauge",
     "snapshot",
     "render_provenance",
     "render_report",

@@ -12,8 +12,13 @@ combines blocks goes through this registry:
 * a rule that checks nothing itself inherits the merge of its
   premises' blocks, so provenance is a monoid over the derivation tree
   (a block's ``inherit`` projection may keep less than its merge);
-* the run ledger merges its root certificates' blocks and lets each
-  block name its record fields (:func:`ledger_fields`).
+* the run ledger stores each block of its root certificates the same
+  way, ``record[name] = inherit(merge(roots))`` (:func:`inherit_blocks`).
+
+A block also describes itself to every reader: ``render`` gives its
+text lines (``explain``, ``diff``, the dashboard) and ``metrics`` its
+numbers for :func:`repro.obs.store.run_metrics` (``trends``,
+``regress``, the dashboard's sparklines), so no reader names a block.
 
 A **sink** is process-global observation state that fork-pool workers
 must hand back to the parent: a mark taken before a task, the delta
@@ -44,14 +49,20 @@ def _whole(value: Value) -> Value:
     return value
 
 
+def _no_metrics(value: Dict[str, Any]) -> Dict[str, float]:
+    return {}
+
+
 class Block(NamedTuple):
     name: str
     #: Associative merge of block values (``None``/empty values skipped).
     merge: Callable[[Iterable[Value]], Value]
+    #: The text lines of a non-empty block value.
+    render: Callable[[Dict[str, Any]], List[str]]
     #: What a composition rule keeps of its premises' merged block.
     inherit: Callable[[Value], Value] = _whole
-    #: The run-record fields of the merged root blocks (``None``: none).
-    ledger: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
+    #: The run metrics of a non-empty block value, by metric name.
+    metrics: Callable[[Dict[str, Any]], Dict[str, float]] = _no_metrics
 
 
 class Sink(NamedTuple):
@@ -66,6 +77,19 @@ class Sink(NamedTuple):
 
 BLOCKS: Dict[str, Block] = {}
 SINKS: Dict[str, Sink] = {}
+
+
+def format_rows(headers: List[str], rows: List[List[str]]) -> List[str]:
+    """A left-aligned text table (header, rule, rows) for renderers."""
+    widths = [
+        max(len(header), *(len(row[i]) for row in rows)) if rows else len(header)
+        for i, header in enumerate(headers)
+    ]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return lines
 
 
 def register_block(*args: Any, **kwargs: Any) -> None:
@@ -92,6 +116,10 @@ def fold_blocks(outputs: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return folded
 
 
+def _inherited(block: Block, provenances: List[Dict[str, Any]]) -> Value:
+    return block.inherit(block.merge(p.get(block.name) for p in provenances))
+
+
 def compose_blocks(
     provenance: Dict[str, Any],
     prior: Dict[str, Any],
@@ -114,9 +142,7 @@ def compose_blocks(
             provenance.get(name)
             or folded.get(name)
             or prior.get(name)
-            or (children and block.inherit(
-                block.merge(child.get(name) for child in children)
-            ))
+            or (children and _inherited(block, children))
         )
         if value:
             provenance[name] = value
@@ -124,13 +150,16 @@ def compose_blocks(
             provenance.pop(name, None)
 
 
-def ledger_fields(provenances: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """The run-record fields of the merged blocks of root certificates."""
-    fields: Dict[str, Any] = {}
-    for name, merged in fold_blocks(provenances).items():
-        if BLOCKS[name].ledger is not None:
-            fields.update(BLOCKS[name].ledger(merged))
-    return fields
+def inherit_blocks(provenances: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Every non-empty block as a composition rule over ``provenances``
+    would inherit it (the run record's block fields)."""
+    provenances = list(provenances)
+    inherited = {}
+    for block in BLOCKS.values():
+        value = _inherited(block, provenances)
+        if value:
+            inherited[block.name] = value
+    return inherited
 
 
 def sink_marks() -> List[Tuple[Sink, Any]]:

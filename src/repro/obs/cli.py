@@ -7,15 +7,15 @@ Single-run subcommands over the files the toolkit already writes:
   metrics, coverage map (``--json`` for the machine-readable form).
 * ``explain <cert.json>`` — pretty-print an exported certificate
   (:meth:`repro.core.Certificate.to_json`): the judgment tree with
-  bounds, provenance (including per-axis coverage), and every captured
-  counterexample rendered as its interleaving diagram (``--json`` for
-  a structured summary).
+  bounds, every provenance block as the block renders itself, and every
+  captured counterexample rendered as its interleaving diagram
+  (``--json`` for a structured summary).
 * ``watch <heartbeat.jsonl>`` — follow a live heartbeat stream
   (:mod:`repro.obs.heartbeat`) and render progress lines with explored
   counts, rates and ETA; exits when the run writes its ``end`` record.
 * ``diff cert_a.json cert_b.json`` — provenance-level diff of two
-  exported certificates: obligations added/removed/flipped, coverage
-  and redundancy deltas.
+  exported certificates: obligations added/removed/flipped, and both
+  root values of every provenance block that differs.
 
 Cross-run subcommands over a run ledger (:mod:`repro.obs.store`,
 schema ``repro.obs/run/v1``):
@@ -32,8 +32,12 @@ schema ``repro.obs/run/v1``):
 * ``dashboard --ledger DIR -o out.html`` — render the self-contained
   HTML dashboard.
 
-Everything here reads files; nothing imports :mod:`repro.core`, so the
-CLI stays usable on exported artifacts without the checker stack.
+Everything here reads files: the subcommands work on exported
+artifacts and never run the checker.  Importing ``repro.obs.cli`` does
+load the checker stack (``repro/__init__.py`` imports :mod:`repro.core`,
+and with it :mod:`repro.parallel`, :mod:`repro.reduce` and
+:mod:`repro.analysis`), which is also what registers every provenance
+block the renderers iterate.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ import time
 from contextlib import closing
 from typing import Any, Dict, Iterator, List, Optional
 
+from .blocks import BLOCKS, format_rows
 from .coverage import CoverageRegistry
-from .forensics import Counterexample
-from .report import read_jsonl, render_coverage_map, render_report
+from .report import counterexample_of, read_jsonl, render_certificate, render_report
 from .store import (
     RunLedger,
     certificate_digest,
@@ -98,169 +102,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _counterexample_of(evidence: Optional[Dict[str, Any]]) -> Optional[Counterexample]:
-    data = (evidence or {}).get("counterexample")
-    if isinstance(data, dict) and data.get("schema", "").startswith(
-        "repro.obs/counterexample/"
-    ):
-        return Counterexample.from_dict(data)
-    return None
-
-
-def _render_profile(profile: Dict[str, Any]) -> List[str]:
-    """Render a certificate's ``profile`` provenance annotation.
-
-    One line for the judgment-level redundancy rollup (the measured
-    DPOR / hash-consing headroom), then a table of per-obligation
-    explored-state and wall-time attribution.
-    """
-    lines: List[str] = []
-    redundancy = profile.get("redundancy") or {}
-    if redundancy:
-        branching = redundancy.get("branching")
-        branch_note = (
-            " branching=" + ",".join(
-                f"{factor}x{count}" for factor, count in branching.items()
-            )
-            if branching else ""
-        )
-        lines.append(
-            f"redundancy[{redundancy.get('axis', '?')}]: "
-            f"ratio={redundancy.get('ratio', 0.0):.1%} "
-            f"({redundancy.get('explored', 0)} explored, "
-            f"{redundancy.get('distinct', 0)} distinct, "
-            f"{redundancy.get('duplicates', 0)} duplicate(s), "
-            f"{redundancy.get('replayed', 0)} replayed)"
-            f"{branch_note}"
-        )
-    obligations = profile.get("obligations") or []
-    if obligations:
-        lines.append("obligation profile:")
-        for entry in obligations:
-            wall_us = entry.get("wall_us")
-            wall = f"{wall_us / 1e6:.3f}s" if wall_us is not None else "-"
-            ratio = entry.get("ratio")
-            ratio_txt = f"{ratio:.1%}" if ratio is not None else "-"
-            lines.append(
-                f"  {entry.get('obligation')}: "
-                f"{entry.get('states', 0)} state(s) explored, "
-                f"wall {wall}, redundancy {ratio_txt}"
-            )
-    return lines
-
-
-def _render_reduction(reduction: Dict[str, Any]) -> List[str]:
-    """Render a certificate's ``reduction`` provenance annotation: what
-    DPOR pruned, by reason."""
-    pruned = reduction.get("pruned") or {}
-    if not pruned:
-        return ["reduction: (no prunes)"]
-    return ["reduction: pruned=" + ",".join(
-        f"{reason}:{count}" for reason, count in sorted(pruned.items())
-    )]
-
-
-def _render_incremental(incremental: Dict[str, Any]) -> List[str]:
-    """Render a certificate's ``incremental`` provenance annotation.
-
-    Either a per-obligation stamp (``status``/``exact``/``key``) or a
-    rolled-up reuse tally from the obligation-granular cache.
-    """
-    status = incremental.get("status")
-    if status:
-        exact = "exact" if incremental.get("exact", True) else "whole-rule"
-        key = incremental.get("key")
-        suffix = f" key={key}" if key else ""
-        return [f"incremental: {status} ({exact} slice){suffix}"]
-    reused = incremental.get("reused", 0)
-    rechecked = incremental.get("rechecked", 0)
-    misses = incremental.get("slice_misses", 0)
-    total = reused + rechecked
-    rate = f", reuse rate {reused / total:.1%}" if total else ""
-    return [
-        f"incremental: {reused} reused, {rechecked} rechecked, "
-        f"{misses} slice miss(es){rate}"
-    ]
-
-
-def _explain_cert(cert: Dict[str, Any], indent: int = 0,
-                  show_ok: bool = False) -> List[str]:
-    pad = "  " * indent
-    status = "OK" if cert.get("ok") else "FAILED"
-    lines = [f"{pad}[{status}] {cert.get('judgment')} ({cert.get('rule')})"]
-    bounds = cert.get("bounds") or {}
-    if bounds:
-        lines.append(f"{pad}  bounds: {json.dumps(bounds, default=str)}")
-    provenance = cert.get("provenance") or {}
-    if provenance:
-        wall = provenance.get("wall_time_s")
-        if wall is not None:
-            lines.append(f"{pad}  wall time: {wall}s")
-        metrics = provenance.get("metrics")
-        if metrics:
-            lines.append(
-                f"{pad}  metric deltas: {json.dumps(metrics, default=str)}"
-            )
-        coverage = provenance.get("coverage")
-        if coverage:
-            lines.extend(
-                f"{pad}  {line}" for line in render_coverage_map(coverage)
-            )
-        lint = provenance.get("lint")
-        if lint:
-            findings = lint.get("findings") or []
-            errors = sum(
-                1 for f in findings
-                if f.get("severity") == "error" and not f.get("suppressed")
-            )
-            warnings = sum(
-                1 for f in findings
-                if f.get("severity") == "warning" and not f.get("suppressed")
-            )
-            lines.append(
-                f"{pad}  lint: {lint.get('ruleset')} mode={lint.get('mode')} "
-                f"{errors} error(s), {warnings} warning(s)"
-            )
-            for f in findings:
-                mark = "(suppressed) " if f.get("suppressed") else ""
-                lines.append(
-                    f"{pad}    {f.get('severity', '?').upper()} "
-                    f"{f.get('rule')}: {mark}{f.get('message')} "
-                    f"[{f.get('location')}]"
-                )
-        profile = provenance.get("profile")
-        if profile:
-            lines.extend(f"{pad}  {line}" for line in _render_profile(profile))
-        reduction = provenance.get("reduction")
-        if reduction:
-            lines.extend(
-                f"{pad}  {line}" for line in _render_reduction(reduction)
-            )
-        incremental = provenance.get("incremental")
-        if incremental:
-            lines.extend(
-                f"{pad}  {line}" for line in _render_incremental(incremental)
-            )
-    for obligation in cert.get("obligations") or []:
-        ok = obligation.get("ok")
-        if ok and not show_ok:
-            continue
-        mark = "✓" if ok else "✗"
-        details = obligation.get("details") or ""
-        suffix = f" — {details}" if details else ""
-        lines.append(f"{pad}  {mark} {obligation.get('description')}{suffix}")
-        counterexample = _counterexample_of(obligation.get("evidence"))
-        if counterexample is not None:
-            lines.append(f"{pad}    {counterexample.digest()}")
-            lines.extend(
-                f"{pad}    | {line}"
-                for line in counterexample.render().splitlines()
-            )
-    for child in cert.get("children") or []:
-        lines.extend(_explain_cert(child, indent + 1, show_ok=show_ok))
-    return lines
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     """Pretty-print an exported certificate tree."""
     try:
@@ -291,7 +132,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             ensure_ascii=False,
         ))
         return 0
-    lines = _explain_cert(cert, show_ok=args.all)
+    lines = render_certificate(cert, show_ok=args.all)
     counterexamples = _count_counterexamples(cert)
     lines.append("")
     lines.append(
@@ -314,7 +155,7 @@ def _explain_json(cert: Dict[str, Any], show_ok: bool = False) -> Dict[str, Any]
         }
         if obligation.get("details"):
             entry["details"] = obligation["details"]
-        counterexample = _counterexample_of(obligation.get("evidence"))
+        counterexample = counterexample_of(obligation.get("evidence"))
         if counterexample is not None:
             entry["counterexample"] = counterexample.digest()
         obligations.append(entry)
@@ -339,7 +180,7 @@ def _count_counterexamples(cert: Dict[str, Any]) -> int:
     count = sum(
         1
         for o in cert.get("obligations") or []
-        if _counterexample_of(o.get("evidence")) is not None
+        if counterexample_of(o.get("evidence")) is not None
     )
     return count + sum(
         _count_counterexamples(child) for child in cert.get("children") or []
@@ -549,14 +390,7 @@ def _fmt_seconds(duration: Optional[float]) -> str:
 # ---------------------------------------------------------------------------
 
 def _print_table(headers: List[str], rows: List[List[str]]) -> None:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    print("\n".join(format_rows(headers, rows)))
 
 
 def _open_ledger(args: argparse.Namespace) -> Optional[RunLedger]:
@@ -870,13 +704,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
             print(f"  {label}: {key}")
     if not any(obligations.values()):
         print("  obligations: no differences")
-    for axis, delta in (diff.get("coverage") or {}).items():
-        print(f"  coverage[{axis}]: explored "
-              f"{delta['explored_a']} -> {delta['explored_b']}")
-    redundancy = diff.get("redundancy")
-    if redundancy:
-        print(f"  redundancy ratio: {redundancy['ratio_a']} -> "
-              f"{redundancy['ratio_b']}")
+    for name, values in diff["blocks"].items():
+        for side in ("a", "b"):
+            value = values[side]
+            print(f"  {name} ({side}):")
+            for line in BLOCKS[name].render(value) if value else ["(none)"]:
+                print(f"    {line}")
     wall = diff.get("wall_s")
     if wall:
         print(f"  wall time: {wall['a']} -> {wall['b']}")
@@ -1096,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("cert_b", help="new repro.cert/v1 JSON file")
     p_diff.add_argument(
         "--json", action="store_true",
-        help="emit the diff as machine-readable JSON (repro.obs/certdiff/v1)",
+        help="emit the diff as machine-readable JSON (repro.obs/certdiff/v2)",
     )
     p_diff.set_defaults(func=cmd_diff)
 

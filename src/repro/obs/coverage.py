@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Optional
 
-from .blocks import register_block, register_sink
+from .blocks import format_rows, register_block, register_sink
 from .trace import _STATE, obs_enabled
 
 EXHAUSTIVE = "exhaustive"
@@ -218,14 +218,50 @@ def merge_coverage_maps(
     return merged
 
 
+def render_coverage_map(
+    coverage: Optional[Dict[str, Dict[str, Any]]] = None,
+) -> List[str]:
+    """The "coverage map" section: per enumeration axis, explored vs.
+    budget, depth bound, and whether the bounded space was exhausted
+    (``coverage`` defaults to this run's :func:`coverage_map`)."""
+    coverage = coverage if coverage is not None else coverage_map()
+    if not coverage:
+        return []
+    rows = []
+    for axis, entry in sorted(coverage.items()):
+        budget = entry.get("budget")
+        rows.append(
+            [
+                axis,
+                str(entry.get("enumerations", 1)),
+                str(entry.get("explored", 0)),
+                str(budget) if budget is not None else "∞",
+                str(entry.get("pruned", 0)),
+                str(entry.get("distinct", "-")),
+                str(entry.get("depth_bound", "-")),
+                entry.get("mode", "exhaustive"),
+                "yes" if entry.get("exhausted") else "no",
+            ]
+        )
+    lines = ["coverage map (per enumeration axis):"]
+    lines.extend(
+        format_rows(
+            [
+                "axis", "enums", "explored", "budget", "pruned",
+                "distinct", "depth", "mode", "exhausted",
+            ],
+            rows,
+        )
+    )
+    return lines
+
+
 def _absorb_records(records: List[Dict[str, Any]]) -> None:
     for record in records:
         COVERAGE.record(record)
 
 
-register_block(
-    "coverage", merge_coverage_maps, ledger=lambda merged: {"coverage": merged},
-)
+register_block("coverage", merge_coverage_maps, render_coverage_map)
 register_sink(
     "coverage",
     mark=lambda: len(COVERAGE) if _STATE.enabled else None,

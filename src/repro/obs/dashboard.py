@@ -5,11 +5,13 @@
 external resources — inline CSS, inline SVG, no scripts — so CI can
 upload it as an artifact and anyone can open it from disk.
 
-Panels: a KPI row (latest status, wall time vs median, cache efficacy,
-redundancy), one section per run object with a wall-time sparkline and
-its recent-run table, a cache-efficacy panel, a redundancy-by-axis bar
-panel, and links to per-run artifacts (heartbeat streams, flamegraphs)
-when the records carry paths.
+Panels: a KPI row (latest status, wall time vs median, cache
+efficacy), one section per run object with a wall-time sparkline and
+its recent-run table, a cache-efficacy panel, one panel per provenance
+block generated from the block registry (a sparkline per metric the
+block reports, then the block's own lines for its latest value), the
+latest profiler rollup, and links to per-run artifacts (heartbeat
+streams, flamegraphs) when the records carry paths.
 
 Styling follows the repo's dataviz conventions: light and dark themes
 via CSS custom properties (``prefers-color-scheme`` plus a
@@ -25,6 +27,8 @@ import html
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .blocks import BLOCKS, Block
+from .profile import render_run_summary
 from .store import median, run_metrics, series_stats
 
 # Palette (validated categorical slot 1 + chrome tokens, light/dark).
@@ -95,17 +99,8 @@ td.mono { font-family: ui-monospace, monospace; font-size: 12px;
 .badge.fail { color: var(--status-critical); }
 .sparkline { display: block; }
 .spark-caption { color: var(--text-muted); font-size: 12px; }
-.barrow { display: flex; align-items: center; gap: 10px; margin: 6px 0; }
-.barrow .name { width: 180px; color: var(--text-secondary); font-size: 12px; }
-.barrow .track { flex: 1; background: none; height: 12px; position: relative; }
-.barrow .fill {
-  height: 12px; border-radius: 0 4px 4px 0; background: var(--series-1);
-  min-width: 2px;
-}
-.barrow .val {
-  width: 120px; font-variant-numeric: tabular-nums; font-size: 12px;
-  color: var(--text-primary);
-}
+pre { margin: 8px 0 0; font: 12px/1.45 ui-monospace, monospace;
+      overflow-x: auto; }
 a { color: var(--series-1); }
 .footer { color: var(--text-muted); font-size: 12px; margin-top: 24px; }
 """
@@ -212,23 +207,9 @@ def _kpi_row(runs: List[Dict[str, Any]]) -> str:
         tiles.append(_tile("Cache hit rate", f"{rate * 100:.0f}%",
                            note=f'{cache["hits"]} hits / '
                                 f'{cache["misses"]} misses'))
-    redundancy = _latest_with(runs, "redundancy")
-    if redundancy:
-        tiles.append(_tile("Redundancy ratio",
-                           f'{redundancy["ratio"] * 100:.1f}%',
-                           note=f'{redundancy.get("distinct", "?")} distinct / '
-                                f'{redundancy.get("explored", "?")} explored'))
     tiles.append(_tile("Runs on ledger", str(len(runs)),
                        note=f"{len({r.get('object') for r in runs})} objects"))
     return f'<div class="tiles">{"".join(tiles)}</div>'
-
-
-def _latest_with(runs: List[Dict[str, Any]], key: str) -> Optional[Dict[str, Any]]:
-    for record in reversed(runs):
-        value = record.get(key)
-        if value:
-            return value
-    return None
 
 
 def _runs_table(runs: List[Dict[str, Any]], limit: int = 12) -> str:
@@ -315,89 +296,42 @@ def _cache_panel(runs: List[Dict[str, Any]]) -> str:
     )
 
 
-def _redundancy_panel(runs: List[Dict[str, Any]]) -> str:
-    by_axis = _latest_with(runs, "redundancy_by_axis")
-    overall = _latest_with(runs, "redundancy")
-    if not by_axis and not overall:
+def _block_panel(block: Block, runs: List[Dict[str, Any]]) -> str:
+    """One provenance block: a sparkline per metric the block reports
+    over the runs, then the block's own lines for its latest value."""
+    latest = None
+    series: Dict[str, List[float]] = {}
+    for record in runs:
+        value = record.get(block.name)
+        if value:
+            latest = value
+            for metric, number in block.metrics(value).items():
+                series.setdefault(metric, []).append(number)
+    if latest is None:
         return ""
-    rows = []
-    entries: List[Tuple[str, Dict[str, Any]]] = []
-    if by_axis:
-        entries = sorted(
-            by_axis.items(),
-            key=lambda item: -(item[1].get("ratio") or 0.0),
-        )[:10]
-    elif overall:
-        entries = [("overall", overall)]
-    for axis, stats in entries:
-        ratio = stats.get("ratio") or 0.0
-        rows.append(
-            '<div class="barrow">'
-            f'<div class="name">{_esc(axis)}</div>'
-            f'<div class="track"><div class="fill" '
-            f'style="width:{max(ratio * 100, 1):.1f}%"></div></div>'
-            f'<div class="val">{ratio * 100:.1f}% · '
-            f'{stats.get("distinct", "?")}/{stats.get("explored", "?")}</div>'
-            "</div>"
-        )
+    sparks = "".join(
+        sparkline_svg(values, title=f"{metric}, {len(values)} runs")
+        + f'<div class="spark-caption">{_esc(metric)} over {len(values)} '
+          f"run(s) · latest {values[-1]:.4g}</div>"
+        for metric, values in sorted(series.items())
+    )
+    return _text_panel(block.name, block.render(latest), sparks)
+
+
+def _text_panel(title: str, lines: List[str], head: str = "") -> str:
     return (
-        "<h2>Redundancy (replay-equivalent exploration)</h2>"
-        f'<div class="panel">{"".join(rows)}'
-        '<div class="spark-caption">share of explored states already seen '
-        "under a different schedule — the DPOR headroom</div></div>"
+        f"<h2>{_esc(title)}</h2>"
+        f'<div class="panel">{head}<pre>{_esc(chr(10).join(lines))}</pre></div>'
     )
 
 
-def _incremental_panel(runs: List[Dict[str, Any]]) -> str:
-    latest = _latest_with(runs, "incremental")
-    if not latest:
-        return ""
-    reused = latest.get("reused", 0)
-    rechecked = latest.get("rechecked", 0)
-    misses = latest.get("slice_misses", 0)
-    total = reused + rechecked
-    rates = [v for _, v in _series(runs, "incremental_reuse_rate")]
-    spark = (
-        sparkline_svg(rates, title=f"obligation reuse rate, {len(rates)} runs")
-        if len(rates) >= 2 else ""
-    )
-    caption = (
-        f"latest run: {reused} reused · {rechecked} rechecked · "
-        f"{misses} slice miss(es)"
-    )
-    if total:
-        caption += f" · reuse rate {reused / total * 100:.1f}%"
-    return (
-        "<h2>Incremental re-verification</h2>"
-        f'<div class="panel">{spark}'
-        f'<div class="spark-caption">{caption} — obligations reloaded warm '
-        "from per-slice cache entries instead of re-verified</div></div>"
-    )
-
-
-def _reduction_panel(runs: List[Dict[str, Any]]) -> str:
-    latest = _latest_with(runs, "reduction")
-    if not latest:
-        return ""
-    pruned = latest.get("pruned") or {}
-    total_cut = sum(pruned.values())
-    rows = []
-    for name, count in sorted(pruned.items(), key=lambda kv: -kv[1]):
-        share = count / total_cut if total_cut else 0.0
-        rows.append(
-            '<div class="barrow">'
-            f'<div class="name">{_esc(name)}</div>'
-            f'<div class="track"><div class="fill" '
-            f'style="width:{max(share * 100, 1):.1f}%"></div></div>'
-            f'<div class="val">{count}</div>'
-            "</div>"
-        )
-    return (
-        "<h2>State-space reduction</h2>"
-        f'<div class="panel">{"".join(rows)}'
-        '<div class="spark-caption">schedules and branches DPOR pruned, '
-        "by reason, latest run</div></div>"
-    )
+def _profiler_panel(runs: List[Dict[str, Any]]) -> str:
+    """The latest run's profiler rollup (redundancy by axis)."""
+    for record in reversed(runs):
+        lines = render_run_summary(record)
+        if lines:
+            return _text_panel("profiler (latest run)", lines)
+    return ""
 
 
 def render_dashboard(
@@ -423,9 +357,8 @@ def render_dashboard(
         for name in sorted(by_object):
             body.append(_object_section(name, by_object[name]))
         body.append(_cache_panel(runs))
-        body.append(_incremental_panel(runs))
-        body.append(_redundancy_panel(runs))
-        body.append(_reduction_panel(runs))
+        body.extend(_block_panel(block, runs) for block in BLOCKS.values())
+        body.append(_profiler_panel(runs))
     body.append(
         '<div class="footer">schema repro.obs/run/v1 · generated by '
         "python -m repro.obs dashboard</div>"

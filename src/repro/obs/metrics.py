@@ -1,11 +1,11 @@
-"""Counters, gauges and histograms for the checker stack.
+"""Counters and histograms for the checker stack.
 
 The registry answers the quantitative questions a `Certificate` alone
 cannot: how many runs the simulation checker enumerated, how many
 environment contexts survived rely pruning, how often the replay cache
 hit, how many scheduling rounds a game took, where per-rule wall time
 went.  All operations are thread-safe; the mutation helpers
-(:func:`inc`, :func:`set_gauge`, :func:`observe`) are no-ops while
+(:func:`inc`, :func:`observe`) are no-ops while
 observability is disabled, mirroring :mod:`repro.obs.trace`.
 """
 
@@ -35,26 +35,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value: Any = None
-        self._lock = threading.Lock()
-
-    def set(self, value: Any) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> Any:
         with self._lock:
             return self._value
 
@@ -99,6 +79,12 @@ class Histogram:
                 if slot < self.max_samples:
                     self._samples[slot] = value
 
+    def percentile(self, q: float) -> Optional[float]:
+        """The ``q``-quantile of the kept samples (``None`` before any)."""
+        with self._lock:
+            samples = sorted(self._samples)
+        return _quantile(samples, q)
+
     def summary(self) -> Dict[str, Any]:
         with self._lock:
             if not self.count:
@@ -114,10 +100,16 @@ class Histogram:
                 "samples_kept": len(samples),
             }
             if samples:
-                out["p50"] = samples[len(samples) // 2]
-                out["p95"] = samples[min(len(samples) - 1,
-                                         int(len(samples) * 0.95))]
+                out["p50"] = _quantile(samples, 0.50)
+                out["p95"] = _quantile(samples, 0.95)
             return out
+
+
+def _quantile(ordered: List[float], q: float) -> Optional[float]:
+    """The sample at rank ``min(n - 1, int(q * n))`` of a sorted list."""
+    if not ordered:
+        return None
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class MetricsRegistry:
@@ -126,7 +118,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -134,13 +125,6 @@ class MetricsRegistry:
             metric = self._counters.get(name)
             if metric is None:
                 metric = self._counters[name] = Counter(name)
-            return metric
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge(name)
             return metric
 
     def histogram(self, name: str) -> Histogram:
@@ -153,7 +137,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._counters = {}
-            self._gauges = {}
             self._histograms = {}
 
     def counter_values(self) -> Dict[str, int]:
@@ -165,11 +148,9 @@ class MetricsRegistry:
         """All metrics as plain data (sorted for stable reports)."""
         with self._lock:
             counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
         return {
             "counters": {c.name: c.value for c in sorted(counters, key=lambda m: m.name)},
-            "gauges": {g.name: g.value for g in sorted(gauges, key=lambda m: m.name)},
             "histograms": {
                 h.name: h.summary()
                 for h in sorted(histograms, key=lambda m: m.name)
@@ -185,13 +166,6 @@ def inc(name: str, n: int = 1) -> None:
     if not _STATE.enabled:
         return
     REGISTRY.counter(name).inc(n)
-
-
-def set_gauge(name: str, value: Any) -> None:
-    """Set gauge ``name`` (no-op while observability is off)."""
-    if not _STATE.enabled:
-        return
-    REGISTRY.gauge(name).set(value)
 
 
 def observe(name: str, value: float) -> None:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..envflags import env_flag
@@ -440,7 +441,7 @@ def merge_profile(
 
 
 def inherited_profile(merged: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """What a composition rule (and the run ledger) keeps of a merge.
+    """What a composition rule (and the run record) keeps of a merge.
 
     Only the redundancy rollup propagates, so the root of a derivation
     states the total measured redundancy backing it; per-obligation
@@ -450,13 +451,89 @@ def inherited_profile(merged: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     return {"redundancy": redundancy} if redundancy else {}
 
 
+def _redundancy_line(redundancy: Dict[str, Any]) -> str:
+    branching = redundancy.get("branching")
+    branch_note = (
+        " branching=" + ",".join(
+            f"{factor}x{count}" for factor, count in branching.items()
+        )
+        if branching else ""
+    )
+    return (
+        f"redundancy[{redundancy.get('axis', '?')}]: "
+        f"ratio={redundancy.get('ratio', 0.0):.1%} "
+        f"({redundancy.get('explored', 0)} explored, "
+        f"{redundancy.get('distinct', 0)} distinct, "
+        f"{redundancy.get('duplicates', 0)} duplicate(s), "
+        f"{redundancy.get('replayed', 0)} replayed)"
+        f"{branch_note}"
+    )
+
+
+def render_profile(profile: Dict[str, Any]) -> List[str]:
+    """The ``profile`` block's lines: the redundancy rollup (the
+    measured DPOR / hash-consing headroom), then per-obligation
+    explored-state and wall-time attribution."""
+    lines: List[str] = []
+    redundancy = profile.get("redundancy") or {}
+    if redundancy:
+        lines.append(_redundancy_line(redundancy))
+    obligations = profile.get("obligations") or []
+    if obligations:
+        lines.append("obligation profile:")
+        for entry in obligations:
+            wall_us = entry.get("wall_us")
+            wall = f"{wall_us / 1e6:.3f}s" if wall_us is not None else "-"
+            ratio = entry.get("ratio")
+            ratio_txt = f"{ratio:.1%}" if ratio is not None else "-"
+            lines.append(
+                f"  {entry.get('obligation')}: "
+                f"{entry.get('states', 0)} state(s) explored, "
+                f"wall {wall}, redundancy {ratio_txt}"
+            )
+    return lines
+
+
+def _profile_metrics(profile: Dict[str, Any]) -> Dict[str, float]:
+    redundancy = profile.get("redundancy") or {}
+    if "ratio" not in redundancy:
+        return {}
+    return {"redundancy_ratio": float(redundancy["ratio"])}
+
+
+def render_run_summary(record: Dict[str, Any]) -> List[str]:
+    """The lines of a run record's profiler rollup
+    (:meth:`ProfileCollector.run_summary`): redundancy per axis."""
+    by_axis = record.get("redundancy_by_axis") or {}
+    if not by_axis:
+        return []
+    return ["redundancy by axis:"] + [
+        "  " + _redundancy_line(dict(stats, axis=axis))
+        for axis, stats in sorted(by_axis.items())
+    ]
+
+
+def obligation_profile(
+    provenances: Iterable[Dict[str, Any]],
+) -> List[Dict[str, Any]]:
+    """The first 200 per-obligation attribution lines of the ``profile``
+    blocks of ``provenances`` (a run record's ``obligation_profile``)."""
+    lines = (
+        dict(line)
+        for provenance in provenances
+        for line in (provenance.get("profile") or {}).get("obligations") or ()
+    )
+    return list(islice(lines, 200))
+
+
 def _absorb_redundancy(records: List[Dict[str, Any]]) -> None:
     for record in records:
         PROFILER.record_redundancy(record)
 
 
 register_block(
-    "profile", merge_profile, inherit=inherited_profile, ledger=inherited_profile,
+    "profile", merge_profile, render_profile,
+    inherit=inherited_profile, metrics=_profile_metrics,
 )
 register_sink(
     "redundancy",

@@ -2,8 +2,9 @@
 
 Renders what the collector and metrics registry saw during a
 verification run: a wall-time rollup per span name (where the checker
-spent its time), the counter/gauge/histogram state, and — given a
-certificate — its provenance tree.  The JSON form is the
+spent its time), the counter and histogram state, and — given a
+certificate — its judgment tree with every provenance block rendered
+by the block itself (:mod:`repro.obs.blocks`).  The JSON form is the
 machine-readable companion used by benchmarks and CI.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from .coverage import COVERAGE, coverage_map
+from .blocks import BLOCKS, format_rows
+from .coverage import COVERAGE, coverage_map, render_coverage_map
+from .forensics import Counterexample
 from .metrics import snapshot
 from .trace import SpanRecord, TraceCollector, collector as _default_collector
 
@@ -191,55 +194,6 @@ def read_jsonl(path: str) -> Dict[str, Any]:
     }
 
 
-def _format_rows(headers: List[str], rows: List[List[str]]) -> List[str]:
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return lines
-
-
-def render_coverage_map(
-    coverage: Optional[Dict[str, Dict[str, Any]]] = None,
-) -> List[str]:
-    """The "coverage map" section: per enumeration axis, explored vs.
-    budget, depth bound, and whether the bounded space was exhausted."""
-    coverage = coverage if coverage is not None else coverage_map()
-    if not coverage:
-        return []
-    rows = []
-    for axis, entry in sorted(coverage.items()):
-        budget = entry.get("budget")
-        rows.append(
-            [
-                axis,
-                str(entry.get("enumerations", 1)),
-                str(entry.get("explored", 0)),
-                str(budget) if budget is not None else "∞",
-                str(entry.get("pruned", 0)),
-                str(entry.get("distinct", "-")),
-                str(entry.get("depth_bound", "-")),
-                entry.get("mode", "exhaustive"),
-                "yes" if entry.get("exhausted") else "no",
-            ]
-        )
-    lines = ["coverage map (per enumeration axis):"]
-    lines.extend(
-        _format_rows(
-            [
-                "axis", "enums", "explored", "budget", "pruned",
-                "distinct", "depth", "mode", "exhausted",
-            ],
-            rows,
-        )
-    )
-    return lines
-
-
 def render_report(
     trace_collector: Optional[TraceCollector] = None,
     title: str = "repro.obs report",
@@ -270,7 +224,7 @@ def render_report(
         ]
         lines.append(f"spans ({len(trace_collector)} recorded):")
         lines.extend(
-            _format_rows(
+            format_rows(
                 ["name", "count", "total ms", "self ms", "mean ms", "max ms"],
                 rows,
             )
@@ -281,17 +235,9 @@ def render_report(
     if metrics.get("counters"):
         lines += ["", "counters:"]
         lines.extend(
-            _format_rows(
+            format_rows(
                 ["name", "value"],
                 [[name, str(value)] for name, value in metrics["counters"].items()],
-            )
-        )
-    if metrics.get("gauges"):
-        lines += ["", "gauges:"]
-        lines.extend(
-            _format_rows(
-                ["name", "value"],
-                [[name, str(value)] for name, value in metrics["gauges"].items()],
             )
         )
     if metrics.get("histograms"):
@@ -310,32 +256,91 @@ def render_report(
                 )
             else:
                 rows.append([name, "0", "-", "-", "-"])
-        lines.extend(_format_rows(["name", "count", "mean", "min", "max"], rows))
+        lines.extend(format_rows(["name", "count", "mean", "min", "max"], rows))
     coverage_lines = render_coverage_map(coverage)
     if coverage_lines:
         lines += [""] + coverage_lines
     return "\n".join(lines)
 
 
-def render_provenance(certificate: Any, indent: int = 0) -> str:
-    """Pretty-print a certificate tree's ``provenance`` annotations.
+def counterexample_of(evidence: Optional[Dict[str, Any]]) -> Optional[Counterexample]:
+    """The counterexample an exported obligation's evidence carries."""
+    data = (evidence or {}).get("counterexample")
+    if isinstance(data, dict) and data.get("schema", "").startswith(
+        "repro.obs/counterexample/"
+    ):
+        return Counterexample.from_dict(data)
+    return None
 
-    Works on any object with ``judgment``/``rule``/``children`` and an
-    optional ``provenance`` dict (i.e. :class:`repro.core.Certificate`),
-    keeping this module free of core imports.
-    """
+
+def render_certificate(cert: Dict[str, Any], indent: int = 0,
+                       show_ok: bool = False) -> List[str]:
+    """The text lines of an exported certificate tree (``repro.obs
+    explain``): each judgment with its bounds, provenance and failed
+    obligations (all with ``show_ok``), counterexamples as interleaving
+    diagrams; every provenance block renders itself."""
     pad = "  " * indent
-    lines = [f"{pad}{certificate.judgment} [{certificate.rule}]"]
-    provenance = getattr(certificate, "provenance", None)
-    if provenance:
-        for key, value in provenance.items():
-            if key in ("judgment", "rule"):
-                continue
-            if isinstance(value, dict):
-                rendered = json.dumps(value, sort_keys=True, default=repr)
-            else:
-                rendered = str(value)
-            lines.append(f"{pad}  · {key}: {rendered}")
-    for child in getattr(certificate, "children", ()):
-        lines.append(render_provenance(child, indent + 1))
-    return "\n".join(lines)
+    status = "OK" if cert.get("ok") else "FAILED"
+    lines = [f"{pad}[{status}] {cert.get('judgment')} ({cert.get('rule')})"]
+    bounds = cert.get("bounds") or {}
+    if bounds:
+        lines.append(f"{pad}  bounds: {json.dumps(bounds, default=str)}")
+    provenance = cert.get("provenance") or {}
+    wall = provenance.get("wall_time_s")
+    if wall is not None:
+        lines.append(f"{pad}  wall time: {wall}s")
+    metrics = provenance.get("metrics")
+    if metrics:
+        lines.append(f"{pad}  metric deltas: {json.dumps(metrics, default=str)}")
+    for block in BLOCKS.values():
+        value = provenance.get(block.name)
+        if value:
+            lines.extend(f"{pad}  {line}" for line in block.render(value))
+    lint = provenance.get("lint")
+    if lint:
+        findings = lint.get("findings") or []
+        errors = sum(
+            1 for f in findings
+            if f.get("severity") == "error" and not f.get("suppressed")
+        )
+        warnings = sum(
+            1 for f in findings
+            if f.get("severity") == "warning" and not f.get("suppressed")
+        )
+        lines.append(
+            f"{pad}  lint: {lint.get('ruleset')} mode={lint.get('mode')} "
+            f"{errors} error(s), {warnings} warning(s)"
+        )
+        for f in findings:
+            mark = "(suppressed) " if f.get("suppressed") else ""
+            lines.append(
+                f"{pad}    {f.get('severity', '?').upper()} "
+                f"{f.get('rule')}: {mark}{f.get('message')} "
+                f"[{f.get('location')}]"
+            )
+    for obligation in cert.get("obligations") or []:
+        ok = obligation.get("ok")
+        if ok and not show_ok:
+            continue
+        mark = "✓" if ok else "✗"
+        details = obligation.get("details") or ""
+        suffix = f" — {details}" if details else ""
+        lines.append(f"{pad}  {mark} {obligation.get('description')}{suffix}")
+        counterexample = counterexample_of(obligation.get("evidence"))
+        if counterexample is not None:
+            lines.append(f"{pad}    {counterexample.digest()}")
+            lines.extend(
+                f"{pad}    | {line}"
+                for line in counterexample.render().splitlines()
+            )
+    for child in cert.get("children") or []:
+        lines.extend(render_certificate(child, indent + 1, show_ok=show_ok))
+    return lines
+
+
+def render_provenance(certificate: Any) -> str:
+    """Pretty-print a certificate tree with its provenance: the
+    ``explain`` rendering of ``certificate.to_json()`` (any object with
+    a ``to_json``, i.e. :class:`repro.core.Certificate`, keeping this
+    module free of core imports)."""
+    return "\n".join(render_certificate(certificate.to_json()))

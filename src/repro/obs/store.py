@@ -19,9 +19,11 @@ digest-checked: a damaged record is reported as a
 
 A run record captures what the run proved and what it cost: the digest
 and canonical fingerprint of every root certificate, per-rule wall
-time, obligation counts, the coverage map, redundancy ratios from
-``provenance["profile"]``, cache hit/miss counts and latencies, pool
-utilization, engine/ruleset versions and host metadata.
+time, obligation counts, every provenance block of the roots stored as
+a composition rule would inherit it (``record[name] =
+inherit(merge(roots))``, :func:`repro.obs.blocks.inherit_blocks`),
+cache hit/miss counts and latencies, the profiler's redundancy by axis
+and pool utilization, engine/ruleset versions and host metadata.
 
 Capture is automatic: arm the ledger with :func:`ledger` (a context
 manager), :func:`enable_ledger`, or ``REPRO_LEDGER=/path/to/ledger`` in
@@ -56,10 +58,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..cas import ContentStore
 from ..envflags import engine_config
-from .blocks import ledger_fields, tallies
+from .blocks import BLOCKS, inherit_blocks, tallies
 from .heartbeat import stream_path as _heartbeat_stream_path
 from .metrics import snapshot as _metrics_snapshot
-from .profile import PROFILER, profile_enabled
+from .profile import PROFILER, obligation_profile, profile_enabled
 from .trace import obs_enabled
 
 #: Schema tag of one run record (one file in a ledger).
@@ -342,7 +344,7 @@ class LedgerRun:
         rules: Dict[str, Dict[str, Any]] = {}
         obligations_total = obligations_failed = 0
         root_provenances: List[Dict[str, Any]] = []
-        obligation_profile: List[Dict[str, Any]] = []
+        node_provenances: List[Dict[str, Any]] = []
         for cert, wall in roots:
             exported = _cert_json(cert)
             entry: Dict[str, Any] = {
@@ -366,10 +368,7 @@ class LedgerRun:
                 node_wall = provenance.get("wall_time_s")
                 if isinstance(node_wall, (int, float)):
                     stats["wall_s"] = round(stats["wall_s"] + node_wall, 6)
-                profile = provenance.get("profile") or {}
-                for line in profile.get("obligations") or []:
-                    if len(obligation_profile) < 200:
-                        obligation_profile.append(dict(line))
+                node_provenances.append(provenance)
             root_provenances.append(exported.get("provenance") or {})
 
         record: Dict[str, Any] = {
@@ -394,15 +393,16 @@ class LedgerRun:
             "host": _host_info(),
             "env": _env_info(),
         }
+        record.update(inherit_blocks(root_provenances))
         incremental = {
             field: int(counts[field])
             for field in ("reused", "rechecked", "slice_misses")
         }
         if any(incremental.values()):
             record["incremental"] = incremental
-        record.update(ledger_fields(root_provenances))
-        if obligation_profile:
-            record["obligation_profile"] = obligation_profile
+        lines = obligation_profile(node_provenances)
+        if lines:
+            record["obligation_profile"] = lines
         if profile_enabled():
             record.update(PROFILER.run_summary())
         if obs_enabled():
@@ -621,21 +621,14 @@ def run_metrics(record: Dict[str, Any]) -> Dict[str, float]:
     if "total" in obligations:
         out["obligations"] = float(obligations["total"])
         out["obligations_failed"] = float(obligations.get("failed", 0))
-    redundancy = record.get("redundancy") or {}
-    if "ratio" in redundancy:
-        out["redundancy_ratio"] = float(redundancy["ratio"])
-    reduction = record.get("reduction") or {}
-    pruned = reduction.get("pruned") or {}
-    if pruned:
-        out["reduction_pruned"] = float(sum(pruned.values()))
     cache = record.get("cache") or {}
     lookups = (cache.get("hits") or 0) + (cache.get("misses") or 0)
     if lookups:
         out["cache_hit_rate"] = round(cache["hits"] / lookups, 4)
-    incremental = record.get("incremental") or {}
-    checked = (incremental.get("reused") or 0) + (incremental.get("rechecked") or 0)
-    if checked:
-        out["incremental_reuse_rate"] = round(incremental["reused"] / checked, 4)
+    for block in BLOCKS.values():
+        value = record.get(block.name)
+        if value:
+            out.update(block.metrics(value))
     for nodeid, entry in ((record.get("bench") or {}).get("tests") or {}).items():
         duration = entry.get("duration_s")
         if isinstance(duration, (int, float)):
@@ -817,8 +810,8 @@ def diff_certificates(
     """Provenance-level diff of two exported certificates.
 
     Reports obligations added/removed/flipped between ``a`` (old) and
-    ``b`` (new), plus coverage, redundancy and wall-time deltas from
-    the root provenance annotations.
+    ``b`` (new), both root values of every provenance block whose root
+    values differ (``blocks``), and the root wall times.
     """
     index_a, index_b = _obligation_index(a), _obligation_index(b)
     added = sorted(set(index_b) - set(index_a))
@@ -827,7 +820,7 @@ def diff_certificates(
         key for key in set(index_a) & set(index_b) if index_a[key] != index_b[key]
     )
     out: Dict[str, Any] = {
-        "schema": "repro.obs/certdiff/v1",
+        "schema": "repro.obs/certdiff/v2",
         "identical": certificate_digest(a) == certificate_digest(b),
         "a": {"judgment": a.get("judgment"), "rule": a.get("rule"),
               "ok": a.get("ok"), "digest": certificate_digest(a),
@@ -839,32 +832,15 @@ def diff_certificates(
             "added": added, "removed": removed, "flipped": flipped,
         },
     }
-    coverage_a = (a.get("provenance") or {}).get("coverage") or {}
-    coverage_b = (b.get("provenance") or {}).get("coverage") or {}
-    coverage: Dict[str, Any] = {}
-    for axis in sorted(set(coverage_a) | set(coverage_b)):
-        explored_a = (coverage_a.get(axis) or {}).get("explored", 0)
-        explored_b = (coverage_b.get(axis) or {}).get("explored", 0)
-        if explored_a != explored_b or axis not in coverage_a or axis not in coverage_b:
-            coverage[axis] = {
-                "explored_a": explored_a if axis in coverage_a else None,
-                "explored_b": explored_b if axis in coverage_b else None,
-            }
-    if coverage:
-        out["coverage"] = coverage
-    redundancy_a = ((a.get("provenance") or {}).get("profile") or {}).get(
-        "redundancy"
-    )
-    redundancy_b = ((b.get("provenance") or {}).get("profile") or {}).get(
-        "redundancy"
-    )
-    if redundancy_a or redundancy_b:
-        out["redundancy"] = {
-            "ratio_a": (redundancy_a or {}).get("ratio"),
-            "ratio_b": (redundancy_b or {}).get("ratio"),
-        }
-    wall_a = (a.get("provenance") or {}).get("wall_time_s")
-    wall_b = (b.get("provenance") or {}).get("wall_time_s")
+    provenance_a = a.get("provenance") or {}
+    provenance_b = b.get("provenance") or {}
+    out["blocks"] = {
+        name: {"a": provenance_a.get(name), "b": provenance_b.get(name)}
+        for name in BLOCKS
+        if provenance_a.get(name) != provenance_b.get(name)
+    }
+    wall_a = provenance_a.get("wall_time_s")
+    wall_b = provenance_b.get("wall_time_s")
     if wall_a is not None or wall_b is not None:
         out["wall_s"] = {"a": wall_a, "b": wall_b}
     return out

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import Any, Callable, ContextManager, Dict, Iterable, Optional, Tuple
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterable, List, Optional, Tuple,
+)
 
 from ..analysis.rules import RULESET_VERSION
 from ..cas import ContentStore
@@ -235,7 +237,36 @@ def merge_incremental_records(records: Iterable[Any]) -> Optional[Dict[str, int]
     return totals if saw else None
 
 
-register_block("incremental", merge_incremental_records)
+def render_incremental(incremental: Dict[str, Any]) -> List[str]:
+    """The ``incremental`` block's line: a per-obligation stamp
+    (``status``/``exact``/``key``) or a rolled-up reuse tally."""
+    status = incremental.get("status")
+    if status:
+        exact = "exact" if incremental.get("exact", True) else "whole-rule"
+        key = incremental.get("key")
+        suffix = f" key={key}" if key else ""
+        return [f"incremental: {status} ({exact} slice){suffix}"]
+    reused = incremental.get("reused", 0)
+    rechecked = incremental.get("rechecked", 0)
+    misses = incremental.get("slice_misses", 0)
+    total = reused + rechecked
+    rate = f", reuse rate {reused / total:.1%}" if total else ""
+    return [
+        f"incremental: {reused} reused, {rechecked} rechecked, "
+        f"{misses} slice miss(es){rate}"
+    ]
+
+
+def _incremental_metrics(incremental: Dict[str, Any]) -> Dict[str, float]:
+    reused = incremental.get("reused") or 0
+    checked = reused + (incremental.get("rechecked") or 0)
+    return {"incremental_reuse_rate": round(reused / checked, 4)} if checked else {}
+
+
+register_block(
+    "incremental", merge_incremental_records, render_incremental,
+    metrics=_incremental_metrics,
+)
 
 
 def cached_obligation(

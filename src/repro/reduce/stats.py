@@ -3,7 +3,8 @@
 Reduction must never silently change what a certificate claims was
 explored, so every pruning decision is tallied and surfaced through
 certificate provenance (a ``reduction`` block shaped like the coverage
-map), the run ledger, ``repro.obs explain`` and the dashboard.
+map), which renders itself for the run ledger, ``repro.obs explain``
+and the dashboard.
 
 The block schema::
 
@@ -26,7 +27,7 @@ workers reach it through the ``tallies`` pool sink, in plan order.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..obs.blocks import register_block, tally
 
@@ -71,7 +72,22 @@ def contribute(stats: ReductionStats) -> None:
         tally(reason, count)
 
 
+def render_reduction(reduction: Dict[str, Any]) -> List[str]:
+    """The ``reduction`` block's line: what DPOR pruned, by reason."""
+    pruned = reduction.get("pruned") or {}
+    if not pruned:
+        return ["reduction: (no prunes)"]
+    return ["reduction: pruned=" + ",".join(
+        f"{reason}:{count}" for reason, count in sorted(pruned.items())
+    )]
+
+
+def _reduction_metrics(reduction: Dict[str, Any]) -> Dict[str, float]:
+    pruned = reduction.get("pruned") or {}
+    return {"reduction_pruned": float(sum(pruned.values()))} if pruned else {}
+
+
 register_block(
-    "reduction", merge_reduction_maps,
-    ledger=lambda merged: {"reduction": merged},
+    "reduction", merge_reduction_maps, render_reduction,
+    metrics=_reduction_metrics,
 )

@@ -105,6 +105,8 @@ class ServeApp:
         self.draining = False
         self.drained = asyncio.Event()
         self._waiters: Dict[str, asyncio.Event] = {}
+        #: The open connection handlers, awaited at shutdown.
+        self.handlers: Set[asyncio.Task] = set()
         # The ``ok`` of each stored result document by job fingerprint,
         # so a warm hit need not parse the document.  It depends on what
         # was verified, never on the tenant.
@@ -137,7 +139,7 @@ class ServeApp:
         stored = self.store.get(spec["tenant"], fingerprint)
         if stored is not None:
             self._complete_from_store(job, stored)
-            self.metrics.warm.add(time.perf_counter() - t_begin)
+            self.metrics.warm.observe(time.perf_counter() - t_begin)
             return 200, job.to_json()
 
         # 2. In-flight dedup: identical work is already queued or running.
@@ -248,7 +250,7 @@ class ServeApp:
             failure = None
             job.wall_s = payload["wall_s"]
             job.error = payload.get("error")
-            self.metrics.cold.add(payload["wall_s"])
+            self.metrics.cold.observe(payload["wall_s"])
             incremental = payload.get("incremental") or {}
             self.metrics.obligations_reused += incremental.get("reused", 0)
             self.metrics.obligations_rechecked += incremental.get("rechecked", 0)
@@ -373,6 +375,8 @@ class ServeApp:
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self.handlers.add(task)
         try:
             try:
                 head = await asyncio.wait_for(
@@ -407,6 +411,7 @@ class ServeApp:
                 await writer.wait_closed()
             except Exception:  # pragma: no cover
                 pass
+            self.handlers.discard(task)
 
     async def _route(
         self,

@@ -5,7 +5,8 @@ line (and optionally writes a ready file with the bound URL — the way
 tests and the smoke harness discover an ephemeral ``--port 0``), then
 serves until SIGTERM/SIGINT.  Shutdown is a graceful drain: queued
 jobs are rejected, in-flight verifications run to completion and their
-certificates land in the store, then the workers exit and are reaped.
+certificates land in the store, open connections (event-stream
+followers among them) finish, then the workers exit and are reaped.
 A worker that dies is not replaced (see :mod:`repro.serve.pool`).
 """
 
@@ -120,6 +121,12 @@ async def serve(args: argparse.Namespace) -> int:
             app.pool.kill()
         server.close()
         await server.wait_closed()
+        # Python 3.11's wait_closed does not wait for open connections,
+        # and a handler asyncio.run cancels logs a CancelledError
+        # traceback.  Drained, every job is terminal, so each event
+        # stream ends within one poll.
+        if app.handlers:
+            await asyncio.wait(set(app.handlers), timeout=args.drain_timeout)
     app.pool.shutdown()
     print("repro-serve stopped", flush=True)
     return 0

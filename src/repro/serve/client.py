@@ -3,9 +3,10 @@
 ``urllib`` only.  One request per connection, matching the server's
 ``Connection: close`` discipline.  429 responses surface as
 :class:`Busy` carrying the parsed ``Retry-After``; event streams are
-yielded record by record with the same torn-line tolerance as the
-on-disk ``repro.obs watch`` (urllib de-chunks the transfer encoding,
-the client splits on newlines and ignores records it cannot parse).
+yielded record by record as their lines arrive, with the same
+torn-line tolerance as ``repro.obs watch`` (urllib de-chunks the
+transfer encoding, the client reads a line at a time and ignores
+records it cannot parse).
 """
 
 from __future__ import annotations
@@ -115,22 +116,17 @@ class ServeClient:
         return self._request_bytes(f"/certs/{tenant}/{fingerprint}")
 
     def events(self, job_id: str, follow: bool = True) -> Iterator[Dict[str, Any]]:
-        """Yield parsed progress records; stops after the ``end`` record."""
+        """Yield parsed progress records, each as soon as its line
+        arrives, until the daemon ends the stream (after the ``end``
+        record when following)."""
         path = f"{self.base_url}/jobs/{job_id}/events"
         if not follow:
             path += "?follow=0"
         with urlopen(path, timeout=self.timeout_s) as response:
-            buffer = b""
-            while True:
-                data = response.read(4096)
-                if not data:
-                    break
-                buffer += data
-                while b"\n" in buffer:
-                    line, _sep, buffer = buffer.partition(b"\n")
-                    try:
-                        record = json.loads(line.decode("utf-8"))
-                    except (ValueError, UnicodeDecodeError):
-                        continue  # torn or foreign line: skip, keep reading
-                    if isinstance(record, dict):
-                        yield record
+            for line in iter(response.readline, b""):
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except (ValueError, UnicodeDecodeError):
+                    continue  # torn or foreign line: skip, keep reading
+                if isinstance(record, dict):
+                    yield record

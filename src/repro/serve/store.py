@@ -31,6 +31,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cas import ContentStore, check_name
+from ..obs.metrics import Histogram
 
 #: Default eviction budget: plenty for thousands of result documents.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
@@ -108,38 +109,18 @@ class CertificateStore:
         }
 
 
-class LatencyWindow:
-    """A bounded reservoir of latencies with percentile readout."""
-
-    def __init__(self, limit: int = 512):
-        self.limit = limit
-        self._samples: List[float] = []
-        self.count = 0
-
-    def add(self, seconds: float) -> None:
-        self.count += 1
-        self._samples.append(seconds)
-        if len(self._samples) > self.limit:
-            del self._samples[: len(self._samples) - self.limit]
-
-    def percentile(self, q: float) -> Optional[float]:
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-        return ordered[index]
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "p50_ms": _ms(self.percentile(0.50)),
-            "p90_ms": _ms(self.percentile(0.90)),
-            "max_ms": _ms(max(self._samples) if self._samples else None),
-        }
-
-
 def _ms(seconds: Optional[float]) -> Optional[float]:
     return None if seconds is None else round(seconds * 1000.0, 3)
+
+
+def latency_summary(histogram: Histogram) -> Dict[str, Any]:
+    """A latency histogram as ``/metrics`` reports it, in milliseconds."""
+    return {
+        "count": histogram.count,
+        "p50_ms": _ms(histogram.percentile(0.50)),
+        "p90_ms": _ms(histogram.percentile(0.90)),
+        "max_ms": _ms(histogram.summary().get("max")),
+    }
 
 
 class ServeMetrics:
@@ -152,8 +133,8 @@ class ServeMetrics:
         self.jobs_failed = 0
         self.jobs_rejected = 0
         self.jobs_deduped = 0
-        self.warm = LatencyWindow()
-        self.cold = LatencyWindow()
+        self.warm = Histogram("serve.latency.warm")
+        self.cold = Histogram("serve.latency.cold")
         # Obligation-granular cache reuse across completed jobs
         # (populated only when the workers run with REPRO_CACHE_DIR set).
         self.obligations_reused = 0
@@ -180,8 +161,8 @@ class ServeMetrics:
                 "slice_misses": self.slice_misses,
             },
             "latency": {
-                "warm": self.warm.summary(),
-                "cold": self.cold.summary(),
+                "warm": latency_summary(self.warm),
+                "cold": latency_summary(self.cold),
             },
             **extra,
         }

@@ -166,9 +166,9 @@ class TestRecordMode:
         assert any(f["rule"] == "REPRO-N302" for f in findings)
         json.dumps(data)  # provenance must stay JSON-serializable
 
-        from repro.obs.cli import _explain_cert
+        from repro.obs.report import render_certificate
 
-        rendered = "\n".join(_explain_cert(data, show_ok=True))
+        rendered = "\n".join(render_certificate(data, show_ok=True))
         assert "REPRO-N302" in rendered
         assert RULESET_VERSION in rendered
 

@@ -263,7 +263,7 @@ class TestDiff:
         b = cert_path(tmp_path, "b.json", ok=False)
         assert cli.main(["diff", a, b, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.obs/certdiff/v1"
+        assert payload["schema"] == "repro.obs/certdiff/v2"
         assert payload["obligations"]["flipped"]
         assert not payload["identical"]
 

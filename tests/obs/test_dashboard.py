@@ -29,8 +29,8 @@ def _fixture_runs(n=10, slowdown_last=False):
             "obligations": {"total": 75, "failed": 0},
             "cache": {"hits": 3 * i, "misses": 2,
                       "hit_latency_s": 0.001, "miss_latency_s": 0.002},
-            "redundancy": {"ratio": 0.843, "explored": 10634,
-                           "distinct": 1670},
+            "profile": {"redundancy": {"ratio": 0.843, "explored": 10634,
+                                       "distinct": 1670}},
             "redundancy_by_axis": {
                 "soundness.game": {"ratio": 0.843, "explored": 10634,
                                    "distinct": 1670},
@@ -61,9 +61,10 @@ class TestRenderDashboard:
     def test_renders_cache_and_redundancy_panels(self):
         html = dashboard.render_dashboard(_fixture_runs())
         assert "Cache efficacy" in html
-        assert "Redundancy" in html
+        assert "redundancy by axis" in html
         assert "soundness.game" in html
         assert "84.3%" in html
+        assert "10634 explored, 1670 distinct" in html
 
     def test_links_artifacts(self):
         html = dashboard.render_dashboard(_fixture_runs())

@@ -1,4 +1,4 @@
-"""Metric aggregation: counters, gauges, histograms, windows."""
+"""Metric aggregation: counters, histograms, windows."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import Counter, Histogram
 
 
 class TestPrimitives:
@@ -16,12 +16,6 @@ class TestPrimitives:
         c.inc()
         c.inc(4)
         assert c.value == 5
-
-    def test_gauge_keeps_last(self):
-        g = Gauge("g")
-        g.set(3)
-        g.set(7.5)
-        assert g.value == 7.5
 
     def test_histogram_summary(self):
         h = Histogram("h")
@@ -81,6 +75,17 @@ class TestPrimitives:
         assert summary["samples_kept"] == 50
         assert summary["p50"] == 25.0
 
+    def test_percentile_is_the_summary_rank(self):
+        h = Histogram("h")
+        assert h.percentile(0.5) is None
+        for v in [5.0, 1.0, 4.0, 2.0, 3.0, 100.0]:
+            h.observe(v)
+        summary = h.summary()
+        # rank min(n - 1, int(q * n)) of the sorted samples
+        assert h.percentile(0.50) == summary["p50"] == 4.0
+        assert h.percentile(0.95) == summary["p95"] == 100.0
+        assert h.percentile(0.0) == 1.0
+
     def test_counter_thread_safety(self):
         c = Counter("c")
         workers, per = 8, 10_000
@@ -102,20 +107,15 @@ class TestGuardedHelpers:
         obs.enable()
         obs.inc("runs", 3)
         obs.inc("runs")
-        obs.set_gauge("depth", 2)
         obs.observe("wall", 0.25)
         snap = obs.snapshot()
         assert snap["counters"]["runs"] == 4
-        assert snap["gauges"]["depth"] == 2
         assert snap["histograms"]["wall"]["count"] == 1
 
     def test_disabled_helpers_are_silent(self):
         obs.inc("runs")
-        obs.set_gauge("depth", 2)
         obs.observe("wall", 0.25)
-        assert obs.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
+        assert obs.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_registry_lazily_creates_one_instance(self):
         obs.enable()

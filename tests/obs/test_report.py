@@ -127,10 +127,10 @@ class TestProvenance:
             cert = tiny_check_sim()
         text = obs.render_provenance(cert)
         assert "bump ≤ bump" in text
-        assert "wall_time_s" in text
+        assert "wall time:" in text
 
     def test_render_provenance_without_annotations(self):
         cert = tiny_check_sim()
         text = obs.render_provenance(cert)
         assert "bump ≤ bump" in text
-        assert "wall_time_s" not in text
+        assert "wall time:" not in text

@@ -376,7 +376,7 @@ class TestStatistics:
         record = {
             "wall_s": 2.0,
             "obligations": {"total": 10, "failed": 1},
-            "redundancy": {"ratio": 0.84},
+            "profile": {"redundancy": {"ratio": 0.84}},
             "cache": {"hits": 3, "misses": 1},
             "bench": {"tests": {"b.py::t": {"duration_s": 0.5}}},
         }
@@ -452,8 +452,11 @@ class TestDiffCertificates:
             "profile": {"redundancy": {"ratio": 0.5}},
         }
         diff = store.diff_certificates(a, b)
-        assert diff["coverage"]["env_contexts"] == {
-            "explored_a": 10, "explored_b": 20,
+        assert diff["blocks"]["coverage"] == {
+            "a": {"env_contexts": {"explored": 10}},
+            "b": {"env_contexts": {"explored": 20}},
         }
         assert diff["wall_s"] == {"a": 1.0, "b": 2.0}
-        assert diff["redundancy"]["ratio_b"] == 0.5
+        assert diff["blocks"]["profile"] == {
+            "a": None, "b": {"redundancy": {"ratio": 0.5}},
+        }

@@ -29,11 +29,9 @@ class TestDisabledPath:
 
     def test_guarded_metrics_collect_nothing(self):
         obs.inc("x")
-        obs.set_gauge("g", 3)
         obs.observe("h", 1.5)
         snap = obs.snapshot()
         assert snap["counters"] == {}
-        assert snap["gauges"] == {}
         assert snap["histograms"] == {}
 
     def test_overhead_guard(self):

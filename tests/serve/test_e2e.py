@@ -1,9 +1,9 @@
 """End-to-end tests: a real daemon subprocess, real verifications.
 
 One daemon (module-scoped) serves the read-path tests; the SIGTERM
-drain test boots its own so it can kill it.  These are the slowest
-tests in the suite (~seconds): they cover exactly the contracts that
-need real processes — byte identity across the wire, cross-process
+drain tests boot their own so they can kill them.  These are the
+slowest tests in the suite (~seconds): they cover exactly the contracts
+that need real processes — byte identity across the wire, cross-process
 dedup, the HTTP progress stream, and signal-driven drain.
 """
 
@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+from urllib.request import urlopen
 
 import pytest
 
@@ -26,7 +27,7 @@ def daemon(tmp_path_factory):
     process, client = boot_daemon(spool)
     yield client, spool
     process.send_signal(signal.SIGTERM)
-    process.wait(timeout=30)
+    process.communicate(timeout=30)
 
 
 class TestServedBytes:
@@ -91,6 +92,17 @@ class TestServedBytes:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    def test_followed_records_arrive_while_the_job_runs(self, daemon):
+        client, _spool = daemon
+        doc = client.submit("fig5", {})
+        seen = []
+        for record in client.events(doc["id"]):
+            seen.append((record.get("type"), client.job(doc["id"])["state"]))
+        # The first record reaches the follower before the job ends,
+        # not batched with the rest once the stream closes.
+        assert seen[0][1] not in ("done", "failed", "rejected"), seen
+        assert seen[-1][0] == "end"
+
     def test_metrics_document_shape(self, daemon):
         client, _spool = daemon
         metrics = client.metrics()
@@ -105,9 +117,9 @@ class TestDrain:
         process, client = boot_daemon(str(tmp_path / "spool"))
         doc = client.submit("ticket", {"domain": [1, 2], "fuel": 2001})
         process.send_signal(signal.SIGTERM)
-        process.wait(timeout=60)
+        out, _err = process.communicate(timeout=60)
         assert process.returncode == 0
-        log = process.stdout.read().decode("utf-8", "replace")
+        log = out.decode("utf-8", "replace")
         assert "repro-serve stopped" in log
         # The in-flight verification ran to completion and its
         # certificate landed in the store before the workers exited.
@@ -119,3 +131,21 @@ class TestDrain:
         payload = store.get("public", doc["fingerprint"])
         assert payload is not None
         assert json.loads(payload)["ok"] is True
+
+    @pytest.mark.parametrize("attempt", range(3))
+    def test_sigterm_with_a_follower_connected_logs_no_traceback(
+        self, tmp_path, attempt
+    ):
+        process, client = boot_daemon(str(tmp_path / "spool"))
+        doc = client.submit("fig5", {})
+        url = f"{client.base_url}/jobs/{doc['id']}/events"
+        # The response head is sent once the handler starts polling the
+        # job's event file, so the follower is connected from here on.
+        with urlopen(url, timeout=60) as response:
+            process.send_signal(signal.SIGTERM)
+            stream = response.read()
+        out, _err = process.communicate(timeout=60)
+        log = out.decode("utf-8", "replace")
+        assert process.returncode == 0, log
+        assert "Traceback" not in log, log
+        assert json.loads(stream.splitlines()[-1])["type"] == "end"

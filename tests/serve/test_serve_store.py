@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.serve.store import CertificateStore, LatencyWindow
+from repro.obs.metrics import Histogram
+from repro.serve.store import CertificateStore, latency_summary
 
 FP_A = "aa" + "0" * 62
 FP_B = "bb" + "0" * 62
@@ -80,19 +81,18 @@ class TestStore:
         assert store.get("t1", FP_A) == b"y" * 100
 
 
-class TestLatencyWindow:
+class TestLatencyHistogram:
     def test_percentiles(self):
-        window = LatencyWindow()
+        histogram = Histogram("serve.latency.warm")
         for ms in [1, 2, 3, 4, 100]:
-            window.add(ms / 1000.0)
-        summary = window.summary()
+            histogram.observe(ms / 1000.0)
+        summary = latency_summary(histogram)
         assert summary["count"] == 5
         assert summary["p50_ms"] == 3.0
+        assert summary["p90_ms"] == 100.0
         assert summary["max_ms"] == 100.0
 
-    def test_bounded_reservoir(self):
-        window = LatencyWindow(limit=10)
-        for i in range(1000):
-            window.add(float(i))
-        assert window.count == 1000
-        assert len(window._samples) == 10
+    def test_empty_histogram_reports_no_percentiles(self):
+        assert latency_summary(Histogram("serve.latency.cold")) == {
+            "count": 0, "p50_ms": None, "p90_ms": None, "max_ms": None,
+        }
