@@ -21,21 +21,29 @@ subclass or an inherited slot must not share a digest.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import NamedTuple
+import gc
+import itertools
+import os
+import pickle
+import sys
+import threading
+from collections import Counter, namedtuple
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_canonical as reference
+from cache_entries import certify_stacks
 import repro.objects.ticket_lock as ticket_lock
 import repro.parallel.cache as cache
-from repro.core import Event, check_soundness
+import repro.parallel.canonical as canonical
+from repro.clight.ast import Call, CFunction, Const, Var
+from repro.core import Event
 from repro.core.log import Log
 from repro.envflags import pinned
-from repro.objects.mcs_lock import certify_mcs_lock
-from repro.objects.shared_queue import certify_shared_queue
 from repro.objects.ticket_lock import FAI, PUSH, n_cell
 from repro.parallel.canonical import _FLUSH_TOKENS, canonical_fingerprint
 
@@ -46,9 +54,6 @@ def assert_same_digest(value):
 
 # --- the keys of the incremental_edit stacks --------------------------------
 
-#: One acquire/release per thread: the Thm 2.2 client of the MCS game.
-CLIENT = [{tid: [("acq", ("q0",)), ("rel", ("q0",))] for tid in (1, 2)}]
-
 
 def rel_impl_edited(ctx, lock):
     """``rel`` with one more bytecode constant, as an edit would leave it."""
@@ -56,17 +61,6 @@ def rel_impl_edited(ctx, lock):
     yield from ctx.call(FAI, n_cell(lock))
     _edited = 7
     return None
-
-
-def certify_stacks():
-    ticket = ticket_lock.certify_ticket_lock([1, 2], lock="q0", use_c_source=False)
-    mcs = certify_mcs_lock([1, 2, 3], lock="q0")
-    queue = certify_shared_queue([1, 2, 3], queue="rdq")
-    game = check_soundness(
-        mcs.composed, clients=CLIENT, max_rounds=14, require_progress=False
-    )
-    return [ticket.composed.certificate, mcs.composed.certificate,
-            queue["composed"].certificate, game]
 
 
 def test_incremental_edit_keys_match_reference(tmp_path, monkeypatch):
@@ -410,3 +404,207 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_digests(name):
     assert canonical_fingerprint(pinned_values()[name]) == PINNED[name]
+
+
+# --- the chunk store --------------------------------------------------------
+#
+# A code object, an event or a frozen ClightX node is encoded once per
+# process and its tokens are spliced into every later key.  These cases
+# check that the store serves no stream but the one the reference
+# encoder emits for the value as it is now.
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations([1, True, 1.0])))
+def test_equal_frozen_values_of_other_types_keep_their_streams(order):
+    # Const(1) == Const(True) == Const(1.0): a store keyed by equality
+    # would serve the first one's stream for the others.
+    values = [Const(value) for value in order]
+    digests = [canonical_fingerprint(value) for value in values]
+    assert len(set(digests)) == 3
+    for value in values:
+        assert_same_digest(value)
+
+
+def test_function_defaults_and_cells_are_read_at_every_key():
+    def make(bound):
+        def spec(ctx, lock, limit=3):
+            return ctx, lock, limit, bound
+
+        return spec
+
+    spec = make([1])
+    seen = [canonical_fingerprint(spec)]
+    spec.__defaults__ = (4,)
+    seen.append(canonical_fingerprint(spec))
+    spec.__closure__[0].cell_contents = [2]
+    seen.append(canonical_fingerprint(spec))
+    assert len(set(seen)) == 3
+    assert_same_digest(spec)
+
+
+@dataclass(frozen=True)
+class Box:
+    items: Any
+
+
+@dataclass(frozen=True)
+class Knot:
+    name: str
+    next: Any = None
+
+
+def test_frozen_values_holding_a_list_are_read_at_every_key():
+    box = Box([1])
+    event = Event(1, "push", (["q0"],))
+    before = canonical_fingerprint((box, event))
+    box.items.append(2)
+    event.args[0].append("q1")
+    assert canonical_fingerprint((box, event)) != before
+    assert_same_digest((box, event))
+
+
+def test_frozen_values_made_cyclic_take_the_plain_walk():
+    self_loop = Knot("a")
+    object.__setattr__(self_loop, "next", self_loop)
+    first, second = Knot("b"), Knot("c")
+    object.__setattr__(first, "next", (second,))
+    object.__setattr__(second, "next", first)
+    looped = Event(1, "push")
+    object.__setattr__(looped, "args", (looped, Const(1)))
+    for value in (self_loop, first, [second, first], looped):
+        assert_same_digest(value)
+
+
+def test_chunks_of_dropped_values_are_collected():
+    events = [Event(1, "push", ("q0", k)) for k in range(10_000)]
+    logs = [Log([event]) for event in events]
+    for log in logs:
+        canonical_fingerprint(log)
+    chunked = {id(event) for event in events}
+    assert chunked <= canonical._CHUNKS.keys()
+    del events, logs, log
+    gc.collect()
+    assert not chunked & canonical._CHUNKS.keys()
+
+
+def test_fingerprinting_leaves_pickles_unchanged():
+    event = Event(2, "FAI_t", (("ticket_t", "q0"),), 0)
+    values = (
+        event,
+        Log([event, ACQ, event]),
+        CFunction("rel", ["lock"], [Call(None, "push", [Var("lock")])]),
+    )
+    before = [pickle.dumps(value) for value in values]
+    for value in values:
+        canonical_fingerprint(value)
+        canonical_fingerprint([value, value])
+    assert [pickle.dumps(value) for value in values] == before
+
+
+def test_threads_sharing_the_store_get_the_serial_digests():
+    """Threads that meet the same new values at once each see a built
+    entry, a value still being built (which they walk plain) or none."""
+
+    def fresh_values():
+        event = Event(1, "push", ("q0", ("env", 3)))
+        body = [Call(None, "push", [Var("lock"), Const(k)]) for k in range(8)]
+        return [CFunction(f"f{k}", ["lock"], body[k:]) for k in range(8)] + [
+            Log([event] * 4), (event, Const(True)),
+        ]
+
+    expected = [reference.canonical_fingerprint(value) for value in fresh_values()]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(20):
+            values = fresh_values()
+            results = [None] * 6
+
+            def work(slot):
+                results[slot] = [canonical_fingerprint(value) for value in values]
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 6
+    finally:
+        sys.setswitchinterval(switch)
+
+
+# --- sharing across the keys of one run -------------------------------------
+
+
+def test_edited_keys_encode_each_immutable_value_once(tmp_path, monkeypatch):
+    """Across the keys of an edited run from a filled cache, with the
+    store emptied first as in a fresh interpreter, no code object, event
+    or frozen value with a chunk is encoded twice."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with pinned(jobs=1):
+        certify_stacks()
+    monkeypatch.setattr(ticket_lock, "rel_impl", rel_impl_edited)
+    encoded, codes, values = Counter(), Counter(), {}
+    structure, code = canonical._structure, canonical._code
+
+    def counted_structure(obj, kind, *rest):
+        if canonical._layout(kind).frozen:
+            encoded[id(obj)] += 1
+            values[id(obj)] = obj
+        return structure(obj, kind, *rest)
+
+    def counted_code(obj, *rest):
+        codes[id(obj)] += 1
+        return code(obj, *rest)
+
+    canonical._CHUNKS.clear()
+    monkeypatch.setattr(canonical, "_structure", counted_structure)
+    monkeypatch.setattr(canonical, "_code", counted_code)
+    with pinned(jobs=1):
+        assert all(cert.ok for cert in certify_stacks())
+    assert codes and encoded
+    assert max(codes.values()) == 1
+    again = [values[oid] for oid, count in encoded.items() if count > 1]
+    # Only values that hold something mutable (a primitive's spec
+    # function) are walked again, and no event is among them.
+    assert all(canonical._CHUNKS[id(value)][1] is None for value in again)
+    assert not any(isinstance(value, Event) for value in again)
+
+
+def test_incremental_edit_keys_match_reference_in_fork_workers(tmp_path, monkeypatch):
+    """Fork workers inherit the store: with two workers, the keys of a
+    cold and an edited warm run, wherever computed, match the reference
+    encoder's and are the keys a serial run computes."""
+    records = tmp_path / "keys"
+    records.mkdir()
+    key_of = cache.cache_key
+    rel_impl = ticket_lock.rel_impl
+
+    def run(jobs, checked):
+        def recorded_key(kind, parts):
+            key = key_of(kind, parts)
+            matches = not checked or key == reference.canonical_fingerprint(
+                (kind, cache.ENGINE_VERSION) + tuple(parts)
+            )
+            with open(records / f"{jobs}-{os.getpid()}.tsv", "a") as out:
+                out.write(f"{kind}\t{key}\t{matches}\n")
+            return key
+
+        monkeypatch.setattr(cache, "cache_key", recorded_key)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache-{jobs}"))
+        monkeypatch.setattr(ticket_lock, "rel_impl", rel_impl)
+        with pinned(jobs=jobs):
+            cold = certify_stacks()
+            monkeypatch.setattr(ticket_lock, "rel_impl", rel_impl_edited)
+            warm = certify_stacks()
+        assert all(cert.ok for cert in cold + warm)
+        return sorted(
+            line.split("\t") for path in records.glob(f"{jobs}-*.tsv")
+            for line in path.read_text().splitlines()
+        )
+
+    serial = run(1, checked=False)
+    forked = run(2, checked=True)
+    assert [kind for kind, _key, matches in forked if matches != "True"] == []
+    assert [row[:2] for row in forked] == [row[:2] for row in serial]
